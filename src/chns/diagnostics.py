@@ -226,11 +226,15 @@ def _report_summary(reports):
     return max(r.residual for r in reports), int(sum(r.iterations for r in reports))
 
 
-def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float, reports=None) -> EnergyAudit:
+def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float, reports=None,
+                     etilde_prev: float | None = None) -> EnergyAudit:
+    """Audit row of one first-order step.  etilde_prev, if given, is the
+    modified energy of prev at this dt (the Etilde of prev's own row), which
+    saves recomputing it."""
     diss_mu = 2.0 * params.mobility * dt * grad_energy_cell(new.mu)
     diss_visc = 2.0 * params.viscosity * dt * grad_energy_velocity(new.u_tilde)
     diss_q = 2.0 * dt / params.horizon * new.q**2
-    et_prev = modified_energy_first(prev, params, dt)
+    et_prev = modified_energy_first(prev, params, dt) if etilde_prev is None else etilde_prev
     et_new = modified_energy_first(new, params, dt)
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
     res_max, iters = _report_summary(reports)
@@ -255,10 +259,12 @@ def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt
     )
 
 
-def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams, dt: float, reports=None) -> EnergyAudit:
-    rep_prev = energy2_report(prev, params, dt)
+def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams, dt: float, reports=None,
+                      etilde_prev: float | None = None) -> EnergyAudit:
+    """Audit row of one BDF2 step; etilde_prev as in audit_step_first."""
     rep_new = energy2_report(new, params, dt)
-    et_prev, et_new = rep_prev["etilde"], rep_new["etilde"]
+    et_prev = energy2_report(prev, params, dt)["etilde"] if etilde_prev is None else etilde_prev
+    et_new = rep_new["etilde"]
 
     # adjusted viscous dissipation 2 nu dt |grad u~|^2 - nu dt |div u~|^2 is the
     # one the exact discrete identity carries
@@ -382,8 +388,13 @@ def iterate_with_audits(
     first-order energy identity at the substep size (they are first-order
     steps) and all later transitions against the BDF2 identity, so the step
     at index 1 may carry several audit rows.
+
+    Each row's Etilde is handed to the next step's audit as the energy of its
+    previous state.  The bootstrap rows hold first-order energies at the
+    substep size, so the first BDF2 step computes its own.
     """
     trace = [] if scheme == "msav2" else None
+    etilde_prev = None
     for k, prev, new, reports in _iterate(
         scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, pairing_scale,
         bootstrap_trace=trace,
@@ -394,9 +405,10 @@ def iterate_with_audits(
                 for sub_prev, sub_new, sub_dt, sub_reports in trace
             ]
         elif scheme == "msav2":
-            step_audits = [audit_step_second(prev, new, params, dt, reports)]
+            step_audits = [audit_step_second(prev, new, params, dt, reports, etilde_prev)]
         else:
-            step_audits = [audit_step_first(prev, new, params, dt, reports)]
+            step_audits = [audit_step_first(prev, new, params, dt, reports, etilde_prev)]
+        etilde_prev = None if scheme == "msav2" and k == 1 else step_audits[-1].Etilde
         yield k, new, step_audits
 
 

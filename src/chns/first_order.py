@@ -5,25 +5,32 @@ two scalar recombination factors,
 
     xi1 = r^{n+1} / sqrt(E1(phi^n) + delta),      xi2 = exp(t^{n+1}/T) q^{n+1},
 
-so the update for (phi, mu, u~, u, p) is linear and splits by superposition
-into three independent substep families:
+so the update for (phi, mu, u~) is linear and splits by superposition into
+three independent substep families:
 
   substep 0 carries the lagged data (phi^n, u^n, grad p^n),
   substep 1 carries the phase coupling (advection of phi, F'(phi^n), mu grad phi),
   substep 2 carries the velocity convection (u . grad u).
 
 Each family costs one fourth-order phase solve (families 0 and 1; family 2 is
-identically zero), one velocity Helmholtz solve, and one pressure-correction
-projection.  The two scalars are then fixed by a 2x2 linear system obtained by
-substituting the superposition into the auxiliary-variable updates
+identically zero) and one velocity Helmholtz solve.  The explicit terms are
+evaluated once per step and shared by the substeps and the scalar system.  The
+two scalars are then fixed by a 2x2 linear system obtained by substituting the
+superposition into the auxiliary-variable updates
 
     (r^{n+1}-r^n)/dt = [ (F'(phi^n), d_t phi^{n+1}) + (mu^{n+1}, u^n.grad phi^n)
                          - (u~^{n+1}, mu^n grad phi^n) ] / (2 sqrt(E1+delta)),
     (q^{n+1}-q^n)/dt = -q^{n+1}/T + exp(t^{n+1}/T) (u^n.grad u^n, u~^{n+1}),
 
-and the step finishes by recombining.  Because the same discrete quadratures
-appear in the field equations and in the scalar updates, the pairings cancel
-exactly and the step dissipates the modified energy for every dt.
+which reads only phi_i, mu_i and u~_i.  The step finishes by recombining
+u~ = u~_0 + xi1 u~_1 + xi2 u~_2 and projecting it once,
+
+    u^{n+1} = u~ - dt grad psi,   lap psi = div u~ / dt,   p^{n+1} = p^n + psi;
+
+the projection is linear, so this equals projecting each family and
+recombining.  Because the same discrete quadratures appear in the field
+equations and in the scalar updates, the pairings cancel exactly and the step
+dissipates the modified energy for every dt.
 """
 
 from __future__ import annotations
@@ -54,10 +61,11 @@ from .model import PhysParams, SavState, SchemeState, potential_f_prime, sqrt_au
 
 __all__ = [
     "XiSystem",
+    "ExplicitTerms",
     "FirstOrderSubsteps",
+    "explicit_terms",
     "ch_substeps",
     "velocity_substeps",
-    "projection_substeps",
     "assemble_xi_system",
     "solve_xi",
     "step_first_order",
@@ -87,12 +95,30 @@ class FirstOrderSubsteps:
     ut0: MacVector
     ut1: MacVector
     ut2: MacVector
-    u0: MacVector
-    p0: CellField
-    u1: MacVector
-    p1: CellField
-    u2: MacVector
-    p2: CellField
+
+
+@dataclass
+class ExplicitTerms:
+    """The explicit nonlinear data of one step, evaluated once and shared by
+    the substeps and the 2x2 system."""
+
+    sq: float  # sqrt(E1(phi) + delta)
+    f_prime: CellField
+    adv: CellField  # u . grad phi
+    chem: MacVector  # mu grad phi
+    conv: MacVector  # u . grad u
+
+
+def explicit_terms(fields, params: PhysParams) -> ExplicitTerms:
+    """Explicit terms at fields.phi, fields.mu and fields.u: the level-n state
+    for the first-order step, the extrapolants for the BDF2 step."""
+    return ExplicitTerms(
+        sq=sqrt_aux_energy(fields.phi, params),
+        f_prime=potential_f_prime(fields.phi, params),
+        adv=advect_scalar(fields.u, fields.phi),
+        chem=chemical_force(fields.mu, fields.phi),
+        conv=advect_velocity(fields.u),
+    )
 
 
 def _collect(reports, new):
@@ -100,46 +126,39 @@ def _collect(reports, new):
         reports.extend(new)
 
 
-def ch_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None):
+def ch_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None,
+                terms: ExplicitTerms | None = None):
     """Phase substeps: (phi0, mu0) carries phi^n, (phi1, mu1) carries the
     explicit advection and potential terms; the third family is identically
-    zero and is not materialized."""
+    zero and is not materialized.  terms defaults to explicit_terms(state)."""
+    terms = terms if terms is not None else explicit_terms(state, params)
     spec = ChOperatorSpec(mobility_dt=params.mobility * dt, gamma_eff=params.gamma_eff)
     ge = params.gamma_eff
 
     phi0, rep0 = solve_ch_system(spec, state.phi, tol=tol)
     mu0 = -1.0 * lap_cell(phi0) + ge * phi0
 
-    f_prime = potential_f_prime(state.phi, params)
-    adv = advect_scalar(state.u, state.phi)
-    rhs1 = (params.mobility * dt) * lap_cell(f_prime) - dt * adv
+    rhs1 = (params.mobility * dt) * lap_cell(terms.f_prime) - dt * terms.adv
     phi1, rep1 = solve_ch_system(spec, rhs1, tol=tol)
-    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + f_prime
+    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
 
     _collect(reports, [rep0, rep1])
     return (phi0, mu0), (phi1, mu1)
 
 
-def velocity_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None):
-    """Intermediate velocities: (I - nu dt lap) u~_i = rhs_i with no-slip walls."""
+def velocity_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None,
+                      terms: ExplicitTerms | None = None):
+    """Intermediate velocities: (I - nu dt lap) u~_i = rhs_i with no-slip walls.
+    terms defaults to explicit_terms(state)."""
+    terms = terms if terms is not None else explicit_terms(state, params)
     spec = HelmholtzSpec(visc_dt=params.viscosity * dt)
 
     ut0, rep0 = solve_velocity_helmholtz(spec, state.u - dt * grad_cell_to_face(state.p), tol=tol)
-    ut1, rep1 = solve_velocity_helmholtz(spec, dt * chemical_force(state.mu, state.phi), tol=tol)
-    ut2, rep2 = solve_velocity_helmholtz(spec, (-dt) * advect_velocity(state.u), tol=tol)
+    ut1, rep1 = solve_velocity_helmholtz(spec, dt * terms.chem, tol=tol)
+    ut2, rep2 = solve_velocity_helmholtz(spec, (-dt) * terms.conv, tol=tol)
 
     _collect(reports, [rep0, rep1, rep2])
     return ut0, ut1, ut2
-
-
-def projection_substeps(ut0, ut1, ut2, p_n: CellField, dt: float, tol: float = 1e-12, reports=None):
-    """Pressure-correction projections: substep 0 updates the lagged pressure,
-    substeps 1 and 2 project against fresh zero-mean pressures."""
-    u0, psi0 = project(ut0, dt, tol=tol, reports=reports)
-    p0 = p_n + psi0
-    u1, p1 = project(ut1, dt, tol=tol, reports=reports)
-    u2, p2 = project(ut2, dt, tol=tol, reports=reports)
-    return (u0, p0), (u1, p1), (u2, p2)
 
 
 def assemble_xi_system(
@@ -148,6 +167,7 @@ def assemble_xi_system(
     params: PhysParams,
     dt: float,
     pairing_scale: float = 1.0,
+    terms: ExplicitTerms | None = None,
 ) -> XiSystem:
     """Form the 2x2 system for (xi1, xi2) from the auxiliary-variable updates.
 
@@ -156,13 +176,10 @@ def assemble_xi_system(
     pairing_scale is a test hook that deliberately mis-weights the
     velocity/chemical-force pairing; values well away from 1 push the step
     outside its dissipation margin so the energy audit can be shown to
-    catch a broken cancellation.
+    catch a broken cancellation.  terms defaults to explicit_terms(state).
     """
-    sq = sqrt_aux_energy(state.phi, params)
-    f_prime = potential_f_prime(state.phi, params)
-    adv = advect_scalar(state.u, state.phi)
-    chem = chemical_force(state.mu, state.phi)
-    conv = advect_velocity(state.u)
+    terms = terms if terms is not None else explicit_terms(state, params)
+    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
 
     t_new = state.t + dt
     e_pos = exp(t_new / params.horizon)
@@ -210,26 +227,22 @@ def step_first_order(
     reports=None,
     pairing_scale: float = 1.0,
 ) -> SchemeState:
-    """Advance one level: substeps, 2x2 recombination, finalization."""
+    """Advance one level: substeps, 2x2 recombination, one projection."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    sq = sqrt_aux_energy(state.phi, params)
+    terms = explicit_terms(state, params)
 
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, params, dt, tol=tol_helmholtz, reports=reports)
-    ut0, ut1, ut2 = velocity_substeps(state, params, dt, tol=tol_helmholtz, reports=reports)
-    (u0, p0), (u1, p1), (u2, p2) = projection_substeps(
-        ut0, ut1, ut2, state.p, dt, tol=tol_poisson, reports=reports
-    )
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2, u0, p0, u1, p1, u2, p2)
-
-    xi1, xi2 = solve_xi(assemble_xi_system(state, sub, params, dt, pairing_scale=pairing_scale))
+    (phi0, mu0), (phi1, mu1) = ch_substeps(state, params, dt, tol=tol_helmholtz, reports=reports, terms=terms)
+    ut0, ut1, ut2 = velocity_substeps(state, params, dt, tol=tol_helmholtz, reports=reports, terms=terms)
+    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
+    xi1, xi2 = solve_xi(assemble_xi_system(state, sub, params, dt, pairing_scale=pairing_scale, terms=terms))
 
     t_new = state.t + dt
     phi_new = phi0 + xi1 * phi1
     mu_new = mu0 + xi1 * mu1
     ut_new = ut0 + xi1 * ut1 + xi2 * ut2
-    u_new = u0 + xi1 * u1 + xi2 * u2
-    p_new = p0 + xi1 * p1 + xi2 * p2
+    u_new, psi = project(ut_new, dt, tol=tol_poisson, reports=reports)
+    p_new = state.p + psi
     p_new = CellField(p_new.grid, p_new.data - p_new.data.mean())
-    sav = SavState(r=xi1 * sq, q=xi2 * exp(-t_new / params.horizon))
+    sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
     return SchemeState(t=t_new, phi=phi_new, mu=mu_new, u=u_new, u_tilde=ut_new, p=p_new, sav=sav)

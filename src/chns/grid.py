@@ -29,7 +29,6 @@ immutable values after construction.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "GridSpec",
     "CellField",
     "MacVector",
-    "BcKind",
     "grad_cell_to_face",
     "div_face_to_cell",
     "lap_cell",
@@ -55,7 +53,6 @@ __all__ = [
     "norm_h1_semi",
     "curl_at_nodes",
     "norm_l2_nodes",
-    "integral_cell",
     "write_field_csv",
     "read_field_csv",
     "write_field_bin",
@@ -103,21 +100,6 @@ class GridSpec:
 
     def face_y(self):
         return self.y0 + np.arange(self.ny + 1) * self.hy
-
-
-class BcKind(enum.Enum):
-    """Ghost-cell conventions used by the stencils.
-
-    NEUMANN_CELL: mirror ghosts (ghost = interior value) for cell scalars.
-    DIRICHLET_VELOCITY: normal components stored on the wall and equal to
-        zero; tangential ghosts are odd reflections (ghost = -interior).
-    NEUMANN_PRESSURE: zero normal derivative at boundary faces, realized by
-        zeroing the boundary-face entries of the face gradient.
-    """
-
-    NEUMANN_CELL = "neumann_cell"
-    DIRICHLET_VELOCITY = "dirichlet_velocity"
-    NEUMANN_PRESSURE = "neumann_pressure"
 
 
 def _require_same_grid(a, b):
@@ -378,10 +360,6 @@ def dot_cell(a: CellField, b: CellField) -> float:
 def dot_face(a: MacVector, b: MacVector) -> float:
     _require_same_grid(a, b)
     return a.grid.cell_area * float(np.sum(a.u * b.u) + np.sum(a.v * b.v))
-
-
-def integral_cell(f: CellField) -> float:
-    return f.grid.cell_area * float(np.sum(f.data))
 
 
 def norm_l2_cell(f: CellField) -> float:

@@ -15,7 +15,7 @@ sqrt(E1(phi) + delta) and q tracks exp(-t/T); both are carried in SavState.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,15 +166,3 @@ def initial_state(grid: GridSpec, params: PhysParams, preset: str = "paper5") ->
         raise ValueError(f"unknown preset {preset!r}")
     phi, vel = _preset_paper5(grid)
     return state_from_fields(params, phi, vel)
-
-
-def clone_state(state: SchemeState) -> SchemeState:
-    return replace(
-        state,
-        phi=state.phi.copy(),
-        mu=state.mu.copy(),
-        u=state.u.copy(),
-        u_tilde=state.u_tilde.copy(),
-        p=state.p.copy(),
-        sav=SavState(state.sav.r, state.sav.q),
-    )

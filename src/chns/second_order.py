@@ -6,12 +6,18 @@ Same decoupling as the first-order stepper, with three upgrades:
   * second-order extrapolation bar(x) = 2x^n - x^{n-1} of every explicit
     nonlinear quantity (phase advection, potential slope, chemical force,
     velocity convection);
-  * rotational pressure correction: each projection updates its pressure with
-    the divergence correction nu*div(u~), i.e.
+  * rotational pressure correction: the recombined intermediate velocity
+    u~ = u~_0 + xi1 u~_1 + xi2 u~_2 is projected once,
 
-        u_i - u~_i + (2 dt/3) grad(p_i - [p^n] + nu div u~_i) = 0,
+        u^{n+1} = u~ - (2 dt/3) grad psi,   lap psi = 3 div u~ / (2 dt),
 
-    which lifts the pressure accuracy to the rotational-scheme rate.
+    and the pressure takes the divergence correction nu*div(u~),
+
+        p^{n+1} = p^n + psi - nu div u~,
+
+    which lifts the pressure accuracy to the rotational-scheme rate.  The
+    projection is linear, so this equals projecting each substep family and
+    recombining.
 
 The bookkeeping sequence g^{n+1} = g^n + nu div(u~^{n+1}) (g^0 = 0) and
 H^{n+1} = p^{n+1} + g^{n+1} never feeds back into the dynamics; it exists so
@@ -35,27 +41,17 @@ from .elliptic import (
     solve_ch_system,
     solve_velocity_helmholtz,
 )
-from .first_order import XiSystem, _collect, solve_xi, step_first_order
+from .first_order import XiSystem, _collect, explicit_terms, solve_xi, step_first_order
 from .grid import (
     CellField,
     MacVector,
-    advect_scalar,
-    advect_velocity,
-    chemical_force,
     div_face_to_cell,
     dot_cell,
     dot_face,
     grad_cell_to_face,
     lap_cell,
 )
-from .model import (
-    PhysParams,
-    SavState,
-    SchemeState,
-    SchemeState2,
-    potential_f_prime,
-    sqrt_aux_energy,
-)
+from .model import PhysParams, SavState, SchemeState, SchemeState2
 
 __all__ = [
     "Extrapolants",
@@ -82,12 +78,6 @@ class SecondOrderSubsteps:
     ut0: MacVector
     ut1: MacVector
     ut2: MacVector
-    u0: MacVector
-    p0: CellField
-    u1: MacVector
-    p1: CellField
-    u2: MacVector
-    p2: CellField
 
 
 def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
@@ -162,55 +152,42 @@ def step_second_order(
     if dt <= 0:
         raise ValueError("dt must be positive")
     bar = extrapolants(state)
-    sq = sqrt_aux_energy(bar.phi, params)
+    terms = explicit_terms(bar, params)
     ge = params.gamma_eff
     two_thirds_dt = 2.0 * dt / 3.0
-
-    f_prime = potential_f_prime(bar.phi, params)
-    adv = advect_scalar(bar.u, bar.phi)
-    chem = chemical_force(bar.mu, bar.phi)
-    conv = advect_velocity(bar.u)
 
     # phase substeps, BDF2 left-hand side scaled to unit identity coefficient
     ch_spec = ChOperatorSpec(mobility_dt=params.mobility * two_thirds_dt, gamma_eff=ge)
     rhs0 = (1.0 / 3.0) * (4.0 * state.phi - state.phi_prev)
     phi0, repc0 = solve_ch_system(ch_spec, rhs0, tol=tol_helmholtz)
     mu0 = -1.0 * lap_cell(phi0) + ge * phi0
-    rhs1 = (params.mobility * two_thirds_dt) * lap_cell(f_prime) - two_thirds_dt * adv
+    rhs1 = (params.mobility * two_thirds_dt) * lap_cell(terms.f_prime) - two_thirds_dt * terms.adv
     phi1, repc1 = solve_ch_system(ch_spec, rhs1, tol=tol_helmholtz)
-    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + f_prime
+    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
     _collect(reports, [repc0, repc1])
 
     # velocity substeps
     h_spec = HelmholtzSpec(visc_dt=params.viscosity * two_thirds_dt)
     vrhs0 = (1.0 / 3.0) * (4.0 * state.u - state.u_prev) - two_thirds_dt * grad_cell_to_face(state.p)
     ut0, repv0 = solve_velocity_helmholtz(h_spec, vrhs0, tol=tol_helmholtz)
-    ut1, repv1 = solve_velocity_helmholtz(h_spec, two_thirds_dt * chem, tol=tol_helmholtz)
-    ut2, repv2 = solve_velocity_helmholtz(h_spec, (-two_thirds_dt) * conv, tol=tol_helmholtz)
+    ut1, repv1 = solve_velocity_helmholtz(h_spec, two_thirds_dt * terms.chem, tol=tol_helmholtz)
+    ut2, repv2 = solve_velocity_helmholtz(h_spec, (-two_thirds_dt) * terms.conv, tol=tol_helmholtz)
     _collect(reports, [repv0, repv1, repv2])
 
-    # rotational projections: psi_i absorbs the nu*div correction
-    nu = params.viscosity
-    u0, psi0 = project(ut0, two_thirds_dt, tol=tol_poisson, reports=reports)
-    p0 = state.p + psi0 - nu * div_face_to_cell(ut0)
-    u1, psi1 = project(ut1, two_thirds_dt, tol=tol_poisson, reports=reports)
-    p1 = psi1 - nu * div_face_to_cell(ut1)
-    u2, psi2 = project(ut2, two_thirds_dt, tol=tol_poisson, reports=reports)
-    p2 = psi2 - nu * div_face_to_cell(ut2)
-
-    sub = SecondOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2, u0, p0, u1, p1, u2, p2)
-    sys = _assemble_xi_system2(state, bar, sub, params, dt, sq, f_prime, adv, chem, conv, pairing_scale)
-    xi1, xi2 = solve_xi(sys)
+    sub = SecondOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
+    xi1, xi2 = solve_xi(_assemble_xi_system2(state, sub, terms, params, dt, pairing_scale))
 
     t_new = state.t + dt
     phi_new = phi0 + xi1 * phi1
     mu_new = mu0 + xi1 * mu1
     ut_new = ut0 + xi1 * ut1 + xi2 * ut2
-    u_new = u0 + xi1 * u1 + xi2 * u2
-    p_new = p0 + xi1 * p1 + xi2 * p2
+    # rotational projection: one Poisson solve for the recombined velocity
+    u_new, psi = project(ut_new, two_thirds_dt, tol=tol_poisson, reports=reports)
+    nu_div = params.viscosity * div_face_to_cell(ut_new)
+    p_new = state.p + psi - nu_div
     p_new = CellField(p_new.grid, p_new.data - p_new.data.mean())
-    g_new = state.g + nu * div_face_to_cell(ut_new)
-    sav_new = SavState(r=xi1 * sq, q=xi2 * exp(-t_new / params.horizon))
+    g_new = state.g + nu_div
+    sav_new = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
 
     return SchemeState2(
         t=t_new,
@@ -229,9 +206,10 @@ def step_second_order(
     )
 
 
-def _assemble_xi_system2(state, bar, sub, params, dt, sq, f_prime, adv, chem, conv, pairing_scale):
+def _assemble_xi_system2(state, sub, terms, params, dt, pairing_scale):
     """2x2 system from the BDF2 auxiliary-variable updates with extrapolated
     pairings; same quadratures as the field equations."""
+    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
     two_dt = 2.0 * dt
     t_new = state.t + dt
     e_pos = exp(t_new / params.horizon)

@@ -7,8 +7,25 @@ dense matrix over every unknown and solved by LU.  The production code never
 sees these paths.
 """
 
+from math import exp
+
 import numpy as np
 
+from chns.elliptic import (
+    ChOperatorSpec,
+    HelmholtzSpec,
+    project,
+    solve_ch_system,
+    solve_velocity_helmholtz,
+)
+from chns.first_order import (
+    FirstOrderSubsteps,
+    assemble_xi_system,
+    ch_substeps,
+    explicit_terms,
+    solve_xi,
+    velocity_substeps,
+)
 from chns.grid import (
     CellField,
     MacVector,
@@ -20,7 +37,8 @@ from chns.grid import (
     lap_cell,
     lap_velocity,
 )
-from chns.model import potential_f_prime, sqrt_aux_energy
+from chns.model import SavState, SchemeState, SchemeState2, potential_f_prime, sqrt_aux_energy
+from chns.second_order import SecondOrderSubsteps, _assemble_xi_system2, extrapolants
 
 
 def cell_count(grid):
@@ -296,3 +314,69 @@ def monolithic_second_order(state2, params, dt):
     rhs[ix_q] = (4.0 * state2.sav.q - state2.sav_prev.q) / two_dt
 
     return _solve_monolithic(grid, mat, rhs, sq, t_new, params.horizon)
+
+
+# ---------------------------------------------------------------------------
+# per-family projection steps
+# ---------------------------------------------------------------------------
+
+
+def _project_each_family(p_n, uts, xi1, xi2, dt_coef, nu):
+    """Project every intermediate velocity u~_i on its own, give each its
+    pressure p_i = [p^n] + psi_i - nu div u~_i, and recombine u_i and p_i
+    with (1, xi1, xi2)."""
+    projected = []
+    for i, ut in enumerate(uts):
+        u_i, psi_i = project(ut, dt_coef)
+        p_i = p_n + psi_i if i == 0 else psi_i
+        projected.append((u_i, p_i - nu * div_face_to_cell(ut)))
+    (u0, p0), (u1, p1), (u2, p2) = projected
+    u = u0 + xi1 * u1 + xi2 * u2
+    p = p0 + xi1 * p1 + xi2 * p2
+    return u, CellField(p.grid, p.data - p.data.mean())
+
+
+def three_projection_first_order(state, params, dt):
+    """One backward-Euler step that projects each substep family separately
+    (three Poisson solves) and recombines the projected fields."""
+    (phi0, mu0), (phi1, mu1) = ch_substeps(state, params, dt)
+    ut0, ut1, ut2 = velocity_substeps(state, params, dt)
+    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
+    xi1, xi2 = solve_xi(assemble_xi_system(state, sub, params, dt))
+    u, p = _project_each_family(state.p, (ut0, ut1, ut2), xi1, xi2, dt, 0.0)
+    t_new = state.t + dt
+    sav = SavState(r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon))
+    return SchemeState(
+        t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u,
+        u_tilde=ut0 + xi1 * ut1 + xi2 * ut2, p=p, sav=sav,
+    )
+
+
+def three_projection_second_order(state2, params, dt):
+    """One BDF2 step that projects each substep family separately with its own
+    rotational correction and recombines the projected fields."""
+    terms = explicit_terms(extrapolants(state2), params)
+    ge, nu = params.gamma_eff, params.viscosity
+    c = 2.0 * dt / 3.0
+    ch_spec = ChOperatorSpec(mobility_dt=params.mobility * c, gamma_eff=ge)
+    phi0, _ = solve_ch_system(ch_spec, (1.0 / 3.0) * (4.0 * state2.phi - state2.phi_prev))
+    phi1, _ = solve_ch_system(ch_spec, (params.mobility * c) * lap_cell(terms.f_prime) - c * terms.adv)
+    mu0 = -1.0 * lap_cell(phi0) + ge * phi0
+    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
+    h_spec = HelmholtzSpec(visc_dt=nu * c)
+    rhs0 = (1.0 / 3.0) * (4.0 * state2.u - state2.u_prev) - c * grad_cell_to_face(state2.p)
+    ut0, _ = solve_velocity_helmholtz(h_spec, rhs0)
+    ut1, _ = solve_velocity_helmholtz(h_spec, c * terms.chem)
+    ut2, _ = solve_velocity_helmholtz(h_spec, (-c) * terms.conv)
+    sub = SecondOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
+    xi1, xi2 = solve_xi(_assemble_xi_system2(state2, sub, terms, params, dt, 1.0))
+    u, p = _project_each_family(state2.p, (ut0, ut1, ut2), xi1, xi2, c, nu)
+    t_new = state2.t + dt
+    ut = ut0 + xi1 * ut1 + xi2 * ut2
+    g = state2.g + nu * div_face_to_cell(ut)
+    return SchemeState2(
+        t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u, u_tilde=ut, p=p,
+        sav=SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon)),
+        phi_prev=state2.phi, mu_prev=state2.mu, u_prev=state2.u,
+        sav_prev=SavState(state2.sav.r, state2.sav.q), g=g, H=p + g,
+    )

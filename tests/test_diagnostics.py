@@ -10,8 +10,11 @@ from chns.diagnostics import (
     audit_slack,
     cauchy_errors,
     cauchy_pair,
+    energy2_report,
+    iterate_with_audits,
     kinetic_energy,
     mass,
+    modified_energy_first,
     observed_rate,
     simulate_run,
     total_energy,
@@ -197,6 +200,20 @@ def test_energy_audit_detects_broken_pairing():
     assert all(a.passed for a in clean.audits)
     corrupted = simulate_run("msav1", s0, p, 0.01, 10, pairing_scale=1.5)
     assert any(not a.passed for a in corrupted.audits)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_carried_etilde_prev_equals_recomputed(scheme):
+    g = GridSpec(16, 16)
+    p = PhysParams()
+    dt = 0.01
+    prev = initial_state(g, p)
+    for k, new, audits in iterate_with_audits(scheme, prev, p, dt, 10):
+        if scheme == "msav1":
+            assert audits[0].Etilde_prev == modified_energy_first(prev, p, dt)
+        elif k > 1:  # the bootstrap rows are first-order audits of their own substeps
+            assert audits[0].Etilde_prev == energy2_report(prev, p, dt)["etilde"]
+        prev = new
 
 
 def test_audit_slack_definition():

@@ -11,7 +11,6 @@ from chns.first_order import (
     XiSystem,
     assemble_xi_system,
     ch_substeps,
-    projection_substeps,
     solve_xi,
     step_first_order,
     velocity_substeps,
@@ -34,7 +33,7 @@ from chns.model import (
     potential_f_prime,
     state_from_fields,
 )
-from oracle_tools import loop_dot_cell, loop_dot_face, monolithic_first_order
+from oracle_tools import loop_dot_cell, loop_dot_face, monolithic_first_order, three_projection_first_order
 
 RNG = np.random.default_rng(99)
 
@@ -138,25 +137,24 @@ def test_velocity_substeps_trivial_cases():
     assert norm_l2_face(ut2) <= 1e-13
 
 
-def test_projection_substeps_divergence_free_inputs():
+def test_project_divergence_free_input_unchanged():
     g = GridSpec(16, 16)
-    p_n = CellField.zeros(g)
     vel = MacVector.from_functions(
         g,
         lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y),
         lambda x, y: -np.sin(np.pi * y) ** 2 * np.sin(2 * np.pi * x),
     )
     solenoidal, _ = project(vel, 1.0)
-    (u0, p0), (u1, p1), (u2, p2) = projection_substeps(
-        solenoidal, solenoidal, solenoidal, p_n, dt=0.01
-    )
-    for u_i, p_i in ((u0, p0), (u1, p1), (u2, p2)):
-        assert norm_l2_face(u_i - solenoidal) <= 1e-9
-        assert norm_l2_cell(p_i) <= 1e-9
-        assert norm_l2_cell(div_face_to_cell(u_i)) <= 1e-10
+    for dt_coef in (0.01, 2.0 * 0.01 / 3.0):  # backward Euler and BDF2 coefficients
+        u, psi = project(solenoidal, dt_coef)
+        assert norm_l2_face(u - solenoidal) <= 1e-9
+        assert norm_l2_cell(psi) <= 1e-9
+        assert norm_l2_cell(div_face_to_cell(u)) <= 1e-10
 
 
-def test_projection_substeps_linearity():
+def test_project_linearity():
+    """project(a + x1 b + x2 c) = project(a) + x1 project(b) + x2 project(c):
+    the steppers project the recombined u~ once instead of each family."""
     g = GridSpec(12, 12)
     rng = np.random.default_rng(5)
 
@@ -166,12 +164,15 @@ def test_projection_substeps_linearity():
         w.v[:, 0] = w.v[:, -1] = 0.0
         return w
 
-    a, b = noslip(), noslip()
-    p_n = CellField.zeros(g)
-    (_, _), (ua, pa), (ub, pb) = projection_substeps(MacVector.zeros(g), a, b, p_n, dt=0.02)
-    (_, _), (uab, pab), _ = projection_substeps(MacVector.zeros(g), a + b, b, p_n, dt=0.02)
-    assert norm_l2_face(uab - (ua + ub)) <= 1e-10 * (norm_l2_face(a) + norm_l2_face(b))
-    assert norm_l2_cell(pab - (pa + pb)) <= 1e-10 * (norm_l2_cell(pa) + norm_l2_cell(pb) + 1.0)
+    a, b, c = noslip(), noslip(), noslip()
+    x1, x2 = 0.93, -1.7
+    for dt_coef in (0.02, 2.0 * 0.02 / 3.0):
+        (ua, pa), (ub, pb), (uc, pc) = (project(w, dt_coef) for w in (a, b, c))
+        u, p = project(a + x1 * b + x2 * c, dt_coef)
+        scale_u = norm_l2_face(a) + norm_l2_face(b) + norm_l2_face(c)
+        scale_p = norm_l2_cell(pa) + norm_l2_cell(pb) + norm_l2_cell(pc) + 1.0
+        assert norm_l2_face(u - (ua + x1 * ub + x2 * uc)) <= 1e-10 * scale_u
+        assert norm_l2_cell(p - (pa + x1 * pb + x2 * pc)) <= 1e-10 * scale_p
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,7 @@ def test_xi_system_diagonal_at_rest():
     state = rest_state(g, p, 0.4)
     (phi0, mu0), (phi1, mu1) = ch_substeps(state, p, dt)
     ut0, ut1, ut2 = velocity_substeps(state, p, dt)
-    (u0, p0), (u1, p1), (u2, p2) = projection_substeps(ut0, ut1, ut2, state.p, dt)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2, u0, p0, u1, p1, u2, p2)
+    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
     sys = assemble_xi_system(state, sub, p, dt)
     assert sys.a2 == 0.0 and sys.b1 == 0.0
     t1 = state.t + dt
@@ -205,8 +205,7 @@ def test_xi_system_matches_loop_assembly():
     state = messy_state(g, p)
     (phi0, mu0), (phi1, mu1) = ch_substeps(state, p, dt)
     ut0, ut1, ut2 = velocity_substeps(state, p, dt)
-    (u0, p0), (u1, p1), (u2, p2) = projection_substeps(ut0, ut1, ut2, state.p, dt)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2, u0, p0, u1, p1, u2, p2)
+    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
     sys = assemble_xi_system(state, sub, p, dt)
 
     from chns.grid import advect_scalar, advect_velocity
@@ -310,6 +309,20 @@ def test_step_matches_monolithic_dense_solve():
     assert abs(got.q * np.exp(t1 / p.horizon) - ref["xi2"]) <= 1e-9 * max(1.0, abs(ref["xi2"]))
 
 
+def test_one_projection_matches_per_family_projections():
+    """20 steps projecting the recombined u~ once agree with 20 steps that
+    project each substep family and recombine u_i, p_i."""
+    g = GridSpec(16, 16)
+    p = reference_params()
+    dt = 0.01
+    got = ref = messy_state(g, p, rng=np.random.default_rng(11))
+    for _ in range(20):
+        got = step_first_order(got, p, dt)
+        ref = three_projection_first_order(ref, p, dt)
+    assert norm_l2_face(got.u - ref.u) <= 1e-12 * norm_l2_face(ref.u)
+    assert norm_l2_cell(got.p - ref.p) <= 1e-12 * norm_l2_cell(ref.p)
+
+
 def test_step_invariants_divergence_and_mass():
     g = GridSpec(32, 32)
     p = reference_params()
@@ -354,5 +367,5 @@ def test_reports_collected():
     state = initial_state(g, p)
     reports = []
     step_first_order(state, p, 0.01, reports=reports)
-    assert len(reports) == 8  # 2 phase + 3 helmholtz + 3 poisson
+    assert len(reports) == 6  # 2 phase + 3 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)
