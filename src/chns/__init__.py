@@ -6,8 +6,8 @@ Subpackage map:
     grid         grid, field containers, discrete operators, snapshot files
     elliptic     constant-coefficient solvers (transform + conjugate gradients)
     model        parameters, potential, scheme states, initial data
-    first_order  backward-Euler decoupled stepper
-    second_order BDF2 / rotational pressure-correction decoupled stepper
+    first_order  the decoupled step both orders share, and the backward-Euler stepper
+    second_order BDF2 levels over the shared step, rotational pressure, bootstrap
     diagnostics  energy audits, Cauchy errors, rate tables, CSV emission
     cli          batch front end (simulate / converge / audit)
 """

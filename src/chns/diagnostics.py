@@ -99,17 +99,28 @@ def grad_energy_velocity(w: MacVector) -> float:
     return dot_face(-1.0 * lap_velocity(w), w)
 
 
+def _quadratics(state: SchemeState):
+    """|grad phi|^2, |phi|^2 and |u|^2 of a state: the reductions the physical
+    and the modified energies share, so an audit row computes them once."""
+    return grad_energy_cell(state.phi), dot_cell(state.phi, state.phi), dot_face(state.u, state.u)
+
+
 def total_energy(state: SchemeState, params: PhysParams) -> float:
     """Physical total energy, including the additive constant dropped from the
     working potential, so the reported value matches the unshifted model."""
+    return _total_energy(state, params, _quadratics(state))
+
+
+def _total_energy(state, params, quads):
+    grad_phi, phi_sq, u_sq = quads
     g = state.grid
     area = (g.x1 - g.x0) * (g.y1 - g.y0)
     quad = 0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2
     shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
     return (
-        kinetic_energy(state.u)
-        + 0.5 * grad_energy_cell(state.phi)
-        + quad * dot_cell(state.phi, state.phi)
+        0.5 * u_sq
+        + 0.5 * grad_phi
+        + quad * phi_sq
         + energy_e1(state.phi, params)
         - shift * area
     )
@@ -118,12 +129,17 @@ def total_energy(state: SchemeState, params: PhysParams) -> float:
 def modified_energy_first(state: SchemeState, params: PhysParams, dt: float) -> float:
     """Modified energy of the first-order stepper:
     |grad phi|^2 + gamma_eff |phi|^2 + 2 r^2 + |u|^2 + dt^2 |grad p|^2 + q^2."""
+    return _modified_energy_first(state, params, dt, _quadratics(state))
+
+
+def _modified_energy_first(state, params, dt, quads):
+    grad_phi, phi_sq, u_sq = quads
     gp = grad_cell_to_face(state.p)
     return (
-        grad_energy_cell(state.phi)
-        + params.gamma_eff * dot_cell(state.phi, state.phi)
+        grad_phi
+        + params.gamma_eff * phi_sq
         + 2.0 * state.r**2
-        + dot_face(state.u, state.u)
+        + u_sq
         + dt * dt * dot_face(gp, gp)
         + state.q**2
     )
@@ -131,6 +147,11 @@ def modified_energy_first(state: SchemeState, params: PhysParams, dt: float) -> 
 
 def energy2_report(state: SchemeState2, params: PhysParams, dt: float) -> dict:
     """Named components of the BDF2 modified energy and its dissipation terms."""
+    return _energy2_report(state, params, dt, _quadratics(state))
+
+
+def _energy2_report(state, params, dt, quads):
+    grad_phi, phi_sq, u_sq = quads
     ge = params.gamma_eff
     gH = grad_cell_to_face(state.H)
     u_x = 2.0 * state.u - state.u_prev
@@ -138,13 +159,13 @@ def energy2_report(state: SchemeState2, params: PhysParams, dt: float) -> dict:
     r_x = 2.0 * state.sav.r - state.sav_prev.r
     q_x = 2.0 * state.sav.q - state.sav_prev.q
     comp = {
-        "u_half": 0.5 * dot_face(state.u, state.u),
+        "u_half": 0.5 * u_sq,
         "u_extrap_half": 0.5 * dot_face(u_x, u_x),
         "grad_H": (2.0 / 3.0) * dt * dt * dot_face(gH, gH),
         "g_term": dt / params.viscosity * dot_cell(state.g, state.g),
-        "grad_phi_half": 0.5 * grad_energy_cell(state.phi),
+        "grad_phi_half": 0.5 * grad_phi,
         "grad_phi_extrap_half": 0.5 * grad_energy_cell(phi_x),
-        "phi_half": 0.5 * ge * dot_cell(state.phi, state.phi),
+        "phi_half": 0.5 * ge * phi_sq,
         "phi_extrap_half": 0.5 * ge * dot_cell(phi_x, phi_x),
         "r_sq": state.sav.r**2,
         "r_extrap_sq": r_x**2,
@@ -235,12 +256,13 @@ def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt
     diss_visc = 2.0 * params.viscosity * dt * grad_energy_velocity(new.u_tilde)
     diss_q = 2.0 * dt / params.horizon * new.q**2
     et_prev = modified_energy_first(prev, params, dt) if etilde_prev is None else etilde_prev
-    et_new = modified_energy_first(new, params, dt)
+    quads = _quadratics(new)
+    et_new = _modified_energy_first(new, params, dt, quads)
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
     res_max, iters = _report_summary(reports)
     return EnergyAudit(
         t=new.t,
-        E_total=total_energy(new, params),
+        E_total=_total_energy(new, params, quads),
         Etilde=et_new,
         Etilde_prev=et_prev,
         mass=mass(new.phi),
@@ -262,7 +284,8 @@ def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt
 def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams, dt: float, reports=None,
                       etilde_prev: float | None = None) -> EnergyAudit:
     """Audit row of one BDF2 step; etilde_prev as in audit_step_first."""
-    rep_new = energy2_report(new, params, dt)
+    quads = _quadratics(new)
+    rep_new = _energy2_report(new, params, dt, quads)
     et_prev = energy2_report(prev, params, dt)["etilde"] if etilde_prev is None else etilde_prev
     et_new = rep_new["etilde"]
 
@@ -278,7 +301,7 @@ def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams,
     res_max, iters = _report_summary(reports)
     return EnergyAudit(
         t=new.t,
-        E_total=total_energy(new, params),
+        E_total=_total_energy(new, params, quads),
         Etilde=et_new,
         Etilde_prev=et_prev,
         mass=mass(new.phi),
@@ -339,48 +362,32 @@ def _snap(step, state):
     )
 
 
-def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, pairing_scale,
-             bootstrap_trace=None):
+def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bootstrap_trace=None):
     """Yield (step_index, prev_state, new_state, reports) for each step.
 
     For msav2 the first yield covers the whole bootstrap interval; callers
     wanting per-substep detail pass bootstrap_trace (see second_order.bootstrap).
     """
-    if scheme == "msav1":
-        state = state0
-        for k in range(1, n_steps + 1):
-            reports = []
-            new = step_first_order(
-                state, params, dt,
-                tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-                reports=reports, pairing_scale=pairing_scale,
-            )
-            yield k, state, new, reports
-            state = new
-    elif scheme == "msav2":
-        reports = []
-        state2 = bootstrap(
-            state0, params, dt,
-            tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-            reports=reports, trace=bootstrap_trace,
-        )
-        yield 1, state0, state2, reports
-        for k in range(2, n_steps + 1):
-            reports = []
-            new2 = step_second_order(
-                state2, params, dt,
-                tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-                reports=reports, pairing_scale=pairing_scale,
-            )
-            yield k, state2, new2, reports
-            state2 = new2
-    else:
+    step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
+    if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
+    tols = dict(tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
+    state, first = state0, 1
+    if scheme == "msav2":
+        reports = []
+        state = bootstrap(state0, params, dt, reports=reports, trace=bootstrap_trace, **tols)
+        yield 1, state0, state, reports
+        first = 2
+    for k in range(first, n_steps + 1):
+        reports = []
+        new = step(state, params, dt, reports=reports, **tols)
+        yield k, state, new, reports
+        state = new
 
 
 def iterate_with_audits(
     scheme, state0, params, dt, n_steps,
-    tol_poisson=1e-12, tol_helmholtz=1e-11, pairing_scale=1.0,
+    tol_poisson=1e-12, tol_helmholtz=1e-11,
 ):
     """Yield (step_index, new_state, audits_of_this_step) for each step.
 
@@ -396,8 +403,7 @@ def iterate_with_audits(
     trace = [] if scheme == "msav2" else None
     etilde_prev = None
     for k, prev, new, reports in _iterate(
-        scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, pairing_scale,
-        bootstrap_trace=trace,
+        scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bootstrap_trace=trace,
     ):
         if scheme == "msav2" and k == 1:
             step_audits = [
@@ -422,7 +428,6 @@ def simulate_run(
     collect_audits: bool = True,
     tol_poisson: float = 1e-12,
     tol_helmholtz: float = 1e-11,
-    pairing_scale: float = 1.0,
 ) -> RunResult:
     """Run one simulation, recording snapshots every snapshot_stride steps and
     (optionally) the per-step energy audit (see iterate_with_audits)."""
@@ -431,16 +436,14 @@ def simulate_run(
     if collect_audits:
         for k, new, step_audits in iterate_with_audits(
             scheme, state0, params, dt, n_steps,
-            tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz, pairing_scale=pairing_scale,
+            tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
         ):
             audits.extend(step_audits)
             if snapshot_stride and k % snapshot_stride == 0:
                 snapshots.append(_snap(k, new))
             state = new
     else:
-        for k, _, new, _ in _iterate(
-            scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, pairing_scale
-        ):
+        for k, _, new, _ in _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
             if snapshot_stride and k % snapshot_stride == 0:
                 snapshots.append(_snap(k, new))
             state = new
@@ -565,8 +568,8 @@ def cauchy_pair(
 ) -> ErrorRecord:
     """Streaming Cauchy comparison: advances the dt run and its dt/2 companion
     in lockstep and accumulates the error norms without storing snapshots."""
-    itc = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, 1.0)
-    itf = _iterate(scheme, state0, params, 0.5 * dt, 2 * n_steps, tol_poisson, tol_helmholtz, 1.0)
+    itc = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
+    itf = _iterate(scheme, state0, params, 0.5 * dt, 2 * n_steps, tol_poisson, tol_helmholtz)
     acc = _CauchyAccumulator(dt)
     for _, _, coarse_state, _ in itc:
         next(itf)

@@ -1,36 +1,37 @@
-"""One time step of the first-order fully decoupled scheme.
+"""One time step of the fully decoupled scheme, in the form both orders share.
 
-Every nonlinear term is taken explicitly from level n and multiplied by one of
-two scalar recombination factors,
+Divided by its leading coefficient c0, a BDF update takes backward-Euler form,
+and the orders differ only in three inputs: the effective step k = dt/c0, a
+lagged level x* holding the history, and an extrapolated level bar(x) for the
+explicit terms:
 
-    xi1 = r^{n+1} / sqrt(E1(phi^n) + delta),      xi2 = exp(t^{n+1}/T) q^{n+1},
+    scheme  k       lagged (phi, u, p, r, q)         extrapolated (phi, mu, u)
+    msav1   dt      x^n                              x^n
+    msav2   2dt/3   (4x^n - x^{n-1})/3, p* = p^n     2x^n - x^{n-1}
+
+Every nonlinear term is taken at bar(x) and multiplied by one of two scalar
+recombination factors,
+
+    xi1 = r^{n+1} / sqrt(E1(bar phi) + delta),      xi2 = exp(t^{n+1}/T) q^{n+1},
 
 so the update for (phi, mu, u~) is linear and splits by superposition into
-three independent substep families:
+three substep families: 0 carries the lagged data (phi*, u*, grad p*), 1 the
+phase coupling (advection of phi, F'(phi), mu grad phi) and 2 the velocity
+convection (u . grad u).  Each costs one fourth-order phase solve (family 2's
+is identically zero) and one velocity Helmholtz solve; the explicit terms are
+evaluated once per step.  The two scalars are fixed by a 2x2 linear system
+obtained by substituting the superposition into the auxiliary updates
 
-  substep 0 carries the lagged data (phi^n, u^n, grad p^n),
-  substep 1 carries the phase coupling (advection of phi, F'(phi^n), mu grad phi),
-  substep 2 carries the velocity convection (u . grad u).
+    (r^{n+1}-r*)/k = [ (F'(bar phi), (phi^{n+1}-phi*)/k) + (mu^{n+1}, bar u.grad bar phi)
+                       - (u~^{n+1}, bar mu grad bar phi) ] / (2 sqrt(E1(bar phi)+delta)),
+    (q^{n+1}-q*)/k = -q^{n+1}/T + exp(t^{n+1}/T) (bar u.grad bar u, u~^{n+1}).
 
-Each family costs one fourth-order phase solve (families 0 and 1; family 2 is
-identically zero) and one velocity Helmholtz solve.  The explicit terms are
-evaluated once per step and shared by the substeps and the scalar system.  The
-two scalars are then fixed by a 2x2 linear system obtained by substituting the
-superposition into the auxiliary-variable updates
-
-    (r^{n+1}-r^n)/dt = [ (F'(phi^n), d_t phi^{n+1}) + (mu^{n+1}, u^n.grad phi^n)
-                         - (u~^{n+1}, mu^n grad phi^n) ] / (2 sqrt(E1+delta)),
-    (q^{n+1}-q^n)/dt = -q^{n+1}/T + exp(t^{n+1}/T) (u^n.grad u^n, u~^{n+1}),
-
-which reads only phi_i, mu_i and u~_i.  The step finishes by recombining
-u~ = u~_0 + xi1 u~_1 + xi2 u~_2 and projecting it once,
-
-    u^{n+1} = u~ - dt grad psi,   lap psi = div u~ / dt,   p^{n+1} = p^n + psi;
-
-the projection is linear, so this equals projecting each family and
-recombining.  Because the same discrete quadratures appear in the field
-equations and in the scalar updates, the pairings cancel exactly and the step
-dissipates the modified energy for every dt.
+The recombined u~ = u~_0 + xi1 u~_1 + xi2 u~_2 is projected once,
+u^{n+1} = u~ - k grad psi with lap psi = div u~ / k, which equals projecting
+each family and recombining; the backward-Euler step sets p^{n+1} = p^n + psi.
+Because the same discrete quadratures appear in the field equations and in the
+scalar updates, the pairings cancel exactly and the step dissipates the
+modified energy for every dt.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "velocity_substeps",
     "assemble_xi_system",
     "solve_xi",
+    "decoupled_step",
     "step_first_order",
 ]
 
@@ -110,8 +112,8 @@ class ExplicitTerms:
 
 
 def explicit_terms(fields, params: PhysParams) -> ExplicitTerms:
-    """Explicit terms at fields.phi, fields.mu and fields.u: the level-n state
-    for the first-order step, the extrapolants for the BDF2 step."""
+    """Explicit terms at the extrapolated level fields.phi, fields.mu and
+    fields.u: the level-n state for msav1, 2x^n - x^{n-1} for msav2."""
     return ExplicitTerms(
         sq=sqrt_aux_energy(fields.phi, params),
         f_prime=potential_f_prime(fields.phi, params),
@@ -126,19 +128,17 @@ def _collect(reports, new):
         reports.extend(new)
 
 
-def ch_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None,
-                terms: ExplicitTerms | None = None):
-    """Phase substeps: (phi0, mu0) carries phi^n, (phi1, mu1) carries the
-    explicit advection and potential terms; the third family is identically
-    zero and is not materialized.  terms defaults to explicit_terms(state)."""
-    terms = terms if terms is not None else explicit_terms(state, params)
-    spec = ChOperatorSpec(mobility_dt=params.mobility * dt, gamma_eff=params.gamma_eff)
+def ch_substeps(lag, terms: ExplicitTerms, params: PhysParams, k: float, tol: float = 1e-11, reports=None):
+    """Phase substeps at effective step k: (phi0, mu0) carries lag.phi,
+    (phi1, mu1) carries the explicit advection and potential terms; the third
+    family is identically zero and is not materialized."""
+    spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
     ge = params.gamma_eff
 
-    phi0, rep0 = solve_ch_system(spec, state.phi, tol=tol)
+    phi0, rep0 = solve_ch_system(spec, lag.phi, tol=tol)
     mu0 = -1.0 * lap_cell(phi0) + ge * phi0
 
-    rhs1 = (params.mobility * dt) * lap_cell(terms.f_prime) - dt * terms.adv
+    rhs1 = (params.mobility * k) * lap_cell(terms.f_prime) - k * terms.adv
     phi1, rep1 = solve_ch_system(spec, rhs1, tol=tol)
     mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
 
@@ -146,61 +146,47 @@ def ch_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 
     return (phi0, mu0), (phi1, mu1)
 
 
-def velocity_substeps(state: SchemeState, params: PhysParams, dt: float, tol: float = 1e-11, reports=None,
-                      terms: ExplicitTerms | None = None):
-    """Intermediate velocities: (I - nu dt lap) u~_i = rhs_i with no-slip walls.
-    terms defaults to explicit_terms(state)."""
-    terms = terms if terms is not None else explicit_terms(state, params)
-    spec = HelmholtzSpec(visc_dt=params.viscosity * dt)
+def velocity_substeps(lag, terms: ExplicitTerms, params: PhysParams, k: float, tol: float = 1e-11,
+                      reports=None):
+    """Intermediate velocities: (I - nu k lap) u~_i = rhs_i with no-slip walls,
+    family 0 driven by lag.u - k grad lag.p."""
+    spec = HelmholtzSpec(visc_dt=params.viscosity * k)
 
-    ut0, rep0 = solve_velocity_helmholtz(spec, state.u - dt * grad_cell_to_face(state.p), tol=tol)
-    ut1, rep1 = solve_velocity_helmholtz(spec, dt * terms.chem, tol=tol)
-    ut2, rep2 = solve_velocity_helmholtz(spec, (-dt) * terms.conv, tol=tol)
+    ut0, rep0 = solve_velocity_helmholtz(spec, lag.u - k * grad_cell_to_face(lag.p), tol=tol)
+    ut1, rep1 = solve_velocity_helmholtz(spec, k * terms.chem, tol=tol)
+    ut2, rep2 = solve_velocity_helmholtz(spec, (-k) * terms.conv, tol=tol)
 
     _collect(reports, [rep0, rep1, rep2])
     return ut0, ut1, ut2
 
 
-def assemble_xi_system(
-    state: SchemeState,
-    sub: FirstOrderSubsteps,
-    params: PhysParams,
-    dt: float,
-    pairing_scale: float = 1.0,
-    terms: ExplicitTerms | None = None,
-) -> XiSystem:
-    """Form the 2x2 system for (xi1, xi2) from the auxiliary-variable updates.
+def assemble_xi_system(lag, sub: FirstOrderSubsteps, terms: ExplicitTerms, params: PhysParams, k: float,
+                       t_new: float) -> XiSystem:
+    """Form the 2x2 system for (xi1, xi2) from the auxiliary-variable updates
+    at effective step k, with the history lag.r, lag.q and lag.phi.
 
     All inner products use the same cell/face quadratures as the field
     equations, which is what makes the energy cancellations exact.
-    pairing_scale is a test hook that deliberately mis-weights the
-    velocity/chemical-force pairing; values well away from 1 push the step
-    outside its dissipation margin so the energy audit can be shown to
-    catch a broken cancellation.  terms defaults to explicit_terms(state).
     """
-    terms = terms if terms is not None else explicit_terms(state, params)
     sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
-
-    t_new = state.t + dt
     e_pos = exp(t_new / params.horizon)
     e_neg = exp(-t_new / params.horizon)
     half = 0.5 / sq
-    ps = float(pairing_scale)
 
-    a0 = state.r / dt + half * (
-        dot_cell(f_prime, sub.phi0 - state.phi) / dt
+    a0 = lag.r / k + half * (
+        dot_cell(f_prime, sub.phi0 - lag.phi) / k
         + dot_cell(sub.mu0, adv)
-        - ps * dot_face(sub.ut0, chem)
+        - dot_face(sub.ut0, chem)
     )
-    a1 = sq / dt - half * (
-        dot_cell(f_prime, sub.phi1) / dt
+    a1 = sq / k - half * (
+        dot_cell(f_prime, sub.phi1) / k
         + dot_cell(sub.mu1, adv)
-        - ps * dot_face(sub.ut1, chem)
+        - dot_face(sub.ut1, chem)
     )
-    a2 = half * ps * dot_face(sub.ut2, chem)
-    b0 = state.q / dt + e_pos * dot_face(conv, sub.ut0)
+    a2 = half * dot_face(sub.ut2, chem)
+    b0 = lag.q / k + e_pos * dot_face(conv, sub.ut0)
     b1 = -e_pos * dot_face(conv, sub.ut1)
-    b2 = e_neg / dt + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
+    b2 = e_neg / k + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
     return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
 
 
@@ -218,31 +204,39 @@ def solve_xi(sys: XiSystem):
     return xi1, xi2
 
 
-def step_first_order(
-    state: SchemeState,
-    params: PhysParams,
-    dt: float,
-    tol_poisson: float = 1e-12,
-    tol_helmholtz: float = 1e-11,
-    reports=None,
-    pairing_scale: float = 1.0,
-) -> SchemeState:
-    """Advance one level: substeps, 2x2 recombination, one projection."""
-    if dt <= 0:
+def _zero_mean(p: CellField) -> CellField:
+    return CellField(p.grid, p.data - p.data.mean())
+
+
+def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float = 1e-12,
+                   tol_helmholtz: float = 1e-11, reports=None) -> SchemeState:
+    """The step both orders share: substeps at effective step k from the
+    lagged level lag (phi, u, p, r, q), explicit terms at the extrapolated
+    level bar (phi, mu, u), the 2x2 recombination and one projection.
+
+    The returned pressure is lag.p + psi, before the caller's own correction
+    and zero-mean normalization.
+    """
+    if k <= 0:
         raise ValueError("dt must be positive")
-    terms = explicit_terms(state, params)
+    terms = explicit_terms(bar, params)
 
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, params, dt, tol=tol_helmholtz, reports=reports, terms=terms)
-    ut0, ut1, ut2 = velocity_substeps(state, params, dt, tol=tol_helmholtz, reports=reports, terms=terms)
+    (phi0, mu0), (phi1, mu1) = ch_substeps(lag, terms, params, k, tol=tol_helmholtz, reports=reports)
+    ut0, ut1, ut2 = velocity_substeps(lag, terms, params, k, tol=tol_helmholtz, reports=reports)
     sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    xi1, xi2 = solve_xi(assemble_xi_system(state, sub, params, dt, pairing_scale=pairing_scale, terms=terms))
+    xi1, xi2 = solve_xi(assemble_xi_system(lag, sub, terms, params, k, t_new))
 
-    t_new = state.t + dt
-    phi_new = phi0 + xi1 * phi1
-    mu_new = mu0 + xi1 * mu1
     ut_new = ut0 + xi1 * ut1 + xi2 * ut2
-    u_new, psi = project(ut_new, dt, tol=tol_poisson, reports=reports)
-    p_new = state.p + psi
-    p_new = CellField(p_new.grid, p_new.data - p_new.data.mean())
+    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
-    return SchemeState(t=t_new, phi=phi_new, mu=mu_new, u=u_new, u_tilde=ut_new, p=p_new, sav=sav)
+    return SchemeState(t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u_new, u_tilde=ut_new,
+                       p=lag.p + psi, sav=sav)
+
+
+def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
+                     tol_helmholtz: float = 1e-11, reports=None) -> SchemeState:
+    """Advance one backward-Euler level: the shared step with k = dt, the state
+    itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
+    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz, reports)
+    new.p = _zero_mean(new.p)
+    return new

@@ -121,17 +121,17 @@ class SchemeState:
         return self.phi.grid
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SchemeState2(SchemeState):
     """Two-level state for the BDF2 stepper, plus the rotational bookkeeping
     fields g (accumulated nu*div of the intermediate velocities) and H = p + g."""
 
-    phi_prev: CellField = None
-    mu_prev: CellField = None
-    u_prev: MacVector = None
-    sav_prev: SavState = None
-    g: CellField = None
-    H: CellField = None
+    phi_prev: CellField
+    mu_prev: CellField
+    u_prev: MacVector
+    sav_prev: SavState
+    g: CellField
+    H: CellField
 
 
 def _preset_paper5(grid: GridSpec):

@@ -1,23 +1,16 @@
 """One time step of the second-order fully decoupled scheme.
 
-Same decoupling as the first-order stepper, with three upgrades:
+The BDF2 update (3x^{n+1} - 4x^n + x^{n-1}) / (2 dt), divided by its leading
+coefficient 3/2, is the shared step of first_order with the effective step
+k = 2 dt/3, the lagged level (4x^n - x^{n-1})/3 of phi, u, r and q (the
+pressure lags at p^n), and the extrapolated level 2x^n - x^{n-1} of phi, mu
+and u, at which every explicit nonlinear quantity is taken.  The projection
+u^{n+1} = u~ - (2 dt/3) grad psi is followed by the rotational pressure
+correction
 
-  * BDF2 time derivatives (3x^{n+1} - 4x^n + x^{n-1}) / (2 dt);
-  * second-order extrapolation bar(x) = 2x^n - x^{n-1} of every explicit
-    nonlinear quantity (phase advection, potential slope, chemical force,
-    velocity convection);
-  * rotational pressure correction: the recombined intermediate velocity
-    u~ = u~_0 + xi1 u~_1 + xi2 u~_2 is projected once,
+    p^{n+1} = p^n + psi - nu div u~,
 
-        u^{n+1} = u~ - (2 dt/3) grad psi,   lap psi = 3 div u~ / (2 dt),
-
-    and the pressure takes the divergence correction nu*div(u~),
-
-        p^{n+1} = p^n + psi - nu div u~,
-
-    which lifts the pressure accuracy to the rotational-scheme rate.  The
-    projection is linear, so this equals projecting each substep family and
-    recombining.
+which lifts the pressure accuracy to the rotational-scheme rate.
 
 The bookkeeping sequence g^{n+1} = g^n + nu div(u~^{n+1}) (g^0 = 0) and
 H^{n+1} = p^{n+1} + g^{n+1} never feeds back into the dynamics; it exists so
@@ -32,32 +25,17 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
 
-from .elliptic import (
-    ChOperatorSpec,
-    HelmholtzSpec,
-    project,
-    solve_ch_system,
-    solve_velocity_helmholtz,
-)
-from .first_order import XiSystem, _collect, explicit_terms, solve_xi, step_first_order
-from .grid import (
-    CellField,
-    MacVector,
-    div_face_to_cell,
-    dot_cell,
-    dot_face,
-    grad_cell_to_face,
-    lap_cell,
-)
+from .first_order import _zero_mean, decoupled_step, step_first_order
+from .grid import CellField, MacVector, div_face_to_cell
 from .model import PhysParams, SavState, SchemeState, SchemeState2
 
 __all__ = [
     "Extrapolants",
-    "SecondOrderSubsteps",
+    "Lagged",
     "bootstrap",
     "extrapolants",
+    "lagged",
     "step_second_order",
 ]
 
@@ -70,14 +48,12 @@ class Extrapolants:
 
 
 @dataclass
-class SecondOrderSubsteps:
-    phi0: CellField
-    mu0: CellField
-    phi1: CellField
-    mu1: CellField
-    ut0: MacVector
-    ut1: MacVector
-    ut2: MacVector
+class Lagged:
+    phi: CellField
+    u: MacVector
+    p: CellField
+    r: float
+    q: float
 
 
 def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
@@ -113,21 +89,8 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
             trace.append((s1, new, sub_dt, sub_reports))
         s1 = new
     g1 = params.viscosity * div_face_to_cell(s1.u_tilde)
-    return SchemeState2(
-        t=s1.t,
-        phi=s1.phi,
-        mu=s1.mu,
-        u=s1.u,
-        u_tilde=s1.u_tilde,
-        p=s1.p,
-        sav=s1.sav,
-        phi_prev=state0.phi,
-        mu_prev=state0.mu,
-        u_prev=state0.u,
-        sav_prev=SavState(state0.sav.r, state0.sav.q),
-        g=g1,
-        H=s1.p + g1,
-    )
+    return SchemeState2(**vars(s1), phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
+                        sav_prev=SavState(state0.sav.r, state0.sav.q), g=g1, H=s1.p + g1)
 
 
 def extrapolants(state: SchemeState2) -> Extrapolants:
@@ -139,99 +102,27 @@ def extrapolants(state: SchemeState2) -> Extrapolants:
     )
 
 
-def step_second_order(
-    state: SchemeState2,
-    params: PhysParams,
-    dt: float,
-    tol_poisson: float = 1e-12,
-    tol_helmholtz: float = 1e-11,
-    reports=None,
-    pairing_scale: float = 1.0,
-) -> SchemeState2:
-    """Advance one BDF2 level with rotational pressure correction."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bar = extrapolants(state)
-    terms = explicit_terms(bar, params)
-    ge = params.gamma_eff
-    two_thirds_dt = 2.0 * dt / 3.0
+def lagged(state: SchemeState2) -> Lagged:
+    """BDF2 history over its leading coefficient: (4x^n - x^{n-1})/3 of phi,
+    u, r and q, and the pressure p^n."""
+    return Lagged(
+        phi=(1.0 / 3.0) * (4.0 * state.phi - state.phi_prev),
+        u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
+        p=state.p,
+        r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
+        q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0,
+    )
 
-    # phase substeps, BDF2 left-hand side scaled to unit identity coefficient
-    ch_spec = ChOperatorSpec(mobility_dt=params.mobility * two_thirds_dt, gamma_eff=ge)
-    rhs0 = (1.0 / 3.0) * (4.0 * state.phi - state.phi_prev)
-    phi0, repc0 = solve_ch_system(ch_spec, rhs0, tol=tol_helmholtz)
-    mu0 = -1.0 * lap_cell(phi0) + ge * phi0
-    rhs1 = (params.mobility * two_thirds_dt) * lap_cell(terms.f_prime) - two_thirds_dt * terms.adv
-    phi1, repc1 = solve_ch_system(ch_spec, rhs1, tol=tol_helmholtz)
-    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
-    _collect(reports, [repc0, repc1])
 
-    # velocity substeps
-    h_spec = HelmholtzSpec(visc_dt=params.viscosity * two_thirds_dt)
-    vrhs0 = (1.0 / 3.0) * (4.0 * state.u - state.u_prev) - two_thirds_dt * grad_cell_to_face(state.p)
-    ut0, repv0 = solve_velocity_helmholtz(h_spec, vrhs0, tol=tol_helmholtz)
-    ut1, repv1 = solve_velocity_helmholtz(h_spec, two_thirds_dt * terms.chem, tol=tol_helmholtz)
-    ut2, repv2 = solve_velocity_helmholtz(h_spec, (-two_thirds_dt) * terms.conv, tol=tol_helmholtz)
-    _collect(reports, [repv0, repv1, repv2])
-
-    sub = SecondOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    xi1, xi2 = solve_xi(_assemble_xi_system2(state, sub, terms, params, dt, pairing_scale))
-
-    t_new = state.t + dt
-    phi_new = phi0 + xi1 * phi1
-    mu_new = mu0 + xi1 * mu1
-    ut_new = ut0 + xi1 * ut1 + xi2 * ut2
-    # rotational projection: one Poisson solve for the recombined velocity
-    u_new, psi = project(ut_new, two_thirds_dt, tol=tol_poisson, reports=reports)
-    nu_div = params.viscosity * div_face_to_cell(ut_new)
-    p_new = state.p + psi - nu_div
-    p_new = CellField(p_new.grid, p_new.data - p_new.data.mean())
+def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
+                      tol_helmholtz: float = 1e-11, reports=None) -> SchemeState2:
+    """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
+    and extrapolated levels, then the rotational pressure correction and the
+    g/H bookkeeping."""
+    new = decoupled_step(lagged(state), extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
+                         tol_poisson, tol_helmholtz, reports)
+    nu_div = params.viscosity * div_face_to_cell(new.u_tilde)
+    new.p = _zero_mean(new.p - nu_div)
     g_new = state.g + nu_div
-    sav_new = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
-
-    return SchemeState2(
-        t=t_new,
-        phi=phi_new,
-        mu=mu_new,
-        u=u_new,
-        u_tilde=ut_new,
-        p=p_new,
-        sav=sav_new,
-        phi_prev=state.phi,
-        mu_prev=state.mu,
-        u_prev=state.u,
-        sav_prev=SavState(state.sav.r, state.sav.q),
-        g=g_new,
-        H=p_new + g_new,
-    )
-
-
-def _assemble_xi_system2(state, sub, terms, params, dt, pairing_scale):
-    """2x2 system from the BDF2 auxiliary-variable updates with extrapolated
-    pairings; same quadratures as the field equations."""
-    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
-    two_dt = 2.0 * dt
-    t_new = state.t + dt
-    e_pos = exp(t_new / params.horizon)
-    e_neg = exp(-t_new / params.horizon)
-    half = 0.5 / sq
-    ps = float(pairing_scale)
-    r_n, r_nm1 = state.sav.r, state.sav_prev.r
-    q_n, q_nm1 = state.sav.q, state.sav_prev.q
-
-    bdf_phi0 = 3.0 * sub.phi0 - 4.0 * state.phi + state.phi_prev
-    a0 = (4.0 * r_n - r_nm1) / two_dt + half * (
-        dot_cell(f_prime, bdf_phi0) / two_dt
-        + dot_cell(sub.mu0, adv)
-        - ps * dot_face(sub.ut0, chem)
-    )
-    a1 = 3.0 * sq / two_dt - half * (
-        3.0 * dot_cell(f_prime, sub.phi1) / two_dt
-        + dot_cell(sub.mu1, adv)
-        - ps * dot_face(sub.ut1, chem)
-    )
-    a2 = half * ps * dot_face(sub.ut2, chem)
-    b0 = (4.0 * q_n - q_nm1) / two_dt + e_pos * dot_face(conv, sub.ut0)
-    b1 = -e_pos * dot_face(conv, sub.ut1)
-    b2 = 3.0 * e_neg / two_dt + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
-    return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
+    return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u,
+                        sav_prev=SavState(state.sav.r, state.sav.q), g=g_new, H=new.p + g_new)

@@ -8,6 +8,7 @@ sees these paths.
 """
 
 from math import exp
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,14 +19,7 @@ from chns.elliptic import (
     solve_ch_system,
     solve_velocity_helmholtz,
 )
-from chns.first_order import (
-    FirstOrderSubsteps,
-    assemble_xi_system,
-    ch_substeps,
-    explicit_terms,
-    solve_xi,
-    velocity_substeps,
-)
+from chns.first_order import XiSystem, explicit_terms, solve_xi
 from chns.grid import (
     CellField,
     MacVector,
@@ -33,12 +27,14 @@ from chns.grid import (
     advect_velocity,
     chemical_force,
     div_face_to_cell,
+    dot_cell,
+    dot_face,
     grad_cell_to_face,
     lap_cell,
     lap_velocity,
 )
 from chns.model import SavState, SchemeState, SchemeState2, potential_f_prime, sqrt_aux_energy
-from chns.second_order import SecondOrderSubsteps, _assemble_xi_system2, extrapolants
+from chns.second_order import extrapolants
 
 
 def cell_count(grid):
@@ -336,26 +332,52 @@ def _project_each_family(p_n, uts, xi1, xi2, dt_coef, nu):
     return u, CellField(p.grid, p.data - p.data.mean())
 
 
-def three_projection_first_order(state, params, dt):
-    """One backward-Euler step that projects each substep family separately
-    (three Poisson solves) and recombines the projected fields."""
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, params, dt)
-    ut0, ut1, ut2 = velocity_substeps(state, params, dt)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    xi1, xi2 = solve_xi(assemble_xi_system(state, sub, params, dt))
-    u, p = _project_each_family(state.p, (ut0, ut1, ut2), xi1, xi2, dt, 0.0)
+# The substeps and 2x2 systems below are the separate backward-Euler and BDF2
+# formulas the steppers used before both orders shared one step, kept here as
+# written then so the shared step is checked against an independent copy.
+
+
+def _bdf1_substeps(state, params, dt, terms):
+    spec = ChOperatorSpec(mobility_dt=params.mobility * dt, gamma_eff=params.gamma_eff)
+    ge = params.gamma_eff
+    phi0, _ = solve_ch_system(spec, state.phi)
+    mu0 = -1.0 * lap_cell(phi0) + ge * phi0
+    rhs1 = (params.mobility * dt) * lap_cell(terms.f_prime) - dt * terms.adv
+    phi1, _ = solve_ch_system(spec, rhs1)
+    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
+    h_spec = HelmholtzSpec(visc_dt=params.viscosity * dt)
+    ut0, _ = solve_velocity_helmholtz(h_spec, state.u - dt * grad_cell_to_face(state.p))
+    ut1, _ = solve_velocity_helmholtz(h_spec, dt * terms.chem)
+    ut2, _ = solve_velocity_helmholtz(h_spec, (-dt) * terms.conv)
+    return SimpleNamespace(phi0=phi0, mu0=mu0, phi1=phi1, mu1=mu1, ut0=ut0, ut1=ut1, ut2=ut2)
+
+
+def _bdf1_xi_system(state, sub, params, dt, terms):
+    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
+
     t_new = state.t + dt
-    sav = SavState(r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon))
-    return SchemeState(
-        t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u,
-        u_tilde=ut0 + xi1 * ut1 + xi2 * ut2, p=p, sav=sav,
+    e_pos = exp(t_new / params.horizon)
+    e_neg = exp(-t_new / params.horizon)
+    half = 0.5 / sq
+
+    a0 = state.r / dt + half * (
+        dot_cell(f_prime, sub.phi0 - state.phi) / dt
+        + dot_cell(sub.mu0, adv)
+        - dot_face(sub.ut0, chem)
     )
+    a1 = sq / dt - half * (
+        dot_cell(f_prime, sub.phi1) / dt
+        + dot_cell(sub.mu1, adv)
+        - dot_face(sub.ut1, chem)
+    )
+    a2 = half * dot_face(sub.ut2, chem)
+    b0 = state.q / dt + e_pos * dot_face(conv, sub.ut0)
+    b1 = -e_pos * dot_face(conv, sub.ut1)
+    b2 = e_neg / dt + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
+    return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
 
 
-def three_projection_second_order(state2, params, dt):
-    """One BDF2 step that projects each substep family separately with its own
-    rotational correction and recombines the projected fields."""
-    terms = explicit_terms(extrapolants(state2), params)
+def _bdf2_substeps(state2, params, dt, terms):
     ge, nu = params.gamma_eff, params.viscosity
     c = 2.0 * dt / 3.0
     ch_spec = ChOperatorSpec(mobility_dt=params.mobility * c, gamma_eff=ge)
@@ -368,14 +390,65 @@ def three_projection_second_order(state2, params, dt):
     ut0, _ = solve_velocity_helmholtz(h_spec, rhs0)
     ut1, _ = solve_velocity_helmholtz(h_spec, c * terms.chem)
     ut2, _ = solve_velocity_helmholtz(h_spec, (-c) * terms.conv)
-    sub = SecondOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    xi1, xi2 = solve_xi(_assemble_xi_system2(state2, sub, terms, params, dt, 1.0))
-    u, p = _project_each_family(state2.p, (ut0, ut1, ut2), xi1, xi2, c, nu)
+    return SimpleNamespace(phi0=phi0, mu0=mu0, phi1=phi1, mu1=mu1, ut0=ut0, ut1=ut1, ut2=ut2)
+
+
+def _bdf2_xi_system(state, sub, terms, params, dt):
+    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
+    two_dt = 2.0 * dt
+    t_new = state.t + dt
+    e_pos = exp(t_new / params.horizon)
+    e_neg = exp(-t_new / params.horizon)
+    half = 0.5 / sq
+    r_n, r_nm1 = state.sav.r, state.sav_prev.r
+    q_n, q_nm1 = state.sav.q, state.sav_prev.q
+
+    bdf_phi0 = 3.0 * sub.phi0 - 4.0 * state.phi + state.phi_prev
+    a0 = (4.0 * r_n - r_nm1) / two_dt + half * (
+        dot_cell(f_prime, bdf_phi0) / two_dt
+        + dot_cell(sub.mu0, adv)
+        - dot_face(sub.ut0, chem)
+    )
+    a1 = 3.0 * sq / two_dt - half * (
+        3.0 * dot_cell(f_prime, sub.phi1) / two_dt
+        + dot_cell(sub.mu1, adv)
+        - dot_face(sub.ut1, chem)
+    )
+    a2 = half * dot_face(sub.ut2, chem)
+    b0 = (4.0 * q_n - q_nm1) / two_dt + e_pos * dot_face(conv, sub.ut0)
+    b1 = -e_pos * dot_face(conv, sub.ut1)
+    b2 = 3.0 * e_neg / two_dt + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
+    return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
+
+
+def three_projection_first_order(state, params, dt):
+    """One backward-Euler step that projects each substep family separately
+    (three Poisson solves) and recombines the projected fields."""
+    terms = explicit_terms(state, params)
+    sub = _bdf1_substeps(state, params, dt, terms)
+    xi1, xi2 = solve_xi(_bdf1_xi_system(state, sub, params, dt, terms))
+    u, p = _project_each_family(state.p, (sub.ut0, sub.ut1, sub.ut2), xi1, xi2, dt, 0.0)
+    t_new = state.t + dt
+    sav = SavState(r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon))
+    return SchemeState(
+        t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u,
+        u_tilde=sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2, p=p, sav=sav,
+    )
+
+
+def three_projection_second_order(state2, params, dt):
+    """One BDF2 step that projects each substep family separately with its own
+    rotational correction and recombines the projected fields."""
+    terms = explicit_terms(extrapolants(state2), params)
+    nu = params.viscosity
+    sub = _bdf2_substeps(state2, params, dt, terms)
+    xi1, xi2 = solve_xi(_bdf2_xi_system(state2, sub, terms, params, dt))
+    u, p = _project_each_family(state2.p, (sub.ut0, sub.ut1, sub.ut2), xi1, xi2, 2.0 * dt / 3.0, nu)
     t_new = state2.t + dt
-    ut = ut0 + xi1 * ut1 + xi2 * ut2
+    ut = sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2
     g = state2.g + nu * div_face_to_cell(ut)
     return SchemeState2(
-        t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u, u_tilde=ut, p=p,
+        t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u, u_tilde=ut, p=p,
         sav=SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon)),
         phi_prev=state2.phi, mu_prev=state2.mu, u_prev=state2.u,
         sav_prev=SavState(state2.sav.r, state2.sav.q), g=g, H=p + g,

@@ -1,8 +1,11 @@
 """Monitors, Cauchy errors, rates, and the CSV surfaces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chns import first_order
 from chns.diagnostics import (
     AUDIT_COLUMNS,
     TABLE_COLUMNS,
@@ -48,8 +51,6 @@ def test_scalar_functionals_closed_forms():
 def _with_payload(run, payload_snaps):
     """Clone of a run whose snapshots keep their (step, t) labels but carry
     the fields from payload_snaps."""
-    from dataclasses import replace
-
     snaps = [
         replace(own, phi=pay.phi, u=pay.u, u_tilde=pay.u_tilde, p=pay.p, r=pay.r, q=pay.q)
         for own, pay in zip(run.snapshots, payload_snaps)
@@ -59,8 +60,6 @@ def _with_payload(run, payload_snaps):
 
 def _shifted_clone(run, pressure_shift):
     """Clone of a run with every pressure snapshot shifted by a constant."""
-    from dataclasses import replace
-
     snaps = []
     for s in run.snapshots:
         p_shift = CellField(s.p.grid, s.p.data + pressure_shift)
@@ -190,15 +189,26 @@ def test_table_csv_single_row_has_empty_rates(tmp_path):
     assert all(cells[i] == "" for i in rate_positions)
 
 
-def test_energy_audit_detects_broken_pairing():
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_energy_audit_detects_broken_pairing(scheme, monkeypatch):
     """Negative control: corrupting the velocity/chemical-force pairing must
-    trip the decay audit, proving the monitor sees broken cancellations."""
+    trip the decay audit, proving the monitor sees broken cancellations.
+
+    The 2x2 system is handed mu grad phi scaled by 1.5 while the velocity
+    substeps keep the true one; chem enters only the pairings of the r row."""
     g = GridSpec(32, 32)
     p = PhysParams()
     s0 = initial_state(g, p)
-    clean = simulate_run("msav1", s0, p, 0.01, 10)
+    clean = simulate_run(scheme, s0, p, 0.01, 10)
     assert all(a.passed for a in clean.audits)
-    corrupted = simulate_run("msav1", s0, p, 0.01, 10, pairing_scale=1.5)
+
+    assemble = first_order.assemble_xi_system
+
+    def mis_weighted(lag, sub, terms, *rest):
+        return assemble(lag, sub, replace(terms, chem=1.5 * terms.chem), *rest)
+
+    monkeypatch.setattr(first_order, "assemble_xi_system", mis_weighted)
+    corrupted = simulate_run(scheme, s0, p, 0.01, 10)
     assert any(not a.passed for a in corrupted.audits)
 
 
@@ -211,8 +221,11 @@ def test_carried_etilde_prev_equals_recomputed(scheme):
     for k, new, audits in iterate_with_audits(scheme, prev, p, dt, 10):
         if scheme == "msav1":
             assert audits[0].Etilde_prev == modified_energy_first(prev, p, dt)
+            assert audits[0].Etilde == modified_energy_first(new, p, dt)
         elif k > 1:  # the bootstrap rows are first-order audits of their own substeps
             assert audits[0].Etilde_prev == energy2_report(prev, p, dt)["etilde"]
+            assert audits[0].Etilde == energy2_report(new, p, dt)["etilde"]
+        assert audits[-1].E_total == total_energy(new, p)
         prev = new
 
 

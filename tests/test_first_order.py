@@ -11,6 +11,7 @@ from chns.first_order import (
     XiSystem,
     assemble_xi_system,
     ch_substeps,
+    explicit_terms,
     solve_xi,
     step_first_order,
     velocity_substeps,
@@ -111,7 +112,7 @@ def test_ch_substeps_constant_phi():
     g = GridSpec(8, 8)
     p = reference_params()
     state = rest_state(g, p, 0.4)
-    (phi0, _), (phi1, mu1) = ch_substeps(state, p, dt=0.01)
+    (phi0, _), (phi1, mu1) = ch_substeps(state, explicit_terms(state, p), p, 0.01)
     fp = potential_f_prime(state.phi, p)
     assert norm_l2_cell(phi1) <= 1e-12
     assert np.allclose(mu1.data, fp.data, atol=1e-11)
@@ -122,7 +123,7 @@ def test_ch_substeps_dt_to_zero():
     g = GridSpec(16, 16)
     p = reference_params()
     state = initial_state(g, p)
-    (phi0, _), (phi1, _) = ch_substeps(state, p, dt=1e-10)
+    (phi0, _), (phi1, _) = ch_substeps(state, explicit_terms(state, p), p, 1e-10)
     assert norm_l2_cell(phi0 - state.phi) <= 1e-6 * norm_l2_cell(state.phi)
     assert norm_l2_cell(phi1) <= 1e-6
 
@@ -131,7 +132,7 @@ def test_velocity_substeps_trivial_cases():
     g = GridSpec(8, 8)
     p = reference_params()
     state = rest_state(g, p, 0.4)  # constant phi, zero velocity, zero pressure
-    ut0, ut1, ut2 = velocity_substeps(state, p, dt=0.01)
+    ut0, ut1, ut2 = velocity_substeps(state, explicit_terms(state, p), p, 0.01)
     assert norm_l2_face(ut0) <= 1e-13
     assert norm_l2_face(ut1) <= 1e-13  # mu grad phi = 0 for constant phi
     assert norm_l2_face(ut2) <= 1e-13
@@ -185,10 +186,11 @@ def test_xi_system_diagonal_at_rest():
     p = reference_params()
     dt = 0.01
     state = rest_state(g, p, 0.4)
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, p, dt)
-    ut0, ut1, ut2 = velocity_substeps(state, p, dt)
+    terms = explicit_terms(state, p)
+    (phi0, mu0), (phi1, mu1) = ch_substeps(state, terms, p, dt)
+    ut0, ut1, ut2 = velocity_substeps(state, terms, p, dt)
     sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    sys = assemble_xi_system(state, sub, p, dt)
+    sys = assemble_xi_system(state, sub, terms, p, dt, state.t + dt)
     assert sys.a2 == 0.0 and sys.b1 == 0.0
     t1 = state.t + dt
     expected_b2 = np.exp(-t1 / p.horizon) * (1.0 / dt + 1.0 / p.horizon)
@@ -203,10 +205,11 @@ def test_xi_system_matches_loop_assembly():
     p = reference_params()
     dt = 0.02
     state = messy_state(g, p)
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, p, dt)
-    ut0, ut1, ut2 = velocity_substeps(state, p, dt)
+    terms = explicit_terms(state, p)
+    (phi0, mu0), (phi1, mu1) = ch_substeps(state, terms, p, dt)
+    ut0, ut1, ut2 = velocity_substeps(state, terms, p, dt)
     sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    sys = assemble_xi_system(state, sub, p, dt)
+    sys = assemble_xi_system(state, sub, terms, p, dt, state.t + dt)
 
     from chns.grid import advect_scalar, advect_velocity
 
