@@ -20,7 +20,7 @@ for scheme in ("msav1", "msav2"):
     print(f"--- {scheme}")
     for dt in (0.1, 0.01, 0.001):
         n_steps = max(3, round(params.horizon / dt))
-        run = simulate_run(scheme, state0, params, dt, n_steps, snapshot_stride=0)
+        run = simulate_run(scheme, state0, params, dt, n_steps)
         worst = max(a.decay_defect for a in run.audits)
         margin = max(a.decay_defect / audit_slack(a.Etilde_prev) for a in run.audits)
         print(
@@ -30,7 +30,7 @@ for scheme in ("msav1", "msav2"):
         )
 
 print("\nEtilde trace, msav2 at dt = 0.01:")
-run = simulate_run("msav2", state0, params, 0.01, 10, snapshot_stride=0)
+run = simulate_run("msav2", state0, params, 0.01, 10)
 for audit in run.audits:
     print(
         f"  t={audit.t:6.4f}  Etilde={audit.Etilde:12.8f}  E_total={audit.E_total:12.8f}"

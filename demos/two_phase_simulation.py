@@ -24,7 +24,7 @@ dt = 0.002
 n_steps = round(params.horizon / dt)
 
 print(f"initial total energy {total_energy(state0, params):.6f}, r0 = {state0.r:.6f}")
-run = simulate_run("msav2", state0, params, dt, n_steps, snapshot_stride=0)
+run = simulate_run("msav2", state0, params, dt, n_steps)
 
 for audit in run.audits[:: max(1, len(run.audits) // 10)]:
     print(

@@ -8,7 +8,7 @@ Subpackage map:
     model        parameters, potential, scheme states, initial data
     first_order  the decoupled step both orders share, and the backward-Euler stepper
     second_order BDF2 levels over the shared step, rotational pressure, bootstrap
-    diagnostics  energy audits, Cauchy errors, rate tables, CSV emission
+    diagnostics  energy audits, the Cauchy ladder, rate tables, CSV emission
     cli          batch front end (simulate / converge / audit)
 """
 
@@ -65,8 +65,7 @@ from .diagnostics import (
     EnergyAudit,
     ErrorRecord,
     RunResult,
-    cauchy_errors,
-    cauchy_pair,
+    cauchy_ladder,
     energy2_report,
     kinetic_energy,
     mass,

@@ -1,4 +1,4 @@
-"""Energy/mass/divergence monitors, paired-run Cauchy errors, and rate tables.
+"""Energy/mass/divergence monitors, Cauchy errors of a dt ladder, and rate tables.
 
 The stability monitors evaluate the exact discrete energy identities of the
 two steppers.  For each accepted step the recorded decay defect
@@ -20,7 +20,8 @@ between the two readings is reported as identity_defect.
 
 Convergence is measured with Cauchy errors between a run at dt and a
 companion at dt/2 on the same grid, compared at every coarse level; no exact
-solution exists for this system.
+solution exists for this system.  A ladder of halvings shares its runs: the
+run at dt/2 is the companion of the dt rung and the coarse run of the next.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .errors import InputDataError
 from .first_order import step_first_order
 from .grid import (
     CellField,
-    GridSpec,
     MacVector,
     curl_at_nodes,
     div_face_to_cell,
@@ -61,13 +60,11 @@ __all__ = [
     "audit_step_first",
     "audit_step_second",
     "audit_slack",
-    "Snapshot",
     "RunResult",
     "simulate_run",
     "iterate_with_audits",
     "ErrorRecord",
-    "cauchy_errors",
-    "cauchy_pair",
+    "cauchy_ladder",
     "observed_rate",
     "attach_rates",
     "TABLE_COLUMNS",
@@ -326,40 +323,9 @@ def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams,
 
 
 @dataclass
-class Snapshot:
-    step: int
-    t: float
-    phi: CellField
-    u: MacVector
-    u_tilde: MacVector
-    p: CellField
-    r: float
-    q: float
-
-
-@dataclass
 class RunResult:
-    scheme: str
-    dt: float
-    n_steps: int
-    grid: GridSpec
-    params: PhysParams
-    snapshots: list
     audits: list
     final_state: object
-
-
-def _snap(step, state):
-    return Snapshot(
-        step=step,
-        t=state.t,
-        phi=state.phi,
-        u=state.u,
-        u_tilde=state.u_tilde,
-        p=state.p,
-        r=state.r,
-        q=state.q,
-    )
 
 
 def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bootstrap_trace=None):
@@ -380,9 +346,8 @@ def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bo
         first = 2
     for k in range(first, n_steps + 1):
         reports = []
-        new = step(state, params, dt, reports=reports, **tols)
-        yield k, state, new, reports
-        state = new
+        # only the yielded tuple holds the previous state, so it is freed with it
+        yield k, state, (state := step(state, params, dt, reports=reports, **tols)), reports
 
 
 def iterate_with_audits(
@@ -424,39 +389,17 @@ def simulate_run(
     params: PhysParams,
     dt: float,
     n_steps: int,
-    snapshot_stride: int = 1,
-    collect_audits: bool = True,
     tol_poisson: float = 1e-12,
     tol_helmholtz: float = 1e-11,
 ) -> RunResult:
-    """Run one simulation, recording snapshots every snapshot_stride steps and
-    (optionally) the per-step energy audit (see iterate_with_audits)."""
-    snapshots, audits = [], []
-    state = state0
-    if collect_audits:
-        for k, new, step_audits in iterate_with_audits(
-            scheme, state0, params, dt, n_steps,
-            tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-        ):
-            audits.extend(step_audits)
-            if snapshot_stride and k % snapshot_stride == 0:
-                snapshots.append(_snap(k, new))
-            state = new
-    else:
-        for k, _, new, _ in _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
-            if snapshot_stride and k % snapshot_stride == 0:
-                snapshots.append(_snap(k, new))
-            state = new
-    return RunResult(
-        scheme=scheme,
-        dt=dt,
-        n_steps=n_steps,
-        grid=state0.grid,
-        params=params,
-        snapshots=snapshots,
-        audits=audits,
-        final_state=state,
-    )
+    """Run one simulation with the per-step energy audit (see iterate_with_audits)."""
+    audits, state = [], state0
+    for _, state, step_audits in iterate_with_audits(
+        scheme, state0, params, dt, n_steps,
+        tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
+    ):
+        audits.extend(step_audits)
+    return RunResult(audits=audits, final_state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -530,52 +473,42 @@ class _CauchyAccumulator:
         )
 
 
-def cauchy_errors(run_coarse: RunResult, run_fine: RunResult) -> ErrorRecord:
-    """Compare two stored runs at every coarse time level.
-
-    The fine run must use dt/2 on the same grid and hold snapshots at every
-    even step (i.e. at every coarse level)."""
-    if run_coarse.grid != run_fine.grid:
-        raise InputDataError("Cauchy comparison requires matching grids")
-    if abs(run_fine.dt * 2.0 - run_coarse.dt) > 1e-12 * run_coarse.dt:
-        raise InputDataError(
-            f"companion run must use half the step: {run_fine.dt} vs {run_coarse.dt}"
-        )
-    fine_by_step = {s.step: s for s in run_fine.snapshots}
-    acc = _CauchyAccumulator(run_coarse.dt)
-    matched = 0
-    for snap in run_coarse.snapshots:
-        twin = fine_by_step.get(2 * snap.step)
-        if twin is None:
-            raise InputDataError(f"fine run is missing the snapshot at step {2 * snap.step}")
-        if abs(twin.t - snap.t) > 1e-10 * max(1.0, abs(snap.t)):
-            raise InputDataError(f"time misalignment at step {snap.step}: {snap.t} vs {twin.t}")
-        acc.add(snap, twin)
-        matched += 1
-    if matched == 0:
-        raise InputDataError("no coincident snapshots to compare")
-    return acc.record()
-
-
-def cauchy_pair(
+def cauchy_ladder(
     scheme: str,
     state0: SchemeState,
     params: PhysParams,
     dt: float,
     n_steps: int,
+    rungs: int,
     tol_poisson: float = 1e-12,
     tol_helmholtz: float = 1e-11,
-) -> ErrorRecord:
-    """Streaming Cauchy comparison: advances the dt run and its dt/2 companion
-    in lockstep and accumulates the error norms without storing snapshots."""
-    itc = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
-    itf = _iterate(scheme, state0, params, 0.5 * dt, 2 * n_steps, tol_poisson, tol_helmholtz)
-    acc = _CauchyAccumulator(dt)
-    for _, _, coarse_state, _ in itc:
-        next(itf)
-        _, _, fine_state, _ = next(itf)
-        acc.add(_snap(0, coarse_state), _snap(0, fine_state))
-    return acc.record()
+) -> list[ErrorRecord]:
+    """Cauchy errors of a halving ladder: rung j compares the run at dt/2^j
+    with its dt/2^(j+1) companion at every level of the coarser run.
+
+    The rungs + 1 runs advance depth-first, so each is integrated once and
+    holds only its current state: one step of run j is followed by two steps
+    of run j+1, after which rung j compares the two states."""
+    runs = [
+        _iterate(scheme, state0, params, dt / 2**j, n_steps * 2**j, tol_poisson, tol_helmholtz)
+        for j in range(rungs + 1)
+    ]
+    accs = [_CauchyAccumulator(dt / 2**j) for j in range(rungs)]
+    for _ in range(n_steps):
+        _advance(runs, accs, 0)
+    return [acc.record() for acc in accs]
+
+
+def _advance(runs, accs, j):
+    """One step of run j, two of run j+1, then rung j adds the pair; returns
+    run j's new state.  A module function, not a closure: a self-referencing
+    closure is a reference cycle that would keep every run's last states
+    alive until the cyclic collector runs."""
+    _, _, state, _ = next(runs[j])
+    if j < len(accs):
+        _advance(runs, accs, j + 1)
+        accs[j].add(state, _advance(runs, accs, j + 1))
+    return state
 
 
 def observed_rate(e_coarse: float, e_fine: float) -> float:

@@ -29,6 +29,7 @@ immutable values after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,6 +424,31 @@ def _check_kind(kind, shape, nx, ny):
         raise DimensionMismatchError(f"{kind} data shape {shape} != {expected}")
 
 
+_HEADER = ("nx", "ny", "hx", "hy", "kind code")
+
+
+def _parse_header(path, entries):
+    """Snapshot header numbers in _HEADER order: all finite, and nx, ny and
+    the kind code also whole and >= 0."""
+    out = []
+    for name, text in zip(_HEADER, entries):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        whole = name not in ("hx", "hy")
+        if not math.isfinite(x) or whole and not (x >= 0 and x == int(x)):
+            raise InputDataError(f"{path}: bad header {name} {str(text)!r}")
+        out.append(int(x) if whole else x)
+    return out
+
+
+def _finite(path, values):
+    if not np.all(np.isfinite(values)):
+        raise InputDataError(f"{path}: non-finite field value")
+    return values
+
+
 def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
     """Snapshot format: header '# nx,ny,hx,hy,kind' then row-major values."""
     values = np.asarray(values, dtype=float)
@@ -435,19 +461,19 @@ def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
 
 def read_field_csv(path):
     """Returns (nx, ny, hx, hy, kind, values)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise InputDataError(f"{path}: missing snapshot header")
-        parts = header.lstrip("#").strip().split(",")
-        if len(parts) != 5:
-            raise InputDataError(f"{path}: malformed snapshot header {header!r}")
-        nx, ny = int(parts[0]), int(parts[1])
-        hx, hy = float(parts[2]), float(parts[3])
-        kind = parts[4].strip()
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:  # undecodable bytes or an unparsable row
+        raise InputDataError(f"{path}: unreadable snapshot: {exc}") from exc
+    parts = header.lstrip("#").strip().split(",")
+    if not header.startswith("#") or len(parts) != 5:
+        raise InputDataError(f"{path}: malformed snapshot header {header!r}")
+    nx, ny, hx, hy = _parse_header(path, parts[:4])
+    kind = parts[4].strip()
     _check_kind(kind, values.shape, nx, ny)
-    return nx, ny, hx, hy, kind, values
+    return nx, ny, hx, hy, kind, _finite(path, values)
 
 
 def write_field_bin(path, grid: GridSpec, kind: str, values: np.ndarray):
@@ -469,9 +495,7 @@ def read_field_bin(path):
     raw = np.fromfile(path, dtype="<f8")
     if raw.size < 8:
         raise InputDataError(f"{path}: truncated binary snapshot")
-    nx, ny = int(raw[0]), int(raw[1])
-    hx, hy = float(raw[2]), float(raw[3])
-    code = int(raw[4])
+    nx, ny, hx, hy, code = _parse_header(path, raw[:5])
     if code not in range(len(_KINDS)):
         raise InputDataError(f"{path}: unknown kind code {code}")
     kind = _KINDS[code]
@@ -479,4 +503,4 @@ def read_field_bin(path):
     body = raw[8:]
     if body.size != shape[0] * shape[1]:
         raise DimensionMismatchError(f"{path}: payload size {body.size} != {shape[0] * shape[1]}")
-    return nx, ny, hx, hy, kind, body.reshape(shape)
+    return nx, ny, hx, hy, kind, _finite(path, body.reshape(shape))

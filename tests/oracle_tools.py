@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from chns.diagnostics import _CauchyAccumulator, _iterate
 from chns.elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
@@ -453,3 +454,17 @@ def three_projection_second_order(state2, params, dt):
         phi_prev=state2.phi, mu_prev=state2.mu, u_prev=state2.u,
         sav_prev=SavState(state2.sav.r, state2.sav.q), g=g, H=p + g,
     )
+
+
+def cauchy_pair(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, tol_helmholtz=1e-11):
+    """One rung on its own: the dt run and its dt/2 companion advance in
+    lockstep and feed one accumulator.  A ladder of these integrates every
+    interior dt twice; cauchy_ladder must return the same records."""
+    coarse = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
+    fine = _iterate(scheme, state0, params, 0.5 * dt, 2 * n_steps, tol_poisson, tol_helmholtz)
+    acc = _CauchyAccumulator(dt)
+    for _, _, coarse_state, _ in coarse:
+        next(fine)
+        _, _, fine_state, _ = next(fine)
+        acc.add(coarse_state, fine_state)
+    return acc.record()

@@ -12,7 +12,7 @@ import pytest
 
 from chns.diagnostics import (
     attach_rates,
-    cauchy_pair,
+    cauchy_ladder,
     mass,
     simulate_run,
 )
@@ -69,24 +69,18 @@ def state0():
 
 @pytest.fixture(scope="module")
 def ladder_rows_first(state0):
-    recs = [
-        cauchy_pair("msav1", state0, PARAMS, HORIZON * 2.0**-k, 2**k) for k in (3, 4, 5, 6)
-    ]
-    return attach_rates(recs)
+    return attach_rates(cauchy_ladder("msav1", state0, PARAMS, HORIZON * 2.0**-3, 2**3, 4))
 
 
 @pytest.fixture(scope="module")
 def ladder_rows_second(state0):
-    recs = [
-        cauchy_pair("msav2", state0, PARAMS, HORIZON * 2.0**-k, 2**k) for k in (3, 4, 5, 6)
-    ]
-    return attach_rates(recs)
+    return attach_rates(cauchy_ladder("msav2", state0, PARAMS, HORIZON * 2.0**-3, 2**3, 4))
 
 
 def test_criterion_1_energy_stability_first_order(state0):
     worst = float("-inf")
     for dt in (1e-1, 1e-2, 1e-3):
-        run = simulate_run("msav1", state0, PARAMS, dt, max(1, round(0.1 / dt)), snapshot_stride=0)
+        run = simulate_run("msav1", state0, PARAMS, dt, max(1, round(0.1 / dt)))
         for audit in run.audits:
             worst = max(worst, audit.decay_defect - audit.slack)
     _report(1, "first-order energy decay at dt in {1e-1,1e-2,1e-3}", worst <= 0.0,
@@ -99,7 +93,7 @@ def test_criterion_2_energy_stability_second_order(state0):
         # at dt = 0.1 one interval reaches t_final; run three so genuine BDF2
         # transitions are audited at every dt in the list
         n = max(3, round(0.1 / dt))
-        run = simulate_run("msav2", state0, PARAMS, dt, n, snapshot_stride=0)
+        run = simulate_run("msav2", state0, PARAMS, dt, n)
         for audit in run.audits:
             worst = max(worst, audit.decay_defect - audit.slack)
     _report(2, "second-order energy decay (defect-adjusted dissipation)", worst <= 0.0,
@@ -250,7 +244,7 @@ def test_criterion_7_structural_invariants(state0):
 
     # mass drift and divergence over 100 steps, both schemes
     for scheme in ("msav1", "msav2"):
-        run = simulate_run(scheme, state0, PARAMS, 1e-3, 100, snapshot_stride=0)
+        run = simulate_run(scheme, state0, PARAMS, 1e-3, 100)
         m0 = mass(state0.phi)
         scale = max(1.0, GRID.cell_area * float(np.sum(np.abs(state0.phi.data))))
         drift = max(abs(a.mass - m0) for a in run.audits) / scale

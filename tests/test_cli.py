@@ -1,11 +1,18 @@
 """Batch front end: config parsing, subcommands, exit codes, artifacts."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chns.cli import (
+    EXIT_AUDIT,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SINGULAR,
+    EXIT_SOLVER,
     build_config,
     main,
     parse_config_text,
@@ -44,6 +51,8 @@ def test_unknown_key_rejected():
 def test_bad_value_rejected():
     with pytest.raises(ConfigError):
         build_config({"dt": "fast"})
+    with pytest.raises(ConfigError):
+        build_config({"t_final": "nan"})
 
 
 def test_steps_validation():
@@ -202,3 +211,110 @@ def test_threads_flag_accepted(tmp_path):
     from chns.elliptic import set_fft_workers
 
     set_fft_workers(1)  # restore the deterministic default for other tests
+
+
+def test_horizon_beyond_exponential_clock_rejected(tmp_path):
+    """exp(t/T) overflows a double past t/T = log(max float) ~ 709.8."""
+    assert build_config({"t_final": "70"}).t_final == 70.0
+    code = run_cli(
+        "simulate", "--set", "nx=8", "--set", "ny=8",
+        "--set", "dt=1", "--set", "t_final=80",
+        "--set", f"outdir={tmp_path}",
+    )
+    assert code == EXIT_CONFIG
+
+
+def _rest_snapshots(root):
+    """Valid 8x8 initial data at rest: the phase as .bin, the velocity as .csv."""
+    g = GridSpec(8, 8)
+    paths = {"init_phi": root / "phi0.bin", "init_u": root / "u0.csv", "init_v": root / "v0.csv"}
+    write_field_bin(paths["init_phi"], g, "cell", np.full((8, 8), 0.5))
+    write_field_csv(paths["init_u"], g, "face_u", np.zeros((9, 8)))
+    write_field_csv(paths["init_v"], g, "face_v", np.zeros((8, 9)))
+    return paths
+
+
+def _simulate_from(paths, outdir):
+    sets = ["nx=8", "ny=8", "dt=0.05", "t_final=0.1", "init=files", f"outdir={outdir}"]
+    sets += [f"{key}={path}" for key, path in paths.items()]
+    return run_cli("simulate", *(arg for item in sets for arg in ("--set", item)))
+
+
+def _patch_bin(path, index, value):
+    raw = np.fromfile(path, dtype="<f8")
+    raw[index] = value
+    raw.tofile(path)
+
+
+def test_nan_in_bin_header_is_a_config_error(tmp_path):
+    paths = _rest_snapshots(tmp_path)
+    _patch_bin(paths["init_phi"], 0, np.nan)  # nx
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
+def test_unparsable_csv_header_is_a_config_error(tmp_path):
+    paths = _rest_snapshots(tmp_path)
+    text = paths["init_u"].read_text()
+    paths["init_u"].write_text(text.replace("# 8,", "# x,", 1))
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
+def test_truncated_bin_payload_is_a_config_error(tmp_path):
+    paths = _rest_snapshots(tmp_path)
+    with open(paths["init_phi"], "r+b") as fh:
+        fh.truncate(8 * 70)  # header + 62 of 64 values
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
+def test_nan_field_value_rejected_at_load(tmp_path):
+    paths = _rest_snapshots(tmp_path)
+    _patch_bin(paths["init_phi"], 8 + 20, np.nan)  # a payload value
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+_JUNK = ("0", "-1", "nan", "inf", "abc", "1e-300", "0.03")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(("simulate", "converge", "audit")),
+    scheme=st.sampled_from(("msav1", "msav2")),
+    t_final=st.sampled_from(("0.1", "1", "80")),
+    steps=st.integers(1, 3),
+    horizon=st.sampled_from(("0.1", "0.01", "100")),
+    ladder=st.sampled_from(("halving", "quartering", "single")),
+    junk=st.one_of(st.none(), st.tuples(st.sampled_from(("t_final", "dt", "horizon_T", "ladder")),
+                                        st.sampled_from(_JUNK))),
+    mutation=st.one_of(st.none(), st.tuples(
+        st.sampled_from(("init_phi", "init_u", "init_v")),
+        st.integers(0, 10**4),
+        st.binary(max_size=3),
+        st.booleans(),
+    )),
+)
+def test_main_returns_an_exit_code_and_never_raises(
+    command, scheme, t_final, steps, horizon, ladder, junk, mutation,
+):
+    """Hostile config values and corrupted snapshot bytes end in a documented
+    exit code.  dt is t_final over a few steps and the ladder holds dt over
+    1, 2 or 4, so no example runs long; one key may be replaced by junk."""
+    dt = float(t_final) / steps
+    sets = {
+        "scheme": scheme, "t_final": t_final, "dt": repr(dt), "horizon_T": horizon,
+        "ladder": {"halving": f"{dt!r},{dt / 2!r}", "quartering": f"{dt!r},{dt / 4!r}"}.get(ladder, repr(dt)),
+        "nx": "8", "ny": "8",
+    }
+    if junk is not None:
+        sets[junk[0]] = junk[1]
+    with tempfile.TemporaryDirectory() as root:
+        sets["outdir"] = f"{root}/out"
+        if mutation is not None:
+            paths = _rest_snapshots(Path(root))
+            key, index, patch, truncate = mutation
+            data = paths[key].read_bytes()
+            i = index % len(data)
+            paths[key].write_bytes(data[:i] + patch + (b"" if truncate else data[i + len(patch):]))
+            sets.update(init="files", **paths)
+        code = run_cli(command, *(arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")))
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_SINGULAR, EXIT_AUDIT)

@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chns import first_order
+from chns import diagnostics, first_order
 from chns.diagnostics import (
     AUDIT_COLUMNS,
     TABLE_COLUMNS,
+    _CauchyAccumulator,
+    _iterate,
     attach_rates,
     audit_slack,
-    cauchy_errors,
-    cauchy_pair,
+    cauchy_ladder,
     energy2_report,
     iterate_with_audits,
     kinetic_energy,
@@ -24,9 +25,9 @@ from chns.diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from chns.errors import InputDataError
 from chns.grid import CellField, GridSpec, MacVector
 from chns.model import PhysParams, initial_state, state_from_fields
+from oracle_tools import cauchy_pair
 
 
 def test_observed_rate_values():
@@ -48,91 +49,74 @@ def test_scalar_functionals_closed_forms():
     assert abs(mass(phi0)) <= 1e-14  # odd about both midlines
 
 
-def _with_payload(run, payload_snaps):
-    """Clone of a run whose snapshots keep their (step, t) labels but carry
-    the fields from payload_snaps."""
-    snaps = [
-        replace(own, phi=pay.phi, u=pay.u, u_tilde=pay.u_tilde, p=pay.p, r=pay.r, q=pay.q)
-        for own, pay in zip(run.snapshots, payload_snaps)
-    ]
-    return run.__class__(**{**run.__dict__, "snapshots": snaps})
-
-
-def _shifted_clone(run, pressure_shift):
-    """Clone of a run with every pressure snapshot shifted by a constant."""
-    snaps = []
-    for s in run.snapshots:
-        p_shift = CellField(s.p.grid, s.p.data + pressure_shift)
-        snaps.append(replace(s, p=p_shift))
-    return run.__class__(**{**run.__dict__, "snapshots": snaps})
-
-
-def test_identical_runs_have_zero_errors():
+def _level_pairs():
+    """(coarse, fine) states at both levels of a dt = 0.01 run and its dt/2 companion."""
     g = GridSpec(8, 8)
     p = PhysParams()
     s0 = initial_state(g, p)
-    coarse = simulate_run("msav1", s0, p, 0.01, 2, snapshot_stride=1, collect_audits=False)
-    fine = simulate_run("msav1", s0, p, 0.005, 4, snapshot_stride=2, collect_audits=False)
-    assert cauchy_errors(coarse, fine).e_phi_linf > 0  # sanity: runs do differ
-    # a companion carrying the coarse payload at every matched level -> all zero
-    identical = _with_payload(fine, coarse.snapshots)
-    rec = cauchy_errors(coarse, identical)
+    coarse = [new for _, _, new, _ in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
+    fine = [new for _, _, new, _ in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
+    return list(zip(coarse, fine[1::2]))
+
+
+def _errors(pairs):
+    acc = _CauchyAccumulator(0.01)
+    for coarse, fine in pairs:
+        acc.add(coarse, fine)
+    return acc.record()
+
+
+def test_identical_runs_have_zero_errors():
+    pairs = _level_pairs()
+    assert _errors(pairs).e_phi_linf > 0  # sanity: runs do differ
+    rec = _errors([(coarse, coarse) for coarse, _ in pairs])
     assert all(v == 0.0 for v in rec.values().values())
 
 
 def test_constant_pressure_shift_invisible_in_quotient_norm():
-    g = GridSpec(8, 8)
-    p = PhysParams()
-    s0 = initial_state(g, p)
-    coarse = simulate_run("msav1", s0, p, 0.01, 2, snapshot_stride=1, collect_audits=False)
-    fine = simulate_run("msav1", s0, p, 0.005, 4, snapshot_stride=2, collect_audits=False)
-    base = cauchy_errors(coarse, fine)
-    shifted = cauchy_errors(coarse, _shifted_clone(fine, 17.5))
+    pairs = _level_pairs()
+    base = _errors(pairs)
+    shifted = _errors([(c, replace(f, p=CellField(f.p.grid, f.p.data + 17.5))) for c, f in pairs])
     assert abs(shifted.e_p_l2 - base.e_p_l2) <= 1e-12 * max(1.0, base.e_p_l2)
     assert shifted.e_phi_linf == base.e_phi_linf
 
 
 def test_cauchy_error_sign_symmetry():
-    # norms of (coarse - fine) equal norms of (fine - coarse): swap the field
-    # payloads between the matched levels and compare the records
-    g = GridSpec(8, 8)
-    p = PhysParams()
-    s0 = initial_state(g, p)
-    coarse = simulate_run("msav1", s0, p, 0.01, 2, snapshot_stride=1, collect_audits=False)
-    fine = simulate_run("msav1", s0, p, 0.005, 4, snapshot_stride=2, collect_audits=False)
-    fwd = cauchy_errors(coarse, fine)
-    # fine was stored with stride 2, so its snapshot list aligns with coarse's
-    swapped_coarse = _with_payload(coarse, fine.snapshots)
-    swapped_fine = _with_payload(fine, coarse.snapshots)
-    rev = cauchy_errors(swapped_coarse, swapped_fine)
+    # norms of (coarse - fine) equal norms of (fine - coarse)
+    pairs = _level_pairs()
+    fwd = _errors(pairs)
+    rev = _errors([(f, c) for c, f in pairs])
     for name, value in fwd.values().items():
         assert abs(value - rev.values()[name]) <= 1e-12 * max(1.0, value)
 
 
-def test_cauchy_errors_validation():
-    g = GridSpec(8, 8)
-    p = PhysParams()
-    s0 = initial_state(g, p)
-    run_a = simulate_run("msav1", s0, p, 0.01, 2, snapshot_stride=1, collect_audits=False)
-    run_b = simulate_run("msav1", s0, p, 0.01, 2, snapshot_stride=1, collect_audits=False)
-    with pytest.raises(InputDataError):
-        cauchy_errors(run_a, run_b)  # companion must use dt/2
-    other = initial_state(GridSpec(10, 8), p)
-    run_c = simulate_run("msav1", other, p, 0.005, 4, snapshot_stride=2, collect_audits=False)
-    with pytest.raises(InputDataError):
-        cauchy_errors(run_a, run_c)  # grids differ
-
-
-def test_streaming_and_stored_cauchy_agree():
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_ladder_matches_per_rung_pairs(scheme):
+    """Sharing runs across the ladder changes no record, not even in the last bit."""
     g = GridSpec(16, 16)
     p = PhysParams()
     s0 = initial_state(g, p)
-    coarse = simulate_run("msav2", s0, p, 0.0125, 8, snapshot_stride=1, collect_audits=False)
-    fine = simulate_run("msav2", s0, p, 0.00625, 16, snapshot_stride=2, collect_audits=False)
-    stored = cauchy_errors(coarse, fine)
-    streamed = cauchy_pair("msav2", s0, p, 0.0125, 8)
-    for name, value in stored.values().items():
-        assert abs(value - streamed.values()[name]) <= 1e-12 * max(1.0, value)
+    ladder = cauchy_ladder(scheme, s0, p, 0.025, 4, 3)
+    pairs = [cauchy_pair(scheme, s0, p, 0.025 / 2**j, 4 * 2**j) for j in range(3)]
+    assert ladder == pairs
+
+
+def test_ladder_integrates_each_run_once(monkeypatch):
+    """Four rungs from N0 = 8 steps: five runs of 8, 16, ..., 128 steps make
+    31 N0 = 248 steps; per-rung pairs make 45 N0 = 360."""
+    calls = []
+    step = diagnostics.step_first_order
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "step_first_order", counted)
+    g = GridSpec(8, 8)
+    p = PhysParams()
+    records = cauchy_ladder("msav1", initial_state(g, p), p, 0.0125, 8, 4)
+    assert [rec.dt for rec in records] == [0.0125, 0.00625, 0.003125, 0.0015625]
+    assert len(calls) == 248
 
 
 def test_attach_rates_layout():
@@ -154,7 +138,7 @@ def test_audit_csv_schema_shared_between_schemes(tmp_path):
     s0 = initial_state(g, p)
     paths = {}
     for scheme in ("msav1", "msav2"):
-        run = simulate_run(scheme, s0, p, 0.01, 3, snapshot_stride=0)
+        run = simulate_run(scheme, s0, p, 0.01, 3)
         path = tmp_path / f"audit_{scheme}.csv"
         write_audit_csv(path, run.audits)
         paths[scheme] = path.read_text().splitlines()
@@ -169,7 +153,7 @@ def test_csv_outputs_deterministic(tmp_path):
     s0 = initial_state(g, p)
     texts = []
     for tag in ("a", "b"):
-        run = simulate_run("msav1", s0, p, 0.01, 3, snapshot_stride=0)
+        run = simulate_run("msav1", s0, p, 0.01, 3)
         path = tmp_path / f"audit_{tag}.csv"
         write_audit_csv(path, run.audits)
         texts.append(path.read_bytes())
@@ -242,7 +226,7 @@ def test_energy_decay_at_very_large_steps():
     s0 = initial_state(g, p)
     for dt in (0.1, 1.0):
         for scheme in ("msav1", "msav2"):
-            run = simulate_run(scheme, s0, p, dt, 1, snapshot_stride=0)
+            run = simulate_run(scheme, s0, p, dt, 1)
             assert all(a.passed for a in run.audits), (scheme, dt)
 
 
@@ -257,8 +241,7 @@ def test_first_order_rates_stay_near_one_across_pairs():
     g = GridSpec(64, 64)
     p = PhysParams()
     s0 = initial_state(g, p)
-    recs = [cauchy_pair("msav1", s0, p, 0.1 * 2.0**-k, 2**k) for k in (3, 4, 5, 6)]
-    rows = attach_rates(recs)
+    rows = attach_rates(cauchy_ladder("msav1", s0, p, 0.1 * 2.0**-3, 2**3, 4))
     for row in rows[2:]:
         for name, value in row.items():
             if not name.startswith("rate_"):

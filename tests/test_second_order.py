@@ -240,11 +240,10 @@ def test_one_step_local_error_is_third_order():
 def test_overall_cauchy_order_two():
     g = GridSpec(32, 32)
     p = PhysParams()
-    from chns.diagnostics import attach_rates, cauchy_pair
+    from chns.diagnostics import attach_rates, cauchy_ladder
     from chns.model import initial_state
 
     s0 = initial_state(g, p)
-    recs = [cauchy_pair("msav2", s0, p, 0.1 * 2.0**-k, 2**k) for k in (3, 4, 5)]
-    rows = attach_rates(recs)
+    rows = attach_rates(cauchy_ladder("msav2", s0, p, 0.1 * 2.0**-3, 2**3, 3))
     assert rows[-1]["rate_e_phi_linf"] >= 1.9
     assert rows[-1]["rate_e_u_linf"] >= 1.85
