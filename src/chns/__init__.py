@@ -8,7 +8,7 @@ Subpackage map:
     model        parameters, potential, scheme states, initial data
     first_order  the decoupled step both orders share, and the backward-Euler stepper
     second_order BDF2 levels over the shared step, rotational pressure, bootstrap
-    diagnostics  energy audits, the Cauchy ladder, rate tables, CSV emission
+    diagnostics  one energy audit for both laws, the Cauchy ladder, rate tables, CSV
     cli          batch front end (simulate / converge / audit)
 """
 
@@ -46,7 +46,6 @@ from .grid import (
     grad_cell_to_face,
     lap_cell,
     lap_velocity,
-    norm_h1_semi,
     norm_l2_cell,
     norm_l2_face,
 )
@@ -65,11 +64,12 @@ from .diagnostics import (
     EnergyAudit,
     ErrorRecord,
     RunResult,
+    audit_step,
     cauchy_ladder,
     energy2_report,
     kinetic_energy,
     mass,
-    modified_energy_first,
+    modified_energy,
     observed_rate,
     simulate_run,
     total_energy,

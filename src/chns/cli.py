@@ -229,24 +229,23 @@ def _read_field_any(path):
 def _load_initial_state(cfg: RunConfig):
     if cfg.init == "paper5":
         return initial_state(cfg.grid, cfg.params)
-    for key, path in (("init_phi", cfg.init_phi), ("init_u", cfg.init_u), ("init_v", cfg.init_v)):
-        if not path:
-            raise ConfigError(f"init=files requires {key}")
+    g = cfg.grid
+    values = []
     try:
-        nx, ny, _, _, kind, phi_vals = _read_field_any(cfg.init_phi)
-        if kind != "cell" or (nx, ny) != (cfg.grid.nx, cfg.grid.ny):
-            raise ConfigError(f"{cfg.init_phi}: expected a {cfg.grid.nx}x{cfg.grid.ny} cell snapshot")
-        nxu, nyu, _, _, kind_u, u_vals = _read_field_any(cfg.init_u)
-        nxv, nyv, _, _, kind_v, v_vals = _read_field_any(cfg.init_v)
-        if kind_u != "face_u" or (nxu, nyu) != (cfg.grid.nx, cfg.grid.ny):
-            raise ConfigError(f"{cfg.init_u}: expected a face_u snapshot on the run grid")
-        if kind_v != "face_v" or (nxv, nyv) != (cfg.grid.nx, cfg.grid.ny):
-            raise ConfigError(f"{cfg.init_v}: expected a face_v snapshot on the run grid")
+        for key, kind in (("init_phi", "cell"), ("init_u", "face_u"), ("init_v", "face_v")):
+            path = getattr(cfg, key)
+            if not path:
+                raise ConfigError(f"init=files requires {key}")
+            nx, ny, hx, hy, got, vals = _read_field_any(path)
+            if got != kind or (nx, ny) != (g.nx, g.ny):
+                raise ConfigError(f"{path}: expected a {g.nx}x{g.ny} {kind} snapshot")
+            if not (math.isclose(hx, g.hx, rel_tol=1e-12) and math.isclose(hy, g.hy, rel_tol=1e-12)):
+                raise ConfigError(f"{path}: grid spacing {hx!r} x {hy!r}, run grid {g.hx!r} x {g.hy!r}")
+            values.append(vals)
     except (OSError, InputDataError, DimensionMismatchError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
-    phi = CellField(cfg.grid, phi_vals)
-    vel = MacVector(cfg.grid, u_vals, v_vals)
-    return state_from_fields(cfg.params, phi, vel)
+    phi, u, v = values
+    return state_from_fields(cfg.params, CellField(g, phi), MacVector(g, u, v))
 
 
 def _write_state_snapshots(outdir, grid, state, label):

@@ -1,7 +1,9 @@
 """Energy/mass/divergence monitors, Cauchy errors of a dt ladder, and rate tables.
 
 The stability monitors evaluate the exact discrete energy identities of the
-two steppers.  For each accepted step the recorded decay defect
+two steppers.  The state picks the law: a two-level state obeys the BDF2 law,
+any other state (the msav2 bootstrap substeps included) the first-order one.
+For each accepted step the recorded decay defect
 
     defect = Etilde^{n+1} - Etilde^n + dissipation
 
@@ -10,13 +12,14 @@ identity says defect equals minus a sum of squares, so anything measurably
 positive indicates a broken cancellation (wrong quadrature pairing, sloppy
 solve) and fails the audit.
 
-For the BDF2 stepper the stated decay estimate uses the continuous identity
+The BDF2 decay estimate is stated with the continuous identity
 |curl v|^2 + |div v|^2 = |grad v|^2, which no staggered stencil reproduces
-exactly.  The audit therefore records both the raw defect (with the node
+exactly.  Its audit row therefore records both the raw defect (with the node
 curl of the projected velocity) and the defect-adjusted one in which the
 curl term is replaced by |grad u~|^2 - |div u~|^2; the adjusted inequality
 is the one that holds to rounding and the one acceptance keys on.  The gap
-between the two readings is reported as identity_defect.
+between the two readings is reported as identity_defect, which is zero for
+the first-order law.
 
 Convergence is measured with Cauchy errors between a run at dt and a
 companion at dt/2 on the same grid, compared at every coarse level; no exact
@@ -55,10 +58,9 @@ __all__ = [
     "mass",
     "kinetic_energy",
     "total_energy",
-    "modified_energy_first",
+    "modified_energy",
     "energy2_report",
-    "audit_step_first",
-    "audit_step_second",
+    "audit_step",
     "audit_slack",
     "RunResult",
     "simulate_run",
@@ -102,14 +104,10 @@ def _quadratics(state: SchemeState):
     return grad_energy_cell(state.phi), dot_cell(state.phi, state.phi), dot_face(state.u, state.u)
 
 
-def total_energy(state: SchemeState, params: PhysParams) -> float:
+def total_energy(state: SchemeState, params: PhysParams, quads=None) -> float:
     """Physical total energy, including the additive constant dropped from the
     working potential, so the reported value matches the unshifted model."""
-    return _total_energy(state, params, _quadratics(state))
-
-
-def _total_energy(state, params, quads):
-    grad_phi, phi_sq, u_sq = quads
+    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
     g = state.grid
     area = (g.x1 - g.x0) * (g.y1 - g.y0)
     quad = 0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2
@@ -123,14 +121,15 @@ def _total_energy(state, params, quads):
     )
 
 
-def modified_energy_first(state: SchemeState, params: PhysParams, dt: float) -> float:
-    """Modified energy of the first-order stepper:
-    |grad phi|^2 + gamma_eff |phi|^2 + 2 r^2 + |u|^2 + dt^2 |grad p|^2 + q^2."""
-    return _modified_energy_first(state, params, dt, _quadratics(state))
+def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=None) -> float:
+    """Etilde of the energy law the state obeys.  A two-level state obeys the
+    BDF2 law (the sum of energy2_report); any other state the first-order law
 
-
-def _modified_energy_first(state, params, dt, quads):
-    grad_phi, phi_sq, u_sq = quads
+        |grad phi|^2 + gamma_eff |phi|^2 + 2 r^2 + |u|^2 + dt^2 |grad p|^2 + q^2.
+    """
+    if isinstance(state, SchemeState2):
+        return energy2_report(state, params, dt, quads)["etilde"]
+    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
     gp = grad_cell_to_face(state.p)
     return (
         grad_phi
@@ -142,13 +141,9 @@ def _modified_energy_first(state, params, dt, quads):
     )
 
 
-def energy2_report(state: SchemeState2, params: PhysParams, dt: float) -> dict:
-    """Named components of the BDF2 modified energy and its dissipation terms."""
-    return _energy2_report(state, params, dt, _quadratics(state))
-
-
-def _energy2_report(state, params, dt, quads):
-    grad_phi, phi_sq, u_sq = quads
+def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=None) -> dict:
+    """Named components of the BDF2 modified energy and their sum, "etilde"."""
+    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
     ge = params.gamma_eff
     gH = grad_cell_to_face(state.H)
     u_x = 2.0 * state.u - state.u_prev
@@ -170,11 +165,6 @@ def _energy2_report(state, params, dt, quads):
         "q_extrap_half": 0.5 * q_x**2,
     }
     comp["etilde"] = float(sum(comp.values()))
-    comp["diss_mu"] = 2.0 * params.mobility * dt * grad_energy_cell(state.mu)
-    comp["diss_visc_tilde"] = params.viscosity * dt * grad_energy_velocity(state.u_tilde)
-    comp["diss_curl"] = params.viscosity * dt * norm_l2_nodes(state.grid, curl_at_nodes(state.u)) ** 2
-    comp["diss_div_tilde"] = params.viscosity * dt * norm_l2_cell(div_face_to_cell(state.u_tilde)) ** 2
-    comp["diss_q"] = 2.0 * dt / params.horizon * state.sav.q**2
     return comp
 
 
@@ -238,28 +228,32 @@ def audit_slack(etilde_prev: float) -> float:
     return 1e-9 * max(1.0, etilde_prev)
 
 
-def _report_summary(reports):
-    if not reports:
-        return 0.0, 0
-    return max(r.residual for r in reports), int(sum(r.iterations for r in reports))
+def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float, reports=(),
+               etilde_prev: float | None = None) -> EnergyAudit:
+    """Audit row of one step against the energy law new obeys (see
+    modified_energy).  etilde_prev, if given, is prev's Etilde under the same
+    law and dt (the Etilde of prev's own row), which saves recomputing it.
 
-
-def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float, reports=None,
-                     etilde_prev: float | None = None) -> EnergyAudit:
-    """Audit row of one first-order step.  etilde_prev, if given, is the
-    modified energy of prev at this dt (the Etilde of prev's own row), which
-    saves recomputing it."""
+    Both laws dissipate diss_mu = 2 M dt |grad mu|^2, diss_q = 2 dt/T q^2 and
+    V = nu dt |grad u~|^2.  The BDF2 law adds D = nu dt |div u~|^2 and, in its
+    stated form, C = nu dt |curl u|^2 at the nodes; the first-order law has
+    neither, so its raw and adjusted defects coincide."""
+    nu_dt = params.viscosity * dt
+    quads = _quadratics(new)
+    et_new = modified_energy(new, params, dt, quads)
+    et_prev = modified_energy(prev, params, dt) if etilde_prev is None else etilde_prev
     diss_mu = 2.0 * params.mobility * dt * grad_energy_cell(new.mu)
-    diss_visc = 2.0 * params.viscosity * dt * grad_energy_velocity(new.u_tilde)
     diss_q = 2.0 * dt / params.horizon * new.q**2
-    et_prev = modified_energy_first(prev, params, dt) if etilde_prev is None else etilde_prev
-    quads = _quadratics(new)
-    et_new = _modified_energy_first(new, params, dt, quads)
+    visc = nu_dt * grad_energy_velocity(new.u_tilde)
+    bdf2 = isinstance(new, SchemeState2)
+    div = nu_dt * norm_l2_cell(div_face_to_cell(new.u_tilde)) ** 2 if bdf2 else 0.0
+    curl = nu_dt * norm_l2_nodes(new.grid, curl_at_nodes(new.u)) ** 2 if bdf2 else 0.0
+    # the exact discrete identity carries 2V - D; the stated BDF2 estimate V + C
+    diss_visc = 2.0 * visc - div
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
-    res_max, iters = _report_summary(reports)
     return EnergyAudit(
         t=new.t,
-        E_total=_total_energy(new, params, quads),
+        E_total=total_energy(new, params, quads),
         Etilde=et_new,
         Etilde_prev=et_prev,
         mass=mass(new.phi),
@@ -267,53 +261,14 @@ def audit_step_first(prev: SchemeState, new: SchemeState, params: PhysParams, dt
         r=new.r,
         q=new.q,
         decay_defect=defect,
-        decay_defect_raw=defect,
+        decay_defect_raw=et_new - et_prev + diss_mu + visc + curl + diss_q if bdf2 else defect,
         diss_mu=diss_mu,
         diss_visc=diss_visc,
         diss_q=diss_q,
-        diss_curl=0.0,
-        identity_defect=0.0,
-        solver_residual_max=res_max,
-        solver_iterations=iters,
-    )
-
-
-def audit_step_second(prev: SchemeState2, new: SchemeState2, params: PhysParams, dt: float, reports=None,
-                      etilde_prev: float | None = None) -> EnergyAudit:
-    """Audit row of one BDF2 step; etilde_prev as in audit_step_first."""
-    quads = _quadratics(new)
-    rep_new = _energy2_report(new, params, dt, quads)
-    et_prev = energy2_report(prev, params, dt)["etilde"] if etilde_prev is None else etilde_prev
-    et_new = rep_new["etilde"]
-
-    # adjusted viscous dissipation 2 nu dt |grad u~|^2 - nu dt |div u~|^2 is the
-    # one the exact discrete identity carries
-    diss_visc = 2.0 * rep_new["diss_visc_tilde"] - rep_new["diss_div_tilde"]
-    diss_mu = rep_new["diss_mu"]
-    diss_q = rep_new["diss_q"]
-    diss_curl = rep_new["diss_curl"]
-    defect = et_new - et_prev + diss_mu + diss_visc + diss_q
-    identity_defect = rep_new["diss_visc_tilde"] - rep_new["diss_div_tilde"] - diss_curl
-    defect_raw = et_new - et_prev + diss_mu + rep_new["diss_visc_tilde"] + diss_curl + diss_q
-    res_max, iters = _report_summary(reports)
-    return EnergyAudit(
-        t=new.t,
-        E_total=_total_energy(new, params, quads),
-        Etilde=et_new,
-        Etilde_prev=et_prev,
-        mass=mass(new.phi),
-        div_norm=norm_l2_cell(div_face_to_cell(new.u)),
-        r=new.r,
-        q=new.q,
-        decay_defect=defect,
-        decay_defect_raw=defect_raw,
-        diss_mu=diss_mu,
-        diss_visc=diss_visc,
-        diss_q=diss_q,
-        diss_curl=diss_curl,
-        identity_defect=identity_defect,
-        solver_residual_max=res_max,
-        solver_iterations=iters,
+        diss_curl=curl,
+        identity_defect=visc - div - curl if bdf2 else 0.0,
+        solver_residual_max=max((r.residual for r in reports), default=0.0),
+        solver_iterations=int(sum(r.iterations for r in reports)),
     )
 
 
@@ -328,26 +283,36 @@ class RunResult:
     final_state: object
 
 
-def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bootstrap_trace=None):
-    """Yield (step_index, prev_state, new_state, reports) for each step.
+def _level(k, prev, new, dt, reports):
+    return k, new, [(prev, new, dt, reports)]
 
-    For msav2 the first yield covers the whole bootstrap interval; callers
-    wanting per-substep detail pass bootstrap_trace (see second_order.bootstrap).
-    """
+
+def _bootstrap_level(box, state0, params, dt, tols):
+    """Level 1 of msav2: the bootstrapped state, also put in box, and its
+    first-order substeps, which only the returned level holds."""
+    trace = []
+    box.append(bootstrap(state0, params, dt, trace=trace, **tols))
+    return 1, box[0], trace
+
+
+def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
+    """Yield (step_index, state, steps) for each level, where steps lists the
+    (prev, new, dt, reports) of every step taken to reach it: one for a
+    regular level, the first-order substeps of the bootstrap for msav2's
+    level 1 (see second_order.bootstrap)."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
     tols = dict(tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
-    state, first = state0, 1
+    # a suspended run holds only its current state: earlier states and the
+    # bootstrap substeps live only in the yielded level, and are freed with it
+    state, first, box = state0, 1, []
     if scheme == "msav2":
-        reports = []
-        state = bootstrap(state0, params, dt, reports=reports, trace=bootstrap_trace, **tols)
-        yield 1, state0, state, reports
-        first = 2
+        yield _bootstrap_level(box, state0, params, dt, tols)
+        state, first = box.pop(), 2
     for k in range(first, n_steps + 1):
         reports = []
-        # only the yielded tuple holds the previous state, so it is freed with it
-        yield k, state, (state := step(state, params, dt, reports=reports, **tols)), reports
+        yield _level(k, state, (state := step(state, params, dt, reports=reports, **tols)), dt, reports)
 
 
 def iterate_with_audits(
@@ -356,31 +321,20 @@ def iterate_with_audits(
 ):
     """Yield (step_index, new_state, audits_of_this_step) for each step.
 
-    For the BDF2 scheme the bootstrap substeps are audited against the
-    first-order energy identity at the substep size (they are first-order
-    steps) and all later transitions against the BDF2 identity, so the step
-    at index 1 may carry several audit rows.
-
-    Each row's Etilde is handed to the next step's audit as the energy of its
-    previous state.  The bootstrap rows hold first-order energies at the
-    substep size, so the first BDF2 step computes its own.
+    Each step is audited against the law its new state obeys: the msav2
+    bootstrap substeps against the first-order law at the substep size, so the
+    step at index 1 may carry several rows, and every later msav2 step against
+    the BDF2 law.  A row's Etilde is handed on as the next row's Etilde_prev
+    when both audit the same law at the same dt.
     """
-    trace = [] if scheme == "msav2" else None
-    etilde_prev = None
-    for k, prev, new, reports in _iterate(
-        scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, bootstrap_trace=trace,
-    ):
-        if scheme == "msav2" and k == 1:
-            step_audits = [
-                audit_step_first(sub_prev, sub_new, params, sub_dt, sub_reports)
-                for sub_prev, sub_new, sub_dt, sub_reports in trace
-            ]
-        elif scheme == "msav2":
-            step_audits = [audit_step_second(prev, new, params, dt, reports, etilde_prev)]
-        else:
-            step_audits = [audit_step_first(prev, new, params, dt, reports, etilde_prev)]
-        etilde_prev = None if scheme == "msav2" and k == 1 else step_audits[-1].Etilde
-        yield k, new, step_audits
+    etilde, law = None, None
+    for k, new, steps in _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
+        audits = []
+        for prev, sub_new, sub_dt, reports in steps:
+            row_law = (isinstance(sub_new, SchemeState2), sub_dt)
+            audits.append(audit_step(prev, sub_new, params, sub_dt, reports, etilde if row_law == law else None))
+            etilde, law = audits[-1].Etilde, row_law
+        yield k, new, audits
 
 
 def simulate_run(
@@ -504,7 +458,7 @@ def _advance(runs, accs, j):
     run j's new state.  A module function, not a closure: a self-referencing
     closure is a reference cycle that would keep every run's last states
     alive until the cyclic collector runs."""
-    _, _, state, _ = next(runs[j])
+    state = next(runs[j])[1]  # binding the level's steps would keep its previous state alive
     if j < len(accs):
         _advance(runs, accs, j + 1)
         accs[j].add(state, _advance(runs, accs, j + 1))

@@ -30,6 +30,7 @@ immutable values after construction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,6 @@ __all__ = [
     "dot_face",
     "norm_l2_cell",
     "norm_l2_face",
-    "norm_h1_semi",
     "curl_at_nodes",
     "norm_l2_nodes",
     "write_field_csv",
@@ -371,11 +371,6 @@ def norm_l2_face(w: MacVector) -> float:
     return float(np.sqrt(max(dot_face(w, w), 0.0)))
 
 
-def norm_h1_semi(f: CellField) -> float:
-    """Discrete H1 seminorm of a cell scalar: face norm of its gradient."""
-    return norm_l2_face(grad_cell_to_face(f))
-
-
 def curl_at_nodes(w: MacVector) -> np.ndarray:
     """Scalar curl dv/dx - du/dy at grid nodes, shape (nx+1, ny+1).
 
@@ -493,6 +488,9 @@ def write_field_bin(path, grid: GridSpec, kind: str, values: np.ndarray):
 def read_field_bin(path):
     """Returns (nx, ny, hx, hy, kind, values)."""
     raw = np.fromfile(path, dtype="<f8")
+    extra = os.path.getsize(path) - raw.nbytes  # fromfile drops a partial trailing value
+    if extra:
+        raise InputDataError(f"{path}: {extra} trailing bytes after the last whole value")
     if raw.size < 8:
         raise InputDataError(f"{path}: truncated binary snapshot")
     nx, ny, hx, hy, code = _parse_header(path, raw[:5])

@@ -57,8 +57,7 @@ class Lagged:
 
 
 def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
-              tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11, reports=None,
-              trace=None) -> SchemeState2:
+              tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11, trace=None) -> SchemeState2:
     """Build the two-level state by running the first-order stepper across the
     first interval (substeps equal steps of dt/substeps).
 
@@ -70,8 +69,9 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     error at practical step sizes.
 
     Starts the g/H sequence: g^0 = 0, so g^1 = nu div(u~^1), H^1 = p^1 + g^1.
-    trace, if given, receives (prev, new, substep_dt, reports) per substep so
-    callers can audit each substep against the first-order energy law.
+    trace, if given, receives (prev, new, substep_dt, reports) per substep: the
+    substeps' solver reports, and the states that the audit checks against the
+    first-order energy law.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -79,12 +79,8 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     s1 = state0
     for _ in range(substeps):
         sub_reports = []
-        new = step_first_order(
-            s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-            reports=sub_reports,
-        )
-        if reports is not None:
-            reports.extend(sub_reports)
+        new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
+                               reports=sub_reports)
         if trace is not None:
             trace.append((s1, new, sub_dt, sub_reports))
         s1 = new

@@ -18,7 +18,7 @@ from chns.cli import (
     parse_config_text,
     steps_for,
 )
-from chns.errors import ConfigError
+from chns.errors import ConfigError, InputDataError
 from chns.grid import GridSpec, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
 
@@ -264,6 +264,26 @@ def test_truncated_bin_payload_is_a_config_error(tmp_path):
     with open(paths["init_phi"], "r+b") as fh:
         fh.truncate(8 * 70)  # header + 62 of 64 values
     assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
+def test_trailing_bin_bytes_are_a_config_error(tmp_path):
+    paths = _rest_snapshots(tmp_path)
+    with open(paths["init_phi"], "ab") as fh:
+        fh.write(b"\0\0\0")  # a partial value after the 64 whole ones
+    with pytest.raises(InputDataError):
+        read_field_bin(paths["init_phi"])
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+def test_snapshot_from_another_domain_is_a_config_error(tmp_path):
+    """Same 8x8 cell count, but the snapshot was taken on a 2x1 domain."""
+    paths = _rest_snapshots(tmp_path)
+    write_field_csv(paths["init_v"], GridSpec(8, 8, x1=2.0), "face_v", np.zeros((8, 9)))
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+    _rest_snapshots(tmp_path)  # the unit-square snapshots load and run
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_OK
 
 
 def test_nan_field_value_rejected_at_load(tmp_path):

@@ -1,5 +1,6 @@
 """Monitors, Cauchy errors, rates, and the CSV surfaces."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -13,20 +14,23 @@ from chns.diagnostics import (
     _iterate,
     attach_rates,
     audit_slack,
+    audit_step,
     cauchy_ladder,
     energy2_report,
     iterate_with_audits,
     kinetic_energy,
     mass,
-    modified_energy_first,
+    modified_energy,
     observed_rate,
     simulate_run,
     total_energy,
     write_audit_csv,
     write_table_csv,
 )
+from chns.first_order import step_first_order
 from chns.grid import CellField, GridSpec, MacVector
-from chns.model import PhysParams, initial_state, state_from_fields
+from chns.model import PhysParams, SchemeState, initial_state, state_from_fields
+from chns.second_order import bootstrap, step_second_order
 from oracle_tools import cauchy_pair
 
 
@@ -54,8 +58,8 @@ def _level_pairs():
     g = GridSpec(8, 8)
     p = PhysParams()
     s0 = initial_state(g, p)
-    coarse = [new for _, _, new, _ in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
-    fine = [new for _, _, new, _ in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
+    coarse = [new for _, new, _ in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
+    fine = [new for _, new, _ in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
     return list(zip(coarse, fine[1::2]))
 
 
@@ -117,6 +121,29 @@ def test_ladder_integrates_each_run_once(monkeypatch):
     records = cauchy_ladder("msav1", initial_state(g, p), p, 0.0125, 8, 4)
     assert [rec.dt for rec in records] == [0.0125, 0.00625, 0.003125, 0.0015625]
     assert len(calls) == 248
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_ladder_runs_hold_only_their_current_state(scheme, monkeypatch):
+    """A suspended run holds only its current state: whenever a rung compares
+    two states, the rungs + 1 runs keep at most one state each alive, the
+    msav2 bootstrap substeps and every earlier level included."""
+    live = []
+    add = _CauchyAccumulator.add
+
+    def counting_add(self, coarse, fine):
+        gc.collect()
+        live.append(sum(isinstance(obj, SchemeState) for obj in gc.get_objects()))
+        add(self, coarse, fine)
+
+    monkeypatch.setattr(_CauchyAccumulator, "add", counting_add)
+    p = PhysParams()
+    state0 = initial_state(GridSpec(8, 8), p)
+    gc.collect()
+    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    cauchy_ladder(scheme, state0, p, 0.01, 2, 2)
+    assert len(live) == 2 * (1 + 2)
+    assert max(live) <= before + 3
 
 
 def test_attach_rates_layout():
@@ -203,14 +230,42 @@ def test_carried_etilde_prev_equals_recomputed(scheme):
     dt = 0.01
     prev = initial_state(g, p)
     for k, new, audits in iterate_with_audits(scheme, prev, p, dt, 10):
-        if scheme == "msav1":
-            assert audits[0].Etilde_prev == modified_energy_first(prev, p, dt)
-            assert audits[0].Etilde == modified_energy_first(new, p, dt)
-        elif k > 1:  # the bootstrap rows are first-order audits of their own substeps
-            assert audits[0].Etilde_prev == energy2_report(prev, p, dt)["etilde"]
-            assert audits[0].Etilde == energy2_report(new, p, dt)["etilde"]
+        if scheme == "msav2" and k == 1:
+            # the bootstrap rows audit four first-order substeps of dt/4
+            assert len(audits) == 4
+            assert audits[0].Etilde_prev == modified_energy(prev, p, dt / 4)
+            for row, following in zip(audits, audits[1:]):
+                assert following.Etilde_prev == row.Etilde
+        else:
+            assert audits[0].Etilde_prev == modified_energy(prev, p, dt)
+            assert audits[0].Etilde == modified_energy(new, p, dt)
         assert audits[-1].E_total == total_energy(new, p)
         prev = new
+
+
+def test_audit_step_law_follows_the_state():
+    """One audit for both laws: a first-order row (the msav2 bootstrap rows
+    included) has no curl term and equal raw and adjusted defects; a row of
+    two-level states is audited against the BDF2 law."""
+    g = GridSpec(16, 16)
+    p = PhysParams()
+    dt = 0.01
+    s0 = initial_state(g, p)
+    first = audit_step(s0, step_first_order(s0, p, dt), p, dt)
+    st2 = bootstrap(s0, p, dt)
+    st3 = step_second_order(st2, p, dt)
+    second = audit_step(st2, st3, p, dt)
+    assert first.Etilde_prev == modified_energy(s0, p, dt)
+    assert second.Etilde_prev == energy2_report(st2, p, dt)["etilde"]
+    assert second.Etilde == energy2_report(st3, p, dt)["etilde"]
+    assert first.passed and second.passed
+    assert second.diss_curl > 0.0 and second.identity_defect != 0.0
+    gap = second.decay_defect_raw - second.decay_defect + second.identity_defect
+    assert abs(gap) <= 1e-12 * max(1.0, second.Etilde)
+    _, _, bootstrap_rows = next(iterate_with_audits("msav2", s0, p, dt, 1))
+    for row in [first] + bootstrap_rows:
+        assert row.diss_curl == 0.0 and row.identity_defect == 0.0
+        assert row.decay_defect_raw == row.decay_defect
 
 
 def test_audit_slack_definition():

@@ -310,17 +310,6 @@ def test_norms_trivial_values():
     assert abs(norm_l2_cell(CellField.full(g, 1.0)) - 1.0) <= 1e-14
 
 
-def test_h1_seminorm_values():
-    from chns.grid import norm_h1_semi
-
-    g = GridSpec(16, 16)
-    assert norm_h1_semi(CellField.full(g, 2.0)) == 0.0
-    linear = CellField.from_function(g, lambda x, y: x + 0.0 * y)
-    # unit slope on the (nx-1)*ny interior vertical faces
-    expected = np.sqrt((g.nx - 1) / g.nx)
-    assert abs(norm_h1_semi(linear) - expected) <= 1e-13
-
-
 def test_grid_mismatch_raises():
     a = CellField.zeros(GridSpec(8, 8))
     b = CellField.zeros(GridSpec(8, 10))
