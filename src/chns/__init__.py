@@ -4,7 +4,7 @@ coupled phase-field / incompressible-flow system on a MAC staggered grid.
 Subpackage map:
 
     grid         grid, field containers, discrete operators, snapshot files
-    elliptic     constant-coefficient solvers (transform + conjugate gradients)
+    elliptic     constant-coefficient solvers (transform + CG) and their transform pieces
     model        parameters, potential, scheme states, initial data
     first_order  the decoupled step both orders share, and the backward-Euler stepper
     second_order BDF2 levels over the shared step, rotational pressure, bootstrap

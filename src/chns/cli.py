@@ -221,9 +221,11 @@ def build_config(raw_overrides: dict) -> RunConfig:
 
 
 def _read_field_any(path):
+    """read_field_bin's tuple; a CSV header records no origin x0, y0 (None)."""
     if path.endswith(".bin"):
         return read_field_bin(path)
-    return read_field_csv(path)
+    nx, ny, hx, hy, kind, vals = read_field_csv(path)
+    return nx, ny, hx, hy, None, None, kind, vals
 
 
 def _load_initial_state(cfg: RunConfig):
@@ -236,11 +238,14 @@ def _load_initial_state(cfg: RunConfig):
             path = getattr(cfg, key)
             if not path:
                 raise ConfigError(f"init=files requires {key}")
-            nx, ny, hx, hy, got, vals = _read_field_any(path)
+            nx, ny, hx, hy, x0, y0, got, vals = _read_field_any(path)
             if got != kind or (nx, ny) != (g.nx, g.ny):
                 raise ConfigError(f"{path}: expected a {g.nx}x{g.ny} {kind} snapshot")
             if not (math.isclose(hx, g.hx, rel_tol=1e-12) and math.isclose(hy, g.hy, rel_tol=1e-12)):
                 raise ConfigError(f"{path}: grid spacing {hx!r} x {hy!r}, run grid {g.hx!r} x {g.hy!r}")
+            if x0 is not None and not (math.isclose(x0, g.x0, abs_tol=1e-12 * g.hx)
+                                       and math.isclose(y0, g.y0, abs_tol=1e-12 * g.hy)):
+                raise ConfigError(f"{path}: grid origin {x0!r}, {y0!r}, run grid {g.x0!r}, {g.y0!r}")
             values.append(vals)
     except (OSError, InputDataError, DimensionMismatchError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc

@@ -15,6 +15,12 @@ precision residuals at O(N log N) cost).  A matrix-free Jacobi-preconditioned
 conjugate-gradient path backs every transform path; the test suite checks the
 two agree to 1e-10.
 
+Both transforms are orthonormal, so by Parseval dot_cell/dot_face (of face
+fields with zero wall entries) is cell_area times the plain sum over
+coefficients.  The time step therefore uses the pieces of each transform
+solve directly: forward transform, inverse symbol, inverse transform and
+residual check.
+
 Transform symbols are cached per grid; solvers are pure functions of
 (spec, rhs, tol) and safe to call concurrently.
 """
@@ -50,6 +56,15 @@ __all__ = [
     "project",
     "apply_ch_operator",
     "apply_helmholtz_operator",
+    "cell_transform",
+    "cell_inverse",
+    "face_transform",
+    "face_inverse",
+    "cell_laplacian_symbol",
+    "ch_inv_symbol",
+    "helmholtz_inv_symbol",
+    "ch_residual",
+    "helmholtz_residual",
     "set_fft_workers",
 ]
 
@@ -109,37 +124,23 @@ def _check_finite(arrays, what):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _neumann_eigs(grid: GridSpec):
-    """1-D eigenvalues of the mirror-ghost Laplacian in the DCT-II basis."""
-    lx = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * np.arange(grid.nx) / grid.nx))
-    ly = -(2.0 / grid.hy**2) * (1.0 - np.cos(np.pi * np.arange(grid.ny) / grid.ny))
-    return lx, ly
+def _symbol(grid: GridSpec, modes_x, modes_y):
+    """Eigenvalues of the five-point Laplacian for the given 1-D mode numbers:
+    -(2/h^2)(1 - cos(pi m/n)) summed over the two directions."""
+    lx = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * modes_x / grid.nx))
+    ly = -(2.0 / grid.hy**2) * (1.0 - np.cos(np.pi * modes_y / grid.ny))
+    return lx[:, None] + ly[None, :]
 
 
 @lru_cache(maxsize=None)
-def _noslip_eigs_u(grid: GridSpec):
-    """Eigenvalues for the u-component: DST-I in x (on-wall zeros), DST-II in y (odd ghosts)."""
-    kx = np.arange(1, grid.nx)
-    ky = np.arange(1, grid.ny + 1)
-    lx = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * kx / grid.nx))
-    ly = -(2.0 / grid.hy**2) * (1.0 - np.cos(np.pi * ky / grid.ny))
-    return lx, ly
-
-
-@lru_cache(maxsize=None)
-def _noslip_eigs_v(grid: GridSpec):
-    kx = np.arange(1, grid.nx + 1)
-    ky = np.arange(1, grid.ny)
-    lx = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * kx / grid.nx))
-    ly = -(2.0 / grid.hy**2) * (1.0 - np.cos(np.pi * ky / grid.ny))
-    return lx, ly
+def cell_laplacian_symbol(grid: GridSpec):
+    """Eigenvalues lam <= 0 of lap_cell in the cell_transform basis."""
+    return _symbol(grid, np.arange(grid.nx), np.arange(grid.ny))
 
 
 @lru_cache(maxsize=None)
 def _poisson_inv_symbol(grid: GridSpec):
-    lx, ly = _neumann_eigs(grid)
-    lam = lx[:, None] + ly[None, :]
+    lam = cell_laplacian_symbol(grid).copy()
     lam[0, 0] = 1.0
     inv = 1.0 / lam
     inv[0, 0] = 0.0  # zero mode annihilated: zero-mean solution
@@ -147,24 +148,51 @@ def _poisson_inv_symbol(grid: GridSpec):
 
 
 @lru_cache(maxsize=None)
-def _ch_inv_symbol(grid: GridSpec, mobility_dt: float, gamma_eff: float):
-    lx, ly = _neumann_eigs(grid)
-    lam = lx[:, None] + ly[None, :]
-    return 1.0 / (1.0 + mobility_dt * lam * (lam - gamma_eff))
+def ch_inv_symbol(grid: GridSpec, spec: ChOperatorSpec):
+    """Inverse of the phase operator in the cell_transform basis."""
+    lam = cell_laplacian_symbol(grid)
+    return 1.0 / (1.0 + spec.mobility_dt * lam * (lam - spec.gamma_eff))
 
 
 @lru_cache(maxsize=None)
-def _helmholtz_inv_symbol(grid: GridSpec, visc_dt: float, component: str):
-    lx, ly = _noslip_eigs_u(grid) if component == "u" else _noslip_eigs_v(grid)
-    return 1.0 / (1.0 - visc_dt * (lx[:, None] + ly[None, :]))
+def helmholtz_inv_symbol(grid: GridSpec, spec: HelmholtzSpec):
+    """Inverse of the velocity operator in the face_transform basis, as a
+    (u, v) pair."""
+    nx, ny = grid.nx, grid.ny
+    return tuple(1.0 / (1.0 - spec.visc_dt * _symbol(grid, mx, my)) for mx, my in
+                 ((np.arange(1, nx), np.arange(1, ny + 1)), (np.arange(1, nx + 1), np.arange(1, ny))))
 
 
-def _dct2(a):
+def cell_transform(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II coefficients of cell data."""
     return dctn(a, type=2, norm="ortho", workers=_fft_workers)
 
 
-def _idct2(a):
-    return idctn(a, type=2, norm="ortho", workers=_fft_workers)
+def cell_inverse(coeffs: np.ndarray) -> np.ndarray:
+    return idctn(coeffs, type=2, norm="ortho", workers=_fft_workers)
+
+
+# a component's walls are zeros of its DST-I direction and odd ghosts of its DST-II one
+_FACE_TYPES = ((1, 2), (2, 1))
+
+
+def face_transform(w: MacVector):
+    """Orthonormal coefficients of the interior entries of a face vector, as
+    a (u, v) pair; on-wall entries are boundary data and are dropped."""
+    out = []
+    for a, (tx, ty) in zip((w.u[1:-1, :], w.v[:, 1:-1]), _FACE_TYPES):
+        a = dst(a, type=tx, axis=0, norm="ortho", workers=_fft_workers)
+        out.append(dst(a, type=ty, axis=1, norm="ortho", workers=_fft_workers))
+    return out
+
+
+def face_inverse(grid: GridSpec, coeffs) -> MacVector:
+    """The face vector with these interior coefficients and zero wall entries."""
+    out = MacVector.zeros(grid)
+    for dest, a, (tx, ty) in zip((out.u[1:-1, :], out.v[:, 1:-1]), coeffs, _FACE_TYPES):
+        a = idst(a, type=ty, axis=1, norm="ortho", workers=_fft_workers)
+        dest[...] = idst(a, type=tx, axis=0, norm="ortho", workers=_fft_workers)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +267,41 @@ def _neg_lap_diag(grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
+# residual checks: normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||)
+# ---------------------------------------------------------------------------
+
+
+def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, iterations, mean_defect=0.0):
+    resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
+    report = SolveReport(iterations=iterations, residual=resid, mean_defect=mean_defect)
+    if resid > max(tol, 1e-13):
+        raise SolverConvergenceError(report)
+    return report
+
+
+def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float, iterations: int = 0):
+    """Check phi as a solve of the phase operator against rhs; returns the
+    SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
+    lb = _lap_norm_bound(phi.grid)
+    op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
+    defect = norm_l2_cell(apply_ch_operator(spec, phi) - rhs)
+    return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol, iterations)
+
+
+def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float, iterations: int = 0):
+    """Check w as a solve of the velocity operator against rhs, whose on-wall
+    entries are boundary data, not equations, and are ignored; returns the
+    SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
+    g = w.grid
+    defect = apply_helmholtz_operator(spec, w) - rhs
+    defect.u[[0, -1], :] = w.u[[0, -1], :]  # the wall rows of A w - b, with those of b ignored
+    defect.v[:, [0, -1]] = w.v[:, [0, -1]]
+    rhs_norm = np.sqrt(g.cell_area * (np.sum(rhs.u[1:-1, :] ** 2) + np.sum(rhs.v[:, 1:-1] ** 2)))
+    op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
+    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol, iterations)
+
+
+# ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
@@ -261,7 +324,7 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12, method: str = "tra
     b = rhs.data - mean
 
     if method == "transform":
-        psi_data = _idct2(_dct2(b) * _poisson_inv_symbol(g))
+        psi_data = cell_inverse(cell_transform(b) * _poisson_inv_symbol(g))
         iters = 0
     elif method == "cg":
         inv_diag = 1.0 / _neg_lap_diag(g)
@@ -275,13 +338,9 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12, method: str = "tra
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    psi_data = psi_data - psi_data.mean()
-    psi = CellField(g, psi_data)
-    scale = _lap_norm_bound(g) * norm_l2_cell(psi) + rhs_norm
-    resid = norm_l2_cell(lap_cell(psi) - CellField(g, b)) / max(scale, 1e-300)
-    report = SolveReport(iterations=iters, residual=resid, mean_defect=mean * g.cell_area * g.nx * g.ny)
-    if resid > max(tol, 1e-13):
-        raise SolverConvergenceError(report)
+    psi = CellField(g, psi_data - psi_data.mean())
+    report = _checked(norm_l2_cell(lap_cell(psi) - CellField(g, b)), _lap_norm_bound(g), norm_l2_cell(psi),
+                      rhs_norm, tol, iters, mean_defect=mean * g.cell_area * g.nx * g.ny)
     return psi, report
 
 
@@ -294,11 +353,9 @@ def solve_ch_system(spec: ChOperatorSpec, rhs_phi: CellField, tol: float = 1e-11
     """
     _check_finite([rhs_phi.data], "phase-operator right-hand side")
     g = rhs_phi.grid
-    rhs_norm = norm_l2_cell(rhs_phi)
 
     if method == "transform":
-        inv_sigma = _ch_inv_symbol(g, spec.mobility_dt, spec.gamma_eff)
-        phi_data = _idct2(_dct2(rhs_phi.data) * inv_sigma)
+        phi = CellField(g, cell_inverse(cell_transform(rhs_phi.data) * ch_inv_symbol(g, spec)))
         iters = 0
     elif method == "cg":
         mob, ge = spec.mobility_dt, spec.gamma_eff
@@ -309,26 +366,11 @@ def solve_ch_system(spec: ChOperatorSpec, rhs_phi: CellField, tol: float = 1e-11
             return apply_ch_operator(spec, CellField(g, x)).data
 
         phi_data, iters, _ = _pcg(apply_a, rhs_phi.data, inv_diag, tol=0.01 * tol, maxiter=50 * g.nx * g.ny)
+        phi = CellField(g, phi_data)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    phi = CellField(g, phi_data)
-    lb = _lap_norm_bound(g)
-    op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
-    scale = op_norm * norm_l2_cell(phi) + rhs_norm
-    resid = norm_l2_cell(apply_ch_operator(spec, phi) - rhs_phi) / max(scale, 1e-300)
-    report = SolveReport(iterations=iters, residual=resid)
-    if resid > max(tol, 1e-13):
-        raise SolverConvergenceError(report)
-    return phi, report
-
-
-def _helmholtz_component_transform(interior, inv_sigma, types):
-    a = dst(interior, type=types[0], axis=0, norm="ortho", workers=_fft_workers)
-    a = dst(a, type=types[1], axis=1, norm="ortho", workers=_fft_workers)
-    a *= inv_sigma
-    a = idst(a, type=types[1], axis=1, norm="ortho", workers=_fft_workers)
-    return idst(a, type=types[0], axis=0, norm="ortho", workers=_fft_workers)
+    return phi, ch_residual(spec, phi, rhs_phi, tol, iters)
 
 
 def solve_velocity_helmholtz(spec: HelmholtzSpec, rhs: MacVector, tol: float = 1e-11, method: str = "transform"):
@@ -339,15 +381,9 @@ def solve_velocity_helmholtz(spec: HelmholtzSpec, rhs: MacVector, tol: float = 1
     """
     _check_finite([rhs.u, rhs.v], "Helmholtz right-hand side")
     g = rhs.grid
-    out = MacVector.zeros(g)
 
     if method == "transform":
-        out.u[1:-1, :] = _helmholtz_component_transform(
-            rhs.u[1:-1, :], _helmholtz_inv_symbol(g, spec.visc_dt, "u"), (1, 2)
-        )
-        out.v[:, 1:-1] = _helmholtz_component_transform(
-            rhs.v[:, 1:-1], _helmholtz_inv_symbol(g, spec.visc_dt, "v"), (2, 1)
-        )
+        out = face_inverse(g, [c * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
         iters = 0
     elif method == "cg":
         b = spec.visc_dt
@@ -369,25 +405,14 @@ def solve_velocity_helmholtz(spec: HelmholtzSpec, rhs: MacVector, tol: float = 1
             return apply_helmholtz_operator(spec, w).v[:, 1:-1]
 
         cap = 20 * max(g.nx, g.ny) ** 2
-        xu, iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
-        xv, iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
-        out.u[1:-1, :] = xu
-        out.v[:, 1:-1] = xv
+        out = MacVector.zeros(g)
+        out.u[1:-1, :], iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
+        out.v[:, 1:-1], iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
         iters = iu + iv
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    interior_rhs = rhs.copy()
-    interior_rhs.u[0, :] = interior_rhs.u[-1, :] = 0.0
-    interior_rhs.v[:, 0] = interior_rhs.v[:, -1] = 0.0
-    rhs_norm = norm_l2_face(interior_rhs)
-    op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
-    scale = op_norm * norm_l2_face(out) + rhs_norm
-    resid = norm_l2_face(apply_helmholtz_operator(spec, out) - interior_rhs) / max(scale, 1e-300)
-    report = SolveReport(iterations=iters, residual=resid)
-    if resid > max(tol, 1e-13):
-        raise SolverConvergenceError(report)
-    return out, report
+    return out, helmholtz_residual(spec, out, rhs, tol, iters)
 
 
 def project(w: MacVector, dt_coef: float, tol: float = 1e-12, method: str = "transform", reports=None):

@@ -17,14 +17,20 @@ recombination factors,
 so the update for (phi, mu, u~) is linear and splits by superposition into
 three substep families: 0 carries the lagged data (phi*, u*, grad p*), 1 the
 phase coupling (advection of phi, F'(phi), mu grad phi) and 2 the velocity
-convection (u . grad u).  Each costs one fourth-order phase solve (family 2's
-is identically zero) and one velocity Helmholtz solve; the explicit terms are
-evaluated once per step.  The two scalars are fixed by a 2x2 linear system
-obtained by substituting the superposition into the auxiliary updates
+convection (u . grad u); family 2 has no phase part.  The two scalars are
+fixed by a 2x2 linear system obtained by substituting the superposition into
+the auxiliary updates
 
     (r^{n+1}-r*)/k = [ (F'(bar phi), (phi^{n+1}-phi*)/k) + (mu^{n+1}, bar u.grad bar phi)
                        - (u~^{n+1}, bar mu grad bar phi) ] / (2 sqrt(E1(bar phi)+delta)),
     (q^{n+1}-q*)/k = -q^{n+1}/T + exp(t^{n+1}/T) (bar u.grad bar u, u~^{n+1}).
+
+Each family solve is diagonal in an orthonormal transform basis (DCT-II for
+the phase operator, DST-I x DST-II for the velocity operator), so the step
+never leaves transform space until the end: the ten pairings of the 2x2
+system are weighted coefficient sums (Parseval), the families are recombined
+on coefficients, and each operator costs one inverse transform and one
+residual check of the field the step keeps.
 
 The recombined u~ = u~_0 + xi1 u~_1 + xi2 u~_2 is projected once,
 u^{n+1} = u~ - k grad psi with lap psi = div u~ / k, which equals projecting
@@ -39,12 +45,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 
+import numpy as np
+
 from .elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
+    cell_inverse,
+    cell_laplacian_symbol,
+    cell_transform,
+    ch_inv_symbol,
+    ch_residual,
+    face_inverse,
+    face_transform,
+    helmholtz_inv_symbol,
+    helmholtz_residual,
     project,
-    solve_ch_system,
-    solve_velocity_helmholtz,
 )
 from .errors import SingularSystemError
 from .grid import (
@@ -53,8 +68,6 @@ from .grid import (
     advect_scalar,
     advect_velocity,
     chemical_force,
-    dot_cell,
-    dot_face,
     grad_cell_to_face,
     lap_cell,
 )
@@ -63,10 +76,9 @@ from .model import PhysParams, SavState, SchemeState, potential_f_prime, sqrt_au
 __all__ = [
     "XiSystem",
     "ExplicitTerms",
-    "FirstOrderSubsteps",
     "explicit_terms",
-    "ch_substeps",
-    "velocity_substeps",
+    "phase_families",
+    "velocity_families",
     "assemble_xi_system",
     "solve_xi",
     "decoupled_step",
@@ -86,17 +98,6 @@ class XiSystem:
     b0: float
     b1: float
     b2: float
-
-
-@dataclass
-class FirstOrderSubsteps:
-    phi0: CellField
-    mu0: CellField
-    phi1: CellField
-    mu1: CellField
-    ut0: MacVector
-    ut1: MacVector
-    ut2: MacVector
 
 
 @dataclass
@@ -123,71 +124,67 @@ def explicit_terms(fields, params: PhysParams) -> ExplicitTerms:
     )
 
 
-def _collect(reports, new):
-    if reports is not None:
-        reports.extend(new)
-
-
-def ch_substeps(lag, terms: ExplicitTerms, params: PhysParams, k: float, tol: float = 1e-11, reports=None):
-    """Phase substeps at effective step k: (phi0, mu0) carries lag.phi,
-    (phi1, mu1) carries the explicit advection and potential terms; the third
-    family is identically zero and is not materialized."""
-    spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
-    ge = params.gamma_eff
-
-    phi0, rep0 = solve_ch_system(spec, lag.phi, tol=tol)
-    mu0 = -1.0 * lap_cell(phi0) + ge * phi0
-
-    rhs1 = (params.mobility * k) * lap_cell(terms.f_prime) - k * terms.adv
-    phi1, rep1 = solve_ch_system(spec, rhs1, tol=tol)
-    mu1 = -1.0 * lap_cell(phi1) + ge * phi1 + terms.f_prime
-
-    _collect(reports, [rep0, rep1])
-    return (phi0, mu0), (phi1, mu1)
-
-
-def velocity_substeps(lag, terms: ExplicitTerms, params: PhysParams, k: float, tol: float = 1e-11,
-                      reports=None):
-    """Intermediate velocities: (I - nu k lap) u~_i = rhs_i with no-slip walls,
-    family 0 driven by lag.u - k grad lag.p."""
-    spec = HelmholtzSpec(visc_dt=params.viscosity * k)
-
-    ut0, rep0 = solve_velocity_helmholtz(spec, lag.u - k * grad_cell_to_face(lag.p), tol=tol)
-    ut1, rep1 = solve_velocity_helmholtz(spec, k * terms.chem, tol=tol)
-    ut2, rep2 = solve_velocity_helmholtz(spec, (-k) * terms.conv, tol=tol)
-
-    _collect(reports, [rep0, rep1, rep2])
-    return ut0, ut1, ut2
-
-
-def assemble_xi_system(lag, sub: FirstOrderSubsteps, terms: ExplicitTerms, params: PhysParams, k: float,
+def assemble_xi_system(lag, ch_pairs, vel_pairs, sq: float, params: PhysParams, k: float,
                        t_new: float) -> XiSystem:
     """Form the 2x2 system for (xi1, xi2) from the auxiliary-variable updates
-    at effective step k, with the history lag.r, lag.q and lag.phi.
-
-    All inner products use the same cell/face quadratures as the field
-    equations, which is what makes the energy cancellations exact.
-    """
-    sq, f_prime, adv, chem, conv = terms.sq, terms.f_prime, terms.adv, terms.chem, terms.conv
+    at effective step k, with the history lag.r and lag.q and the pairings
+    of phase_families and velocity_families.  They are the same cell/face
+    quadratures as the field equations, which makes the energy cancellations
+    exact."""
+    f_dphi0, f_phi1, mu0_adv, mu1_adv = ch_pairs
+    ut_chem, conv_ut = vel_pairs
     e_pos = exp(t_new / params.horizon)
     e_neg = exp(-t_new / params.horizon)
     half = 0.5 / sq
-
-    a0 = lag.r / k + half * (
-        dot_cell(f_prime, sub.phi0 - lag.phi) / k
-        + dot_cell(sub.mu0, adv)
-        - dot_face(sub.ut0, chem)
-    )
-    a1 = sq / k - half * (
-        dot_cell(f_prime, sub.phi1) / k
-        + dot_cell(sub.mu1, adv)
-        - dot_face(sub.ut1, chem)
-    )
-    a2 = half * dot_face(sub.ut2, chem)
-    b0 = lag.q / k + e_pos * dot_face(conv, sub.ut0)
-    b1 = -e_pos * dot_face(conv, sub.ut1)
-    b2 = e_neg / k + e_neg / params.horizon - e_pos * dot_face(conv, sub.ut2)
+    a0 = lag.r / k + half * (f_dphi0 / k + mu0_adv - ut_chem[0])
+    a1 = sq / k - half * (f_phi1 / k + mu1_adv - ut_chem[1])
+    a2 = half * ut_chem[2]
+    b0 = lag.q / k + e_pos * conv_ut[0]
+    b1 = -e_pos * conv_ut[1]
+    b2 = e_neg / k + e_neg / params.horizon - e_pos * conv_ut[2]
     return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
+
+
+def _wsum(weight, a, b) -> float:
+    return float(np.einsum("ij,ij,ij->", weight, a, b))  # sum(weight * a * b), no temporaries
+
+
+def phase_families(lag, terms: ExplicitTerms, spec: ChOperatorSpec, k: float):
+    """DCT coefficients of the phase families phi0 (carrying lag.phi) and
+    phi1 (carrying k(M lap F' - adv)), and their pairings ((F', phi0 - phi*),
+    (F', phi1), (mu0, adv), (mu1, adv)), with mu_i = (gamma_eff - lam) phi_i
+    (+ F' for family 1).  A pairing is taken once its factors exist, so only
+    the two family arrays outlive the call."""
+    g = lag.phi.grid
+    inv, lam, ge = ch_inv_symbol(g, spec), cell_laplacian_symbol(g), spec.gamma_eff
+    f_hat, adv_hat = cell_transform(terms.f_prime.data), cell_transform(terms.adv.data)
+    phi1 = (spec.mobility_dt * lam) * f_hat
+    phi1 -= k * adv_hat
+    phi1 *= inv
+    f_phi1 = float(np.vdot(f_hat, phi1))
+    mu1_adv = ge * float(np.vdot(phi1, adv_hat)) - _wsum(lam, phi1, adv_hat) + float(np.vdot(f_hat, adv_hat))
+    lag_hat = cell_transform(lag.phi.data)
+    phi0 = inv * lag_hat
+    f_dphi0 = float(np.vdot(f_hat, phi0 - lag_hat))
+    mu0_adv = ge * float(np.vdot(phi0, adv_hat)) - _wsum(lam, phi0, adv_hat)
+    return phi0, phi1, tuple(g.cell_area * x for x in (f_dphi0, f_phi1, mu0_adv, mu1_adv))
+
+
+def velocity_families(rhs0: MacVector, terms: ExplicitTerms, spec: HelmholtzSpec, k: float):
+    """Face coefficients of rhs0, chem and conv, and the pairings
+    ((u~_i, chem), (conv, u~_i)) of u~_0 = H^-1 rhs0, u~_1 = H^-1 (k chem)
+    and u~_2 = H^-1 (-k conv): H is symmetric, so five sums weighted by its
+    inverse symbol give all six."""
+    g = rhs0.grid
+    sym = helmholtz_inv_symbol(g, spec)
+    hats = w_hat, c_hat, v_hat = face_transform(rhs0), face_transform(terms.chem), face_transform(terms.conv)
+
+    def pair(a, b):
+        return g.cell_area * (_wsum(sym[0], a[0], b[0]) + _wsum(sym[1], a[1], b[1]))
+
+    cv = pair(c_hat, v_hat)
+    return hats, ((pair(w_hat, c_hat), k * pair(c_hat, c_hat), -k * cv),
+                  (pair(v_hat, w_hat), k * cv, -k * pair(v_hat, v_hat)))
 
 
 def solve_xi(sys: XiSystem):
@@ -210,9 +207,10 @@ def _zero_mean(p: CellField) -> CellField:
 
 def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float = 1e-12,
                    tol_helmholtz: float = 1e-11, reports=None) -> SchemeState:
-    """The step both orders share: substeps at effective step k from the
-    lagged level lag (phi, u, p, r, q), explicit terms at the extrapolated
-    level bar (phi, mu, u), the 2x2 recombination and one projection.
+    """The step both orders share: the substep families at effective step k
+    from the lagged level lag (phi, u, p, r, q), explicit terms at the
+    extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
+    transform and one residual check per operator, and one projection.
 
     The returned pressure is lag.p + psi, before the caller's own correction
     and zero-mean normalization.
@@ -220,17 +218,41 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     if k <= 0:
         raise ValueError("dt must be positive")
     terms = explicit_terms(bar, params)
+    g = lag.phi.grid
+    ch_spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
+    h_spec = HelmholtzSpec(visc_dt=params.viscosity * k)
 
-    (phi0, mu0), (phi1, mu1) = ch_substeps(lag, terms, params, k, tol=tol_helmholtz, reports=reports)
-    ut0, ut1, ut2 = velocity_substeps(lag, terms, params, k, tol=tol_helmholtz, reports=reports)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    xi1, xi2 = solve_xi(assemble_xi_system(lag, sub, terms, params, k, t_new))
+    phi_hat, phi1_hat, ch_pairs = phase_families(lag, terms, ch_spec, k)
+    rhs_u = lag.u - k * grad_cell_to_face(lag.p)
+    (w_hat, c_hat, v_hat), vel_pairs = velocity_families(rhs_u, terms, h_spec, k)
+    xi1, xi2 = solve_xi(assemble_xi_system(lag, ch_pairs, vel_pairs, terms.sq, params, k, t_new))
 
-    ut_new = ut0 + xi1 * ut1 + xi2 * ut2
-    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)
+    # recombine on coefficients, then one inverse transform and one residual check per
+    # operator; arrays are dropped once used, as the step sets a run's peak memory
+    phi_hat += xi1 * phi1_hat
+    del phi1_hat
+    phi = CellField(g, cell_inverse(phi_hat))
+    del phi_hat
+    ch_report = ch_residual(ch_spec, phi, lag.phi + xi1 * ((params.mobility * k) * lap_cell(terms.f_prime)
+                                                           - k * terms.adv), tol_helmholtz)
+    mu = -1.0 * lap_cell(phi) + params.gamma_eff * phi + xi1 * terms.f_prime
+    for w, c, v, s in zip(w_hat, c_hat, v_hat, helmholtz_inv_symbol(g, h_spec)):
+        w += (xi1 * k) * c
+        w -= (xi2 * k) * v
+        w *= s
+    del c_hat, v_hat
+    ut_new = face_inverse(g, w_hat)
+    del w_hat
+    for a, c, v in ((rhs_u.u, terms.chem.u, terms.conv.u), (rhs_u.v, terms.chem.v, terms.conv.v)):
+        a += (xi1 * k) * c  # the right-hand side of u~, built in place
+        a -= (xi2 * k) * v
+    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz)
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
-    return SchemeState(t=t_new, phi=phi0 + xi1 * phi1, mu=mu0 + xi1 * mu1, u=u_new, u_tilde=ut_new,
-                       p=lag.p + psi, sav=sav)
+    del rhs_u, terms
+    if reports is not None:
+        reports.extend([ch_report, h_report])
+    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)
+    return SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav)
 
 
 def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = 1e-12,

@@ -29,6 +29,7 @@ immutable values after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -459,7 +460,11 @@ def read_field_csv(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = (line for line in fh if line.split("#", 1)[0].strip())  # what loadtxt would parse
+            first = next(rows, None)
+            if first is None:
+                raise InputDataError(f"{path}: no data rows after the header")
+            values = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2)
     except ValueError as exc:  # undecodable bytes or an unparsable row
         raise InputDataError(f"{path}: unreadable snapshot: {exc}") from exc
     parts = header.lstrip("#").strip().split(",")
@@ -486,7 +491,7 @@ def write_field_bin(path, grid: GridSpec, kind: str, values: np.ndarray):
 
 
 def read_field_bin(path):
-    """Returns (nx, ny, hx, hy, kind, values)."""
+    """Returns (nx, ny, hx, hy, x0, y0, kind, values)."""
     raw = np.fromfile(path, dtype="<f8")
     extra = os.path.getsize(path) - raw.nbytes  # fromfile drops a partial trailing value
     if extra:
@@ -501,4 +506,4 @@ def read_field_bin(path):
     body = raw[8:]
     if body.size != shape[0] * shape[1]:
         raise DimensionMismatchError(f"{path}: payload size {body.size} != {shape[0] * shape[1]}")
-    return nx, ny, hx, hy, kind, _finite(path, body.reshape(shape))
+    return nx, ny, hx, hy, float(raw[5]), float(raw[6]), kind, _finite(path, body.reshape(shape))

@@ -85,9 +85,9 @@ def sqrt_aux_energy(phi: CellField, params: PhysParams) -> float:
     return float(np.sqrt(val))
 
 
-def chemical_potential(phi: CellField, params: PhysParams, sav_ratio: float = 1.0) -> CellField:
-    """mu = -lap(phi) + gamma_eff*phi + sav_ratio*F'(phi)."""
-    return -1.0 * lap_cell(phi) + params.gamma_eff * phi + sav_ratio * potential_f_prime(phi, params)
+def chemical_potential(phi: CellField, params: PhysParams) -> CellField:
+    """mu = -lap(phi) + gamma_eff*phi + F'(phi)."""
+    return -1.0 * lap_cell(phi) + params.gamma_eff * phi + potential_f_prime(phi, params)
 
 
 @dataclass
@@ -156,7 +156,7 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector, p: Cel
     grid = phi.grid
     if p is None:
         p = CellField.zeros(grid)
-    mu = chemical_potential(phi, params, sav_ratio=1.0)
+    mu = chemical_potential(phi, params)
     r0 = sqrt_aux_energy(phi, params)
     return SchemeState(t=t, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=p, sav=SavState(r=r0, q=1.0))
 

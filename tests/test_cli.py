@@ -286,6 +286,26 @@ def test_snapshot_from_another_domain_is_a_config_error(tmp_path):
     assert _simulate_from(paths, tmp_path / "out") == EXIT_OK
 
 
+def test_bin_snapshot_from_another_origin_is_a_config_error(tmp_path):
+    """Same cell count and spacing, but the .bin header records the domain
+    [0.5, 1.5] x [0, 1]."""
+    paths = _rest_snapshots(tmp_path)
+    write_field_bin(paths["init_phi"], GridSpec(8, 8, x0=0.5, x1=1.5), "cell", np.full((8, 8), 0.5))
+    assert read_field_bin(paths["init_phi"])[4:6] == (0.5, 0.0)
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "# 9,8,0.125,0.125,face_u\n", "# 9,8,0.125,0.125,face_u\n\n# note\n  \n"])
+def test_csv_snapshot_without_data_rows_is_a_config_error(tmp_path, text):
+    paths = _rest_snapshots(tmp_path)
+    paths["init_u"].write_text(text)
+    with pytest.raises(InputDataError, match="no data rows"):
+        read_field_csv(paths["init_u"])
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
 def test_nan_field_value_rejected_at_load(tmp_path):
     paths = _rest_snapshots(tmp_path)
     _patch_bin(paths["init_phi"], 8 + 20, np.nan)  # a payload value

@@ -205,8 +205,9 @@ def test_energy_audit_detects_broken_pairing(scheme, monkeypatch):
     """Negative control: corrupting the velocity/chemical-force pairing must
     trip the decay audit, proving the monitor sees broken cancellations.
 
-    The 2x2 system is handed mu grad phi scaled by 1.5 while the velocity
-    substeps keep the true one; chem enters only the pairings of the r row."""
+    The 2x2 system is handed the pairings (u~_i, mu grad phi) scaled by 1.5
+    while the velocity solve keeps the true mu grad phi; they enter only the
+    r row."""
     g = GridSpec(32, 32)
     p = PhysParams()
     s0 = initial_state(g, p)
@@ -215,8 +216,9 @@ def test_energy_audit_detects_broken_pairing(scheme, monkeypatch):
 
     assemble = first_order.assemble_xi_system
 
-    def mis_weighted(lag, sub, terms, *rest):
-        return assemble(lag, sub, replace(terms, chem=1.5 * terms.chem), *rest)
+    def mis_weighted(lag, ch_pairs, vel_pairs, *rest):
+        ut_chem, conv_ut = vel_pairs
+        return assemble(lag, ch_pairs, (tuple(1.5 * x for x in ut_chem), conv_ut), *rest)
 
     monkeypatch.setattr(first_order, "assemble_xi_system", mis_weighted)
     corrupted = simulate_run(scheme, s0, p, 0.01, 10)

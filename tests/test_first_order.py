@@ -1,20 +1,34 @@
 """First-order stepper: substep algebra, the 2x2 recombination system, the
 monolithic dense oracle, and structural invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from chns.elliptic import project
+from chns.elliptic import (
+    ChOperatorSpec,
+    HelmholtzSpec,
+    cell_inverse,
+    cell_laplacian_symbol,
+    cell_transform,
+    face_inverse,
+    helmholtz_inv_symbol,
+    project,
+    solve_ch_system,
+    solve_velocity_helmholtz,
+)
 from chns.errors import SingularSystemError, StateError
 from chns.first_order import (
-    FirstOrderSubsteps,
+    ExplicitTerms,
     XiSystem,
     assemble_xi_system,
-    ch_substeps,
     explicit_terms,
+    phase_families,
     solve_xi,
     step_first_order,
-    velocity_substeps,
+    velocity_families,
 )
 from chns.grid import (
     CellField,
@@ -22,6 +36,10 @@ from chns.grid import (
     MacVector,
     chemical_force,
     div_face_to_cell,
+    dot_cell,
+    dot_face,
+    grad_cell_to_face,
+    lap_cell,
     norm_l2_cell,
     norm_l2_face,
 )
@@ -34,7 +52,15 @@ from chns.model import (
     potential_f_prime,
     state_from_fields,
 )
-from oracle_tools import loop_dot_cell, loop_dot_face, monolithic_first_order, three_projection_first_order
+from chns.second_order import bootstrap, step_second_order
+from oracle_tools import (
+    _bdf1_substeps,
+    loop_dot_cell,
+    loop_dot_face,
+    monolithic_first_order,
+    three_projection_first_order,
+    three_projection_second_order,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -108,11 +134,31 @@ def test_degenerate_aux_energy_raises():
 # ---------------------------------------------------------------------------
 
 
+def phase_substeps(state, p, dt):
+    """(phi0, mu0), (phi1, mu1) in physical space, from the step's DCT coefficients."""
+    terms = explicit_terms(state, p)
+    g = state.phi.grid
+    phi0_hat, phi1_hat, _ = phase_families(state, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
+    mu = p.gamma_eff - cell_laplacian_symbol(g)  # the symbol of -lap + gamma_eff
+    return ((CellField(g, cell_inverse(phi0_hat)), CellField(g, cell_inverse(mu * phi0_hat))),
+            (CellField(g, cell_inverse(phi1_hat)),
+             CellField(g, cell_inverse(mu * phi1_hat + cell_transform(terms.f_prime.data)))))
+
+
+def spectral_xi_system(state, p, dt):
+    """The 2x2 system the step forms from its transform-space pairings."""
+    terms = explicit_terms(state, p)
+    _, _, ch_pairs = phase_families(state, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
+    rhs0 = state.u - dt * grad_cell_to_face(state.p)
+    _, vel_pairs = velocity_families(rhs0, terms, HelmholtzSpec(p.viscosity * dt), dt)
+    return assemble_xi_system(state, ch_pairs, vel_pairs, terms.sq, p, dt, state.t + dt)
+
+
 def test_ch_substeps_constant_phi():
     g = GridSpec(8, 8)
     p = reference_params()
     state = rest_state(g, p, 0.4)
-    (phi0, _), (phi1, mu1) = ch_substeps(state, explicit_terms(state, p), p, 0.01)
+    (phi0, _), (phi1, mu1) = phase_substeps(state, p, 0.01)
     fp = potential_f_prime(state.phi, p)
     assert norm_l2_cell(phi1) <= 1e-12
     assert np.allclose(mu1.data, fp.data, atol=1e-11)
@@ -123,7 +169,7 @@ def test_ch_substeps_dt_to_zero():
     g = GridSpec(16, 16)
     p = reference_params()
     state = initial_state(g, p)
-    (phi0, _), (phi1, _) = ch_substeps(state, explicit_terms(state, p), p, 1e-10)
+    (phi0, _), (phi1, _) = phase_substeps(state, p, 1e-10)
     assert norm_l2_cell(phi0 - state.phi) <= 1e-6 * norm_l2_cell(state.phi)
     assert norm_l2_cell(phi1) <= 1e-6
 
@@ -132,10 +178,14 @@ def test_velocity_substeps_trivial_cases():
     g = GridSpec(8, 8)
     p = reference_params()
     state = rest_state(g, p, 0.4)  # constant phi, zero velocity, zero pressure
-    ut0, ut1, ut2 = velocity_substeps(state, explicit_terms(state, p), p, 0.01)
+    spec = HelmholtzSpec(p.viscosity * 0.01)
+    hats, (ut_chem, conv_ut) = velocity_families(state.u, explicit_terms(state, p), spec, 0.01)
+    sym = helmholtz_inv_symbol(g, spec)
+    ut0, ut1, ut2 = (face_inverse(g, [s * c for s, c in zip(sym, hat)]) for hat in hats)
     assert norm_l2_face(ut0) <= 1e-13
     assert norm_l2_face(ut1) <= 1e-13  # mu grad phi = 0 for constant phi
     assert norm_l2_face(ut2) <= 1e-13
+    assert ut_chem == conv_ut == (0.0, 0.0, 0.0)
 
 
 def test_project_divergence_free_input_unchanged():
@@ -186,11 +236,7 @@ def test_xi_system_diagonal_at_rest():
     p = reference_params()
     dt = 0.01
     state = rest_state(g, p, 0.4)
-    terms = explicit_terms(state, p)
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, terms, p, dt)
-    ut0, ut1, ut2 = velocity_substeps(state, terms, p, dt)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    sys = assemble_xi_system(state, sub, terms, p, dt, state.t + dt)
+    sys = spectral_xi_system(state, p, dt)
     assert sys.a2 == 0.0 and sys.b1 == 0.0
     t1 = state.t + dt
     expected_b2 = np.exp(-t1 / p.horizon) * (1.0 / dt + 1.0 / p.horizon)
@@ -201,15 +247,14 @@ def test_xi_system_diagonal_at_rest():
 
 
 def test_xi_system_matches_loop_assembly():
+    """The transform-space system equals loop quadratures of the physical-space substeps."""
     g = GridSpec(6, 6)
     p = reference_params()
     dt = 0.02
     state = messy_state(g, p)
-    terms = explicit_terms(state, p)
-    (phi0, mu0), (phi1, mu1) = ch_substeps(state, terms, p, dt)
-    ut0, ut1, ut2 = velocity_substeps(state, terms, p, dt)
-    sub = FirstOrderSubsteps(phi0, mu0, phi1, mu1, ut0, ut1, ut2)
-    sys = assemble_xi_system(state, sub, terms, p, dt, state.t + dt)
+    sys = spectral_xi_system(state, p, dt)
+    sub = _bdf1_substeps(state, p, dt, explicit_terms(state, p))
+    phi0, mu0, phi1, mu1, ut0, ut1, ut2 = sub.phi0, sub.mu0, sub.phi1, sub.mu1, sub.ut0, sub.ut1, sub.ut2
 
     from chns.grid import advect_scalar, advect_velocity
 
@@ -234,6 +279,75 @@ def test_xi_system_matches_loop_assembly():
 
     for got, want in ((sys.a0, a0), (sys.a1, a1), (sys.a2, a2), (sys.b0, b0), (sys.b1, b1), (sys.b2, b2)):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 20), ny=st.integers(4, 20), k=st.floats(1e-4, 0.1), mobility=st.floats(1e-4, 1.0),
+       viscosity=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_spectral_pairings_equal_physical_quadratures(nx, ny, k, mobility, viscosity, seed):
+    """Parseval: each pairing the step takes on transform coefficients equals
+    dot_cell/dot_face of the physical-space solves, to 1e-13 of the rounding
+    scale of the quadrature (the norms of its factors, or of their terms)."""
+    assume(nx != ny)
+    g = GridSpec(nx, ny)
+    rng = np.random.default_rng(seed)
+    p = reference_params(mobility=mobility, viscosity=viscosity)
+
+    def cell():
+        return CellField(g, rng.standard_normal((nx, ny)))
+
+    def face():  # zero wall entries, as every velocity right-hand side has
+        w = MacVector(g, rng.standard_normal((nx + 1, ny)), rng.standard_normal((nx, ny + 1)))
+        w.u[[0, -1], :] = 0.0
+        w.v[:, [0, -1]] = 0.0
+        return w
+
+    lag = SimpleNamespace(phi=cell())
+    terms = ExplicitTerms(sq=1.0, f_prime=cell(), adv=cell(), chem=face(), conv=face())
+    rhs0 = face()
+    ch_spec, h_spec = ChOperatorSpec(mobility * k, p.gamma_eff), HelmholtzSpec(viscosity * k)
+    _, _, (f_dphi0, f_phi1, mu0_adv, mu1_adv) = phase_families(lag, terms, ch_spec, k)
+    _, (ut_chem, conv_ut) = velocity_families(rhs0, terms, h_spec, k)
+
+    fp, adv = terms.f_prime, terms.adv
+    phi0, _ = solve_ch_system(ch_spec, lag.phi)
+    phi1, _ = solve_ch_system(ch_spec, (mobility * k) * lap_cell(fp) - k * adv)
+    mu0 = -1.0 * lap_cell(phi0) + p.gamma_eff * phi0
+    mu1_lin = -1.0 * lap_cell(phi1) + p.gamma_eff * phi1
+    uts = [solve_velocity_helmholtz(h_spec, rhs)[0] for rhs in (rhs0, k * terms.chem, (-k) * terms.conv)]
+
+    cn, fn = norm_l2_cell, norm_l2_face
+    checks = [
+        (f_dphi0, dot_cell(fp, phi0 - lag.phi), cn(fp) * (cn(phi0) + cn(lag.phi))),
+        (f_phi1, dot_cell(fp, phi1), cn(fp) * cn(phi1)),
+        (mu0_adv, dot_cell(mu0, adv), cn(mu0) * cn(adv)),
+        (mu1_adv, dot_cell(mu1_lin + fp, adv), (cn(mu1_lin) + cn(fp)) * cn(adv)),
+    ]
+    for i, ut in enumerate(uts):
+        checks.append((ut_chem[i], dot_face(ut, terms.chem), fn(ut) * fn(terms.chem)))
+        checks.append((conv_ut[i], dot_face(terms.conv, ut), fn(ut) * fn(terms.conv)))
+    for got, want, scale in checks:
+        assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_step_matches_physical_space_composition(scheme):
+    """One step of either order, recombined in transform space, equals the
+    oracle's physical-space solves and quadratures on a non-square grid."""
+    g = GridSpec(16, 12)
+    p = reference_params()
+    dt = 0.01
+    state = messy_state(g, p, rng=np.random.default_rng(7))
+    if scheme == "msav1":
+        got, ref = step_first_order(state, p, dt), three_projection_first_order(state, p, dt)
+    else:
+        state = bootstrap(state, p, dt)
+        got, ref = step_second_order(state, p, dt), three_projection_second_order(state, p, dt)
+    for name, norm in (("phi", norm_l2_cell), ("mu", norm_l2_cell), ("u_tilde", norm_l2_face),
+                       ("u", norm_l2_face), ("p", norm_l2_cell)):
+        assert norm(getattr(got, name) - getattr(ref, name)) <= 1e-12 * norm(getattr(ref, name)), name
+    assert abs(got.r - ref.r) <= 1e-12 * abs(ref.r)
+    assert abs(got.q - ref.q) <= 1e-12 * abs(ref.q)
 
 
 def test_solve_xi_closed_forms():
@@ -370,5 +484,5 @@ def test_reports_collected():
     state = initial_state(g, p)
     reports = []
     step_first_order(state, p, 0.01, reports=reports)
-    assert len(reports) == 6  # 2 phase + 3 helmholtz + 1 poisson
+    assert len(reports) == 3  # 1 phase + 1 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)

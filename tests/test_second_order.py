@@ -171,7 +171,7 @@ def test_reports_collected():
     st2 = bootstrap(initial_state(g, p), p, 0.01)
     reports = []
     step_second_order(st2, p, 0.01, reports=reports)
-    assert len(reports) == 6  # 2 phase + 3 helmholtz + 1 poisson
+    assert len(reports) == 3  # 1 phase + 1 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)
 
 
