@@ -67,7 +67,6 @@ from .diagnostics import (
     audit_step,
     cauchy_ladder,
     energy2_report,
-    kinetic_energy,
     mass,
     modified_energy,
     observed_rate,

@@ -23,8 +23,11 @@ Recognized keys (all optional, defaults are the reference benchmark):
     init                paper5 | files
     init_phi, init_u, init_v   snapshot paths when init=files (.csv or .bin)
 
-Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
-system, 5 audit violation.
+Exit codes: 0 ok, 2 config error (every value, each ladder dt and
+gamma + beta/epsilon^2 > 0 are checked before the first step), 3 solver
+failure, 4 singular recombination system, 5 audit violation (simulate and
+audit share one run function and write every file first).  main alone maps
+errors to them, naming the step and dt of a failure inside a run.
 """
 
 from __future__ import annotations
@@ -43,15 +46,7 @@ from .diagnostics import (
     write_table_csv,
 )
 from .elliptic import set_fft_workers
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DimensionMismatchError,
-    InputDataError,
-    SingularSystemError,
-    SolverConvergenceError,
-    StateError,
-)
+from .errors import ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError
 from .grid import (
     CellField,
     GridSpec,
@@ -265,43 +260,49 @@ def _write_state_snapshots(outdir, grid, state, label):
 # ---------------------------------------------------------------------------
 
 
+def _run(cfg: RunConfig, state0, dt, n_steps, snapshot_every, csv_name):
+    """Step the audited run at dt from state0, writing field snapshots every
+    snapshot_every levels (0 = never) and then the audit rows to csv_name in
+    outdir; returns the rows and the final state."""
+    rows, state = [], state0
+    for k, state, step_rows in iterate_with_audits(
+        cfg.scheme, state0, cfg.params, dt, n_steps,
+        tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz,
+    ):
+        rows.extend(step_rows)
+        if snapshot_every and k % snapshot_every == 0:
+            _write_state_snapshots(cfg.outdir, cfg.grid, state, f"{k:06d}")
+    write_audit_csv(os.path.join(cfg.outdir, csv_name), rows)
+    return rows, state
+
+
+def _verdict(runs) -> int:
+    """EXIT_AUDIT, naming the dt and t of the first (dt, row) of runs that
+    breaks the energy law, or EXIT_OK."""
+    for dt, row in runs:
+        if not row.passed:
+            print(f"AUDIT VIOLATION at dt={dt:g}, t={row.t:.6g}: "
+                  f"defect {row.decay_defect:.3e} > slack {row.slack:.3e}", file=sys.stderr)
+            return EXIT_AUDIT
+    print("energy audit passed")
+    return EXIT_OK
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     n_steps = steps_for(cfg.t_final, cfg.dt)
     state0 = _load_initial_state(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
 
-    audits = []
-    stepper = iterate_with_audits(
-        cfg.scheme, state0, cfg.params, cfg.dt, n_steps,
-        tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz,
-    )
-    k_done = 0
-    final = state0
-    try:
-        for k, new, step_audits in stepper:
-            audits.extend(step_audits)
-            if cfg.snapshot_every and k % cfg.snapshot_every == 0:
-                _write_state_snapshots(cfg.outdir, cfg.grid, new, f"{k:06d}")
-            k_done = k
-            final = new
-    except SingularSystemError as exc:
-        print(f"step {k_done + 1} failed: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (SolverConvergenceError, CompatibilityError, InputDataError, StateError) as exc:
-        print(f"step {k_done + 1} failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    write_audit_csv(os.path.join(cfg.outdir, "audit.csv"), audits)
+    rows, final = _run(cfg, state0, cfg.dt, n_steps, cfg.snapshot_every, "audit.csv")
     _write_state_snapshots(cfg.outdir, cfg.grid, final, "final")
     write_field_bin(os.path.join(cfg.outdir, "phi_final.bin"), cfg.grid, "cell", final.phi.data)
     write_field_bin(os.path.join(cfg.outdir, "u_final.bin"), cfg.grid, "face_u", final.u.u)
     write_field_bin(os.path.join(cfg.outdir, "v_final.bin"), cfg.grid, "face_v", final.u.v)
-    worst = max((a.decay_defect for a in audits), default=float("-inf"))
     print(
-        f"{cfg.scheme}: {n_steps} steps of dt={cfg.dt:g} done; "
-        f"final Etilde={audits[-1].Etilde:.12g}; worst decay defect {worst:.3e}"
+        f"{cfg.scheme}: {n_steps} steps of dt={cfg.dt:g} done; final Etilde={rows[-1].Etilde:.12g}; "
+        f"worst decay defect {max(a.decay_defect for a in rows):.3e}"
     )
-    return EXIT_OK
+    return _verdict((cfg.dt, row) for row in rows)
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -332,43 +333,19 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    ladder = cfg.ladder or _AUDIT_LADDER
+    ladder = [(dt, steps_for(cfg.t_final, dt)) for dt in cfg.ladder or _AUDIT_LADDER]
     state0 = _load_initial_state(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
 
-    worst = float("-inf")
-    worst_at = None
-    violation = None
-    for dt in ladder:
-        n_steps = steps_for(cfg.t_final, dt)
-        audits = []
-        stepper = iterate_with_audits(
-            cfg.scheme, state0, cfg.params, dt, n_steps,
-            tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz,
-        )
-        for k, new, step_audits in stepper:
-            audits.extend(step_audits)
-            for audit in step_audits:
-                if audit.decay_defect > worst:
-                    worst, worst_at = audit.decay_defect, (dt, k)
-                if not audit.passed and violation is None:
-                    violation = (dt, k, audit.decay_defect, audit.slack)
-        write_audit_csv(os.path.join(cfg.outdir, f"audit_dt_{dt:g}.csv"), audits)
-        print(
-            f"{cfg.scheme} dt={dt:g}: {n_steps} steps, "
-            f"worst defect {max(a.decay_defect for a in audits):.3e}"
-        )
+    runs = []
+    for dt, n_steps in ladder:
+        rows, _ = _run(cfg, state0, dt, n_steps, 0, f"audit_dt_{dt:g}.csv")
+        print(f"{cfg.scheme} dt={dt:g}: {n_steps} steps, worst defect {max(a.decay_defect for a in rows):.3e}")
+        runs.extend((dt, row) for row in rows)
 
-    print(f"overall worst decay defect {worst:.3e} at dt={worst_at[0]:g}, step {worst_at[1]}")
-    if violation is not None:
-        dt, k, defect, slack = violation
-        print(
-            f"AUDIT VIOLATION at dt={dt:g}, step {k}: defect {defect:.3e} > slack {slack:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_AUDIT
-    print("energy audit passed")
-    return EXIT_OK
+    dt, worst = max(runs, key=lambda run: run[1].decay_defect)
+    print(f"overall worst decay defect {worst.decay_defect:.3e} at dt={dt:g}, t={worst.t:.6g}")
+    return _verdict(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +385,22 @@ def _gather_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
+    # looked up per call, so a cmd_* wrapped at module level (by a tracer) is the one run
+    commands = {"simulate": cmd_simulate, "converge": cmd_converge, "audit": cmd_audit}
     try:
         cfg = _gather_config(args)
         set_fft_workers(args.threads)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        return cmd_audit(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SingularSystemError as exc:
-        print(f"singular recombination system: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (SolverConvergenceError, CompatibilityError, InputDataError, StateError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return commands[args.command](cfg)
+    except ChnsError as exc:
+        if isinstance(exc, ConfigError):
+            code, kind = EXIT_CONFIG, "config error"
+        elif isinstance(exc, SingularSystemError):
+            code, kind = EXIT_SINGULAR, "singular recombination system"
+        else:
+            code, kind = EXIT_SOLVER, "solver failure"
+        where = "" if exc.step is None else f" at step {exc.step} of dt={exc.dt:g}"
+        print(f"{kind}{where}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from math import log2, sqrt
 
 import numpy as np
 
+from .errors import ChnsError
 from .first_order import step_first_order
 from .grid import (
     CellField,
@@ -56,7 +57,6 @@ __all__ = [
     "EnergyAudit",
     "AUDIT_COLUMNS",
     "mass",
-    "kinetic_energy",
     "total_energy",
     "modified_energy",
     "energy2_report",
@@ -82,10 +82,6 @@ __all__ = [
 
 def mass(phi: CellField) -> float:
     return phi.grid.cell_area * float(np.sum(phi.data))
-
-
-def kinetic_energy(u: MacVector) -> float:
-    return 0.5 * dot_face(u, u)
 
 
 def grad_energy_cell(f: CellField) -> float:
@@ -299,20 +295,25 @@ def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
     """Yield (step_index, state, steps) for each level, where steps lists the
     (prev, new, dt, reports) of every step taken to reach it: one for a
     regular level, the first-order substeps of the bootstrap for msav2's
-    level 1 (see second_order.bootstrap)."""
+    level 1 (see second_order.bootstrap).  A ChnsError from a step leaves
+    with the level index and dt recorded on it as step and dt."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
     tols = dict(tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
     # a suspended run holds only its current state: earlier states and the
     # bootstrap substeps live only in the yielded level, and are freed with it
-    state, first, box = state0, 1, []
-    if scheme == "msav2":
-        yield _bootstrap_level(box, state0, params, dt, tols)
-        state, first = box.pop(), 2
-    for k in range(first, n_steps + 1):
-        reports = []
-        yield _level(k, state, (state := step(state, params, dt, reports=reports, **tols)), dt, reports)
+    state, first, box, k = state0, 1, [], 1
+    try:
+        if scheme == "msav2":
+            yield _bootstrap_level(box, state0, params, dt, tols)
+            state, first = box.pop(), 2
+        for k in range(first, n_steps + 1):
+            reports = []
+            yield _level(k, state, (state := step(state, params, dt, reports=reports, **tols)), dt, reports)
+    except ChnsError as exc:
+        exc.step, exc.dt = k, dt
+        raise
 
 
 def iterate_with_audits(

@@ -274,7 +274,7 @@ def _neg_lap_diag(grid: GridSpec):
 def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, iterations, mean_defect=0.0):
     resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
     report = SolveReport(iterations=iterations, residual=resid, mean_defect=mean_defect)
-    if resid > max(tol, 1e-13):
+    if not resid <= max(tol, 1e-13):  # a NaN residual fails too
         raise SolverConvergenceError(report)
     return report
 

@@ -2,7 +2,10 @@
 
 
 class ChnsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  One raised by a run's step
+    carries the step's level index and dt (see diagnostics._iterate)."""
+
+    step = dt = None
 
 
 class DimensionMismatchError(ChnsError):

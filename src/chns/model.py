@@ -55,6 +55,8 @@ class PhysParams:
             raise ValueError("epsilon, mobility, viscosity and horizon must be positive")
         if min(self.gamma, self.beta, self.delta) < 0:
             raise ValueError("gamma, beta and delta must be nonnegative")
+        if self.gamma_eff <= 0:
+            raise ValueError("gamma + beta/epsilon^2 must be positive")
 
     @property
     def gamma_eff(self) -> float:

@@ -24,36 +24,17 @@ accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .first_order import _zero_mean, decoupled_step, step_first_order
-from .grid import CellField, MacVector, div_face_to_cell
+from .grid import div_face_to_cell
 from .model import PhysParams, SavState, SchemeState, SchemeState2
 
 __all__ = [
-    "Extrapolants",
-    "Lagged",
     "bootstrap",
     "extrapolants",
-    "lagged",
     "step_second_order",
 ]
-
-
-@dataclass
-class Extrapolants:
-    phi: CellField
-    mu: CellField
-    u: MacVector
-
-
-@dataclass
-class Lagged:
-    phi: CellField
-    u: MacVector
-    p: CellField
-    r: float
-    q: float
 
 
 def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
@@ -89,34 +70,28 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
                         sav_prev=SavState(state0.sav.r, state0.sav.q), g=g1, H=s1.p + g1)
 
 
-def extrapolants(state: SchemeState2) -> Extrapolants:
+def extrapolants(state: SchemeState2) -> SimpleNamespace:
     """Second-order extrapolation 2x^n - x^{n-1} of phi, mu and u."""
-    return Extrapolants(
+    return SimpleNamespace(
         phi=2.0 * state.phi - state.phi_prev,
         mu=2.0 * state.mu - state.mu_prev,
         u=2.0 * state.u - state.u_prev,
     )
 
 
-def lagged(state: SchemeState2) -> Lagged:
-    """BDF2 history over its leading coefficient: (4x^n - x^{n-1})/3 of phi,
-    u, r and q, and the pressure p^n."""
-    return Lagged(
-        phi=(1.0 / 3.0) * (4.0 * state.phi - state.phi_prev),
-        u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
-        p=state.p,
-        r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
-        q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0,
-    )
-
-
 def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
                       tol_helmholtz: float = 1e-11, reports=None) -> SchemeState2:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
-    and extrapolated levels, then the rotational pressure correction and the
-    g/H bookkeeping."""
-    new = decoupled_step(lagged(state), extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
+    level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
+    pressure p^n, and the extrapolated level, then the rotational pressure
+    correction and the g/H bookkeeping."""
+    lag = SimpleNamespace(phi=(1.0 / 3.0) * (4.0 * state.phi - state.phi_prev), p=state.p,
+                          u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
+                          r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
+                          q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0)
+    new = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
                          tol_poisson, tol_helmholtz, reports)
+    del lag
     nu_div = params.viscosity * div_face_to_cell(new.u_tilde)
     new.p = _zero_mean(new.p - nu_div)
     g_new = state.g + nu_div

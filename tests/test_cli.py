@@ -18,8 +18,11 @@ from chns.cli import (
     parse_config_text,
     steps_for,
 )
-from chns.errors import ConfigError, InputDataError
+from chns import diagnostics, first_order
+from chns.elliptic import SolveReport
+from chns.errors import ConfigError, InputDataError, SingularSystemError, SolverConvergenceError
 from chns.grid import GridSpec, read_field_bin, read_field_csv, write_field_bin, write_field_csv
+from chns.model import PhysParams, initial_state
 
 
 def run_cli(*args):
@@ -332,19 +335,23 @@ _JUNK = ("0", "-1", "nan", "inf", "abc", "1e-300", "0.03")
         st.binary(max_size=3),
         st.booleans(),
     )),
+    no_quadratic=st.booleans(),
 )
 def test_main_returns_an_exit_code_and_never_raises(
-    command, scheme, t_final, steps, horizon, ladder, junk, mutation,
+    command, scheme, t_final, steps, horizon, ladder, junk, mutation, no_quadratic,
 ):
     """Hostile config values and corrupted snapshot bytes end in a documented
     exit code.  dt is t_final over a few steps and the ladder holds dt over
-    1, 2 or 4, so no example runs long; one key may be replaced by junk."""
+    1, 2 or 4, so no example runs long; one key may be replaced by junk, and
+    gamma = beta = 0 leaves the phase operator without its quadratic part."""
     dt = float(t_final) / steps
     sets = {
         "scheme": scheme, "t_final": t_final, "dt": repr(dt), "horizon_T": horizon,
         "ladder": {"halving": f"{dt!r},{dt / 2!r}", "quartering": f"{dt!r},{dt / 4!r}"}.get(ladder, repr(dt)),
         "nx": "8", "ny": "8",
     }
+    if no_quadratic:
+        sets.update(gamma="0", beta="0")
     if junk is not None:
         sets[junk[0]] = junk[1]
     with tempfile.TemporaryDirectory() as root:
@@ -358,3 +365,71 @@ def test_main_returns_an_exit_code_and_never_raises(
             sets.update(init="files", **paths)
         code = run_cli(command, *(arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")))
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_SINGULAR, EXIT_AUDIT)
+
+
+def test_zero_effective_quadratic_coefficient_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="gamma"):
+        build_config({"gamma": "0", "beta": "0"})
+    assert build_config({"gamma": "0"}).params.gamma_eff > 0
+    code = run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", "gamma=0", "--set", "beta=0",
+                   "--set", f"outdir={tmp_path}")
+    assert code == EXIT_CONFIG
+    assert not tmp_path.joinpath("audit.csv").exists()
+
+
+def test_audit_checks_every_ladder_dt_before_the_first_step(tmp_path):
+    code = run_cli("audit", "--set", "nx=8", "--set", "ny=8", "--set", "ladder=0.01,0.03",
+                   "--set", f"outdir={tmp_path}")
+    assert code == EXIT_CONFIG
+    assert not list(tmp_path.glob("audit_dt_*.csv"))
+
+
+def test_simulate_exits_on_an_audit_violation_after_writing_its_files(tmp_path, monkeypatch):
+    """The mis-weighted pairing of test_energy_audit_detects_broken_pairing
+    breaks the energy law; simulate still writes every file, then exits 5."""
+    assemble = first_order.assemble_xi_system
+
+    def mis_weighted(lag, ch_pairs, vel_pairs, *rest):
+        ut_chem, conv_ut = vel_pairs
+        return assemble(lag, ch_pairs, (tuple(1.5 * x for x in ut_chem), conv_ut), *rest)
+
+    monkeypatch.setattr(first_order, "assemble_xi_system", mis_weighted)
+    code = run_cli("simulate", "--set", "nx=32", "--set", "ny=32", "--set", "dt=0.01", "--set", "t_final=0.1",
+                   "--set", f"outdir={tmp_path}")
+    assert code == EXIT_AUDIT
+    assert len((tmp_path / "audit.csv").read_text().splitlines()) == 11
+    for name in ("phi_final.csv", "p_final.csv", "u_final.csv", "v_final.csv",
+                 "phi_final.bin", "u_final.bin", "v_final.bin"):
+        assert (tmp_path / name).exists()
+
+
+_FAILURES = {
+    "solver": (lambda: SolverConvergenceError(SolveReport(iterations=0, residual=1.0)), EXIT_SOLVER),
+    "singular": (lambda: SingularSystemError("injected"), EXIT_SINGULAR),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+@pytest.mark.parametrize("command", ["simulate", "audit", "converge"])
+def test_failed_step_is_named_by_its_index_and_dt(tmp_path, monkeypatch, capsys, command, failure):
+    """A step that fails at level 3 of a run is reported as step 3 of that
+    run's dt; converge's first run to reach level 3 is its finest."""
+    make_error, expected = _FAILURES[failure]
+    step = diagnostics.step_first_order
+    failed_dt = []
+
+    def fails_at_level_3(state, params, dt, **kwargs):
+        if round(state.t / dt) == 2:
+            failed_dt.append(dt)
+            raise make_error()
+        return step(state, params, dt, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "step_first_order", fails_at_level_3)
+    code = run_cli(command, "--set", "nx=8", "--set", "ny=8", "--set", "dt=0.02", "--set", "ladder=0.02",
+                   "--set", f"outdir={tmp_path}")
+    assert code == expected
+    assert failed_dt == [0.01 if command == "converge" else 0.02]
+    assert f"at step 3 of dt={failed_dt[0]:g}:" in capsys.readouterr().err
+    with pytest.raises(type(make_error())) as info:
+        diagnostics.simulate_run("msav1", initial_state(GridSpec(8, 8), PhysParams()), PhysParams(), 0.02, 5)
+    assert (info.value.step, info.value.dt) == (3, 0.02)

@@ -18,7 +18,6 @@ from chns.diagnostics import (
     cauchy_ladder,
     energy2_report,
     iterate_with_audits,
-    kinetic_energy,
     mass,
     modified_energy,
     observed_rate,
@@ -46,7 +45,6 @@ def test_scalar_functionals_closed_forms():
     g = GridSpec(16, 16)
     p = PhysParams()
     state = state_from_fields(p, CellField.zeros(g), MacVector.zeros(g))
-    assert kinetic_energy(state.u) == 0.0
     # E(0,0) = (1+beta)^2/(4 eps^2) - (beta^2+2 beta)/(4 eps^2) = 1/(4 eps^2)
     assert abs(total_energy(state, p) - 1.0 / (4.0 * p.epsilon**2)) <= 1e-10
     phi0 = CellField.from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))

@@ -8,12 +8,14 @@ from chns.elliptic import (
     HelmholtzSpec,
     apply_ch_operator,
     apply_helmholtz_operator,
+    ch_residual,
+    helmholtz_residual,
     project,
     solve_ch_system,
     solve_neumann_poisson,
     solve_velocity_helmholtz,
 )
-from chns.errors import CompatibilityError, InputDataError
+from chns.errors import CompatibilityError, InputDataError, SolverConvergenceError
 from chns.grid import (
     CellField,
     GridSpec,
@@ -246,3 +248,15 @@ def test_solver_roundtrip_residuals_reported():
     assert rep.residual <= 1e-12
     _, rep = solve_velocity_helmholtz(HelmholtzSpec(1e-4), random_rhs_face(g))
     assert rep.residual <= 1e-12
+
+
+def test_residual_checks_reject_a_nan_field():
+    """A NaN residual compares false against any bound; the checks must still fail it."""
+    g = GridSpec(8, 6)
+    phi = CellField.full(g, np.nan)
+    with pytest.raises(SolverConvergenceError):
+        ch_residual(ChOperatorSpec(mobility_dt=1e-3, gamma_eff=1.0), phi, CellField.zeros(g), 1e-11)
+    w = MacVector.zeros(g)
+    w.u[1:-1, :] = np.nan
+    with pytest.raises(SolverConvergenceError):
+        helmholtz_residual(HelmholtzSpec(visc_dt=1e-3), w, MacVector.zeros(g), 1e-11)
