@@ -27,7 +27,8 @@ Exit codes: 0 ok, 2 config error (every value, each ladder dt and
 gamma + beta/epsilon^2 > 0 are checked before the first step), 3 solver
 failure, 4 singular recombination system, 5 audit violation (simulate and
 audit share one run function and write every file first).  main alone maps
-errors to them, naming the step and dt of a failure inside a run.
+errors to them, naming the step and dt of a failure inside a run, whose
+audit CSV keeps the rows of the steps before it.
 """
 
 from __future__ import annotations
@@ -260,19 +261,23 @@ def _write_state_snapshots(outdir, grid, state, label):
 # ---------------------------------------------------------------------------
 
 
-def _run(cfg: RunConfig, state0, dt, n_steps, snapshot_every, csv_name):
-    """Step the audited run at dt from state0, writing field snapshots every
-    snapshot_every levels (0 = never) and then the audit rows to csv_name in
-    outdir; returns the rows and the final state."""
-    rows, state = [], state0
-    for k, state, step_rows in iterate_with_audits(
-        cfg.scheme, state0, cfg.params, dt, n_steps,
-        tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz,
-    ):
-        rows.extend(step_rows)
-        if snapshot_every and k % snapshot_every == 0:
-            _write_state_snapshots(cfg.outdir, cfg.grid, state, f"{k:06d}")
-    write_audit_csv(os.path.join(cfg.outdir, csv_name), rows)
+def _run(cfg: RunConfig, state, dt, n_steps, snapshot_every, csv_name):
+    """Step the audited run at dt from state, writing field snapshots every snapshot_every
+    levels (0 = never) and each audit row to csv_name in outdir as soon as its step is
+    taken, so a failed step leaves the rows before it; returns the rows and the final state."""
+    os.makedirs(cfg.outdir, exist_ok=True)
+    rows, levels = [], iterate_with_audits(cfg.scheme, state, cfg.params, dt, n_steps,
+                                           tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
+
+    def produced_rows():
+        nonlocal state  # rebound at every level, so no earlier level stays alive here
+        for k, state, step_rows in levels:
+            if snapshot_every and k % snapshot_every == 0:
+                _write_state_snapshots(cfg.outdir, cfg.grid, state, f"{k:06d}")
+            rows.extend(step_rows)
+            yield from step_rows
+
+    write_audit_csv(os.path.join(cfg.outdir, csv_name), produced_rows())
     return rows, state
 
 
@@ -290,10 +295,7 @@ def _verdict(runs) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     n_steps = steps_for(cfg.t_final, cfg.dt)
-    state0 = _load_initial_state(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
-
-    rows, final = _run(cfg, state0, cfg.dt, n_steps, cfg.snapshot_every, "audit.csv")
+    rows, final = _run(cfg, _load_initial_state(cfg), cfg.dt, n_steps, cfg.snapshot_every, "audit.csv")
     _write_state_snapshots(cfg.outdir, cfg.grid, final, "final")
     write_field_bin(os.path.join(cfg.outdir, "phi_final.bin"), cfg.grid, "cell", final.phi.data)
     write_field_bin(os.path.join(cfg.outdir, "u_final.bin"), cfg.grid, "face_u", final.u.u)
@@ -335,8 +337,6 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_audit(cfg: RunConfig) -> int:
     ladder = [(dt, steps_for(cfg.t_final, dt)) for dt in cfg.ladder or _AUDIT_LADDER]
     state0 = _load_initial_state(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
-
     runs = []
     for dt, n_steps in ladder:
         rows, _ = _run(cfg, state0, dt, n_steps, 0, f"audit_dt_{dt:g}.csv")

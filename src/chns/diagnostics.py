@@ -3,7 +3,8 @@
 The stability monitors evaluate the exact discrete energy identities of the
 two steppers.  The state picks the law: a two-level state obeys the BDF2 law,
 any other state (the msav2 bootstrap substeps included) the first-order one.
-For each accepted step the recorded decay defect
+A run audits each step as soon as it is taken, so it holds one level, never
+the earlier ones.  For each accepted step the recorded decay defect
 
     defect = Etilde^{n+1} - Etilde^n + dissipation
 
@@ -279,63 +280,55 @@ class RunResult:
     final_state: object
 
 
-def _level(k, prev, new, dt, reports):
-    return k, new, [(prev, new, dt, reports)]
-
-
-def _bootstrap_level(box, state0, params, dt, tols):
-    """Level 1 of msav2: the bootstrapped state, also put in box, and its
-    first-order substeps, which only the returned level holds."""
-    trace = []
-    box.append(bootstrap(state0, params, dt, trace=trace, **tols))
-    return 1, box[0], trace
-
-
-def _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
-    """Yield (step_index, state, steps) for each level, where steps lists the
-    (prev, new, dt, reports) of every step taken to reach it: one for a
-    regular level, the first-order substeps of the bootstrap for msav2's
-    level 1 (see second_order.bootstrap).  A ChnsError from a step leaves
-    with the level index and dt recorded on it as step and dt."""
+def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=None):
+    """Yield (step_index, state) for each level, holding no earlier level.
+    on_step, if given, is called as on_step(prev, new, dt, reports) right after
+    each step, msav2's bootstrap substeps included (see second_order.bootstrap).
+    A ChnsError from a step leaves with the level index and dt recorded on it
+    as step and dt."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
     tols = dict(tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
-    # a suspended run holds only its current state: earlier states and the
-    # bootstrap substeps live only in the yielded level, and are freed with it
-    state, first, box, k = state0, 1, [], 1
+    k = 1
     try:
         if scheme == "msav2":
-            yield _bootstrap_level(box, state0, params, dt, tols)
-            state, first = box.pop(), 2
-        for k in range(first, n_steps + 1):
+            state = bootstrap(state, params, dt, trace=on_step, **tols)
+            yield 1, state
+        for k in range(2 if scheme == "msav2" else 1, n_steps + 1):
             reports = []
-            yield _level(k, state, (state := step(state, params, dt, reports=reports, **tols)), dt, reports)
+            new = step(state, params, dt, reports=reports, **tols)
+            if on_step is not None:
+                on_step(state, new, dt, reports)
+            state = new
+            yield k, state
     except ChnsError as exc:
         exc.step, exc.dt = k, dt
         raise
 
 
-def iterate_with_audits(
-    scheme, state0, params, dt, n_steps,
-    tol_poisson=1e-12, tol_helmholtz=1e-11,
-):
-    """Yield (step_index, new_state, audits_of_this_step) for each step.
+def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, tol_helmholtz=1e-11):
+    """Yield (step_index, new_state, audits_of_this_step) for each level.
 
-    Each step is audited against the law its new state obeys: the msav2
-    bootstrap substeps against the first-order law at the substep size, so the
-    step at index 1 may carry several rows, and every later msav2 step against
-    the BDF2 law.  A row's Etilde is handed on as the next row's Etilde_prev
-    when both audit the same law at the same dt.
+    Each step is audited as soon as it is taken, against the law its new state
+    obeys: the msav2 bootstrap substeps against the first-order law at the
+    substep size, so level 1 may carry several rows, and every later msav2 step
+    against the BDF2 law.  A row's Etilde is handed on as the next row's
+    Etilde_prev when both audit the same law at the same dt.
     """
-    etilde, law = None, None
-    for k, new, steps in _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz):
-        audits = []
-        for prev, sub_new, sub_dt, reports in steps:
-            row_law = (isinstance(sub_new, SchemeState2), sub_dt)
-            audits.append(audit_step(prev, sub_new, params, sub_dt, reports, etilde if row_law == law else None))
-            etilde, law = audits[-1].Etilde, row_law
-        yield k, new, audits
+    rows, etilde, law = [], None, None
+
+    def audit(prev, new, step_dt, reports):
+        nonlocal etilde, law
+        row_law = (isinstance(new, SchemeState2), step_dt)
+        rows.append(audit_step(prev, new, params, step_dt, reports, etilde if row_law == law else None))
+        etilde, law = rows[-1].Etilde, row_law
+
+    run = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=audit)
+    del state0  # the run alone holds the initial state, and drops it after its last use
+    for k, state in run:
+        yield k, state, rows
+        rows = []
 
 
 def simulate_run(
@@ -459,7 +452,7 @@ def _advance(runs, accs, j):
     run j's new state.  A module function, not a closure: a self-referencing
     closure is a reference cycle that would keep every run's last states
     alive until the cyclic collector runs."""
-    state = next(runs[j])[1]  # binding the level's steps would keep its previous state alive
+    _, state = next(runs[j])
     if j < len(accs):
         _advance(runs, accs, j + 1)
         accs[j].add(state, _advance(runs, accs, j + 1))
@@ -504,6 +497,7 @@ def _fmt(x):
 
 
 def write_audit_csv(path, audits):
+    """Write the header, then each row as audits yields it: a failure midway leaves the rows before it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AUDIT_COLUMNS)

@@ -200,8 +200,8 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
 # ---------------------------------------------------------------------------
 
 
-def apply_ch_operator(spec: ChOperatorSpec, phi: CellField) -> CellField:
-    lp = lap_cell(phi)
+def apply_ch_operator(spec: ChOperatorSpec, phi: CellField, lap_phi: CellField | None = None) -> CellField:
+    lp = lap_cell(phi) if lap_phi is None else lap_phi
     return phi + spec.mobility_dt * lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
 
 
@@ -279,12 +279,13 @@ def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, iterations, mean_defec
     return report
 
 
-def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float, iterations: int = 0):
-    """Check phi as a solve of the phase operator against rhs; returns the
-    SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
+def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float, iterations: int = 0,
+                lap_phi: CellField | None = None):
+    """Check phi as a solve of the phase operator against rhs, reusing lap_phi = lap_cell(phi)
+    if given; returns the SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
     lb = _lap_norm_bound(phi.grid)
     op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
-    defect = norm_l2_cell(apply_ch_operator(spec, phi) - rhs)
+    defect = norm_l2_cell(apply_ch_operator(spec, phi, lap_phi) - rhs)
     return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol, iterations)
 
 

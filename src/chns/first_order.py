@@ -218,6 +218,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     if k <= 0:
         raise ValueError("dt must be positive")
     terms = explicit_terms(bar, params)
+    del bar  # only the explicit terms read the extrapolated level
     g = lag.phi.grid
     ch_spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
     h_spec = HelmholtzSpec(visc_dt=params.viscosity * k)
@@ -227,15 +228,8 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     (w_hat, c_hat, v_hat), vel_pairs = velocity_families(rhs_u, terms, h_spec, k)
     xi1, xi2 = solve_xi(assemble_xi_system(lag, ch_pairs, vel_pairs, terms.sq, params, k, t_new))
 
-    # recombine on coefficients, then one inverse transform and one residual check per
-    # operator; arrays are dropped once used, as the step sets a run's peak memory
-    phi_hat += xi1 * phi1_hat
-    del phi1_hat
-    phi = CellField(g, cell_inverse(phi_hat))
-    del phi_hat
-    ch_report = ch_residual(ch_spec, phi, lag.phi + xi1 * ((params.mobility * k) * lap_cell(terms.f_prime)
-                                                           - k * terms.adv), tol_helmholtz)
-    mu = -1.0 * lap_cell(phi) + params.gamma_eff * phi + xi1 * terms.f_prime
+    # recombine on coefficients, then one inverse transform and one residual check per operator,
+    # the velocity first; each array is dropped at its last use, as the step sets a run's peak memory
     for w, c, v, s in zip(w_hat, c_hat, v_hat, helmholtz_inv_symbol(g, h_spec)):
         w += (xi1 * k) * c
         w -= (xi2 * k) * v
@@ -246,9 +240,19 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     for a, c, v in ((rhs_u.u, terms.chem.u, terms.conv.u), (rhs_u.v, terms.chem.v, terms.conv.v)):
         a += (xi1 * k) * c  # the right-hand side of u~, built in place
         a -= (xi2 * k) * v
+    del terms.chem, terms.conv
     h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz)
+    del rhs_u
+    phi_hat += xi1 * phi1_hat
+    del phi1_hat
+    phi = CellField(g, cell_inverse(phi_hat))
+    del phi_hat
+    lap_phi = lap_cell(phi)  # shared by the residual check and mu
+    ch_report = ch_residual(ch_spec, phi, lag.phi + xi1 * ((params.mobility * k) * lap_cell(terms.f_prime)
+                                                           - k * terms.adv), tol_helmholtz, lap_phi=lap_phi)
+    mu = -1.0 * lap_phi + params.gamma_eff * phi + xi1 * terms.f_prime
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
-    del rhs_u, terms
+    del lap_phi, terms
     if reports is not None:
         reports.extend([ch_report, h_report])
     u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)

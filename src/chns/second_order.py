@@ -50,9 +50,9 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     error at practical step sizes.
 
     Starts the g/H sequence: g^0 = 0, so g^1 = nu div(u~^1), H^1 = p^1 + g^1.
-    trace, if given, receives (prev, new, substep_dt, reports) per substep: the
-    substeps' solver reports, and the states that the audit checks against the
-    first-order energy law.
+    trace, if given, is called as trace(prev, new, substep_dt, reports) right
+    after each substep, while prev is alive: the substeps' solver reports, and
+    the states that the audit checks against the first-order energy law.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -63,7 +63,7 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
         new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
                                reports=sub_reports)
         if trace is not None:
-            trace.append((s1, new, sub_dt, sub_reports))
+            trace(s1, new, sub_dt, sub_reports)
         s1 = new
     g1 = params.viscosity * div_face_to_cell(s1.u_tilde)
     return SchemeState2(**vars(s1), phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,

@@ -463,8 +463,8 @@ def cauchy_pair(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, tol_helm
     coarse = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
     fine = _iterate(scheme, state0, params, 0.5 * dt, 2 * n_steps, tol_poisson, tol_helmholtz)
     acc = _CauchyAccumulator(dt)
-    for _, coarse_state, _ in coarse:
+    for _, coarse_state in coarse:
         next(fine)
-        _, fine_state, _ = next(fine)
+        _, fine_state = next(fine)
         acc.add(coarse_state, fine_state)
     return acc.record()

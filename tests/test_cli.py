@@ -433,3 +433,30 @@ def test_failed_step_is_named_by_its_index_and_dt(tmp_path, monkeypatch, capsys,
     with pytest.raises(type(make_error())) as info:
         diagnostics.simulate_run("msav1", initial_state(GridSpec(8, 8), PhysParams()), PhysParams(), 0.02, 5)
     assert (info.value.step, info.value.dt) == (3, 0.02)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_failed_run_keeps_the_rows_of_its_completed_steps(tmp_path, monkeypatch, command, scheme):
+    """With the step failing at level 3 as in
+    test_failed_step_is_named_by_its_index_and_dt, the audit CSV holds the
+    header and the rows of levels 1 and 2, as a run that succeeds writes
+    them: two for msav1, the four bootstrap substeps and one BDF2 step for
+    msav2."""
+    args = ("--set", "nx=8", "--set", "ny=8", "--set", f"scheme={scheme}", "--set", "dt=0.02",
+            "--set", "ladder=0.02")
+    name = "audit.csv" if command == "simulate" else "audit_dt_0.02.csv"
+    assert run_cli(command, *args, "--set", f"outdir={tmp_path / 'ok'}") == EXIT_OK
+    step_name = "step_first_order" if scheme == "msav1" else "step_second_order"
+    step = getattr(diagnostics, step_name)
+
+    def fails_at_level_3(state, params, dt, **kwargs):
+        if round(state.t / dt) == 2:
+            raise SolverConvergenceError(SolveReport(iterations=0, residual=1.0))
+        return step(state, params, dt, **kwargs)
+
+    monkeypatch.setattr(diagnostics, step_name, fails_at_level_3)
+    assert run_cli(command, *args, "--set", f"outdir={tmp_path / 'failed'}") == EXIT_SOLVER
+    rows = 2 if scheme == "msav1" else 5
+    ok = (tmp_path / "ok" / name).read_text().splitlines()
+    assert (tmp_path / "failed" / name).read_text().splitlines() == ok[:1 + rows]

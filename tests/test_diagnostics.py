@@ -1,12 +1,13 @@
 """Monitors, Cauchy errors, rates, and the CSV surfaces."""
 
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chns import diagnostics, first_order
+from chns import diagnostics, first_order, second_order
 from chns.diagnostics import (
     AUDIT_COLUMNS,
     TABLE_COLUMNS,
@@ -56,8 +57,8 @@ def _level_pairs():
     g = GridSpec(8, 8)
     p = PhysParams()
     s0 = initial_state(g, p)
-    coarse = [new for _, new, _ in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
-    fine = [new for _, new, _ in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
+    coarse = [new for _, new in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
+    fine = [new for _, new in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
     return list(zip(coarse, fine[1::2]))
 
 
@@ -142,6 +143,62 @@ def test_ladder_runs_hold_only_their_current_state(scheme, monkeypatch):
     cauchy_ladder(scheme, state0, p, 0.01, 2, 2)
     assert len(live) == 2 * (1 + 2)
     assert max(live) <= before + 3
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_a_run_holds_one_level(scheme, monkeypatch):
+    """Whenever a step starts, only the state it steps is live; whenever a row
+    is audited, only that step's prev and new are.  The one exception is the
+    msav2 bootstrap, which keeps the initial state: its fields become level
+    1's history."""
+    dt, starts, audits = 0.01, [], []
+
+    def counting(fn, into):
+        def wrapped(state, *args, **kwargs):
+            gc.collect()
+            into.append((state.t, sum(isinstance(obj, SchemeState) for obj in gc.get_objects()) - before))
+            return fn(state, *args, **kwargs)
+        return wrapped
+
+    for module, name, into in ((diagnostics, "step_first_order", starts), (diagnostics, "step_second_order", starts),
+                               (second_order, "step_first_order", starts), (diagnostics, "audit_step", audits)):
+        monkeypatch.setattr(module, name, counting(getattr(module, name), into))
+    p = PhysParams()
+    gc.collect()
+    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    for _ in iterate_with_audits(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4):
+        pass
+
+    def held(t):  # the initial state, while a bootstrap substep after the first runs
+        return 1 if scheme == "msav2" and 0.0 < t < 0.9 * dt else 0
+
+    assert len(starts) == len(audits) == (4 if scheme == "msav1" else 7)
+    assert [n for _, n in starts] == [1 + held(t) for t, _ in starts]
+    assert [n for _, n in audits] == [2 + held(t) for t, _ in audits]
+
+
+@pytest.mark.parametrize("scheme, budget", [("msav1", 34), ("msav2", 48)])
+def test_a_run_peaks_within_its_memory_budget(scheme, budget):
+    """Peak traced memory of a 6-step audited run at 32^2 above its start, in
+    field arrays of (n+1) n doubles, after a warm-up run has filled the
+    transform symbol caches.  A level is 7 arrays for msav1 and 13 for msav2,
+    so a run that keeps one more level alive exceeds the budget."""
+    n, p = 32, PhysParams()
+
+    def run():
+        for _ in iterate_with_audits(scheme, initial_state(GridSpec(n, n), p), p, 0.01, 6):
+            pass
+
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / ((n + 1) * n * 8) <= budget
 
 
 def test_attach_rates_layout():
