@@ -23,12 +23,12 @@ Recognized keys (all optional, defaults are the reference benchmark):
     init                paper5 | files
     init_phi, init_u, init_v   snapshot paths when init=files (.csv or .bin)
 
-Exit codes: 0 ok, 2 config error (every value, each ladder dt and
-gamma + beta/epsilon^2 > 0 are checked before the first step), 3 solver
-failure, 4 singular recombination system, 5 audit violation (simulate and
-audit share one run function and write every file first).  main alone maps
-errors to them, naming the step and dt of a failure inside a run, whose
-audit CSV keeps the rows of the steps before it.
+Exit codes: 0 ok, 2 config error (every value, each ladder dt,
+gamma + beta/epsilon^2 > 0 and the initial data's finite energy are checked
+before the first step), 3 solver failure, 4 singular recombination system,
+5 audit violation (simulate and audit share one run function and write every
+file first).  main alone maps errors to them, naming the step and dt of a
+failure inside a run, whose audit CSV keeps the rows of the steps before it.
 """
 
 from __future__ import annotations
@@ -39,10 +39,13 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagnostics import (
     attach_rates,
     cauchy_ladder,
     iterate_with_audits,
+    total_energy,
     write_audit_csv,
     write_table_csv,
 )
@@ -243,10 +246,15 @@ def _load_initial_state(cfg: RunConfig):
                                        and math.isclose(y0, g.y0, abs_tol=1e-12 * g.hy)):
                 raise ConfigError(f"{path}: grid origin {x0!r}, {y0!r}, run grid {g.x0!r}, {g.y0!r}")
             values.append(vals)
+        phi, u, v = values
+        with np.errstate(all="ignore"):  # an overflow is reported below as a non-finite energy
+            state = state_from_fields(cfg.params, CellField(g, phi), MacVector(g, u, v))
+            energy = total_energy(state, cfg.params)
+        if not (np.isfinite(state.mu.data).all() and math.isfinite(state.r) and math.isfinite(energy)):
+            raise ConfigError("the initial data have a non-finite chemical potential, r or total energy")
     except (OSError, InputDataError, DimensionMismatchError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
-    phi, u, v = values
-    return state_from_fields(cfg.params, CellField(g, phi), MacVector(g, u, v))
+    return state
 
 
 def _write_state_snapshots(outdir, grid, state, label):

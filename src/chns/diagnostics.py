@@ -31,7 +31,7 @@ run at dt/2 is the companion of the dt rung and the coarse run of the next.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import log2, sqrt
 
 import numpy as np
@@ -142,7 +142,7 @@ def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=Non
     """Named components of the BDF2 modified energy and their sum, "etilde"."""
     grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
     ge = params.gamma_eff
-    gH = grad_cell_to_face(state.H)
+    gH = grad_cell_to_face(state.p + state.g)  # H = p + g
     u_x = 2.0 * state.u - state.u_prev
     phi_x = 2.0 * state.phi - state.phi_prev
     r_x = 2.0 * state.sav.r - state.sav_prev.r
@@ -168,25 +168,6 @@ def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=Non
 # ---------------------------------------------------------------------------
 # per-step audits
 # ---------------------------------------------------------------------------
-
-AUDIT_COLUMNS = (
-    "t",
-    "E_total",
-    "Etilde",
-    "mass",
-    "div_norm",
-    "r",
-    "q",
-    "decay_defect",
-    "decay_defect_raw",
-    "diss_mu",
-    "diss_visc",
-    "diss_q",
-    "diss_curl",
-    "identity_defect",
-    "solver_residual_max",
-    "solver_iterations",
-)
 
 
 @dataclass
@@ -221,15 +202,20 @@ class EnergyAudit:
         return [getattr(self, c) for c in AUDIT_COLUMNS]
 
 
+# the audit CSV's columns: a row's fields in order, less the previous row's Etilde
+AUDIT_COLUMNS = tuple(f.name for f in fields(EnergyAudit) if f.name != "Etilde_prev")
+
+
 def audit_slack(etilde_prev: float) -> float:
     return 1e-9 * max(1.0, etilde_prev)
 
 
-def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float, reports=(),
+def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float,
                etilde_prev: float | None = None) -> EnergyAudit:
     """Audit row of one step against the energy law new obeys (see
-    modified_energy).  etilde_prev, if given, is prev's Etilde under the same
-    law and dt (the Etilde of prev's own row), which saves recomputing it.
+    modified_energy), with the solver reports new carries.  etilde_prev, if
+    given, is prev's Etilde under the same law and dt (the Etilde of prev's
+    own row), which saves recomputing it.
 
     Both laws dissipate diss_mu = 2 M dt |grad mu|^2, diss_q = 2 dt/T q^2 and
     V = nu dt |grad u~|^2.  The BDF2 law adds D = nu dt |div u~|^2 and, in its
@@ -264,8 +250,8 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
         diss_q=diss_q,
         diss_curl=curl,
         identity_defect=visc - div - curl if bdf2 else 0.0,
-        solver_residual_max=max((r.residual for r in reports), default=0.0),
-        solver_iterations=int(sum(r.iterations for r in reports)),
+        solver_residual_max=max((r.residual for r in new.reports), default=0.0),
+        solver_iterations=int(sum(r.iterations for r in new.reports)),
     )
 
 
@@ -282,8 +268,8 @@ class RunResult:
 
 def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=None):
     """Yield (step_index, state) for each level, holding no earlier level.
-    on_step, if given, is called as on_step(prev, new, dt, reports) right after
-    each step, msav2's bootstrap substeps included (see second_order.bootstrap).
+    on_step, if given, is called as on_step(prev, new, dt) right after each
+    step, msav2's bootstrap substeps included (see second_order.bootstrap).
     A ChnsError from a step leaves with the level index and dt recorded on it
     as step and dt."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
@@ -296,10 +282,9 @@ def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_
             state = bootstrap(state, params, dt, trace=on_step, **tols)
             yield 1, state
         for k in range(2 if scheme == "msav2" else 1, n_steps + 1):
-            reports = []
-            new = step(state, params, dt, reports=reports, **tols)
+            new = step(state, params, dt, **tols)
             if on_step is not None:
-                on_step(state, new, dt, reports)
+                on_step(state, new, dt)
             state = new
             yield k, state
     except ChnsError as exc:
@@ -318,10 +303,10 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, 
     """
     rows, etilde, law = [], None, None
 
-    def audit(prev, new, step_dt, reports):
+    def audit(prev, new, step_dt):
         nonlocal etilde, law
         row_law = (isinstance(new, SchemeState2), step_dt)
-        rows.append(audit_step(prev, new, params, step_dt, reports, etilde if row_law == law else None))
+        rows.append(audit_step(prev, new, params, step_dt, etilde if row_law == law else None))
         etilde, law = rows[-1].Etilde, row_law
 
     run = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=audit)
@@ -331,21 +316,14 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, 
         rows = []
 
 
-def simulate_run(
-    scheme: str,
-    state0: SchemeState,
-    params: PhysParams,
-    dt: float,
-    n_steps: int,
-    tol_poisson: float = 1e-12,
-    tol_helmholtz: float = 1e-11,
-) -> RunResult:
+def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int,
+                 tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11) -> RunResult:
     """Run one simulation with the per-step energy audit (see iterate_with_audits)."""
-    audits, state = [], state0
-    for _, state, step_audits in iterate_with_audits(
-        scheme, state0, params, dt, n_steps,
-        tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-    ):
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    audits, run = [], iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
+    del state0  # as in iterate_with_audits, the run alone holds the initial state
+    for _, state, step_audits in run:
         audits.extend(step_audits)
     return RunResult(audits=audits, final_state=state)
 
@@ -366,71 +344,47 @@ class ErrorRecord:
     here: its splitting error carries a numerical boundary layer of width
     sqrt(nu dt) whose gradient energy decays at the fixed rate 3/2 and masks
     the scheme's order; the projection removes that layer (it is a pure
-    gradient) and the remaining solenoidal error converges at the full rate."""
+    gradient) and the remaining solenoidal error converges at the full rate.
+
+    A record starts at zero for the coarse step dt and accumulates the level
+    pairs handed to add; its fields after dt are the table's errors."""
 
     dt: float
-    e_phi_linf: float
-    e_grad_phi_linf: float
-    e_r: float
-    e_u_linf: float
-    e_grad_u_l2: float
-    e_p_l2: float
-    e_q: float
-
-    _FIELDS = ("e_phi_linf", "e_grad_phi_linf", "e_r", "e_u_linf", "e_grad_u_l2", "e_p_l2", "e_q")
-
-    def values(self):
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-
-class _CauchyAccumulator:
-    def __init__(self, dt_coarse):
-        self.dt = dt_coarse
-        self.e_phi = 0.0
-        self.e_gphi = 0.0
-        self.e_r = 0.0
-        self.e_u = 0.0
-        self.e_q = 0.0
-        self.sum_gu = 0.0
-        self.sum_p = 0.0
+    e_phi_linf: float = 0.0
+    e_grad_phi_linf: float = 0.0
+    e_r: float = 0.0
+    e_u_linf: float = 0.0
+    e_grad_u_l2: float = 0.0
+    e_p_l2: float = 0.0
+    e_q: float = 0.0
+    # the running l2-in-time sums under e_grad_u_l2 and e_p_l2
+    _sum_grad_u: float = field(default=0.0, init=False, repr=False, compare=False)
+    _sum_p: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def add(self, coarse, fine):
+        """Fold in the errors between a coarse level and the fine level at its time."""
         dphi = coarse.phi - fine.phi
-        self.e_phi = max(self.e_phi, norm_l2_cell(dphi))
+        self.e_phi_linf = max(self.e_phi_linf, norm_l2_cell(dphi))
         gd = grad_cell_to_face(dphi)
-        self.e_gphi = max(self.e_gphi, sqrt(max(dot_face(gd, gd), 0.0)))
+        self.e_grad_phi_linf = max(self.e_grad_phi_linf, sqrt(max(dot_face(gd, gd), 0.0)))
         self.e_r = max(self.e_r, abs(coarse.r - fine.r))
         self.e_q = max(self.e_q, abs(coarse.q - fine.q))
         du = coarse.u - fine.u
-        self.e_u = max(self.e_u, norm_l2_face(du))
-        self.sum_gu += self.dt * max(grad_energy_velocity(du), 0.0)
+        self.e_u_linf = max(self.e_u_linf, norm_l2_face(du))
+        self._sum_grad_u += self.dt * max(grad_energy_velocity(du), 0.0)
+        self.e_grad_u_l2 = sqrt(self._sum_grad_u)
         dp = (coarse.p - fine.p).data
         dp = dp - dp.mean()  # pressure error in the quotient space (mod constants)
-        self.sum_p += self.dt * coarse.phi.grid.cell_area * float(np.sum(dp * dp))
+        self._sum_p += self.dt * coarse.phi.grid.cell_area * float(np.sum(dp * dp))
+        self.e_p_l2 = sqrt(self._sum_p)
 
-    def record(self):
-        return ErrorRecord(
-            dt=self.dt,
-            e_phi_linf=self.e_phi,
-            e_grad_phi_linf=self.e_gphi,
-            e_r=self.e_r,
-            e_u_linf=self.e_u,
-            e_grad_u_l2=sqrt(self.sum_gu),
-            e_p_l2=sqrt(self.sum_p),
-            e_q=self.e_q,
-        )
+    def values(self):
+        """The errors by name, in table order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:] if f.init}
 
 
-def cauchy_ladder(
-    scheme: str,
-    state0: SchemeState,
-    params: PhysParams,
-    dt: float,
-    n_steps: int,
-    rungs: int,
-    tol_poisson: float = 1e-12,
-    tol_helmholtz: float = 1e-11,
-) -> list[ErrorRecord]:
+def cauchy_ladder(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int, rungs: int,
+                  tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11) -> list[ErrorRecord]:
     """Cauchy errors of a halving ladder: rung j compares the run at dt/2^j
     with its dt/2^(j+1) companion at every level of the coarser run.
 
@@ -441,21 +395,21 @@ def cauchy_ladder(
         _iterate(scheme, state0, params, dt / 2**j, n_steps * 2**j, tol_poisson, tol_helmholtz)
         for j in range(rungs + 1)
     ]
-    accs = [_CauchyAccumulator(dt / 2**j) for j in range(rungs)]
+    records = [ErrorRecord(dt / 2**j) for j in range(rungs)]
     for _ in range(n_steps):
-        _advance(runs, accs, 0)
-    return [acc.record() for acc in accs]
+        _advance(runs, records, 0)
+    return records
 
 
-def _advance(runs, accs, j):
+def _advance(runs, records, j):
     """One step of run j, two of run j+1, then rung j adds the pair; returns
     run j's new state.  A module function, not a closure: a self-referencing
     closure is a reference cycle that would keep every run's last states
     alive until the cyclic collector runs."""
     _, state = next(runs[j])
-    if j < len(accs):
-        _advance(runs, accs, j + 1)
-        accs[j].add(state, _advance(runs, accs, j + 1))
+    if j < len(records):
+        _advance(runs, records, j + 1)
+        records[j].add(state, _advance(runs, records, j + 1))
     return state
 
 
@@ -486,7 +440,7 @@ def attach_rates(records):
 # ---------------------------------------------------------------------------
 
 TABLE_COLUMNS = ("dt",) + tuple(
-    col for name in ErrorRecord._FIELDS for col in (name, "rate_" + name)
+    col for f in fields(ErrorRecord)[1:] if f.init for col in (f.name, "rate_" + f.name)
 )
 
 
@@ -496,18 +450,18 @@ def _fmt(x):
     return str(x)
 
 
-def write_audit_csv(path, audits):
-    """Write the header, then each row as audits yields it: a failure midway leaves the rows before it."""
+def _write_csv(path, columns, rows):
+    """Write the header, then each row as rows yields it: a failure midway leaves the rows before it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(AUDIT_COLUMNS)
-        for a in audits:
-            writer.writerow([_fmt(v) for v in a.row()])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def write_audit_csv(path, audits):
+    _write_csv(path, AUDIT_COLUMNS, (a.row() for a in audits))
 
 
 def write_table_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, float("nan"))) for c in TABLE_COLUMNS])
+    _write_csv(path, TABLE_COLUMNS, ([row.get(c, float("nan")) for c in TABLE_COLUMNS] for row in rows))

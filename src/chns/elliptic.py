@@ -1,4 +1,4 @@
-"""Constant-coefficient elliptic solvers used by every time step.
+"""Constant-coefficient elliptic solvers and the transform pieces of the time step.
 
 Three problem classes appear, all with constant coefficients:
 
@@ -19,7 +19,9 @@ Both transforms are orthonormal, so by Parseval dot_cell/dot_face (of face
 fields with zero wall entries) is cell_area times the plain sum over
 coefficients.  The time step therefore uses the pieces of each transform
 solve directly: forward transform, inverse symbol, inverse transform and
-residual check.
+residual check, and of the solvers only the pressure projection.
+solve_ch_system and solve_velocity_helmholtz are the standalone solvers of
+its two other operators and the reference the tests hold those pieces to.
 
 Transform symbols are cached per grid; solvers are pure functions of
 (spec, rhs, tol) and safe to call concurrently.
@@ -416,7 +418,7 @@ def solve_velocity_helmholtz(spec: HelmholtzSpec, rhs: MacVector, tol: float = 1
     return out, helmholtz_residual(spec, out, rhs, tol, iters)
 
 
-def project(w: MacVector, dt_coef: float, tol: float = 1e-12, method: str = "transform", reports=None):
+def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None):
     """Remove the gradient part of w: returns (u, psi) with
 
         lap(psi) = div(w) / dt_coef   (Neumann, zero mean),
@@ -432,7 +434,7 @@ def project(w: MacVector, dt_coef: float, tol: float = 1e-12, method: str = "tra
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed
     rhs = CellField(d.grid, (d.data - d.data.mean()) / dt_coef)
-    psi, report = solve_neumann_poisson(rhs, tol=tol, method=method)
+    psi, report = solve_neumann_poisson(rhs, tol=tol)
     if reports is not None:
         reports.append(report)
     u = w - dt_coef * grad_cell_to_face(psi)

@@ -206,14 +206,15 @@ def _zero_mean(p: CellField) -> CellField:
 
 
 def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float = 1e-12,
-                   tol_helmholtz: float = 1e-11, reports=None) -> SchemeState:
+                   tol_helmholtz: float = 1e-11) -> SchemeState:
     """The step both orders share: the substep families at effective step k
     from the lagged level lag (phi, u, p, r, q), explicit terms at the
     extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
     transform and one residual check per operator, and one projection.
 
     The returned pressure is lag.p + psi, before the caller's own correction
-    and zero-mean normalization.
+    and zero-mean normalization; the returned state carries the phase,
+    Helmholtz and Poisson reports of the step.
     """
     if k <= 0:
         raise ValueError("dt must be positive")
@@ -253,16 +254,16 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     mu = -1.0 * lap_phi + params.gamma_eff * phi + xi1 * terms.f_prime
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
     del lap_phi, terms
-    if reports is not None:
-        reports.extend([ch_report, h_report])
+    reports = [ch_report, h_report]
     u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)
-    return SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav)
+    return SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav,
+                       reports=tuple(reports))
 
 
 def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
-                     tol_helmholtz: float = 1e-11, reports=None) -> SchemeState:
+                     tol_helmholtz: float = 1e-11) -> SchemeState:
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz, reports)
+    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)
     new.p = _zero_mean(new.p)
     return new

@@ -109,6 +109,7 @@ class SchemeState:
     u_tilde: MacVector  # intermediate velocity of the level's momentum solve
     p: CellField  # zero-mean pressure
     sav: SavState
+    reports: tuple = ()  # residual-check SolveReports of the step that produced this level
 
     @property
     def r(self) -> float:
@@ -126,26 +127,14 @@ class SchemeState:
 @dataclass(kw_only=True)
 class SchemeState2(SchemeState):
     """Two-level state for the BDF2 stepper, plus the rotational bookkeeping
-    fields g (accumulated nu*div of the intermediate velocities) and H = p + g."""
+    field g (accumulated nu*div of the intermediate velocities); the audit's
+    H = p + g is formed from it when needed."""
 
     phi_prev: CellField
     mu_prev: CellField
     u_prev: MacVector
     sav_prev: SavState
     g: CellField
-    H: CellField
-
-
-def _preset_paper5(grid: GridSpec):
-    """Reference benchmark initial data on the unit square: a pair of
-    counter-rotating vortices and a single-period cosine phase layout."""
-    phi = CellField.from_function(grid, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-    vel = MacVector.from_functions(
-        grid,
-        lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y),
-        lambda x, y: -np.sin(np.pi * y) ** 2 * np.sin(2.0 * np.pi * x),
-    )
-    return phi, vel
 
 
 def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector, p: CellField = None, t: float = 0.0):
@@ -163,8 +152,13 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector, p: Cel
     return SchemeState(t=t, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=p, sav=SavState(r=r0, q=1.0))
 
 
-def initial_state(grid: GridSpec, params: PhysParams, preset: str = "paper5") -> SchemeState:
-    if preset != "paper5":
-        raise ValueError(f"unknown preset {preset!r}")
-    phi, vel = _preset_paper5(grid)
+def initial_state(grid: GridSpec, params: PhysParams) -> SchemeState:
+    """Reference benchmark initial data on the unit square: a pair of
+    counter-rotating vortices and a single-period cosine phase layout."""
+    phi = CellField.from_function(grid, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
+    vel = MacVector.from_functions(
+        grid,
+        lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y),
+        lambda x, y: -np.sin(np.pi * y) ** 2 * np.sin(2.0 * np.pi * x),
+    )
     return state_from_fields(params, phi, vel)

@@ -12,10 +12,10 @@ correction
 
 which lifts the pressure accuracy to the rotational-scheme rate.
 
-The bookkeeping sequence g^{n+1} = g^n + nu div(u~^{n+1}) (g^0 = 0) and
-H^{n+1} = p^{n+1} + g^{n+1} never feeds back into the dynamics; it exists so
-the energy audit can evaluate exactly the quantities its decay estimate is
-stated in.
+The bookkeeping sequence g^{n+1} = g^n + nu div(u~^{n+1}) (g^0 = 0) never
+feeds back into the dynamics; it exists so the energy audit can evaluate
+exactly the quantities its decay estimate is stated in, H^{n+1} = p^{n+1} +
+g^{n+1} among them.
 
 The second level is produced by a short first-order run across the first
 interval (see bootstrap), which does not degrade the overall second-order
@@ -49,25 +49,23 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     subdividing the bootstrap interval pushes that startup below the BDF2
     error at practical step sizes.
 
-    Starts the g/H sequence: g^0 = 0, so g^1 = nu div(u~^1), H^1 = p^1 + g^1.
-    trace, if given, is called as trace(prev, new, substep_dt, reports) right
-    after each substep, while prev is alive: the substeps' solver reports, and
-    the states that the audit checks against the first-order energy law.
+    Starts the g sequence: g^0 = 0, so g^1 = nu div(u~^1).  trace, if given,
+    is called as trace(prev, new, substep_dt) right after each substep, while
+    prev is alive: the states that the audit checks against the first-order
+    energy law, each carrying its substep's solver reports.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sub_dt = dt / substeps
     s1 = state0
     for _ in range(substeps):
-        sub_reports = []
-        new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-                               reports=sub_reports)
+        new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
         if trace is not None:
-            trace(s1, new, sub_dt, sub_reports)
+            trace(s1, new, sub_dt)
         s1 = new
     g1 = params.viscosity * div_face_to_cell(s1.u_tilde)
     return SchemeState2(**vars(s1), phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
-                        sav_prev=SavState(state0.sav.r, state0.sav.q), g=g1, H=s1.p + g1)
+                        sav_prev=SavState(state0.sav.r, state0.sav.q), g=g1)
 
 
 def extrapolants(state: SchemeState2) -> SimpleNamespace:
@@ -80,20 +78,19 @@ def extrapolants(state: SchemeState2) -> SimpleNamespace:
 
 
 def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
-                      tol_helmholtz: float = 1e-11, reports=None) -> SchemeState2:
+                      tol_helmholtz: float = 1e-11) -> SchemeState2:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
-    correction and the g/H bookkeeping."""
+    correction and the g bookkeeping."""
     lag = SimpleNamespace(phi=(1.0 / 3.0) * (4.0 * state.phi - state.phi_prev), p=state.p,
                           u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
                           r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
                           q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0)
     new = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
-                         tol_poisson, tol_helmholtz, reports)
+                         tol_poisson, tol_helmholtz)
     del lag
     nu_div = params.viscosity * div_face_to_cell(new.u_tilde)
     new.p = _zero_mean(new.p - nu_div)
-    g_new = state.g + nu_div
     return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u,
-                        sav_prev=SavState(state.sav.r, state.sav.q), g=g_new, H=new.p + g_new)
+                        sav_prev=SavState(state.sav.r, state.sav.q), g=state.g + nu_div)

@@ -145,6 +145,22 @@ def test_audit_csv_headers_shared_between_schemes(tmp_path):
     assert headers["msav1"] == headers["msav2"]
 
 
+AUDIT_HEADER = ("t,E_total,Etilde,mass,div_norm,r,q,decay_defect,decay_defect_raw,diss_mu,diss_visc,diss_q,"
+                "diss_curl,identity_defect,solver_residual_max,solver_iterations")
+TABLE_HEADER = ("dt,e_phi_linf,rate_e_phi_linf,e_grad_phi_linf,rate_e_grad_phi_linf,e_r,rate_e_r,e_u_linf,"
+                "rate_e_u_linf,e_grad_u_l2,rate_e_grad_u_l2,e_p_l2,rate_e_p_l2,e_q,rate_e_q")
+
+
+def test_output_headers_are_the_published_schemas(tmp_path):
+    """The column order of audit.csv and converge_*.csv, spelled out rather
+    than read back from the code that writes them."""
+    grid = ("--set", "nx=8", "--set", "ny=8", "--set", f"outdir={tmp_path}")
+    assert run_cli("simulate", *grid, "--set", "dt=0.05", "--set", "t_final=0.1") == EXIT_OK
+    assert run_cli("converge", *grid, "--set", "ladder=0.05", "--set", "t_final=0.1") == EXIT_OK
+    assert (tmp_path / "audit.csv").read_text().splitlines()[0] == AUDIT_HEADER
+    assert (tmp_path / "converge_msav1.csv").read_text().splitlines()[0] == TABLE_HEADER
+
+
 def test_converge_single_entry_ladder(tmp_path):
     code = run_cli(
         "converge",
@@ -312,6 +328,19 @@ def test_csv_snapshot_without_data_rows_is_a_config_error(tmp_path, text):
 def test_nan_field_value_rejected_at_load(tmp_path):
     paths = _rest_snapshots(tmp_path)
     _patch_bin(paths["init_phi"], 8 + 20, np.nan)  # a payload value
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["init_phi", "init_u"])
+def test_non_finite_initial_energy_rejected_at_load(tmp_path, key):
+    """A finite value whose energy overflows (1e200 in phi or u) is a config
+    error at load, raised without a numpy warning, not a failure at step 1."""
+    paths = _rest_snapshots(tmp_path)
+    paths["init_u"] = tmp_path / "u0.bin"
+    write_field_bin(paths["init_u"], GridSpec(8, 8), "face_u", np.zeros((9, 8)))
+    _patch_bin(paths[key], 8 + 20, 1e200)  # a payload value
     assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
     assert not (tmp_path / "out" / "audit.csv").exists()
 

@@ -11,7 +11,7 @@ from chns import diagnostics, first_order, second_order
 from chns.diagnostics import (
     AUDIT_COLUMNS,
     TABLE_COLUMNS,
-    _CauchyAccumulator,
+    ErrorRecord,
     _iterate,
     attach_rates,
     audit_slack,
@@ -63,10 +63,10 @@ def _level_pairs():
 
 
 def _errors(pairs):
-    acc = _CauchyAccumulator(0.01)
+    record = ErrorRecord(0.01)
     for coarse, fine in pairs:
-        acc.add(coarse, fine)
-    return acc.record()
+        record.add(coarse, fine)
+    return record
 
 
 def test_identical_runs_have_zero_errors():
@@ -128,14 +128,14 @@ def test_ladder_runs_hold_only_their_current_state(scheme, monkeypatch):
     two states, the rungs + 1 runs keep at most one state each alive, the
     msav2 bootstrap substeps and every earlier level included."""
     live = []
-    add = _CauchyAccumulator.add
+    add = ErrorRecord.add
 
     def counting_add(self, coarse, fine):
         gc.collect()
         live.append(sum(isinstance(obj, SchemeState) for obj in gc.get_objects()))
         add(self, coarse, fine)
 
-    monkeypatch.setattr(_CauchyAccumulator, "add", counting_add)
+    monkeypatch.setattr(ErrorRecord, "add", counting_add)
     p = PhysParams()
     state0 = initial_state(GridSpec(8, 8), p)
     gc.collect()
@@ -150,7 +150,8 @@ def test_a_run_holds_one_level(scheme, monkeypatch):
     """Whenever a step starts, only the state it steps is live; whenever a row
     is audited, only that step's prev and new are.  The one exception is the
     msav2 bootstrap, which keeps the initial state: its fields become level
-    1's history."""
+    1's history.  Both drivers hold to it: iterate_with_audits and
+    simulate_run."""
     dt, starts, audits = 0.01, [], []
 
     def counting(fn, into):
@@ -164,17 +165,27 @@ def test_a_run_holds_one_level(scheme, monkeypatch):
                                (second_order, "step_first_order", starts), (diagnostics, "audit_step", audits)):
         monkeypatch.setattr(module, name, counting(getattr(module, name), into))
     p = PhysParams()
-    gc.collect()
-    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
-    for _ in iterate_with_audits(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4):
-        pass
 
     def held(t):  # the initial state, while a bootstrap substep after the first runs
         return 1 if scheme == "msav2" and 0.0 < t < 0.9 * dt else 0
 
-    assert len(starts) == len(audits) == (4 if scheme == "msav1" else 7)
-    assert [n for _, n in starts] == [1 + held(t) for t, _ in starts]
-    assert [n for _, n in audits] == [2 + held(t) for t, _ in audits]
+    def check():
+        assert len(starts) == len(audits) == (4 if scheme == "msav1" else 7)
+        assert [n for _, n in starts] == [1 + held(t) for t, _ in starts]
+        assert [n for _, n in audits] == [2 + held(t) for t, _ in audits]
+        starts.clear()
+        audits.clear()
+
+    gc.collect()
+    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    for _ in iterate_with_audits(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4):
+        pass
+    check()
+    del _  # the loop variable holds the final level
+    gc.collect()
+    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    simulate_run(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4)
+    check()
 
 
 @pytest.mark.parametrize("scheme, budget", [("msav1", 34), ("msav2", 48)])

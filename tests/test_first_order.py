@@ -482,7 +482,6 @@ def test_reports_collected():
     g = GridSpec(8, 8)
     p = reference_params()
     state = initial_state(g, p)
-    reports = []
-    step_first_order(state, p, 0.01, reports=reports)
+    reports = step_first_order(state, p, 0.01).reports
     assert len(reports) == 3  # 1 phase + 1 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)

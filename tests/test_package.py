@@ -40,7 +40,7 @@ def test_scheme_state2_requires_history():
     fields = dict(
         t=0.0, phi=zero, mu=zero, u=MacVector.zeros(g), u_tilde=MacVector.zeros(g), p=zero,
         sav=SavState(1.0, 1.0), mu_prev=zero, u_prev=MacVector.zeros(g), sav_prev=SavState(1.0, 1.0),
-        g=zero, H=zero,
+        g=zero,
     )
     with pytest.raises(TypeError):
         SchemeState2(**fields)
