@@ -24,8 +24,8 @@ Recognized keys (all optional, defaults are the reference benchmark):
     init_phi, init_u, init_v   snapshot paths when init=files (.csv or .bin)
 
 Exit codes: 0 ok, 2 config error (every value, each ladder dt,
-gamma + beta/epsilon^2 > 0 and the initial data's finite energy are checked
-before the first step), 3 solver failure, 4 singular recombination system,
+gamma + beta/epsilon^2 > 0 and the initial data's finite energy and positive
+E1 + delta are checked before the first step), 3 solver failure, 4 singular recombination system,
 5 audit violation (simulate and audit share one run function and write every
 file first).  main alone maps errors to them, naming the step and dt of a
 failure inside a run, whose audit CSV keeps the rows of the steps before it.
@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -50,7 +51,8 @@ from .diagnostics import (
     write_table_csv,
 )
 from .elliptic import set_fft_workers
-from .errors import ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError
+from .errors import (ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError,
+                     StateError)
 from .grid import (
     CellField,
     GridSpec,
@@ -252,16 +254,22 @@ def _load_initial_state(cfg: RunConfig):
             energy = total_energy(state, cfg.params)
         if not (np.isfinite(state.mu.data).all() and math.isfinite(state.r) and math.isfinite(energy)):
             raise ConfigError("the initial data have a non-finite chemical potential, r or total energy")
-    except (OSError, InputDataError, DimensionMismatchError) as exc:
+    except (OSError, InputDataError, DimensionMismatchError, StateError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
     return state
 
 
-def _write_state_snapshots(outdir, grid, state, label):
-    write_field_csv(os.path.join(outdir, f"phi_{label}.csv"), grid, "cell", state.phi.data)
-    write_field_csv(os.path.join(outdir, f"p_{label}.csv"), grid, "cell", state.p.data)
-    write_field_csv(os.path.join(outdir, f"u_{label}.csv"), grid, "face_u", state.u.u)
-    write_field_csv(os.path.join(outdir, f"v_{label}.csv"), grid, "face_v", state.u.v)
+def _write_state_snapshots(outdir, grid, state, label, same_as=None):
+    """The CSV snapshots {phi,p,u,v}_{label}.csv of state; copied byte for byte from
+    those labelled same_as when they were written from this very state."""
+    fields = (("phi", "cell", state.phi.data), ("p", "cell", state.p.data),
+              ("u", "face_u", state.u.u), ("v", "face_v", state.u.v))
+    for name, kind, values in fields:
+        path = os.path.join(outdir, f"{name}_{label}.csv")
+        if same_as is None:
+            write_field_csv(path, grid, kind, values)
+        else:
+            shutil.copyfile(os.path.join(outdir, f"{name}_{same_as}.csv"), path)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +312,8 @@ def _verdict(runs) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     n_steps = steps_for(cfg.t_final, cfg.dt)
     rows, final = _run(cfg, _load_initial_state(cfg), cfg.dt, n_steps, cfg.snapshot_every, "audit.csv")
-    _write_state_snapshots(cfg.outdir, cfg.grid, final, "final")
+    last_periodic = cfg.snapshot_every and n_steps % cfg.snapshot_every == 0
+    _write_state_snapshots(cfg.outdir, cfg.grid, final, "final", f"{n_steps:06d}" if last_periodic else None)
     write_field_bin(os.path.join(cfg.outdir, "phi_final.bin"), cfg.grid, "cell", final.phi.data)
     write_field_bin(os.path.join(cfg.outdir, "u_final.bin"), cfg.grid, "face_u", final.u.u)
     write_field_bin(os.path.join(cfg.outdir, "v_final.bin"), cfg.grid, "face_v", final.u.v)

@@ -446,13 +446,18 @@ def _finite(path, values):
 
 
 def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
-    """Snapshot format: header '# nx,ny,hx,hy,kind' then row-major values."""
+    """Snapshot format: header '# nx,ny,hx,hy,kind' then row-major values.
+
+    Each value is written as '%.17g', so read_field_csv returns it bit for bit
+    (-0.0 and subnormals included); the bytes are those of
+    np.savetxt(fh, values, fmt="%.17g", delimiter=",")."""
     values = np.asarray(values, dtype=float)
     _check_kind(kind, values.shape, grid.nx, grid.ny)
-    header = f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}"
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+        fh.write(f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}\n")
+        for row in values:  # one row of Python floats at a time: no whole-array string or list
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_field_csv(path):

@@ -18,7 +18,7 @@ from chns.cli import (
     parse_config_text,
     steps_for,
 )
-from chns import diagnostics, first_order
+from chns import cli, diagnostics, first_order
 from chns.elliptic import SolveReport
 from chns.errors import ConfigError, InputDataError, SingularSystemError, SolverConvergenceError
 from chns.grid import GridSpec, read_field_bin, read_field_csv, write_field_bin, write_field_csv
@@ -345,6 +345,15 @@ def test_non_finite_initial_energy_rejected_at_load(tmp_path, key):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
+def test_initial_data_at_the_potential_minimum_is_a_config_error(tmp_path):
+    """phi = sqrt(1 + beta) everywhere with delta = 0 leaves E1 + delta ~ 0, where
+    r/sqrt(E1 + delta) is undefined: an input error at load, not a solver failure."""
+    paths = _rest_snapshots(tmp_path)
+    write_field_bin(paths["init_phi"], GridSpec(8, 8), "cell", np.full((8, 8), np.sqrt(1.0 + 5.0)))
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
 _JUNK = ("0", "-1", "nan", "inf", "abc", "1e-300", "0.03")
 
 
@@ -489,3 +498,28 @@ def test_failed_run_keeps_the_rows_of_its_completed_steps(tmp_path, monkeypatch,
     rows = 2 if scheme == "msav1" else 5
     ok = (tmp_path / "ok" / name).read_text().splitlines()
     assert (tmp_path / "failed" / name).read_text().splitlines() == ok[:1 + rows]
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@pytest.mark.parametrize("every, formatted", [(5, 4), (3, 8), (0, 4)])
+def test_each_snapshot_state_is_formatted_once(tmp_path, monkeypatch, scheme, every, formatted):
+    """Five steps: when the last periodic snapshot falls on the last level, the
+    final CSVs are its bytes, not a second formatting of the same state."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return write_field_csv(*args)
+
+    monkeypatch.setattr(cli, "write_field_csv", counted)
+    code = run_cli(
+        "simulate", "--set", "nx=8", "--set", "ny=8", "--set", f"scheme={scheme}",
+        "--set", "dt=0.01", "--set", "t_final=0.05", "--set", f"snapshot_every={every}",
+        "--set", f"outdir={tmp_path}",
+    )
+    assert code == EXIT_OK
+    assert len(calls) == formatted
+    for name in ("phi", "p", "u", "v"):
+        assert (tmp_path / f"{name}_final.csv").exists()
+        if every == 5:
+            assert (tmp_path / f"{name}_final.csv").read_bytes() == (tmp_path / f"{name}_000005.csv").read_bytes()

@@ -1,5 +1,7 @@
 """Operator identities, stencil symbols, and snapshot files."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,27 @@ def test_snapshot_csv_roundtrip(tmp_path):
     assert (nx, ny, kind) == (6, 4, "cell")
     assert (abs(hx - g.hx) < 1e-15) and (abs(hy - g.hy) < 1e-15)
     assert np.array_equal(vals, f.data)
+
+
+@pytest.mark.parametrize("kind", ["cell", "face_u", "face_v"])
+def test_snapshot_csv_is_savetxt_bytes_and_round_trips_exactly(tmp_path, kind):
+    """After its header line, write_field_csv writes the bytes of
+    np.savetxt(fmt="%.17g", delimiter=","), and read_field_csv returns every
+    value bit for bit: signed zero, subnormals and the extremes included."""
+    g = GridSpec(5, 4)
+    shape = {"cell": (5, 4), "face_u": (6, 4), "face_v": (5, 5)}[kind]
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, rng.random()]
+    values.flat[: len(special)] = special
+    path = tmp_path / f"{kind}.csv"
+    write_field_csv(path, g, kind, values)
+    reference = io.BytesIO()
+    np.savetxt(reference, values, fmt="%.17g", delimiter=",")
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header.startswith(b"# 5,4,") and body == reference.getvalue()
+    *_, got_kind, back = read_field_csv(path)
+    assert got_kind == kind and back.tobytes() == values.tobytes()
 
 
 def test_snapshot_bin_roundtrip(tmp_path):
