@@ -4,7 +4,7 @@ coupled phase-field / incompressible-flow system on a MAC staggered grid.
 Subpackage map:
 
     grid         grid, field containers, discrete operators, snapshot files
-    elliptic     constant-coefficient solvers (transform + CG) and their transform pieces
+    elliptic     constant-coefficient transform solves: the step's pieces, the projection
     model        parameters, potential, scheme states, initial data
     first_order  the decoupled step both orders share, and the backward-Euler stepper
     second_order BDF2 levels over the shared step, rotational pressure, bootstrap
@@ -17,9 +17,7 @@ from .elliptic import (
     HelmholtzSpec,
     SolveReport,
     project,
-    solve_ch_system,
     solve_neumann_poisson,
-    solve_velocity_helmholtz,
 )
 from .errors import (
     ChnsError,

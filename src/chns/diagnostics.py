@@ -275,14 +275,18 @@ def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
-    tols = dict(tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
     k = 1
     try:
         if scheme == "msav2":
-            state = bootstrap(state, params, dt, trace=on_step, **tols)
+            # bootstrap gets the only reference and frees the initial state after its first substep;
+            # a plain call, since a ** call would keep its arguments alive in a tuple
+            first = [state]
+            del state
+            state = bootstrap(first.pop(), params, dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
+                              trace=on_step)
             yield 1, state
         for k in range(2 if scheme == "msav2" else 1, n_steps + 1):
-            new = step(state, params, dt, **tols)
+            new = step(state, params, dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
             if on_step is not None:
                 on_step(state, new, dt)
             state = new

@@ -10,21 +10,19 @@ Three problem classes appear, all with constant coefficients:
 
 The mirror-ghost cell Laplacian is exactly diagonalized by the type-II
 discrete cosine transform, and the no-slip face Laplacian by a DST-I x DST-II
-tensor transform, so the default path is a direct transform solve (machine
-precision residuals at O(N log N) cost).  A matrix-free Jacobi-preconditioned
-conjugate-gradient path backs every transform path; the test suite checks the
-two agree to 1e-10.
+tensor transform, so every solve is a direct transform solve (machine
+precision residuals at O(N log N) cost).
 
 Both transforms are orthonormal, so by Parseval dot_cell/dot_face (of face
 fields with zero wall entries) is cell_area times the plain sum over
 coefficients.  The time step therefore uses the pieces of each transform
 solve directly: forward transform, inverse symbol, inverse transform and
-residual check, and of the solvers only the pressure projection.
-solve_ch_system and solve_velocity_helmholtz are the standalone solvers of
-its two other operators and the reference the tests hold those pieces to.
+residual check, and of the solvers only the pressure projection.  The test
+suite holds those pieces to dense LU solves and to a conjugate-gradient
+reference (tests/oracle_tools.py).
 
 Transform symbols are cached per grid; solvers are pure functions of
-(spec, rhs, tol) and safe to call concurrently.
+(rhs, tol) and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ __all__ = [
     "HelmholtzSpec",
     "SolveReport",
     "solve_neumann_poisson",
-    "solve_ch_system",
-    "solve_velocity_helmholtz",
     "project",
     "apply_ch_operator",
     "apply_helmholtz_operator",
@@ -106,19 +102,14 @@ class HelmholtzSpec:
 
 @dataclass
 class SolveReport:
-    """iterations = 0 marks a direct transform solve.  residual is the
+    """iterations is 0 for a direct transform solve, the only kind the
+    library runs; the audit column solver_iterations sums it.  residual is the
     normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), which stays
     at rounding level for the transform paths regardless of conditioning."""
 
     iterations: int
     residual: float
     mean_defect: float = 0.0
-
-
-def _check_finite(arrays, what):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise InputDataError(f"non-finite values in {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +189,7 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
 
 
 # ---------------------------------------------------------------------------
-# forward operators (shared by residual checks, CG paths and dense oracles)
+# forward operators (shared by the residual checks and the test oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -217,55 +208,9 @@ def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector) -> MacVector:
     return out
 
 
-# ---------------------------------------------------------------------------
-# conjugate gradients (matrix-free, Jacobi preconditioned)
-# ---------------------------------------------------------------------------
-
-
-def _pcg(apply_a, b, inv_diag, tol, maxiter, deflate_mean=False):
-    """Standard PCG on flattened arrays; returns (x, iterations, rel_residual)."""
-    bnorm = float(np.sqrt(np.sum(b * b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-
-    def deflated(a):
-        return a - a.mean() if deflate_mean else a
-
-    x = np.zeros_like(b)
-    r = deflated(b.copy())
-    z = inv_diag * r if inv_diag is not None else r
-    z = deflated(z)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    res = float(np.sqrt(np.sum(r * r))) / bnorm
-    it = 0
-    while res > tol and it < maxiter:
-        ap = deflated(apply_a(p))
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        res = float(np.sqrt(np.sum(r * r))) / bnorm
-        z = inv_diag * r if inv_diag is not None else r
-        z = deflated(z)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    return (deflated(x) if deflate_mean else x), it, res
-
-
 def _lap_norm_bound(grid: GridSpec) -> float:
     """Upper bound on the spectral radius of the cell/face Laplacians."""
     return 4.0 / grid.hx**2 + 4.0 / grid.hy**2
-
-
-@lru_cache(maxsize=None)
-def _neg_lap_diag(grid: GridSpec):
-    dx = np.full(grid.nx, 2.0 / grid.hx**2)
-    dx[0] = dx[-1] = 1.0 / grid.hx**2
-    dy = np.full(grid.ny, 2.0 / grid.hy**2)
-    dy[0] = dy[-1] = 1.0 / grid.hy**2
-    return dx[:, None] + dy[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +218,25 @@ def _neg_lap_diag(grid: GridSpec):
 # ---------------------------------------------------------------------------
 
 
-def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, iterations, mean_defect=0.0):
+def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, mean_defect=0.0):
     resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
-    report = SolveReport(iterations=iterations, residual=resid, mean_defect=mean_defect)
+    report = SolveReport(iterations=0, residual=resid, mean_defect=mean_defect)
     if not resid <= max(tol, 1e-13):  # a NaN residual fails too
         raise SolverConvergenceError(report)
     return report
 
 
-def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float, iterations: int = 0,
+def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float,
                 lap_phi: CellField | None = None):
     """Check phi as a solve of the phase operator against rhs, reusing lap_phi = lap_cell(phi)
     if given; returns the SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
     lb = _lap_norm_bound(phi.grid)
     op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
     defect = norm_l2_cell(apply_ch_operator(spec, phi, lap_phi) - rhs)
-    return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol, iterations)
+    return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol)
 
 
-def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float, iterations: int = 0):
+def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float):
     """Check w as a solve of the velocity operator against rhs, whose on-wall
     entries are boundary data, not equations, and are ignored; returns the
     SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
@@ -301,7 +246,7 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
     defect.v[:, [0, -1]] = w.v[:, [0, -1]]
     rhs_norm = np.sqrt(g.cell_area * (np.sum(rhs.u[1:-1, :] ** 2) + np.sum(rhs.v[:, 1:-1] ** 2)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
-    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol, iterations)
+    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +254,7 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
 # ---------------------------------------------------------------------------
 
 
-def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12, method: str = "transform"):
+def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12):
     """Solve lap(psi) = rhs with Neumann walls; returns the zero-mean psi.
 
     The right-hand side must satisfy the solvability condition that its
@@ -317,7 +262,8 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12, method: str = "tra
     CompatibilityError, a smaller one is projected out and reported in the
     SolveReport.mean_defect field.
     """
-    _check_finite([rhs.data], "Poisson right-hand side")
+    if not np.all(np.isfinite(rhs.data)):
+        raise InputDataError("non-finite values in Poisson right-hand side")
     g = rhs.grid
     rhs_norm = norm_l2_cell(rhs)
     mean = float(rhs.data.mean())
@@ -325,97 +271,11 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12, method: str = "tra
     if defect > 1e-10 * max(rhs_norm, 1e-300):
         raise CompatibilityError(mean * g.cell_area * g.nx * g.ny)
     b = rhs.data - mean
-
-    if method == "transform":
-        psi_data = cell_inverse(cell_transform(b) * _poisson_inv_symbol(g))
-        iters = 0
-    elif method == "cg":
-        inv_diag = 1.0 / _neg_lap_diag(g)
-
-        def apply_a(x):
-            return -lap_cell(CellField(g, x)).data
-
-        psi_data, iters, _ = _pcg(
-            apply_a, -b, inv_diag, tol=0.01 * tol, maxiter=20 * g.nx * g.ny, deflate_mean=True
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    psi_data = cell_inverse(cell_transform(b) * _poisson_inv_symbol(g))
     psi = CellField(g, psi_data - psi_data.mean())
     report = _checked(norm_l2_cell(lap_cell(psi) - CellField(g, b)), _lap_norm_bound(g), norm_l2_cell(psi),
-                      rhs_norm, tol, iters, mean_defect=mean * g.cell_area * g.nx * g.ny)
+                      rhs_norm, tol, mean_defect=mean * g.cell_area * g.nx * g.ny)
     return psi, report
-
-
-def solve_ch_system(spec: ChOperatorSpec, rhs_phi: CellField, tol: float = 1e-11, method: str = "transform"):
-    """Solve (I + mobility_dt*lap^2 - mobility_dt*gamma_eff*lap) phi = rhs.
-
-    The caller reconstructs the chemical potential from phi; solving the
-    scalar fourth-order form halves the unknowns compared with the coupled
-    second-order block system and is algebraically identical to it.
-    """
-    _check_finite([rhs_phi.data], "phase-operator right-hand side")
-    g = rhs_phi.grid
-
-    if method == "transform":
-        phi = CellField(g, cell_inverse(cell_transform(rhs_phi.data) * ch_inv_symbol(g, spec)))
-        iters = 0
-    elif method == "cg":
-        mob, ge = spec.mobility_dt, spec.gamma_eff
-        dl = _neg_lap_diag(g)
-        inv_diag = 1.0 / (1.0 + mob * (dl * dl + ge * dl))
-
-        def apply_a(x):
-            return apply_ch_operator(spec, CellField(g, x)).data
-
-        phi_data, iters, _ = _pcg(apply_a, rhs_phi.data, inv_diag, tol=0.01 * tol, maxiter=50 * g.nx * g.ny)
-        phi = CellField(g, phi_data)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return phi, ch_residual(spec, phi, rhs_phi, tol, iters)
-
-
-def solve_velocity_helmholtz(spec: HelmholtzSpec, rhs: MacVector, tol: float = 1e-11, method: str = "transform"):
-    """Solve (I - visc_dt*lap) w = rhs with no-slip walls, component-wise.
-
-    The returned field has exactly zero normal boundary values; boundary
-    entries of the right-hand side are ignored (they are not equations).
-    """
-    _check_finite([rhs.u, rhs.v], "Helmholtz right-hand side")
-    g = rhs.grid
-
-    if method == "transform":
-        out = face_inverse(g, [c * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
-        iters = 0
-    elif method == "cg":
-        b = spec.visc_dt
-        dy_u = np.full(g.ny, 2.0 / g.hy**2)
-        dy_u[0] = dy_u[-1] = 3.0 / g.hy**2  # odd-reflection ghosts stiffen wall rows
-        diag_u = 1.0 + b * (2.0 / g.hx**2 + dy_u)[None, :] * np.ones((g.nx - 1, 1))
-        dx_v = np.full(g.nx, 2.0 / g.hx**2)
-        dx_v[0] = dx_v[-1] = 3.0 / g.hx**2
-        diag_v = 1.0 + b * (dx_v + 2.0 / g.hy**2)[:, None] * np.ones((1, g.ny - 1))
-
-        def apply_u(x):
-            w = MacVector.zeros(g)
-            w.u[1:-1, :] = x
-            return apply_helmholtz_operator(spec, w).u[1:-1, :]
-
-        def apply_v(x):
-            w = MacVector.zeros(g)
-            w.v[:, 1:-1] = x
-            return apply_helmholtz_operator(spec, w).v[:, 1:-1]
-
-        cap = 20 * max(g.nx, g.ny) ** 2
-        out = MacVector.zeros(g)
-        out.u[1:-1, :], iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
-        out.v[:, 1:-1], iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
-        iters = iu + iv
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return out, helmholtz_residual(spec, out, rhs, tol, iters)
 
 
 def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None):

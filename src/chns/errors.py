@@ -28,14 +28,11 @@ class CompatibilityError(ChnsError):
 
 
 class SolverConvergenceError(ChnsError):
-    """An iterative solve exceeded its iteration cap.  Carries the last SolveReport."""
+    """A solve failed its residual check.  Carries the SolveReport."""
 
     def __init__(self, report, message=None):
         self.report = report
-        super().__init__(
-            message
-            or f"solver did not converge: residual {report.residual:.3e} after {report.iterations} iterations"
-        )
+        super().__init__(message or f"solve failed its residual check: residual {report.residual:.3e}")
 
 
 class SingularSystemError(ChnsError):

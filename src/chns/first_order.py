@@ -42,8 +42,9 @@ modified energy for every dt.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import exp
+from math import exp, log
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .elliptic import (
     helmholtz_residual,
     project,
 )
-from .errors import SingularSystemError
+from .errors import SingularSystemError, StateError
 from .grid import (
     CellField,
     MacVector,
@@ -130,10 +131,14 @@ def assemble_xi_system(lag, ch_pairs, vel_pairs, sq: float, params: PhysParams, 
     at effective step k, with the history lag.r and lag.q and the pairings
     of phase_families and velocity_families.  They are the same cell/face
     quadratures as the field equations, which makes the energy cancellations
-    exact."""
+    exact.  Past t/T = log(DBL_MAX), where exp(t/T) overflows, raises StateError."""
     f_dphi0, f_phi1, mu0_adv, mu1_adv = ch_pairs
     ut_chem, conv_ut = vel_pairs
-    e_pos = exp(t_new / params.horizon)
+    try:
+        e_pos = exp(t_new / params.horizon)
+    except OverflowError:
+        raise StateError(f"t/T = {t_new / params.horizon:g} exceeds log(DBL_MAX) = {log(sys.float_info.max):.1f}, "
+                         "where exp(t/T) overflows") from None
     e_neg = exp(-t_new / params.horizon)
     half = 0.5 / sq
     a0 = lag.r / k + half * (f_dphi0 / k + mu0_adv - ut_chem[0])

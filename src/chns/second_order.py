@@ -52,20 +52,25 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     Starts the g sequence: g^0 = 0, so g^1 = nu div(u~^1).  trace, if given,
     is called as trace(prev, new, substep_dt) right after each substep, while
     prev is alive: the states that the audit checks against the first-order
-    energy law, each carrying its substep's solver reports.
+    energy law, each carrying its substep's solver reports.  Level 1 keeps
+    phi, mu, u and sav of state0 as its history and no other part of it, so a
+    caller that hands over its only reference frees state0 after the first
+    substep's trace.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sub_dt = dt / substeps
+    history = dict(phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
+                   sav_prev=SavState(state0.sav.r, state0.sav.q))
     s1 = state0
+    del state0
     for _ in range(substeps):
         new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
         if trace is not None:
             trace(s1, new, sub_dt)
         s1 = new
     g1 = params.viscosity * div_face_to_cell(s1.u_tilde)
-    return SchemeState2(**vars(s1), phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
-                        sav_prev=SavState(state0.sav.r, state0.sav.q), g=g1)
+    return SchemeState2(**vars(s1), **history, g=g1)
 
 
 def extrapolants(state: SchemeState2) -> SimpleNamespace:

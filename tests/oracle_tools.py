@@ -1,12 +1,19 @@
-"""Dense oracles for the test suite.
+"""Dense and iterative oracles for the test suite.
 
 Everything here deliberately re-derives results by brute force: operator
 matrices are built column-by-column from unit vectors, inner products by
 explicit Python loops, and the coupled one-step systems are assembled as one
-dense matrix over every unknown and solved by LU.  The production code never
-sees these paths.
+dense matrix over every unknown and solved by LU.  The conjugate-gradient
+reference solves each elliptic operator a second way, matrix-free and Jacobi
+preconditioned.  The production code never sees these paths.
+
+The standalone phase and velocity solvers are the library's transform pieces
+(forward transform, inverse symbol, inverse transform, residual check) put
+together as the step puts them, so a test of them tests the step's code.
 """
 
+from dataclasses import replace
+from functools import lru_cache
 from math import exp
 from types import SimpleNamespace
 
@@ -16,9 +23,19 @@ from chns.diagnostics import ErrorRecord, _iterate
 from chns.elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
+    _checked,
+    _lap_norm_bound,
+    apply_ch_operator,
+    apply_helmholtz_operator,
+    cell_inverse,
+    cell_transform,
+    ch_inv_symbol,
+    ch_residual,
+    face_inverse,
+    face_transform,
+    helmholtz_inv_symbol,
+    helmholtz_residual,
     project,
-    solve_ch_system,
-    solve_velocity_helmholtz,
 )
 from chns.first_order import XiSystem, explicit_terms, solve_xi
 from chns.grid import (
@@ -33,6 +50,7 @@ from chns.grid import (
     grad_cell_to_face,
     lap_cell,
     lap_velocity,
+    norm_l2_cell,
 )
 from chns.model import SavState, SchemeState, SchemeState2, potential_f_prime, sqrt_aux_energy
 from chns.second_order import extrapolants
@@ -111,6 +129,130 @@ def dense_neumann_solve(grid, rhs):
     b[:n] = rhs.data.ravel()
     sol = np.linalg.solve(aug, b)
     return CellField(grid, sol[:n].reshape(grid.nx, grid.ny))
+
+
+# ---------------------------------------------------------------------------
+# standalone transform solves and the conjugate-gradient reference
+# ---------------------------------------------------------------------------
+
+
+def solve_ch_system(spec, rhs_phi, tol=1e-11):
+    """Solve (I + mobility_dt*lap^2 - mobility_dt*gamma_eff*lap) phi = rhs by
+    the DCT, with the step's residual check; returns (phi, SolveReport)."""
+    g = rhs_phi.grid
+    phi = CellField(g, cell_inverse(cell_transform(rhs_phi.data) * ch_inv_symbol(g, spec)))
+    return phi, ch_residual(spec, phi, rhs_phi, tol)
+
+
+def solve_velocity_helmholtz(spec, rhs, tol=1e-11):
+    """Solve (I - visc_dt*lap) w = rhs with no-slip walls by the DST pair, with
+    the step's residual check; the on-wall entries of rhs are ignored and those
+    of w are zero.  Returns (w, SolveReport)."""
+    g = rhs.grid
+    out = face_inverse(g, [c * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
+    return out, helmholtz_residual(spec, out, rhs, tol)
+
+
+def _pcg(apply_a, b, inv_diag, tol, maxiter, deflate_mean=False):
+    """Standard PCG on flattened arrays; returns (x, iterations, rel_residual)."""
+    bnorm = float(np.sqrt(np.sum(b * b)))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, 0.0
+
+    def deflated(a):
+        return a - a.mean() if deflate_mean else a
+
+    x = np.zeros_like(b)
+    r = deflated(b.copy())
+    z = inv_diag * r if inv_diag is not None else r
+    z = deflated(z)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    res = float(np.sqrt(np.sum(r * r))) / bnorm
+    it = 0
+    while res > tol and it < maxiter:
+        ap = deflated(apply_a(p))
+        alpha = rz / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        res = float(np.sqrt(np.sum(r * r))) / bnorm
+        z = inv_diag * r if inv_diag is not None else r
+        z = deflated(z)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        it += 1
+    return (deflated(x) if deflate_mean else x), it, res
+
+
+@lru_cache(maxsize=None)
+def _neg_lap_diag(grid):
+    dx = np.full(grid.nx, 2.0 / grid.hx**2)
+    dx[0] = dx[-1] = 1.0 / grid.hx**2
+    dy = np.full(grid.ny, 2.0 / grid.hy**2)
+    dy[0] = dy[-1] = 1.0 / grid.hy**2
+    return dx[:, None] + dy[None, :]
+
+
+def cg_neumann_poisson(rhs, tol=1e-12):
+    """The zero-mean solution of lap(psi) = rhs by PCG on the mean-free
+    right-hand side, with the library's residual check."""
+    g = rhs.grid
+    mean = float(rhs.data.mean())
+    b = rhs.data - mean
+
+    def apply_a(x):
+        return -lap_cell(CellField(g, x)).data
+
+    psi_data, iters, _ = _pcg(apply_a, -b, 1.0 / _neg_lap_diag(g), tol=0.01 * tol, maxiter=20 * g.nx * g.ny,
+                              deflate_mean=True)
+    psi = CellField(g, psi_data - psi_data.mean())
+    report = _checked(norm_l2_cell(lap_cell(psi) - CellField(g, b)), _lap_norm_bound(g), norm_l2_cell(psi),
+                      norm_l2_cell(rhs), tol, mean_defect=mean * g.cell_area * g.nx * g.ny)
+    return psi, replace(report, iterations=iters)
+
+
+def cg_ch_system(spec, rhs_phi, tol=1e-11):
+    """The phase operator solved by PCG, with the library's residual check."""
+    g = rhs_phi.grid
+    dl = _neg_lap_diag(g)
+    inv_diag = 1.0 / (1.0 + spec.mobility_dt * (dl * dl + spec.gamma_eff * dl))
+
+    def apply_a(x):
+        return apply_ch_operator(spec, CellField(g, x)).data
+
+    phi_data, iters, _ = _pcg(apply_a, rhs_phi.data, inv_diag, tol=0.01 * tol, maxiter=50 * g.nx * g.ny)
+    phi = CellField(g, phi_data)
+    return phi, replace(ch_residual(spec, phi, rhs_phi, tol), iterations=iters)
+
+
+def cg_velocity_helmholtz(spec, rhs, tol=1e-11):
+    """The velocity operator solved by PCG, one component at a time, with the
+    library's residual check."""
+    g = rhs.grid
+    b = spec.visc_dt
+    dy_u = np.full(g.ny, 2.0 / g.hy**2)
+    dy_u[0] = dy_u[-1] = 3.0 / g.hy**2  # odd-reflection ghosts stiffen wall rows
+    diag_u = 1.0 + b * (2.0 / g.hx**2 + dy_u)[None, :] * np.ones((g.nx - 1, 1))
+    dx_v = np.full(g.nx, 2.0 / g.hx**2)
+    dx_v[0] = dx_v[-1] = 3.0 / g.hx**2
+    diag_v = 1.0 + b * (dx_v + 2.0 / g.hy**2)[:, None] * np.ones((1, g.ny - 1))
+
+    def apply_u(x):
+        w = MacVector.zeros(g)
+        w.u[1:-1, :] = x
+        return apply_helmholtz_operator(spec, w).u[1:-1, :]
+
+    def apply_v(x):
+        w = MacVector.zeros(g)
+        w.v[:, 1:-1] = x
+        return apply_helmholtz_operator(spec, w).v[:, 1:-1]
+
+    cap = 20 * max(g.nx, g.ny) ** 2
+    out = MacVector.zeros(g)
+    out.u[1:-1, :], iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
+    out.v[:, 1:-1], iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
+    return out, replace(helmholtz_residual(spec, out, rhs, tol), iterations=iu + iv)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from chns.elliptic import (
     HelmholtzSpec,
     apply_ch_operator,
     apply_helmholtz_operator,
-    solve_ch_system,
     solve_neumann_poisson,
-    solve_velocity_helmholtz,
 )
 from chns.first_order import step_first_order
 from chns.grid import (
@@ -42,12 +40,17 @@ from chns.grid import (
 from chns.model import PhysParams, energy_e1, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
 from oracle_tools import (
+    cg_ch_system,
+    cg_neumann_poisson,
+    cg_velocity_helmholtz,
     dense_neumann_solve,
     mat_face_to_face,
     mat_from_cell_op,
     monolithic_first_order,
     monolithic_second_order,
     pack_face,
+    solve_ch_system,
+    solve_velocity_helmholtz,
     unpack_face,
 )
 from test_first_order import messy_state, rest_state
@@ -222,16 +225,16 @@ def test_criterion_6_elliptic_oracles():
     d2 = rng.standard_normal((16, 16))
     rhs2 = CellField(g2, d2 - d2.mean())
     worst_paths = 0.0
-    a, _ = solve_neumann_poisson(rhs2, method="transform")
-    b, _ = solve_neumann_poisson(rhs2, tol=1e-12, method="cg")
+    a, _ = solve_neumann_poisson(rhs2)
+    b, _ = cg_neumann_poisson(rhs2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_cell(a - b))
     spec2 = ChOperatorSpec(mobility_dt=1e-5, gamma_eff=PARAMS.gamma_eff)
-    a, _ = solve_ch_system(spec2, rhs2, method="transform")
-    b, _ = solve_ch_system(spec2, rhs2, tol=1e-12, method="cg")
+    a, _ = solve_ch_system(spec2, rhs2)
+    b, _ = cg_ch_system(spec2, rhs2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_cell(a - b))
     w2 = MacVector(g2, rng.standard_normal((17, 16)), rng.standard_normal((16, 17)))
-    a, _ = solve_velocity_helmholtz(HelmholtzSpec(2e-4), w2, method="transform")
-    b, _ = solve_velocity_helmholtz(HelmholtzSpec(2e-4), w2, tol=1e-12, method="cg")
+    a, _ = solve_velocity_helmholtz(HelmholtzSpec(2e-4), w2)
+    b, _ = cg_velocity_helmholtz(HelmholtzSpec(2e-4), w2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_face(a - b))
 
     ok = worst_dense <= 1e-9 and worst_paths <= 1e-10

@@ -27,6 +27,7 @@ from chns.diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
+from chns.errors import StateError
 from chns.first_order import step_first_order
 from chns.grid import CellField, GridSpec, MacVector
 from chns.model import PhysParams, SchemeState, initial_state, state_from_fields
@@ -148,10 +149,9 @@ def test_ladder_runs_hold_only_their_current_state(scheme, monkeypatch):
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])
 def test_a_run_holds_one_level(scheme, monkeypatch):
     """Whenever a step starts, only the state it steps is live; whenever a row
-    is audited, only that step's prev and new are.  The one exception is the
-    msav2 bootstrap, which keeps the initial state: its fields become level
-    1's history.  Both drivers hold to it: iterate_with_audits and
-    simulate_run."""
+    is audited, only that step's prev and new are.  The msav2 bootstrap keeps
+    only the initial fields that become level 1's history, not the initial
+    state.  Both drivers hold to it: iterate_with_audits and simulate_run."""
     dt, starts, audits = 0.01, [], []
 
     def counting(fn, into):
@@ -166,13 +166,10 @@ def test_a_run_holds_one_level(scheme, monkeypatch):
         monkeypatch.setattr(module, name, counting(getattr(module, name), into))
     p = PhysParams()
 
-    def held(t):  # the initial state, while a bootstrap substep after the first runs
-        return 1 if scheme == "msav2" and 0.0 < t < 0.9 * dt else 0
-
     def check():
         assert len(starts) == len(audits) == (4 if scheme == "msav1" else 7)
-        assert [n for _, n in starts] == [1 + held(t) for t, _ in starts]
-        assert [n for _, n in audits] == [2 + held(t) for t, _ in audits]
+        assert [n for _, n in starts] == [1] * len(starts)
+        assert [n for _, n in audits] == [2] * len(audits)
         starts.clear()
         audits.clear()
 
@@ -351,6 +348,17 @@ def test_energy_decay_at_very_large_steps():
         for scheme in ("msav1", "msav2"):
             run = simulate_run(scheme, s0, p, dt, 1)
             assert all(a.passed for a in run.audits), (scheme, dt)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_library_run_past_the_exponential_clock_names_its_step(scheme):
+    """exp(t/T) overflows once t/T > log(DBL_MAX) ~ 709.8: here at step 2
+    (t/T = 1000).  The library run raises StateError with the step and dt
+    recorded, not a bare OverflowError."""
+    p = PhysParams(horizon=1e-3)
+    with pytest.raises(StateError, match=r"log\(DBL_MAX\)") as info:
+        simulate_run(scheme, initial_state(GridSpec(8, 8), p), p, 0.5, 3)
+    assert (info.value.step, info.value.dt) == (2, 0.5)
 
 
 def test_first_order_rates_stay_near_one_across_pairs():

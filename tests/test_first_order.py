@@ -16,8 +16,6 @@ from chns.elliptic import (
     face_inverse,
     helmholtz_inv_symbol,
     project,
-    solve_ch_system,
-    solve_velocity_helmholtz,
 )
 from chns.errors import SingularSystemError, StateError
 from chns.first_order import (
@@ -58,6 +56,8 @@ from oracle_tools import (
     loop_dot_cell,
     loop_dot_face,
     monolithic_first_order,
+    solve_ch_system,
+    solve_velocity_helmholtz,
     three_projection_first_order,
     three_projection_second_order,
 )

@@ -1,5 +1,5 @@
-"""Package surface: every exported name resolves, every name a demo imports
-from chns exists, and the BDF2 state has no optional history."""
+"""Package surface: every exported name resolves, every name a demo or the
+benchmark imports from chns exists, and the BDF2 state has no optional history."""
 
 import ast
 import importlib
@@ -13,7 +13,9 @@ from chns.grid import CellField, GridSpec, MacVector
 from chns.model import SavState, SchemeState2
 
 MODULES = ["chns"] + [f"chns.{m.name}" for m in pkgutil.iter_modules(chns.__path__)]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the demos, and the benchmark, whose every run fails on one missing import
+SOURCES = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("modname", MODULES)
@@ -23,15 +25,25 @@ def test_all_names_resolve(modname):
     assert not missing, f"{modname}.__all__ lists {missing}"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_imports_resolve(demo):
-    """Parsed, not run: a renamed or deleted export fails here, not in a demo."""
-    missing = []
-    for node in ast.walk(ast.parse(demo.read_text())):
+@pytest.mark.parametrize("source", SOURCES, ids=[s.name if s.parent.name == "demos" else f"perfbench/{s.name}"
+                                                  for s in SOURCES])
+def test_demo_imports_resolve(source):
+    """Parsed, not run: a renamed or deleted export fails here, not in a demo
+    or a benchmark run.  Names read through `import chns.x as alias` count."""
+    tree = ast.parse(source.read_text())
+    missing, aliases = [], {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chns":
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-    assert not missing, f"{demo.name} imports {missing}"
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name) for a in node.names if a.asname and a.name.split(".")[0] == "chns")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            name = aliases[node.value.id]
+            if not hasattr(importlib.import_module(name), node.attr):
+                missing.append(f"{name}.{node.attr}")
+    assert not missing, f"{source.name} imports {missing}"
 
 
 def test_scheme_state2_requires_history():

@@ -3,7 +3,7 @@ dense oracle, and the third-order local error."""
 
 import numpy as np
 
-from chns.elliptic import ChOperatorSpec, HelmholtzSpec, solve_ch_system, solve_velocity_helmholtz
+from chns.elliptic import ChOperatorSpec, HelmholtzSpec
 from chns.diagnostics import energy2_report
 from chns.first_order import step_first_order
 from chns.grid import (
@@ -16,7 +16,12 @@ from chns.grid import (
 )
 from chns.model import PhysParams, SavState, SchemeState2, state_from_fields
 from chns.second_order import bootstrap, step_second_order
-from oracle_tools import monolithic_second_order, three_projection_second_order
+from oracle_tools import (
+    monolithic_second_order,
+    solve_ch_system,
+    solve_velocity_helmholtz,
+    three_projection_second_order,
+)
 from test_first_order import messy_state, rest_state
 
 
