@@ -22,6 +22,14 @@ is the one that holds to rounding and the one acceptance keys on.  The gap
 between the two readings is reported as identity_defect, which is zero for
 the first-order law.
 
+The audit is a check of the stored fields that repeats none of the step's
+operator applications.  |grad u~|^2 = <-lap u~, u~> and |div u~|^2 come from
+the level: the step forms them from the Laplacian of its Helmholtz residual
+check and the divergence its projection consumes, both applied to the u~ it
+stores.  The audit's energies are fused reductions on the raw arrays, which
+agree with the dot_cell/dot_face/grad_cell_to_face forms to rounding; the
+Cauchy errors keep those forms.
+
 Convergence is measured with Cauchy errors between a run at dt and a
 companion at dt/2 on the same grid, compared at every coarse level; no exact
 solution exists for this system.  A ladder of halvings shares its runs: the
@@ -43,7 +51,6 @@ from .grid import (
     MacVector,
     curl_at_nodes,
     div_face_to_cell,
-    dot_cell,
     dot_face,
     grad_cell_to_face,
     lap_velocity,
@@ -85,20 +92,32 @@ def mass(phi: CellField) -> float:
     return phi.grid.cell_area * float(np.sum(phi.data))
 
 
-def grad_energy_cell(f: CellField) -> float:
-    g = grad_cell_to_face(f)
-    return dot_face(g, g)
-
-
 def grad_energy_velocity(w: MacVector) -> float:
     """Discrete Dirichlet energy <-lap w, w>; the viscous dissipation norm."""
     return dot_face(-1.0 * lap_velocity(w), w)
 
 
+def _sq(a: np.ndarray) -> float:
+    """sum(a * a): one dot product, no product temporary."""
+    return float(np.vdot(a, a))
+
+
+def _grad_sq(grid, d: np.ndarray) -> float:
+    """|grad f|^2 of cell data d, the dot_face of grad_cell_to_face(f) with
+    itself, from the interior face differences: wall faces carry no gradient."""
+    return grid.cell_area * (_sq(d[1:, :] - d[:-1, :]) / grid.hx**2 + _sq(d[:, 1:] - d[:, :-1]) / grid.hy**2)
+
+
+def _face_sq(grid, u: np.ndarray, v: np.ndarray) -> float:
+    """|w|^2 = dot_face(w, w) of the face vector with components u and v."""
+    return grid.cell_area * (_sq(u) + _sq(v))
+
+
 def _quadratics(state: SchemeState):
     """|grad phi|^2, |phi|^2 and |u|^2 of a state: the reductions the physical
     and the modified energies share, so an audit row computes them once."""
-    return grad_energy_cell(state.phi), dot_cell(state.phi, state.phi), dot_face(state.u, state.u)
+    g, phi = state.grid, state.phi.data
+    return _grad_sq(g, phi), g.cell_area * _sq(phi), _face_sq(g, state.u.u, state.u.v)
 
 
 def total_energy(state: SchemeState, params: PhysParams, quads=None) -> float:
@@ -127,13 +146,12 @@ def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=Non
     if isinstance(state, SchemeState2):
         return energy2_report(state, params, dt, quads)["etilde"]
     grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
-    gp = grad_cell_to_face(state.p)
     return (
         grad_phi
         + params.gamma_eff * phi_sq
         + 2.0 * state.r**2
         + u_sq
-        + dt * dt * dot_face(gp, gp)
+        + dt * dt * _grad_sq(state.grid, state.p.data)
         + state.q**2
     )
 
@@ -141,21 +159,20 @@ def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=Non
 def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=None) -> dict:
     """Named components of the BDF2 modified energy and their sum, "etilde"."""
     grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
-    ge = params.gamma_eff
-    gH = grad_cell_to_face(state.p + state.g)  # H = p + g
-    u_x = 2.0 * state.u - state.u_prev
-    phi_x = 2.0 * state.phi - state.phi_prev
+    g, ge = state.grid, params.gamma_eff
+    u, u_prev = state.u, state.u_prev
+    phi_x = 2.0 * state.phi.data - state.phi_prev.data
     r_x = 2.0 * state.sav.r - state.sav_prev.r
     q_x = 2.0 * state.sav.q - state.sav_prev.q
     comp = {
         "u_half": 0.5 * u_sq,
-        "u_extrap_half": 0.5 * dot_face(u_x, u_x),
-        "grad_H": (2.0 / 3.0) * dt * dt * dot_face(gH, gH),
-        "g_term": dt / params.viscosity * dot_cell(state.g, state.g),
+        "u_extrap_half": 0.5 * _face_sq(g, 2.0 * u.u - u_prev.u, 2.0 * u.v - u_prev.v),
+        "grad_H": (2.0 / 3.0) * dt * dt * _grad_sq(g, state.p.data + state.g.data),  # H = p + g
+        "g_term": dt / params.viscosity * g.cell_area * _sq(state.g.data),
         "grad_phi_half": 0.5 * grad_phi,
-        "grad_phi_extrap_half": 0.5 * grad_energy_cell(phi_x),
+        "grad_phi_extrap_half": 0.5 * _grad_sq(g, phi_x),
         "phi_half": 0.5 * ge * phi_sq,
-        "phi_extrap_half": 0.5 * ge * dot_cell(phi_x, phi_x),
+        "phi_extrap_half": 0.5 * ge * g.cell_area * _sq(phi_x),
         "r_sq": state.sav.r**2,
         "r_extrap_sq": r_x**2,
         "q_half": 0.5 * state.sav.q**2,
@@ -215,21 +232,24 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
     """Audit row of one step against the energy law new obeys (see
     modified_energy), with the solver reports new carries.  etilde_prev, if
     given, is prev's Etilde under the same law and dt (the Etilde of prev's
-    own row), which saves recomputing it.
+    own row), which saves recomputing it.  new is a level a step produced.
 
     Both laws dissipate diss_mu = 2 M dt |grad mu|^2, diss_q = 2 dt/T q^2 and
     V = nu dt |grad u~|^2.  The BDF2 law adds D = nu dt |div u~|^2 and, in its
     stated form, C = nu dt |curl u|^2 at the nodes; the first-order law has
-    neither, so its raw and adjusted defects coincide."""
+    neither, so its raw and adjusted defects coincide.  |grad u~|^2 and
+    |div u~|^2 are the ones new carries: the step formed them from its
+    stored u~ with the Laplacian of its Helmholtz residual check and the
+    divergence its projection consumed."""
     nu_dt = params.viscosity * dt
     quads = _quadratics(new)
     et_new = modified_energy(new, params, dt, quads)
     et_prev = modified_energy(prev, params, dt) if etilde_prev is None else etilde_prev
-    diss_mu = 2.0 * params.mobility * dt * grad_energy_cell(new.mu)
+    diss_mu = 2.0 * params.mobility * dt * _grad_sq(new.grid, new.mu.data)
     diss_q = 2.0 * dt / params.horizon * new.q**2
-    visc = nu_dt * grad_energy_velocity(new.u_tilde)
+    visc = nu_dt * new.grad_ut_sq
     bdf2 = isinstance(new, SchemeState2)
-    div = nu_dt * norm_l2_cell(div_face_to_cell(new.u_tilde)) ** 2 if bdf2 else 0.0
+    div = nu_dt * new.div_ut_sq if bdf2 else 0.0
     curl = nu_dt * norm_l2_nodes(new.grid, curl_at_nodes(new.u)) ** 2 if bdf2 else 0.0
     # the exact discrete identity carries 2V - D; the stated BDF2 estimate V + C
     diss_visc = 2.0 * visc - div

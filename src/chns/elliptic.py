@@ -198,8 +198,8 @@ def apply_ch_operator(spec: ChOperatorSpec, phi: CellField, lap_phi: CellField |
     return phi + spec.mobility_dt * lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
 
 
-def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector) -> MacVector:
-    out = w - spec.visc_dt * lap_velocity(w)
+def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector, lap_w: MacVector | None = None) -> MacVector:
+    out = w - spec.visc_dt * (lap_velocity(w) if lap_w is None else lap_w)
     # on-wall entries are boundary data, not equations
     out.u[0, :] = w.u[0, :]
     out.u[-1, :] = w.u[-1, :]
@@ -236,12 +236,14 @@ def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float
     return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol)
 
 
-def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float):
+def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float,
+                       lap_w: MacVector | None = None):
     """Check w as a solve of the velocity operator against rhs, whose on-wall
-    entries are boundary data, not equations, and are ignored; returns the
-    SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
+    entries are boundary data, not equations, and are ignored, reusing
+    lap_w = lap_velocity(w) if given; returns the SolveReport, or raises
+    SolverConvergenceError above max(tol, 1e-13)."""
     g = w.grid
-    defect = apply_helmholtz_operator(spec, w) - rhs
+    defect = apply_helmholtz_operator(spec, w, lap_w) - rhs
     defect.u[[0, -1], :] = w.u[[0, -1], :]  # the wall rows of A w - b, with those of b ignored
     defect.v[:, [0, -1]] = w.v[:, [0, -1]]
     rhs_norm = np.sqrt(g.cell_area * (np.sum(rhs.u[1:-1, :] ** 2) + np.sum(rhs.v[:, 1:-1] ** 2)))
@@ -278,8 +280,9 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12):
     return psi, report
 
 
-def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None):
-    """Remove the gradient part of w: returns (u, psi) with
+def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None, div_w: CellField | None = None):
+    """Remove the gradient part of w, reusing div_w = div_face_to_cell(w) if
+    given: returns (u, psi) with
 
         lap(psi) = div(w) / dt_coef   (Neumann, zero mean),
         u = w - dt_coef * grad(psi),
@@ -289,7 +292,7 @@ def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None):
     time-step coefficient multiplying the pressure gradient: dt for the
     backward-Euler stepper, 2*dt/3 for the BDF2 stepper.
     """
-    d = div_face_to_cell(w)
+    d = div_face_to_cell(w) if div_w is None else div_w
     # the mean of div(w) is the boundary flux: exactly zero for no-penetration
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed

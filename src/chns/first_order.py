@@ -69,8 +69,10 @@ from .grid import (
     advect_scalar,
     advect_velocity,
     chemical_force,
+    div_face_to_cell,
     grad_cell_to_face,
     lap_cell,
+    lap_velocity,
 )
 from .model import PhysParams, SavState, SchemeState, potential_f_prime, sqrt_aux_energy
 
@@ -217,9 +219,11 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
     transform and one residual check per operator, and one projection.
 
-    The returned pressure is lag.p + psi, before the caller's own correction
-    and zero-mean normalization; the returned state carries the phase,
-    Helmholtz and Poisson reports of the step.
+    Returns the new level and div u~.  The level's pressure is lag.p + psi,
+    before the caller's own correction and zero-mean normalization; it carries
+    the phase, Helmholtz and Poisson reports of the step, and <-lap u~, u~>
+    and |div u~|^2 of its u~ from the Laplacian of the Helmholtz residual
+    check and the divergence the projection consumes.
     """
     if k <= 0:
         raise ValueError("dt must be positive")
@@ -247,8 +251,11 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
         a += (xi1 * k) * c  # the right-hand side of u~, built in place
         a -= (xi2 * k) * v
     del terms.chem, terms.conv
-    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz)
+    lap_ut = lap_velocity(ut_new)  # shared by the residual check and the audit's <-lap u~, u~>
+    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz, lap_w=lap_ut)
     del rhs_u
+    grad_ut_sq = -g.cell_area * float(np.vdot(lap_ut.u, ut_new.u) + np.vdot(lap_ut.v, ut_new.v))
+    del lap_ut
     phi_hat += xi1 * phi1_hat
     del phi1_hat
     phi = CellField(g, cell_inverse(phi_hat))
@@ -260,15 +267,18 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
     del lap_phi, terms
     reports = [ch_report, h_report]
-    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports)
-    return SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav,
-                       reports=tuple(reports))
+    div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
+    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports, div_w=div_ut)
+    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav,
+                      reports=tuple(reports), grad_ut_sq=grad_ut_sq,
+                      div_ut_sq=g.cell_area * float(np.vdot(div_ut.data, div_ut.data)))
+    return new, div_ut
 
 
 def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
                      tol_helmholtz: float = 1e-11) -> SchemeState:
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)
+    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)[0]
     new.p = _zero_mean(new.p)
     return new

@@ -387,17 +387,17 @@ def curl_at_nodes(w: MacVector) -> np.ndarray:
 
 
 def norm_l2_nodes(grid: GridSpec, node_values: np.ndarray) -> float:
-    """Trapezoid-weighted L2 norm of a node field (half weights on edges)."""
+    """Trapezoid-weighted L2 norm of a node field: weight 1 inside, 1/2 on the
+    edges and 1/4 at the corners, applied as corrections to the plain sum of
+    squares, so no weight array or squared field is built."""
     if node_values.shape != (grid.nx + 1, grid.ny + 1):
         raise DimensionMismatchError(
             f"node data shape {node_values.shape} != {(grid.nx + 1, grid.ny + 1)}"
         )
-    wts = np.ones((grid.nx + 1, grid.ny + 1))
-    wts[0, :] *= 0.5
-    wts[-1, :] *= 0.5
-    wts[:, 0] *= 0.5
-    wts[:, -1] *= 0.5
-    return float(np.sqrt(grid.cell_area * np.sum(wts * node_values**2)))
+    v = node_values
+    edges = np.vdot(v[0], v[0]) + np.vdot(v[-1], v[-1]) + np.vdot(v[:, 0], v[:, 0]) + np.vdot(v[:, -1], v[:, -1])
+    corners = v[0, 0] ** 2 + v[0, -1] ** 2 + v[-1, 0] ** 2 + v[-1, -1] ** 2
+    return float(np.sqrt(grid.cell_area * (np.vdot(v, v) - 0.5 * edges + 0.25 * corners)))
 
 
 # ---------------------------------------------------------------------------

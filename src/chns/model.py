@@ -110,6 +110,10 @@ class SchemeState:
     p: CellField  # zero-mean pressure
     sav: SavState
     reports: tuple = ()  # residual-check SolveReports of the step that produced this level
+    # <-lap u~, u~> and |div u~|^2 of u_tilde, from that step's own operator applications; NaN on a
+    # level no step produced (initial data), which the audit only ever sees as the earlier level
+    grad_ut_sq: float = np.nan
+    div_ut_sq: float = np.nan
 
     @property
     def r(self) -> float:

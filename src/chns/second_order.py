@@ -92,10 +92,11 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
                           u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
                           r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
                           q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0)
-    new = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
-                         tol_poisson, tol_helmholtz)
+    new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
+                                 tol_poisson, tol_helmholtz)
     del lag
-    nu_div = params.viscosity * div_face_to_cell(new.u_tilde)
+    nu_div = params.viscosity * div_ut
+    del div_ut
     new.p = _zero_mean(new.p - nu_div)
     return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u,
                         sav_prev=SavState(state.sav.r, state.sav.q), g=state.g + nu_div)

@@ -5,7 +5,10 @@ matrices are built column-by-column from unit vectors, inner products by
 explicit Python loops, and the coupled one-step systems are assembled as one
 dense matrix over every unknown and solved by LU.  The conjugate-gradient
 reference solves each elliptic operator a second way, matrix-free and Jacobi
-preconditioned.  The production code never sees these paths.
+preconditioned.  The energy audit is restated with the zero-padded face
+gradients, field-container products and explicit node weights that the
+library's fused reductions replace.  The production code never sees these
+paths.
 
 The standalone phase and velocity solvers are the library's transform pieces
 (forward transform, inverse symbol, inverse transform, residual check) put
@@ -19,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from chns.diagnostics import ErrorRecord, _iterate
+from chns.diagnostics import EnergyAudit, ErrorRecord, _iterate, grad_energy_velocity, mass
 from chns.elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
@@ -44,6 +47,7 @@ from chns.grid import (
     advect_scalar,
     advect_velocity,
     chemical_force,
+    curl_at_nodes,
     div_face_to_cell,
     dot_cell,
     dot_face,
@@ -52,7 +56,7 @@ from chns.grid import (
     lap_velocity,
     norm_l2_cell,
 )
-from chns.model import SavState, SchemeState, SchemeState2, potential_f_prime, sqrt_aux_energy
+from chns.model import SavState, SchemeState, SchemeState2, energy_e1, potential_f_prime, sqrt_aux_energy
 from chns.second_order import extrapolants
 
 
@@ -610,3 +614,80 @@ def cauchy_pair(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, tol_helm
         _, fine_state = next(fine)
         record.add(coarse_state, fine_state)
     return record
+
+
+# ---------------------------------------------------------------------------
+# reference energy audit: materialized gradients, u~ recomputed
+# ---------------------------------------------------------------------------
+
+
+def _grad_energy(f):
+    gf = grad_cell_to_face(f)
+    return dot_face(gf, gf)
+
+
+def _node_energy(grid, v):
+    """Trapezoid-weighted sum of squares of a node field, from an explicit weight array."""
+    wts = np.ones(v.shape)
+    wts[[0, -1], :] *= 0.5
+    wts[:, [0, -1]] *= 0.5
+    return grid.cell_area * float(np.sum(wts * v**2))
+
+
+def reference_etilde(state, params, dt):
+    """Etilde of the law the state obeys, from zero-padded face gradients and
+    field-container products (the forms of dot_cell, dot_face and
+    grad_cell_to_face), summed in diagnostics.energy2_report's order."""
+    ge = params.gamma_eff
+    if not isinstance(state, SchemeState2):
+        return (_grad_energy(state.phi) + ge * dot_cell(state.phi, state.phi) + 2.0 * state.r**2
+                + dot_face(state.u, state.u) + dt * dt * _grad_energy(state.p) + state.q**2)
+    u_x = 2.0 * state.u - state.u_prev
+    phi_x = 2.0 * state.phi - state.phi_prev
+    r_x = 2.0 * state.sav.r - state.sav_prev.r
+    q_x = 2.0 * state.sav.q - state.sav_prev.q
+    return float(sum([
+        0.5 * dot_face(state.u, state.u),
+        0.5 * dot_face(u_x, u_x),
+        (2.0 / 3.0) * dt * dt * _grad_energy(state.p + state.g),
+        dt / params.viscosity * dot_cell(state.g, state.g),
+        0.5 * _grad_energy(state.phi),
+        0.5 * _grad_energy(phi_x),
+        0.5 * ge * dot_cell(state.phi, state.phi),
+        0.5 * ge * dot_cell(phi_x, phi_x),
+        state.sav.r**2,
+        r_x**2,
+        0.5 * state.sav.q**2,
+        0.5 * q_x**2,
+    ]))
+
+
+def reference_audit_row(prev, new, params, dt):
+    """diagnostics.audit_step's row recomputed from the stored fields alone:
+    both Etildes by reference_etilde, |grad u~|^2 as <-lap u~, u~> and
+    |div u~|^2 from div_face_to_cell of new.u_tilde, not from the values the
+    step carries, and the node curl energy with explicit trapezoid weights."""
+    nu_dt = params.viscosity * dt
+    et_new, et_prev = reference_etilde(new, params, dt), reference_etilde(prev, params, dt)
+    diss_mu = 2.0 * params.mobility * dt * _grad_energy(new.mu)
+    diss_q = 2.0 * dt / params.horizon * new.q**2
+    visc = nu_dt * grad_energy_velocity(new.u_tilde)
+    bdf2 = isinstance(new, SchemeState2)
+    div = nu_dt * norm_l2_cell(div_face_to_cell(new.u_tilde)) ** 2 if bdf2 else 0.0
+    curl = nu_dt * _node_energy(new.grid, curl_at_nodes(new.u)) if bdf2 else 0.0
+    diss_visc = 2.0 * visc - div
+    defect = et_new - et_prev + diss_mu + diss_visc + diss_q
+    g = new.grid
+    shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
+    e_total = (0.5 * dot_face(new.u, new.u) + 0.5 * _grad_energy(new.phi)
+               + (0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2) * dot_cell(new.phi, new.phi)
+               + energy_e1(new.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0))
+    return EnergyAudit(
+        t=new.t, E_total=e_total, Etilde=et_new, Etilde_prev=et_prev, mass=mass(new.phi),
+        div_norm=norm_l2_cell(div_face_to_cell(new.u)), r=new.r, q=new.q, decay_defect=defect,
+        decay_defect_raw=et_new - et_prev + diss_mu + visc + curl + diss_q if bdf2 else defect,
+        diss_mu=diss_mu, diss_visc=diss_visc, diss_q=diss_q, diss_curl=curl,
+        identity_defect=visc - div - curl if bdf2 else 0.0,
+        solver_residual_max=max((r.residual for r in new.reports), default=0.0),
+        solver_iterations=int(sum(r.iterations for r in new.reports)),
+    )

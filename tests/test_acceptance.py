@@ -37,7 +37,7 @@ from chns.grid import (
     norm_l2_cell,
     norm_l2_face,
 )
-from chns.model import PhysParams, energy_e1, initial_state, state_from_fields
+from chns.model import PhysParams, energy_e1, initial_state
 from chns.second_order import bootstrap, step_second_order
 from oracle_tools import (
     cg_ch_system,

@@ -18,6 +18,7 @@ from chns.diagnostics import (
     audit_step,
     cauchy_ladder,
     energy2_report,
+    grad_energy_velocity,
     iterate_with_audits,
     mass,
     modified_energy,
@@ -29,10 +30,10 @@ from chns.diagnostics import (
 )
 from chns.errors import StateError
 from chns.first_order import step_first_order
-from chns.grid import CellField, GridSpec, MacVector
+from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell
 from chns.model import PhysParams, SchemeState, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
-from oracle_tools import cauchy_pair
+from oracle_tools import cauchy_pair, reference_audit_row
 
 
 def test_observed_rate_values():
@@ -210,8 +211,6 @@ def test_a_run_peaks_within_its_memory_budget(scheme, budget):
 
 
 def test_attach_rates_layout():
-    from chns.diagnostics import ErrorRecord
-
     recs = [
         ErrorRecord(0.02, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0),
         ErrorRecord(0.01, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0),
@@ -251,8 +250,6 @@ def test_csv_outputs_deterministic(tmp_path):
 
 
 def test_table_csv_single_row_has_empty_rates(tmp_path):
-    from chns.diagnostics import ErrorRecord
-
     rows = attach_rates([ErrorRecord(0.01, 1e-3, 1e-2, 1e-4, 1e-3, 1e-2, 1e-3, 1e-4)])
     path = tmp_path / "table.csv"
     write_table_csv(path, rows)
@@ -331,6 +328,46 @@ def test_audit_step_law_follows_the_state():
     for row in [first] + bootstrap_rows:
         assert row.diss_curl == 0.0 and row.identity_defect == 0.0
         assert row.decay_defect_raw == row.decay_defect
+
+
+def _audited_pairs(scheme, grid, n_steps, dt=0.01):
+    """(prev, new, step_dt) of every audited step of a run: each msav2 bootstrap substep, then each level."""
+    p, pairs = PhysParams(), []
+    for _ in _iterate(scheme, initial_state(grid, p), p, dt, n_steps, 1e-12, 1e-11,
+                      on_step=lambda prev, new, step_dt: pairs.append((prev, new, step_dt))):
+        pass
+    return p, pairs
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_step_carries_its_own_grad_and_div_of_u_tilde(scheme):
+    """Every level a step produces, the msav2 bootstrap substeps included,
+    carries <-lap u~, u~> and |div u~|^2 equal to a recomputation from the
+    u~ it stores: the audit's viscous terms check the stored field."""
+    _, pairs = _audited_pairs(scheme, GridSpec(12, 10), 3)
+    assert len(pairs) == (3 if scheme == "msav1" else 6)
+    for _, new, _ in pairs:
+        d = div_face_to_cell(new.u_tilde)
+        for carried, recomputed in ((new.grad_ut_sq, grad_energy_velocity(new.u_tilde)),
+                                    (new.div_ut_sq, dot_cell(d, d))):
+            assert recomputed > 0.0
+            assert abs(carried - recomputed) <= 1e-14 * recomputed
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@pytest.mark.parametrize("nx, ny", [(8, 8), (12, 7)])
+def test_audit_rows_match_the_reference_audit(scheme, nx, ny):
+    """Each row's fused reductions against the materialized-gradient forms of
+    the test oracle: every column to 1e-13 relative, the defects to 1e-6 of
+    the slack.  A reduction that drops a wall face or a direction fails."""
+    p, pairs = _audited_pairs(scheme, GridSpec(nx, ny), 4)
+    for prev, new, step_dt in pairs:
+        row, ref = audit_step(prev, new, p, step_dt), reference_audit_row(prev, new, p, step_dt)
+        for name in ("Etilde_prev",) + AUDIT_COLUMNS:
+            got, want = getattr(row, name), getattr(ref, name)
+            tol = 1e-6 * ref.slack if name.startswith("decay_defect") else 1e-13 * max(1.0, abs(want))
+            assert abs(got - want) <= tol, (name, new.t, got, want)
+        assert row.passed
 
 
 def test_audit_slack_definition():

@@ -43,8 +43,6 @@ from chns.grid import (
 )
 from chns.model import (
     PhysParams,
-    SavState,
-    SchemeState,
     energy_e1,
     initial_state,
     potential_f_prime,

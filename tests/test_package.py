@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, every name a demo or the
-benchmark imports from chns exists, and the BDF2 state has no optional history."""
+benchmark imports from chns exists, the BDF2 state has no optional history,
+and no module of the package or the tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -57,3 +58,32 @@ def test_scheme_state2_requires_history():
     with pytest.raises(TypeError):
         SchemeState2(**fields)
     assert SchemeState2(**fields, phi_prev=zero).phi_prev is zero
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, less those it re-exports through __all__."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name.split(".")[0]), node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(((a.asname or a.name), node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+# chns/__init__.py imports only to re-export
+LINTED = [p for p in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+          if p != ROOT / "src" / "chns" / "__init__.py"]
+
+
+@pytest.mark.parametrize("source", LINTED, ids=[str(p.relative_to(ROOT)) for p in LINTED])
+def test_no_unused_imports(source):
+    """Every imported name is read somewhere in its module: the check a lint
+    step would make, parsed with ast since no linter is a dependency."""
+    unused = _unused_imports(source)
+    assert not unused, f"{source.name} imports but never uses {unused}"
