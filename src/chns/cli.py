@@ -386,9 +386,9 @@ def _gather_config(args) -> RunConfig:
     raw = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 raw.update(parse_config_text(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     for item in args.set:
         if "=" not in item:

@@ -26,9 +26,8 @@ The audit is a check of the stored fields that repeats none of the step's
 operator applications.  |grad u~|^2 = <-lap u~, u~> and |div u~|^2 come from
 the level: the step forms them from the Laplacian of its Helmholtz residual
 check and the divergence its projection consumes, both applied to the u~ it
-stores.  The audit's energies are fused reductions on the raw arrays, which
-agree with the dot_cell/dot_face/grad_cell_to_face forms to rounding; the
-Cauchy errors keep those forms.
+stores.  Every energy, dissipation and Cauchy error reduces through the
+grid's dot_cell, dot_face, grad_sq_cell and (the node curl) norm_l2_nodes.
 
 Convergence is measured with Cauchy errors between a run at dt and a
 companion at dt/2 on the same grid, compared at every coarse level; no exact
@@ -45,14 +44,15 @@ from math import log2, sqrt
 import numpy as np
 
 from .errors import ChnsError
-from .first_order import step_first_order
+from .first_order import _zero_mean, step_first_order
 from .grid import (
     CellField,
     MacVector,
     curl_at_nodes,
     div_face_to_cell,
+    dot_cell,
     dot_face,
-    grad_cell_to_face,
+    grad_sq_cell,
     lap_velocity,
     norm_l2_cell,
     norm_l2_face,
@@ -94,30 +94,13 @@ def mass(phi: CellField) -> float:
 
 def grad_energy_velocity(w: MacVector) -> float:
     """Discrete Dirichlet energy <-lap w, w>; the viscous dissipation norm."""
-    return dot_face(-1.0 * lap_velocity(w), w)
-
-
-def _sq(a: np.ndarray) -> float:
-    """sum(a * a): one dot product, no product temporary."""
-    return float(np.vdot(a, a))
-
-
-def _grad_sq(grid, d: np.ndarray) -> float:
-    """|grad f|^2 of cell data d, the dot_face of grad_cell_to_face(f) with
-    itself, from the interior face differences: wall faces carry no gradient."""
-    return grid.cell_area * (_sq(d[1:, :] - d[:-1, :]) / grid.hx**2 + _sq(d[:, 1:] - d[:, :-1]) / grid.hy**2)
-
-
-def _face_sq(grid, u: np.ndarray, v: np.ndarray) -> float:
-    """|w|^2 = dot_face(w, w) of the face vector with components u and v."""
-    return grid.cell_area * (_sq(u) + _sq(v))
+    return -dot_face(lap_velocity(w), w)
 
 
 def _quadratics(state: SchemeState):
     """|grad phi|^2, |phi|^2 and |u|^2 of a state: the reductions the physical
     and the modified energies share, so an audit row computes them once."""
-    g, phi = state.grid, state.phi.data
-    return _grad_sq(g, phi), g.cell_area * _sq(phi), _face_sq(g, state.u.u, state.u.v)
+    return grad_sq_cell(state.phi), dot_cell(state.phi, state.phi), dot_face(state.u, state.u)
 
 
 def total_energy(state: SchemeState, params: PhysParams, quads=None) -> float:
@@ -151,7 +134,7 @@ def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=Non
         + params.gamma_eff * phi_sq
         + 2.0 * state.r**2
         + u_sq
-        + dt * dt * _grad_sq(state.grid, state.p.data)
+        + dt * dt * grad_sq_cell(state.p)
         + state.q**2
     )
 
@@ -159,20 +142,20 @@ def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=Non
 def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=None) -> dict:
     """Named components of the BDF2 modified energy and their sum, "etilde"."""
     grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
-    g, ge = state.grid, params.gamma_eff
-    u, u_prev = state.u, state.u_prev
-    phi_x = 2.0 * state.phi.data - state.phi_prev.data
+    ge = params.gamma_eff
+    u_x = 2.0 * state.u - state.u_prev
+    phi_x = 2.0 * state.phi - state.phi_prev
     r_x = 2.0 * state.sav.r - state.sav_prev.r
     q_x = 2.0 * state.sav.q - state.sav_prev.q
     comp = {
         "u_half": 0.5 * u_sq,
-        "u_extrap_half": 0.5 * _face_sq(g, 2.0 * u.u - u_prev.u, 2.0 * u.v - u_prev.v),
-        "grad_H": (2.0 / 3.0) * dt * dt * _grad_sq(g, state.p.data + state.g.data),  # H = p + g
-        "g_term": dt / params.viscosity * g.cell_area * _sq(state.g.data),
+        "u_extrap_half": 0.5 * dot_face(u_x, u_x),
+        "grad_H": (2.0 / 3.0) * dt * dt * grad_sq_cell(state.p + state.g),  # H = p + g
+        "g_term": dt / params.viscosity * dot_cell(state.g, state.g),
         "grad_phi_half": 0.5 * grad_phi,
-        "grad_phi_extrap_half": 0.5 * _grad_sq(g, phi_x),
+        "grad_phi_extrap_half": 0.5 * grad_sq_cell(phi_x),
         "phi_half": 0.5 * ge * phi_sq,
-        "phi_extrap_half": 0.5 * ge * g.cell_area * _sq(phi_x),
+        "phi_extrap_half": 0.5 * ge * dot_cell(phi_x, phi_x),
         "r_sq": state.sav.r**2,
         "r_extrap_sq": r_x**2,
         "q_half": 0.5 * state.sav.q**2,
@@ -245,7 +228,7 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
     quads = _quadratics(new)
     et_new = modified_energy(new, params, dt, quads)
     et_prev = modified_energy(prev, params, dt) if etilde_prev is None else etilde_prev
-    diss_mu = 2.0 * params.mobility * dt * _grad_sq(new.grid, new.mu.data)
+    diss_mu = 2.0 * params.mobility * dt * grad_sq_cell(new.mu)
     diss_q = 2.0 * dt / params.horizon * new.q**2
     visc = nu_dt * new.grad_ut_sq
     bdf2 = isinstance(new, SchemeState2)
@@ -389,17 +372,15 @@ class ErrorRecord:
         """Fold in the errors between a coarse level and the fine level at its time."""
         dphi = coarse.phi - fine.phi
         self.e_phi_linf = max(self.e_phi_linf, norm_l2_cell(dphi))
-        gd = grad_cell_to_face(dphi)
-        self.e_grad_phi_linf = max(self.e_grad_phi_linf, sqrt(max(dot_face(gd, gd), 0.0)))
+        self.e_grad_phi_linf = max(self.e_grad_phi_linf, sqrt(grad_sq_cell(dphi)))
         self.e_r = max(self.e_r, abs(coarse.r - fine.r))
         self.e_q = max(self.e_q, abs(coarse.q - fine.q))
         du = coarse.u - fine.u
         self.e_u_linf = max(self.e_u_linf, norm_l2_face(du))
         self._sum_grad_u += self.dt * max(grad_energy_velocity(du), 0.0)
         self.e_grad_u_l2 = sqrt(self._sum_grad_u)
-        dp = (coarse.p - fine.p).data
-        dp = dp - dp.mean()  # pressure error in the quotient space (mod constants)
-        self._sum_p += self.dt * coarse.phi.grid.cell_area * float(np.sum(dp * dp))
+        dp = _zero_mean(coarse.p - fine.p)  # pressure error in the quotient space (mod constants)
+        self._sum_p += self.dt * dot_cell(dp, dp)
         self.e_p_l2 = sqrt(self._sum_p)
 
     def values(self):

@@ -246,7 +246,8 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
     defect = apply_helmholtz_operator(spec, w, lap_w) - rhs
     defect.u[[0, -1], :] = w.u[[0, -1], :]  # the wall rows of A w - b, with those of b ignored
     defect.v[:, [0, -1]] = w.v[:, [0, -1]]
-    rhs_norm = np.sqrt(g.cell_area * (np.sum(rhs.u[1:-1, :] ** 2) + np.sum(rhs.v[:, 1:-1] ** 2)))
+    ru, rv = rhs.u[1:-1, :], rhs.v[:, 1:-1]
+    rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
     return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol)
 

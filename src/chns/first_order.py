@@ -70,6 +70,8 @@ from .grid import (
     advect_velocity,
     chemical_force,
     div_face_to_cell,
+    dot_cell,
+    dot_face,
     grad_cell_to_face,
     lap_cell,
     lap_velocity,
@@ -254,7 +256,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     lap_ut = lap_velocity(ut_new)  # shared by the residual check and the audit's <-lap u~, u~>
     h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz, lap_w=lap_ut)
     del rhs_u
-    grad_ut_sq = -g.cell_area * float(np.vdot(lap_ut.u, ut_new.u) + np.vdot(lap_ut.v, ut_new.v))
+    grad_ut_sq = -dot_face(lap_ut, ut_new)
     del lap_ut
     phi_hat += xi1 * phi1_hat
     del phi1_hat
@@ -271,7 +273,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports, div_w=div_ut)
     new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav,
                       reports=tuple(reports), grad_ut_sq=grad_ut_sq,
-                      div_ut_sq=g.cell_area * float(np.vdot(div_ut.data, div_ut.data)))
+                      div_ut_sq=dot_cell(div_ut, div_ut))
     return new, div_ut
 
 

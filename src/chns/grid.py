@@ -51,6 +51,7 @@ __all__ = [
     "chemical_force",
     "dot_cell",
     "dot_face",
+    "grad_sq_cell",
     "norm_l2_cell",
     "norm_l2_face",
     "curl_at_nodes",
@@ -350,18 +351,27 @@ def chemical_force(mu: CellField, phi: CellField) -> MacVector:
 
 
 # ---------------------------------------------------------------------------
-# inner products, norms, curl
+# inner products, norms, curl; the package's field reductions all go through
+# these, one np.vdot per array with no temporary product
 # ---------------------------------------------------------------------------
 
 
 def dot_cell(a: CellField, b: CellField) -> float:
     _require_same_grid(a, b)
-    return a.grid.cell_area * float(np.sum(a.data * b.data))
+    return a.grid.cell_area * float(np.vdot(a.data, b.data))
 
 
 def dot_face(a: MacVector, b: MacVector) -> float:
     _require_same_grid(a, b)
-    return a.grid.cell_area * float(np.sum(a.u * b.u) + np.sum(a.v * b.v))
+    return a.grid.cell_area * float(np.vdot(a.u, b.u) + np.vdot(a.v, b.v))
+
+
+def grad_sq_cell(f: CellField) -> float:
+    """|grad f|^2, the dot_face of grad_cell_to_face(f) with itself, from the
+    interior face differences: wall faces carry no gradient."""
+    g, d = f.grid, f.data
+    dx, dy = d[1:, :] - d[:-1, :], d[:, 1:] - d[:, :-1]
+    return g.cell_area * (float(np.vdot(dx, dx)) / g.hx**2 + float(np.vdot(dy, dy)) / g.hy**2)
 
 
 def norm_l2_cell(f: CellField) -> float:

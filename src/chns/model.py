@@ -55,8 +55,9 @@ class PhysParams:
             raise ValueError("epsilon, mobility, viscosity and horizon must be positive")
         if min(self.gamma, self.beta, self.delta) < 0:
             raise ValueError("gamma, beta and delta must be nonnegative")
-        if self.gamma_eff <= 0:
-            raise ValueError("gamma + beta/epsilon^2 must be positive")
+        # epsilon * epsilon, not epsilon**2, which raises OverflowError instead of giving inf
+        if not (0.0 < self.epsilon * self.epsilon < np.inf and 0.0 < self.gamma_eff < np.inf):
+            raise ValueError("epsilon^2 and gamma + beta/epsilon^2 must be positive and finite")
 
     @property
     def gamma_eff(self) -> float:

@@ -415,6 +415,27 @@ def test_zero_effective_quadratic_coefficient_is_a_config_error(tmp_path):
     assert not tmp_path.joinpath("audit.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("epsilon", "1e200"), ("epsilon", "1e-200"), ("epsilon", "1e-160"),
+                                        ("beta", "1e308")])
+def test_epsilon_squared_and_effective_coefficient_must_be_finite(tmp_path, capsys, key, value):
+    """epsilon^2 overflows or underflows to 0, or gamma + beta/epsilon^2 overflows:
+    a config error before any step, not a traceback or a nan residual at step 1."""
+    with pytest.raises(ConfigError, match="positive and finite"):
+        build_config({key: value})
+    code = run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", f"{key}={value}",
+                   "--set", f"outdir={tmp_path}")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+    assert not tmp_path.joinpath("audit.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe nx = 8\n")
+    assert run_cli("simulate", "--config", str(path), "--set", f"outdir={tmp_path}") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_audit_checks_every_ladder_dt_before_the_first_step(tmp_path):
     code = run_cli("audit", "--set", "nx=8", "--set", "ny=8", "--set", "ladder=0.01,0.03",
                    "--set", f"outdir={tmp_path}")

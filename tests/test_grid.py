@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chns.errors import DimensionMismatchError
 from chns.grid import (
@@ -18,6 +19,7 @@ from chns.grid import (
     dot_cell,
     dot_face,
     grad_cell_to_face,
+    grad_sq_cell,
     lap_cell,
     lap_velocity,
     norm_l2_cell,
@@ -317,6 +319,34 @@ def test_grid_mismatch_raises():
     b = CellField.zeros(GridSpec(8, 10))
     with pytest.raises(DimensionMismatchError):
         dot_cell(a, b)
+    with pytest.raises(DimensionMismatchError):
+        dot_face(MacVector.zeros(GridSpec(8, 8)), MacVector.zeros(GridSpec(8, 8, x1=2.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_reductions_equal_their_materialised_forms(nx, ny, lx, ly, seed):
+    """The fused reductions equal the forms that build their temporaries:
+    grad_sq_cell(f) is dot_face of grad_cell_to_face(f) with itself, and
+    dot_cell/dot_face are the h-weighted np.sum(a * b), symmetric in a and b."""
+    g = GridSpec(nx, ny, x1=lx, y1=ly)
+    assume(g.hx != g.hy)
+    rng = np.random.default_rng(seed)
+    f, a, b = (random_cell(g, rng) for _ in range(3))
+    gf = grad_cell_to_face(f)
+    assert abs(grad_sq_cell(f) - dot_face(gf, gf)) <= 1e-13 * dot_face(gf, gf)
+
+    w, z = (MacVector(g, rng.standard_normal((nx + 1, ny)), rng.standard_normal((nx, ny + 1))) for _ in range(2))
+
+    def norm(*arrays):
+        return np.sqrt(g.cell_area * sum(np.sum(x * x) for x in arrays))
+
+    cell_sum = g.cell_area * np.sum(a.data * b.data)
+    face_sum = g.cell_area * (np.sum(w.u * z.u) + np.sum(w.v * z.v))
+    assert abs(dot_cell(a, b) - cell_sum) <= 1e-13 * norm(a.data) * norm(b.data)
+    assert abs(dot_face(w, z) - face_sum) <= 1e-13 * norm(w.u, w.v) * norm(z.u, z.v)
+    assert dot_cell(a, b) == dot_cell(b, a) and dot_face(w, z) == dot_face(z, w)
 
 
 def test_curl_of_gradient_vanishes_interior():
