@@ -1,34 +1,27 @@
 """Batch front end: configuration files, simulation runs, convergence studies,
 and energy-stability audits.
 
-Usage:
-
     chns simulate --config run.cfg [--set key=value ...] [--threads N]
     chns converge --config study.cfg ...
     chns audit    --config audit.cfg ...
 
 Configuration files are flat key=value text, one pair per line, '#' comments.
-Recognized keys (all optional, defaults are the reference benchmark):
+Every key is optional.  The keys are RunConfig's fields (scheme msav1 | msav2,
+dt, t_final, tol_poisson, tol_helmholtz, snapshot_every, outdir, ladder, init
+paper5 | files, init_phi, init_u, init_v) and PhysParams' (epsilon, mobility,
+viscosity, gamma, beta, delta, and horizon as horizon_T), whose defaults are
+the reference benchmark's, plus nx = ny = 160 cells on the unit square.  dt
+must divide t_final; ladder is a comma-separated dt list (converge: a halving
+ladder; audit: the dt values to audit); snapshot_every = 0 writes no periodic
+snapshots; init=files reads .csv or .bin snapshots.
 
-    nx, ny              grid cells (default 160 x 160, unit square)
-    scheme              msav1 | msav2
-    dt                  time step (must divide t_final to rounding)
-    t_final             final time
-    epsilon, mobility, viscosity, gamma, beta, delta, horizon_T
-    tol_poisson, tol_helmholtz
-    snapshot_every      write field snapshots every k steps (0 = never)
-    outdir              output directory
-    ladder              comma-separated dt list (converge: halving ladder;
-                        audit: the dt values to audit)
-    init                paper5 | files
-    init_phi, init_u, init_v   snapshot paths when init=files (.csv or .bin)
-
-Exit codes: 0 ok, 2 config error (every value, each ladder dt,
-gamma + beta/epsilon^2 > 0 and the initial data's finite energy and positive
-E1 + delta are checked before the first step), 3 solver failure, 4 singular recombination system,
-5 audit violation (simulate and audit share one run function and write every
-file first).  main alone maps errors to them, naming the step and dt of a
-failure inside a run, whose audit CSV keeps the rows of the steps before it.
+Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
+system, 5 audit violation.  Every value, each ladder dt, the initial data of
+either init kind (finite mu, r, energy and |F'(phi)|^2, E1 + delta above its
+floor) and outdir are checked before the first step: an unusable one exits 2.
+main alone maps errors to exit codes, naming the step and dt of a failure
+inside a run, whose audit CSV keeps the rows of the steps before it.  simulate
+and audit share one run function and write every file before they exit 5.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -50,19 +43,20 @@ from .diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from .elliptic import set_fft_workers
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON, set_fft_workers
 from .errors import (ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError,
                      StateError)
 from .grid import (
     CellField,
     GridSpec,
     MacVector,
+    dot_cell,
     read_field_bin,
     read_field_csv,
     write_field_bin,
     write_field_csv,
 )
-from .model import PhysParams, initial_state, state_from_fields
+from .model import PhysParams, initial_state, potential_f_prime, state_from_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,50 +64,41 @@ EXIT_SOLVER = 3
 EXIT_SINGULAR = 4
 EXIT_AUDIT = 5
 
-_DEFAULTS = {
-    "nx": "160",
-    "ny": "160",
-    "scheme": "msav1",
-    "dt": "0.001",
-    "t_final": "0.1",
-    "epsilon": "0.3",
-    "mobility": "0.001",
-    "viscosity": "0.001",
-    "gamma": "1.0",
-    "beta": "5.0",
-    "delta": "0.0",
-    "horizon_T": "0.1",
-    "tol_poisson": "1e-12",
-    "tol_helmholtz": "1e-11",
-    "snapshot_every": "0",
-    "outdir": "out",
-    "ladder": "",
-    "init": "paper5",
-    "init_phi": "",
-    "init_u": "",
-    "init_v": "",
-}
-
 _CONVERGE_LADDER = (0.0125, 0.00625, 0.003125, 0.0015625)
 _AUDIT_LADDER = (0.1, 0.01, 0.001)
+_CHOICES = {"scheme": ("msav1", "msav2"), "init": ("paper5", "files")}
 
 
 @dataclass
 class RunConfig:
+    """One run's settings.  Each field after params is the config key of its
+    name, and its default is the key's default."""
+
     grid: GridSpec
     params: PhysParams
-    scheme: str
-    dt: float
-    t_final: float
-    tol_poisson: float
-    tol_helmholtz: float
-    snapshot_every: int
-    outdir: str
-    ladder: tuple
-    init: str
-    init_phi: str
-    init_u: str
-    init_v: str
+    scheme: str = "msav1"
+    dt: float = 0.001
+    t_final: float = 0.1
+    tol_poisson: float = TOL_POISSON
+    tol_helmholtz: float = TOL_HELMHOLTZ
+    snapshot_every: int = 0
+    outdir: str = "out"
+    ladder: tuple = ()  # comma-separated dt values
+    init: str = "paper5"
+    init_phi: str = ""
+    init_u: str = ""
+    init_v: str = ""
+
+
+# config key -> (the class it sets a field of, that field, its default): the grid size (the only
+# default set here), every PhysParams field under its own name but horizon (horizon_T), and RunConfig's
+_KEYS = {
+    "nx": (GridSpec, "nx", 160),
+    "ny": (GridSpec, "ny", 160),
+    **{"horizon_T" if f.name == "horizon" else f.name: (PhysParams, f.name, f.default)
+       for f in fields(PhysParams)},
+    **{f.name: (RunConfig, f.name, f.default) for f in fields(RunConfig) if f.default is not MISSING},
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -125,27 +110,43 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
 
 
-def _to_float(raw, key):
+def _parse_int(key, text):
     try:
-        value = float(raw[key])
+        return int(text)
     except ValueError as exc:
-        raise ConfigError(f"key {key}: cannot parse {raw[key]!r} as a number") from exc
+        raise ConfigError(f"key {key}: cannot parse {text!r} as an integer") from exc
+
+
+def _parse_float(key, text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"key {key}: cannot parse {text!r} as a number") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"key {key}: {raw[key]!r} is not finite")
+        raise ConfigError(f"key {key}: {text!r} is not finite")
     return value
 
 
-def _to_int(raw, key):
+def _parse_str(key, text):
+    if key in _CHOICES and text.strip() not in _CHOICES[key]:
+        raise ConfigError(f"{key} must be {' or '.join(_CHOICES[key])}, got {text.strip()!r}")
+    return text.strip() if key in _CHOICES else text
+
+
+def _parse_ladder(key, text):
     try:
-        return int(raw[key])
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"key {key}: cannot parse {raw[key]!r} as an integer") from exc
+        raise ConfigError(f"cannot parse {key} {text!r}") from exc
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str, tuple: _parse_ladder}  # by default's type
 
 
 def steps_for(t_final: float, dt: float) -> int:
@@ -160,111 +161,77 @@ def steps_for(t_final: float, dt: float) -> int:
 
 
 def build_config(raw_overrides: dict) -> RunConfig:
-    raw = dict(_DEFAULTS)
-    raw.update(raw_overrides)
-
+    """The RunConfig of the key=value strings raw_overrides, every other key at its default."""
+    values = {GridSpec: {}, PhysParams: {}, RunConfig: {}}
+    for key, (cls, name, default) in _KEYS.items():
+        values[cls][name] = _PARSERS[type(default)](key, raw_overrides[key]) if key in raw_overrides else default
     try:
-        grid = GridSpec(nx=_to_int(raw, "nx"), ny=_to_int(raw, "ny"))
-        params = PhysParams(
-            epsilon=_to_float(raw, "epsilon"),
-            mobility=_to_float(raw, "mobility"),
-            viscosity=_to_float(raw, "viscosity"),
-            gamma=_to_float(raw, "gamma"),
-            beta=_to_float(raw, "beta"),
-            delta=_to_float(raw, "delta"),
-            horizon=_to_float(raw, "horizon_T"),
-        )
+        cfg = RunConfig(GridSpec(**values[GridSpec]), PhysParams(**values[PhysParams]), **values[RunConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    scheme = raw["scheme"].strip()
-    if scheme not in ("msav1", "msav2"):
-        raise ConfigError(f"scheme must be msav1 or msav2, got {scheme!r}")
-
-    ladder = ()
-    if raw["ladder"].strip():
-        try:
-            ladder = tuple(float(tok) for tok in raw["ladder"].split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse ladder {raw['ladder']!r}") from exc
-        if not all(0 < dl < math.inf for dl in ladder):
-            raise ConfigError("ladder entries must be positive and finite")
-
-    init = raw["init"].strip()
-    if init not in ("paper5", "files"):
-        raise ConfigError(f"init must be paper5 or files, got {init!r}")
-
-    cfg = RunConfig(
-        grid=grid,
-        params=params,
-        scheme=scheme,
-        dt=_to_float(raw, "dt"),
-        t_final=_to_float(raw, "t_final"),
-        tol_poisson=_to_float(raw, "tol_poisson"),
-        tol_helmholtz=_to_float(raw, "tol_helmholtz"),
-        snapshot_every=_to_int(raw, "snapshot_every"),
-        outdir=raw["outdir"],
-        ladder=ladder,
-        init=init,
-        init_phi=raw["init_phi"],
-        init_u=raw["init_u"],
-        init_v=raw["init_v"],
-    )
+    if not all(0 < dl < math.inf for dl in cfg.ladder):
+        raise ConfigError("ladder entries must be positive and finite")
     if cfg.t_final <= 0:
         raise ConfigError("t_final must be positive")
     reach = math.log(sys.float_info.max)  # the auxiliary variable's exp(t/T) overflows past t/T = reach
-    if cfg.t_final / params.horizon > reach:
-        raise ConfigError(f"t_final/horizon_T = {cfg.t_final / params.horizon:g} exceeds {reach:.1f}, "
+    if cfg.t_final / cfg.params.horizon > reach:
+        raise ConfigError(f"t_final/horizon_T = {cfg.t_final / cfg.params.horizon:g} exceeds {reach:.1f}, "
                           "where exp(t/T) overflows")
     if cfg.snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
     return cfg
 
 
-def _read_field_any(path):
-    """read_field_bin's tuple; a CSV header records no origin x0, y0 (None)."""
-    if path.endswith(".bin"):
-        return read_field_bin(path)
-    nx, ny, hx, hy, kind, vals = read_field_csv(path)
-    return nx, ny, hx, hy, None, None, kind, vals
+def _read_initial_fields(cfg: RunConfig):
+    """The phi and velocity of the init=files snapshots (.bin or .csv, whose header
+    records no origin), checked against the run grid."""
+    g = cfg.grid
+    values = []
+    for key, kind in (("init_phi", "cell"), ("init_u", "face_u"), ("init_v", "face_v")):
+        path = getattr(cfg, key)
+        if not path:
+            raise ConfigError(f"init=files requires {key}")
+        if path.endswith(".bin"):
+            nx, ny, hx, hy, x0, y0, got, vals = read_field_bin(path)
+        else:
+            (nx, ny, hx, hy, got, vals), x0, y0 = read_field_csv(path), g.x0, g.y0
+        if got != kind or (nx, ny) != (g.nx, g.ny):
+            raise ConfigError(f"{path}: expected a {g.nx}x{g.ny} {kind} snapshot")
+        if not (math.isclose(hx, g.hx, rel_tol=1e-12) and math.isclose(hy, g.hy, rel_tol=1e-12)):
+            raise ConfigError(f"{path}: grid spacing {hx!r} x {hy!r}, run grid {g.hx!r} x {g.hy!r}")
+        if not (math.isclose(x0, g.x0, abs_tol=1e-12 * g.hx) and math.isclose(y0, g.y0, abs_tol=1e-12 * g.hy)):
+            raise ConfigError(f"{path}: grid origin {x0!r}, {y0!r}, run grid {g.x0!r}, {g.y0!r}")
+        values.append(vals)
+    return CellField(g, values[0]), MacVector(g, *values[1:])
 
 
 def _load_initial_state(cfg: RunConfig):
-    if cfg.init == "paper5":
-        return initial_state(cfg.grid, cfg.params)
-    g = cfg.grid
-    values = []
+    """The level-0 state of cfg.init, with the same checks for either kind: a finite chemical
+    potential, r, total energy and |F'(phi)|^2 (which the first step's residuals square), and
+    E1 + delta above its floor.  Then cfg.outdir is created for the run's files."""
     try:
-        for key, kind in (("init_phi", "cell"), ("init_u", "face_u"), ("init_v", "face_v")):
-            path = getattr(cfg, key)
-            if not path:
-                raise ConfigError(f"init=files requires {key}")
-            nx, ny, hx, hy, x0, y0, got, vals = _read_field_any(path)
-            if got != kind or (nx, ny) != (g.nx, g.ny):
-                raise ConfigError(f"{path}: expected a {g.nx}x{g.ny} {kind} snapshot")
-            if not (math.isclose(hx, g.hx, rel_tol=1e-12) and math.isclose(hy, g.hy, rel_tol=1e-12)):
-                raise ConfigError(f"{path}: grid spacing {hx!r} x {hy!r}, run grid {g.hx!r} x {g.hy!r}")
-            if x0 is not None and not (math.isclose(x0, g.x0, abs_tol=1e-12 * g.hx)
-                                       and math.isclose(y0, g.y0, abs_tol=1e-12 * g.hy)):
-                raise ConfigError(f"{path}: grid origin {x0!r}, {y0!r}, run grid {g.x0!r}, {g.y0!r}")
-            values.append(vals)
-        phi, u, v = values
-        with np.errstate(all="ignore"):  # an overflow is reported below as a non-finite energy
-            state = state_from_fields(cfg.params, CellField(g, phi), MacVector(g, u, v))
-            energy = total_energy(state, cfg.params)
-        if not (np.isfinite(state.mu.data).all() and math.isfinite(state.r) and math.isfinite(energy)):
-            raise ConfigError("the initial data have a non-finite chemical potential, r or total energy")
+        with np.errstate(all="ignore"):  # an overflow is reported below as a non-finite value
+            state = (initial_state(cfg.grid, cfg.params) if cfg.init == "paper5"
+                     else state_from_fields(cfg.params, *_read_initial_fields(cfg)))
+            f_prime = potential_f_prime(state.phi, cfg.params)
+            scalars = (state.r, total_energy(state, cfg.params), dot_cell(f_prime, f_prime))
     except (OSError, InputDataError, DimensionMismatchError, StateError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
+    if not (np.isfinite(state.mu.data).all() and all(map(math.isfinite, scalars))):
+        raise ConfigError("the initial data have a non-finite chemical potential, r, total energy or |F'(phi)|^2")
+    try:
+        os.makedirs(cfg.outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create outdir {cfg.outdir!r}: {exc}") from exc
     return state
 
 
 def _write_state_snapshots(outdir, grid, state, label, same_as=None):
     """The CSV snapshots {phi,p,u,v}_{label}.csv of state; copied byte for byte from
     those labelled same_as when they were written from this very state."""
-    fields = (("phi", "cell", state.phi.data), ("p", "cell", state.p.data),
-              ("u", "face_u", state.u.u), ("v", "face_v", state.u.v))
-    for name, kind, values in fields:
+    snapshots = (("phi", "cell", state.phi.data), ("p", "cell", state.p.data),
+                 ("u", "face_u", state.u.u), ("v", "face_v", state.u.v))
+    for name, kind, values in snapshots:
         path = os.path.join(outdir, f"{name}_{label}.csv")
         if same_as is None:
             write_field_csv(path, grid, kind, values)
@@ -281,7 +248,6 @@ def _run(cfg: RunConfig, state, dt, n_steps, snapshot_every, csv_name):
     """Step the audited run at dt from state, writing field snapshots every snapshot_every
     levels (0 = never) and each audit row to csv_name in outdir as soon as its step is
     taken, so a failed step leaves the rows before it; returns the rows and the final state."""
-    os.makedirs(cfg.outdir, exist_ok=True)
     rows, levels = [], iterate_with_audits(cfg.scheme, state, cfg.params, dt, n_steps,
                                            tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
 
@@ -331,21 +297,14 @@ def cmd_converge(cfg: RunConfig) -> int:
             raise ConfigError("converge ladder must decrease by exact factors of 2")
     n_steps = steps_for(cfg.t_final, ladder[0])
     state0 = _load_initial_state(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
-
-    records = cauchy_ladder(
-        cfg.scheme, state0, cfg.params, ladder[0], n_steps, len(ladder),
-        tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz,
-    )
+    records = cauchy_ladder(cfg.scheme, state0, cfg.params, ladder[0], n_steps, len(ladder),
+                            tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
     rows = attach_rates(records)
     table_path = os.path.join(cfg.outdir, f"converge_{cfg.scheme}.csv")
     write_table_csv(table_path, rows)
     for row in rows:
-        rates = [
-            f"{name[5:]}={row[name]:.2f}"
-            for name in row
-            if name.startswith("rate_") and row[name] == row[name]
-        ]
+        rates = [f"{name[5:]}={row[name]:.2f}" for name in row
+                 if name.startswith("rate_") and row[name] == row[name]]
         print(f"dt={row['dt']:g}  e_phi={row['e_phi_linf']:.3e}  " + "  ".join(rates))
     print(f"wrote {table_path}")
     return EXIT_OK
@@ -394,7 +353,7 @@ def _gather_config(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
         raw[key] = value
     return build_config(raw)

@@ -43,6 +43,7 @@ from math import log2, sqrt
 
 import numpy as np
 
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .errors import ChnsError
 from .first_order import _zero_mean, step_first_order
 from .grid import (
@@ -299,7 +300,7 @@ def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_
         raise
 
 
-def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, tol_helmholtz=1e-11):
+def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POISSON, tol_helmholtz=TOL_HELMHOLTZ):
     """Yield (step_index, new_state, audits_of_this_step) for each level.
 
     Each step is audited as soon as it is taken, against the law its new state
@@ -324,7 +325,7 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=1e-12, 
 
 
 def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int,
-                 tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11) -> RunResult:
+                 tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ) -> RunResult:
     """Run one simulation with the per-step energy audit (see iterate_with_audits)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -389,7 +390,7 @@ class ErrorRecord:
 
 
 def cauchy_ladder(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int, rungs: int,
-                  tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11) -> list[ErrorRecord]:
+                  tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ) -> list[ErrorRecord]:
     """Cauchy errors of a halving ladder: rung j compares the run at dt/2^j
     with its dt/2^(j+1) companion at every level of the coarser run.
 

@@ -218,6 +218,10 @@ def _lap_norm_bound(grid: GridSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+TOL_POISSON = 1e-12  # default residual tolerance of the pressure Poisson solve
+TOL_HELMHOLTZ = 1e-11  # default residual tolerance of the phase and velocity operators
+
+
 def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, mean_defect=0.0):
     resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
     report = SolveReport(iterations=0, residual=resid, mean_defect=mean_defect)
@@ -257,7 +261,7 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
 # ---------------------------------------------------------------------------
 
 
-def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12):
+def solve_neumann_poisson(rhs: CellField, tol: float = TOL_POISSON):
     """Solve lap(psi) = rhs with Neumann walls; returns the zero-mean psi.
 
     The right-hand side must satisfy the solvability condition that its
@@ -281,7 +285,7 @@ def solve_neumann_poisson(rhs: CellField, tol: float = 1e-12):
     return psi, report
 
 
-def project(w: MacVector, dt_coef: float, tol: float = 1e-12, reports=None, div_w: CellField | None = None):
+def project(w: MacVector, dt_coef: float, tol: float = TOL_POISSON, reports=None, div_w: CellField | None = None):
     """Remove the gradient part of w, reusing div_w = div_face_to_cell(w) if
     given: returns (u, psi) with
 

@@ -51,6 +51,8 @@ import numpy as np
 from .elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
+    TOL_HELMHOLTZ,
+    TOL_POISSON,
     cell_inverse,
     cell_laplacian_symbol,
     cell_transform,
@@ -214,8 +216,8 @@ def _zero_mean(p: CellField) -> CellField:
     return CellField(p.grid, p.data - p.data.mean())
 
 
-def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float = 1e-12,
-                   tol_helmholtz: float = 1e-11) -> SchemeState:
+def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float,
+                   tol_helmholtz: float) -> SchemeState:
     """The step both orders share: the substep families at effective step k
     from the lagged level lag (phi, u, p, r, q), explicit terms at the
     extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
@@ -277,8 +279,8 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     return new, div_ut
 
 
-def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
-                     tol_helmholtz: float = 1e-11) -> SchemeState:
+def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
+                     tol_helmholtz: float = TOL_HELMHOLTZ) -> SchemeState:
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
     new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)[0]

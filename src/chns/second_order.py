@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .first_order import _zero_mean, decoupled_step, step_first_order
 from .grid import div_face_to_cell
 from .model import PhysParams, SavState, SchemeState, SchemeState2
@@ -38,7 +39,7 @@ __all__ = [
 
 
 def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
-              tol_poisson: float = 1e-12, tol_helmholtz: float = 1e-11, trace=None) -> SchemeState2:
+              tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ, trace=None) -> SchemeState2:
     """Build the two-level state by running the first-order stepper across the
     first interval (substeps equal steps of dt/substeps).
 
@@ -82,8 +83,8 @@ def extrapolants(state: SchemeState2) -> SimpleNamespace:
     )
 
 
-def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = 1e-12,
-                      tol_helmholtz: float = 1e-11) -> SchemeState2:
+def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
+                      tol_helmholtz: float = TOL_HELMHOLTZ) -> SchemeState2:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure

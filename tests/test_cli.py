@@ -58,6 +58,62 @@ def test_bad_value_rejected():
         build_config({"t_final": "nan"})
 
 
+def test_empty_config_is_the_reference_benchmark():
+    assert build_config({}) == cli.RunConfig(
+        grid=GridSpec(160, 160), params=PhysParams(), scheme="msav1", dt=0.001, t_final=0.1,
+        tol_poisson=1e-12, tol_helmholtz=1e-11, snapshot_every=0, outdir="out", ladder=(), init="paper5",
+        init_phi="", init_u="", init_v="",
+    )
+
+
+_EVERY_KEY = {  # key: (its text, the attribute it sets, the value it lands as)
+    "nx": ("12", "grid.nx", 12),
+    "ny": ("10", "grid.ny", 10),
+    "scheme": ("msav2", "scheme", "msav2"),
+    "dt": ("0.002", "dt", 0.002),
+    "t_final": ("0.2", "t_final", 0.2),
+    "epsilon": ("0.25", "params.epsilon", 0.25),
+    "mobility": ("0.002", "params.mobility", 0.002),
+    "viscosity": ("0.003", "params.viscosity", 0.003),
+    "gamma": ("2", "params.gamma", 2.0),
+    "beta": ("4", "params.beta", 4.0),
+    "delta": ("0.5", "params.delta", 0.5),
+    "horizon_T": ("0.3", "params.horizon", 0.3),
+    "tol_poisson": ("1e-10", "tol_poisson", 1e-10),
+    "tol_helmholtz": ("1e-9", "tol_helmholtz", 1e-9),
+    "snapshot_every": ("7", "snapshot_every", 7),
+    "outdir": ("runs/a", "outdir", "runs/a"),
+    "ladder": ("0.02, 0.01", "ladder", (0.02, 0.01)),
+    "init": ("files", "init", "files"),
+    "init_phi": ("phi0.bin", "init_phi", "phi0.bin"),
+    "init_u": ("u0.csv", "init_u", "u0.csv"),
+    "init_v": ("v0.bin", "init_v", "v0.bin"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_EVERY_KEY))
+def test_every_documented_key_lands_on_its_attribute(key):
+    text, attribute, value = _EVERY_KEY[key]
+    cfg = build_config(parse_config_text(f"{key} = {text}\n"))
+    owner, _, name = attribute.rpartition(".")
+    assert getattr(getattr(cfg, owner) if owner else cfg, name) == value
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge", "audit"])
+@pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150",
+                                     "outdir=", "outdir={file}", "outdir={file}/sub"])
+def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch, capsys, command, setting):
+    """epsilon = 1e150 leaves E1 + delta under its floor, and 1e-77 or 1e-150 make
+    |F'(phi0)|^2 overflow; an outdir that cannot be created fails the same way."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    code = run_cli(command, "--set", "nx=8", "--set", "ny=8", "--set", "init=paper5", "--set", "outdir=out",
+                   "--set", setting.format(file=tmp_path / "file"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_steps_validation():
     assert steps_for(0.1, 0.001) == 100
     assert steps_for(0.1, 0.0125) == 8
