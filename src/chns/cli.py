@@ -18,10 +18,12 @@ snapshots; init=files reads .csv or .bin snapshots.
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
 system, 5 audit violation.  Every value, each ladder dt, the initial data of
 either init kind (finite mu, r, energy and |F'(phi)|^2, E1 + delta above its
-floor) and outdir are checked before the first step: an unusable one exits 2.
-main alone maps errors to exit codes, naming the step and dt of a failure
-inside a run, whose audit CSV keeps the rows of the steps before it.  simulate
-and audit share one run function and write every file before they exit 5.
+floor) and outdir are checked before the first step: an unusable one exits 2,
+as does a config, snapshot or output file that cannot be read, created or
+written, mid-run included.  main alone maps errors to exit codes, naming the
+step and dt of a failure inside a run, whose audit CSV keeps the rows of the
+steps before it.  simulate and audit share one run function and write every
+file before they exit 5.  --threads N sets the FFT workers of that command.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
+import scipy.fft
 
 from .diagnostics import (
     attach_rates,
@@ -43,7 +46,7 @@ from .diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from .elliptic import TOL_HELMHOLTZ, TOL_POISSON, set_fft_workers
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .errors import (ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError,
                      StateError)
 from .grid import (
@@ -101,19 +104,20 @@ _KEYS = {
 }
 
 
+def _key_value(text: str, where: str):
+    """The stripped (key, value) of the key=value text found at where, for a known key."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
+
+
 def parse_config_text(text: str) -> dict:
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
-    return raw
+    """The key -> value strings of a config file's text; a later line of the same key wins."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return dict(_key_value(line, f"line {lineno}") for lineno, line in enumerate(lines, start=1) if line)
 
 
 def _parse_int(key, text):
@@ -215,14 +219,11 @@ def _load_initial_state(cfg: RunConfig):
                      else state_from_fields(cfg.params, *_read_initial_fields(cfg)))
             f_prime = potential_f_prime(state.phi, cfg.params)
             scalars = (state.r, total_energy(state, cfg.params), dot_cell(f_prime, f_prime))
-    except (OSError, InputDataError, DimensionMismatchError, StateError) as exc:
+    except (InputDataError, DimensionMismatchError, StateError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
     if not (np.isfinite(state.mu.data).all() and all(map(math.isfinite, scalars))):
         raise ConfigError("the initial data have a non-finite chemical potential, r, total energy or |F'(phi)|^2")
-    try:
-        os.makedirs(cfg.outdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create outdir {cfg.outdir!r}: {exc}") from exc
+    os.makedirs(cfg.outdir, exist_ok=True)
     return state
 
 
@@ -254,10 +255,10 @@ def _run(cfg: RunConfig, state, dt, n_steps, snapshot_every, csv_name):
     def produced_rows():
         nonlocal state  # rebound at every level, so no earlier level stays alive here
         for k, state, step_rows in levels:
+            rows.extend(step_rows)
+            yield from step_rows  # written before the snapshot, which may fail
             if snapshot_every and k % snapshot_every == 0:
                 _write_state_snapshots(cfg.outdir, cfg.grid, state, f"{k:06d}")
-            rows.extend(step_rows)
-            yield from step_rows
 
     write_audit_csv(os.path.join(cfg.outdir, csv_name), produced_rows())
     return rows, state
@@ -347,15 +348,9 @@ def _gather_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw.update(parse_config_text(fh.read()))
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:  # names no file, unlike the OSError that main reports
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        raw[key] = value
+    raw.update(_key_value(item, "--set") for item in args.set)
     return build_config(raw)
 
 
@@ -365,8 +360,12 @@ def main(argv=None) -> int:
     commands = {"simulate": cmd_simulate, "converge": cmd_converge, "audit": cmd_audit}
     try:
         cfg = _gather_config(args)
-        set_fft_workers(args.threads)
-        return commands[args.command](cfg)
+        with scipy.fft.set_workers(max(1, args.threads)):  # this command's transforms only
+            return commands[args.command](cfg)
+    except OSError as exc:  # a config, snapshot or output file that cannot be read, created or written
+        what = exc if exc.filename is None else f"cannot use {exc.filename!r}: {exc.strerror}"
+        print(f"config error: {what}", file=sys.stderr)
+        return EXIT_CONFIG
     except ChnsError as exc:
         if isinstance(exc, ConfigError):
             code, kind = EXIT_CONFIG, "config error"

@@ -21,8 +21,9 @@ residual check, and of the solvers only the pressure projection.  The test
 suite holds those pieces to dense LU solves and to a conjugate-gradient
 reference (tests/oracle_tools.py).
 
-Transform symbols are cached per grid; solvers are pure functions of
-(rhs, tol) and safe to call concurrently.
+The module keeps no state beyond its symbol caches: solvers are pure functions
+of (rhs, tol), safe to call concurrently, and transform with scipy.fft's worker
+count (1 outside a scipy.fft.set_workers context, which chns --threads opens).
 """
 
 from __future__ import annotations
@@ -63,16 +64,7 @@ __all__ = [
     "helmholtz_inv_symbol",
     "ch_residual",
     "helmholtz_residual",
-    "set_fft_workers",
 ]
-
-_fft_workers = 1
-
-
-def set_fft_workers(n: int):
-    """Worker count handed to scipy.fft; keep at 1 for bitwise reproducibility."""
-    global _fft_workers
-    _fft_workers = max(1, int(n))
 
 
 @dataclass(frozen=True)
@@ -158,11 +150,11 @@ def helmholtz_inv_symbol(grid: GridSpec, spec: HelmholtzSpec):
 
 def cell_transform(a: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II coefficients of cell data."""
-    return dctn(a, type=2, norm="ortho", workers=_fft_workers)
+    return dctn(a, type=2, norm="ortho")
 
 
 def cell_inverse(coeffs: np.ndarray) -> np.ndarray:
-    return idctn(coeffs, type=2, norm="ortho", workers=_fft_workers)
+    return idctn(coeffs, type=2, norm="ortho")
 
 
 # a component's walls are zeros of its DST-I direction and odd ghosts of its DST-II one
@@ -174,8 +166,8 @@ def face_transform(w: MacVector):
     a (u, v) pair; on-wall entries are boundary data and are dropped."""
     out = []
     for a, (tx, ty) in zip((w.u[1:-1, :], w.v[:, 1:-1]), _FACE_TYPES):
-        a = dst(a, type=tx, axis=0, norm="ortho", workers=_fft_workers)
-        out.append(dst(a, type=ty, axis=1, norm="ortho", workers=_fft_workers))
+        a = dst(a, type=tx, axis=0, norm="ortho")
+        out.append(dst(a, type=ty, axis=1, norm="ortho"))
     return out
 
 
@@ -183,8 +175,8 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
     """The face vector with these interior coefficients and zero wall entries."""
     out = MacVector.zeros(grid)
     for dest, a, (tx, ty) in zip((out.u[1:-1, :], out.v[:, 1:-1]), coeffs, _FACE_TYPES):
-        a = idst(a, type=ty, axis=1, norm="ortho", workers=_fft_workers)
-        dest[...] = idst(a, type=tx, axis=0, norm="ortho", workers=_fft_workers)
+        a = idst(a, type=ty, axis=1, norm="ortho")
+        dest[...] = idst(a, type=tx, axis=0, norm="ortho")
     return out
 
 

@@ -142,19 +142,17 @@ class SchemeState2(SchemeState):
     g: CellField
 
 
-def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector, p: CellField = None, t: float = 0.0):
-    """Assemble a consistent level-0 state from sampled fields.
+def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
+    """Assemble a consistent level-0 state from sampled fields, at t = 0 with zero pressure.
 
     The chemical potential is evaluated from phi with the auxiliary ratio at
     its exact initial value r0/sqrt(E1+delta) = 1, which the first step's
     forcing terms require; r0 = sqrt(E1(phi)+delta) and q0 = 1.
     """
-    grid = phi.grid
-    if p is None:
-        p = CellField.zeros(grid)
     mu = chemical_potential(phi, params)
     r0 = sqrt_aux_energy(phi, params)
-    return SchemeState(t=t, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=p, sav=SavState(r=r0, q=1.0))
+    return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
+                       sav=SavState(r=r0, q=1.0))
 
 
 def initial_state(grid: GridSpec, params: PhysParams) -> SchemeState:

@@ -37,13 +37,15 @@ __all__ = [
     "step_second_order",
 ]
 
+BOOTSTRAP_SUBSTEPS = 4  # first-order steps across the first interval; see bootstrap
 
-def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int = 4,
-              tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ, trace=None) -> SchemeState2:
+
+def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
+              tol_helmholtz: float = TOL_HELMHOLTZ, trace=None) -> SchemeState2:
     """Build the two-level state by running the first-order stepper across the
-    first interval (substeps equal steps of dt/substeps).
+    first interval (BOOTSTRAP_SUBSTEPS equal steps of dt/BOOTSTRAP_SUBSTEPS).
 
-    One whole-interval step (substeps=1) already preserves second-order global
+    One whole-interval step already preserves second-order global
     accuracy at the final time, but its backward-Euler treatment of the stiff
     fourth-order operator imprints a startup error on the crossover modes
     (mobility*dt*lam^2 ~ 1) that floors max-in-time Cauchy norms near dt^1.6;
@@ -58,14 +60,12 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, substeps: int 
     caller that hands over its only reference frees state0 after the first
     substep's trace.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    sub_dt = dt / substeps
+    sub_dt = dt / BOOTSTRAP_SUBSTEPS
     history = dict(phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
                    sav_prev=SavState(state0.sav.r, state0.sav.q))
     s1 = state0
     del state0
-    for _ in range(substeps):
+    for _ in range(BOOTSTRAP_SUBSTEPS):
         new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
         if trace is not None:
             trace(s1, new, sub_dt)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from chns.cli import (
@@ -18,7 +19,7 @@ from chns.cli import (
     parse_config_text,
     steps_for,
 )
-from chns import cli, diagnostics, first_order
+from chns import cli, diagnostics, elliptic, first_order
 from chns.elliptic import SolveReport
 from chns.errors import ConfigError, InputDataError, SingularSystemError, SolverConvergenceError
 from chns.grid import GridSpec, read_field_bin, read_field_csv, write_field_bin, write_field_csv
@@ -283,9 +284,42 @@ def test_threads_flag_accepted(tmp_path):
         "--set", f"outdir={tmp_path}",
     )
     assert code == EXIT_OK
-    from chns.elliptic import set_fft_workers
 
-    set_fft_workers(1)  # restore the deterministic default for other tests
+
+def test_threads_apply_to_their_command_only(tmp_path, monkeypatch):
+    """--threads 2 runs the command's transforms on 2 scipy.fft workers; a
+    library transform after main returns is back on scipy's default of 1."""
+    workers = []
+
+    def dctn(*args, **kwargs):
+        workers.append(kwargs.get("workers") or scipy.fft.get_workers())
+        return scipy.fft.dctn(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "dctn", dctn)
+    assert run_cli("simulate", "--threads", "2", "--set", "nx=8", "--set", "ny=8", "--set", "dt=0.05",
+                   "--set", "t_final=0.1", "--set", f"outdir={tmp_path}") == EXIT_OK
+    assert workers and set(workers) == {2}
+    workers.clear()
+    elliptic.cell_transform(np.zeros((4, 4)))
+    assert workers == [1]
+
+
+@pytest.mark.parametrize("command, blocked, sets", [
+    ("simulate", "audit.csv", ()),
+    ("simulate", "phi_000002.csv", ("snapshot_every=2",)),
+    ("converge", "converge_msav1.csv", ("ladder=0.002,0.001",)),
+    ("audit", "audit_dt_0.1.csv", ("t_final=0.1",)),
+])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command, blocked, sets):
+    """A directory where the run writes a file ends the run with exit 2, naming
+    the file; a failed snapshot keeps the audit rows of the steps before it."""
+    (tmp_path / blocked).mkdir()
+    args = ["nx=8", "ny=8", "t_final=0.002", *sets, f"outdir={tmp_path}"]
+    assert run_cli(command, *(arg for item in args for arg in ("--set", item))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"cannot use {str(tmp_path / blocked)!r}" in err
+    if blocked == "phi_000002.csv":
+        assert len((tmp_path / "audit.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_horizon_beyond_exponential_clock_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, every name a demo or the
 benchmark imports from chns exists, the BDF2 state has no optional history,
-and no module of the package or the tests imports a name it never uses."""
+no module of the package or the tests imports a name it never uses, and no
+module of the package has a global statement."""
 
 import ast
 import importlib
@@ -87,3 +88,14 @@ def test_no_unused_imports(source):
     step would make, parsed with ast since no linter is a dependency."""
     unused = _unused_imports(source)
     assert not unused, f"{source.name} imports but never uses {unused}"
+
+
+SRC = sorted((ROOT / "src").rglob("*.py"))
+
+
+def test_no_global_statements():
+    """No module keeps process state behind a global statement: settings that
+    outlive a call, such as the FFT worker count, belong to the CLI's scope."""
+    found = [f"{path.name}:{node.lineno}" for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statements at {found}"

@@ -15,7 +15,7 @@ from chns.grid import (
     norm_l2_face,
 )
 from chns.model import PhysParams, SavState, SchemeState2, state_from_fields
-from chns.second_order import bootstrap, step_second_order
+from chns.second_order import BOOTSTRAP_SUBSTEPS, bootstrap, step_second_order
 from oracle_tools import (
     monolithic_second_order,
     solve_ch_system,
@@ -26,14 +26,15 @@ from test_first_order import messy_state, rest_state
 
 
 def test_bootstrap_matches_first_order_step_exactly():
-    # with a single substep the bootstrap IS one first-order step, bit for bit
+    # the bootstrap IS BOOTSTRAP_SUBSTEPS chained first-order steps of dt/BOOTSTRAP_SUBSTEPS, bit for bit
     g = GridSpec(16, 16)
     p = PhysParams()
     from chns.model import initial_state
 
-    s0 = initial_state(g, p)
-    s1 = step_first_order(s0, p, 0.01)
-    st2 = bootstrap(s0, p, 0.01, substeps=1)
+    s0 = s1 = initial_state(g, p)
+    for _ in range(BOOTSTRAP_SUBSTEPS):
+        s1 = step_first_order(s1, p, 0.01 / BOOTSTRAP_SUBSTEPS)
+    st2 = bootstrap(s0, p, 0.01)
     assert np.array_equal(st2.phi.data, s1.phi.data)
     assert np.array_equal(st2.u.u, s1.u.u) and np.array_equal(st2.u.v, s1.u.v)
     assert np.array_equal(st2.p.data, s1.p.data)
@@ -48,8 +49,8 @@ def test_fixed_point_and_bdf2_q_recurrence():
     p = PhysParams(delta=1.0)
     root = np.sqrt(1.0 + p.beta)
     dt = 0.02
-    substeps = 4
-    st2 = bootstrap(rest_state(g, p, root), p, dt, substeps=substeps)
+    substeps = BOOTSTRAP_SUBSTEPS
+    st2 = bootstrap(rest_state(g, p, root), p, dt)
     qs = [1.0, st2.sav.q]
     # bootstrap applies the first-order q recurrence once per substep
     assert abs(qs[1] - (1.0 + dt / substeps / p.horizon) ** -substeps) <= 1e-13
