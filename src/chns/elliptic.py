@@ -40,9 +40,9 @@ from .grid import (
     GridSpec,
     MacVector,
     div_face_to_cell,
-    grad_cell_to_face,
     lap_cell,
     lap_velocity,
+    minus_scaled_grad,
     norm_l2_cell,
     norm_l2_face,
 )
@@ -153,8 +153,9 @@ def cell_transform(a: np.ndarray) -> np.ndarray:
     return dctn(a, type=2, norm="ortho")
 
 
-def cell_inverse(coeffs: np.ndarray) -> np.ndarray:
-    return idctn(coeffs, type=2, norm="ortho")
+def cell_inverse(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Cell data of DCT-II coefficients; overwrite_x=True may consume coeffs."""
+    return idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite_x)
 
 
 # a component's walls are zeros of its DST-I direction and odd ghosts of its DST-II one
@@ -167,7 +168,7 @@ def face_transform(w: MacVector):
     out = []
     for a, (tx, ty) in zip((w.u[1:-1, :], w.v[:, 1:-1]), _FACE_TYPES):
         a = dst(a, type=tx, axis=0, norm="ortho")
-        out.append(dst(a, type=ty, axis=1, norm="ortho"))
+        out.append(dst(a, type=ty, axis=1, norm="ortho", overwrite_x=True))
     return out
 
 
@@ -176,7 +177,7 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
     out = MacVector.zeros(grid)
     for dest, a, (tx, ty) in zip((out.u[1:-1, :], out.v[:, 1:-1]), coeffs, _FACE_TYPES):
         a = idst(a, type=ty, axis=1, norm="ortho")
-        dest[...] = idst(a, type=tx, axis=0, norm="ortho")
+        dest[...] = idst(a, type=tx, axis=0, norm="ortho", overwrite_x=True)
     return out
 
 
@@ -187,16 +188,19 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
 
 def apply_ch_operator(spec: ChOperatorSpec, phi: CellField, lap_phi: CellField | None = None) -> CellField:
     lp = lap_cell(phi) if lap_phi is None else lap_phi
-    return phi + spec.mobility_dt * lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
+    out = lap_cell(lp)  # phi + a lap^2 phi - a g lap phi, in place on lap^2 phi
+    out.data *= spec.mobility_dt
+    out.data += phi.data
+    out.data -= (spec.mobility_dt * spec.gamma_eff) * lp.data
+    return out
 
 
 def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector, lap_w: MacVector | None = None) -> MacVector:
-    out = w - spec.visc_dt * (lap_velocity(w) if lap_w is None else lap_w)
-    # on-wall entries are boundary data, not equations
-    out.u[0, :] = w.u[0, :]
-    out.u[-1, :] = w.u[-1, :]
-    out.v[:, 0] = w.v[:, 0]
-    out.v[:, -1] = w.v[:, -1]
+    out = spec.visc_dt * (lap_velocity(w) if lap_w is None else lap_w)
+    np.subtract(w.u, out.u, out=out.u)  # w - visc_dt lap w
+    np.subtract(w.v, out.v, out=out.v)
+    out.u[[0, -1], :] = w.u[[0, -1], :]  # on-wall entries are boundary data, not equations
+    out.v[:, [0, -1]] = w.v[:, [0, -1]]
     return out
 
 
@@ -228,8 +232,9 @@ def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float
     if given; returns the SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
     lb = _lap_norm_bound(phi.grid)
     op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
-    defect = norm_l2_cell(apply_ch_operator(spec, phi, lap_phi) - rhs)
-    return _checked(defect, op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol)
+    defect = apply_ch_operator(spec, phi, lap_phi)
+    defect.data -= rhs.data
+    return _checked(norm_l2_cell(defect), op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol)
 
 
 def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float,
@@ -239,9 +244,9 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
     lap_w = lap_velocity(w) if given; returns the SolveReport, or raises
     SolverConvergenceError above max(tol, 1e-13)."""
     g = w.grid
-    defect = apply_helmholtz_operator(spec, w, lap_w) - rhs
-    defect.u[[0, -1], :] = w.u[[0, -1], :]  # the wall rows of A w - b, with those of b ignored
-    defect.v[:, [0, -1]] = w.v[:, [0, -1]]
+    defect = apply_helmholtz_operator(spec, w, lap_w)  # A w - b, its wall rows those of A w
+    defect.u[1:-1, :] -= rhs.u[1:-1, :]
+    defect.v[:, 1:-1] -= rhs.v[:, 1:-1]
     ru, rv = rhs.u[1:-1, :], rhs.v[:, 1:-1]
     rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
@@ -270,9 +275,14 @@ def solve_neumann_poisson(rhs: CellField, tol: float = TOL_POISSON):
     if defect > 1e-10 * max(rhs_norm, 1e-300):
         raise CompatibilityError(mean * g.cell_area * g.nx * g.ny)
     b = rhs.data - mean
-    psi_data = cell_inverse(cell_transform(b) * _poisson_inv_symbol(g))
-    psi = CellField(g, psi_data - psi_data.mean())
-    report = _checked(norm_l2_cell(lap_cell(psi) - CellField(g, b)), _lap_norm_bound(g), norm_l2_cell(psi),
+    coeffs = cell_transform(b)
+    coeffs *= _poisson_inv_symbol(g)
+    psi = CellField(g, cell_inverse(coeffs, overwrite_x=True))
+    del coeffs
+    psi.data -= psi.data.mean()
+    defect = lap_cell(psi)
+    defect.data -= b
+    report = _checked(norm_l2_cell(defect), _lap_norm_bound(g), norm_l2_cell(psi),
                       rhs_norm, tol, mean_defect=mean * g.cell_area * g.nx * g.ny)
     return psi, report
 
@@ -293,9 +303,9 @@ def project(w: MacVector, dt_coef: float, tol: float = TOL_POISSON, reports=None
     # the mean of div(w) is the boundary flux: exactly zero for no-penetration
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed
-    rhs = CellField(d.grid, (d.data - d.data.mean()) / dt_coef)
-    psi, report = solve_neumann_poisson(rhs, tol=tol)
+    rhs = d.data - d.data.mean()
+    rhs /= dt_coef
+    psi, report = solve_neumann_poisson(CellField(d.grid, rhs), tol=tol)
     if reports is not None:
         reports.append(report)
-    u = w - dt_coef * grad_cell_to_face(psi)
-    return u, psi
+    return minus_scaled_grad(w, dt_coef, psi), psi

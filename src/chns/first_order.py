@@ -74,9 +74,9 @@ from .grid import (
     div_face_to_cell,
     dot_cell,
     dot_face,
-    grad_cell_to_face,
     lap_cell,
     lap_velocity,
+    minus_scaled_grad,
 )
 from .model import PhysParams, SavState, SchemeState, potential_f_prime, sqrt_aux_energy
 
@@ -176,7 +176,7 @@ def phase_families(lag, terms: ExplicitTerms, spec: ChOperatorSpec, k: float):
     mu1_adv = ge * float(np.vdot(phi1, adv_hat)) - _wsum(lam, phi1, adv_hat) + float(np.vdot(f_hat, adv_hat))
     lag_hat = cell_transform(lag.phi.data)
     phi0 = inv * lag_hat
-    f_dphi0 = float(np.vdot(f_hat, phi0 - lag_hat))
+    f_dphi0 = float(np.vdot(f_hat, np.subtract(phi0, lag_hat, out=lag_hat)))
     mu0_adv = ge * float(np.vdot(phi0, adv_hat)) - _wsum(lam, phi0, adv_hat)
     return phi0, phi1, tuple(g.cell_area * x for x in (f_dphi0, f_phi1, mu0_adv, mu1_adv))
 
@@ -213,7 +213,8 @@ def solve_xi(sys: XiSystem):
 
 
 def _zero_mean(p: CellField) -> CellField:
-    return CellField(p.grid, p.data - p.data.mean())
+    p.data -= p.data.mean()  # in place: every caller owns p
+    return p
 
 
 def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float,
@@ -238,42 +239,51 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     h_spec = HelmholtzSpec(visc_dt=params.viscosity * k)
 
     phi_hat, phi1_hat, ch_pairs = phase_families(lag, terms, ch_spec, k)
-    rhs_u = lag.u - k * grad_cell_to_face(lag.p)
+    rhs_u = minus_scaled_grad(lag.u, k, lag.p)
     (w_hat, c_hat, v_hat), vel_pairs = velocity_families(rhs_u, terms, h_spec, k)
     xi1, xi2 = solve_xi(assemble_xi_system(lag, ch_pairs, vel_pairs, terms.sq, params, k, t_new))
 
     # recombine on coefficients, then one inverse transform and one residual check per operator,
-    # the velocity first; each array is dropped at its last use, as the step sets a run's peak memory
+    # the velocity first; each array is updated in place at its last use, as the step sets a run's peak memory
     for w, c, v, s in zip(w_hat, c_hat, v_hat, helmholtz_inv_symbol(g, h_spec)):
-        w += (xi1 * k) * c
-        w -= (xi2 * k) * v
+        w += np.multiply(c, xi1 * k, out=c)
+        w -= np.multiply(v, xi2 * k, out=v)
         w *= s
     del c_hat, v_hat
     ut_new = face_inverse(g, w_hat)
     del w_hat
     for a, c, v in ((rhs_u.u, terms.chem.u, terms.conv.u), (rhs_u.v, terms.chem.v, terms.conv.v)):
-        a += (xi1 * k) * c  # the right-hand side of u~, built in place
-        a -= (xi2 * k) * v
+        a += np.multiply(c, xi1 * k, out=c)  # the right-hand side of u~
+        a -= np.multiply(v, xi2 * k, out=v)
     del terms.chem, terms.conv
     lap_ut = lap_velocity(ut_new)  # shared by the residual check and the audit's <-lap u~, u~>
     h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz, lap_w=lap_ut)
     del rhs_u
     grad_ut_sq = -dot_face(lap_ut, ut_new)
     del lap_ut
-    phi_hat += xi1 * phi1_hat
+    phi_hat += np.multiply(phi1_hat, xi1, out=phi1_hat)
     del phi1_hat
-    phi = CellField(g, cell_inverse(phi_hat))
+    phi = CellField(g, cell_inverse(phi_hat, overwrite_x=True))
     del phi_hat
     lap_phi = lap_cell(phi)  # shared by the residual check and mu
-    ch_report = ch_residual(ch_spec, phi, lag.phi + xi1 * ((params.mobility * k) * lap_cell(terms.f_prime)
-                                                           - k * terms.adv), tol_helmholtz, lap_phi=lap_phi)
-    mu = -1.0 * lap_phi + params.gamma_eff * phi + xi1 * terms.f_prime
+    rhs_phi = lap_cell(terms.f_prime)  # lag.phi + xi1 (k M lap F' - k adv)
+    rhs_phi.data *= params.mobility * k
+    rhs_phi.data -= np.multiply(terms.adv.data, k, out=terms.adv.data)
+    rhs_phi.data *= xi1
+    rhs_phi.data += lag.phi.data
+    ch_report = ch_residual(ch_spec, phi, rhs_phi, tol_helmholtz, lap_phi=lap_phi)
+    del rhs_phi
+    mu = lap_phi  # -lap phi + gamma_eff phi + xi1 F'
+    mu.data *= -1.0
+    mu.data += params.gamma_eff * phi.data
+    mu.data += np.multiply(terms.f_prime.data, xi1, out=terms.f_prime.data)
     sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
     del lap_phi, terms
     reports = [ch_report, h_report]
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
     u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports, div_w=div_ut)
-    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=lag.p + psi, sav=sav,
+    psi.data += lag.p.data  # the level's pressure lag.p + psi
+    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, sav=sav,
                       reports=tuple(reports), grad_ut_sq=grad_ut_sq,
                       div_ut_sq=dot_cell(div_ut, div_ut))
     return new, div_ut
@@ -284,5 +294,5 @@ def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_pois
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
     new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)[0]
-    new.p = _zero_mean(new.p)
+    _zero_mean(new.p)
     return new

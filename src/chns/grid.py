@@ -43,6 +43,7 @@ __all__ = [
     "CellField",
     "MacVector",
     "grad_cell_to_face",
+    "minus_scaled_grad",
     "div_face_to_cell",
     "lap_cell",
     "lap_velocity",
@@ -154,9 +155,6 @@ class CellField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return CellField(self.grid, -self.data)
-
 
 @dataclass
 class MacVector:
@@ -216,9 +214,6 @@ class MacVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return MacVector(self.grid, -self.u, -self.v)
-
 
 # ---------------------------------------------------------------------------
 # differential operators
@@ -235,34 +230,54 @@ def grad_cell_to_face(p: CellField) -> MacVector:
     d = p.data
     u = np.zeros((g.nx + 1, g.ny))
     v = np.zeros((g.nx, g.ny + 1))
-    u[1:-1, :] = (d[1:, :] - d[:-1, :]) / g.hx
-    v[:, 1:-1] = (d[:, 1:] - d[:, :-1]) / g.hy
+    np.subtract(d[1:, :], d[:-1, :], out=u[1:-1, :])
+    u[1:-1, :] /= g.hx
+    np.subtract(d[:, 1:], d[:, :-1], out=v[:, 1:-1])
+    v[:, 1:-1] /= g.hy
     return MacVector(g, u, v)
+
+
+def minus_scaled_grad(w: MacVector, k: float, p: CellField) -> MacVector:
+    """w - k * grad_cell_to_face(p), with the gradient scaled in place."""
+    _require_same_grid(w, p)
+    grad = grad_cell_to_face(p)
+    return MacVector(w.grid, w.u - np.multiply(grad.u, k, out=grad.u), w.v - np.multiply(grad.v, k, out=grad.v))
 
 
 def div_face_to_cell(w: MacVector) -> CellField:
     """Divergence of a face vector, evaluated at cell centers."""
     g = w.grid
-    out = (w.u[1:, :] - w.u[:-1, :]) / g.hx + (w.v[:, 1:] - w.v[:, :-1]) / g.hy
+    out = w.u[1:, :] - w.u[:-1, :]
+    out /= g.hx
+    dy = w.v[:, 1:] - w.v[:, :-1]
+    out += np.divide(dy, g.hy, out=dy)
     return CellField(g, out)
+
+
+def _wall_diff(a, h, out, odd):
+    """Into out, the differences along axis 0 of a, with one ghost beyond each
+    end, divided by h: ghost = -a (odd reflection) or 0 (a zero wall value)."""
+    np.subtract(a[1:], a[:-1], out=out[1:-1])
+    np.subtract(a[0], -a[0] if odd else 0.0, out=out[0])
+    np.subtract(-a[-1] if odd else 0.0, a[-1], out=out[-1])
+    out /= h
+    return out
 
 
 def lap_cell(f: CellField) -> CellField:
     """Five-point Laplacian of a cell scalar with mirror (zero-flux) ghosts.
 
-    Implemented literally as div(grad(f)) so it is symmetric negative
-    semidefinite and shares its eigenbasis with the fast transform solvers.
-    """
-    return div_face_to_cell(grad_cell_to_face(f))
-
-
-def _pad_odd_y(a):
-    # ghost columns below/above a wall: odd reflection of the tangential value
-    return np.concatenate([-a[:, :1], a, -a[:, -1:]], axis=1)
-
-
-def _pad_odd_x(a):
-    return np.concatenate([-a[:1, :], a, -a[-1:, :]], axis=0)
+    It is div(grad(f)) bit for bit, with no face field built, so it is
+    symmetric negative semidefinite and shares its eigenbasis with the fast
+    transform solvers.  The y direction works on transposed views."""
+    g, d = f.grid, f.data
+    out, lap_y = np.empty((g.nx, g.ny)), np.empty((g.nx, g.ny))
+    for a, o, h in ((d, out, g.hx), (d.T, lap_y.T, g.hy)):
+        grad = a[1:] - a[:-1]
+        grad /= h
+        _wall_diff(grad, h, o, odd=False)
+    out += lap_y
+    return CellField(g, out)
 
 
 def lap_velocity(w: MacVector) -> MacVector:
@@ -273,20 +288,22 @@ def lap_velocity(w: MacVector) -> MacVector:
     walls are zero: those entries are boundary data, not unknowns.
     """
     g = w.grid
-    hx2, hy2 = g.hx * g.hx, g.hy * g.hy
-
-    out_u = np.zeros_like(w.u)
-    uy = _pad_odd_y(w.u)
-    out_u[1:-1, :] = (w.u[2:, :] - 2.0 * w.u[1:-1, :] + w.u[:-2, :]) / hx2 + (
-        uy[1:-1, 2:] - 2.0 * uy[1:-1, 1:-1] + uy[1:-1, :-2]
-    ) / hy2
-
-    out_v = np.zeros_like(w.v)
-    vx = _pad_odd_x(w.v)
-    out_v[:, 1:-1] = (vx[2:, 1:-1] - 2.0 * vx[1:-1, 1:-1] + vx[:-2, 1:-1]) / hx2 + (
-        w.v[:, 2:] - 2.0 * w.v[:, 1:-1] + w.v[:, :-2]
-    ) / hy2
-    return MacVector(g, out_u, out_v)
+    out = MacVector(g, np.empty_like(w.u), np.empty_like(w.v))
+    # a's rows run normal to the walls it stores, its columns along the walls it ghosts; v on transposed views
+    for a, o, h2n, h2t in ((w.u, out.u, g.hx * g.hx, g.hy * g.hy), (w.v.T, out.v.T, g.hy * g.hy, g.hx * g.hx)):
+        o[0, :] = o[-1, :] = 0.0
+        two = 2.0 * a[1:-1, :]
+        normal = np.subtract(a[2:, :], two, out=o[1:-1, :])
+        normal += a[:-2, :]
+        normal /= h2n
+        tang = np.empty_like(two)
+        np.subtract(a[1:-1, 2:], two[:, 1:-1], out=tang[:, 1:-1])
+        tang[:, 1:-1] += a[1:-1, :-2]
+        tang[:, 0] = a[1:-1, 1] - two[:, 0] - a[1:-1, 0]
+        tang[:, -1] = -a[1:-1, -1] - two[:, -1] + a[1:-1, -2]
+        tang /= h2t
+        normal += tang
+    return out
 
 
 def advect_scalar(w: MacVector, f: CellField) -> CellField:
@@ -307,34 +324,45 @@ def advect_scalar(w: MacVector, f: CellField) -> CellField:
     fv[:, 1:-1] = 0.5 * (d[:, 1:] + d[:, :-1])
     fv[:, 0] = d[:, 0]
     fv[:, -1] = d[:, -1]
-    return div_face_to_cell(MacVector(g, w.u * fu, w.v * fv))
+    fu *= w.u
+    fv *= w.v
+    return div_face_to_cell(MacVector(g, fu, fv))
+
+
+def _avg4(b):
+    """b averaged over the four points around each interior cross-component face."""
+    out = b[:-1, :-1] + b[1:, :-1]
+    out += b[:-1, 1:]
+    out += b[1:, 1:]
+    out *= 0.25
+    return out
 
 
 def advect_velocity(w: MacVector) -> MacVector:
     """Centered convection (w . grad) w evaluated at the face locations.
 
     Cross components are brought to the evaluation point by 4-point
-    averages; tangential derivatives near walls use odd-reflection ghosts.
-    Boundary (normal) faces return zero.
+    averages; tangential derivatives near walls use odd-reflection ghosts,
+    as separate wall slices.  Boundary (normal) faces return zero.
     """
     g = w.grid
-    hx, hy = g.hx, g.hy
-    u, v = w.u, w.v
-
-    out_u = np.zeros_like(u)
-    du_dx = (u[2:, :] - u[:-2, :]) / (2.0 * hx)
-    uy = _pad_odd_y(u)
-    du_dy = (uy[1:-1, 2:] - uy[1:-1, :-2]) / (2.0 * hy)
-    v_at_u = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])  # at interior u-faces
-    out_u[1:-1, :] = u[1:-1, :] * du_dx + v_at_u * du_dy
-
-    out_v = np.zeros_like(v)
-    dv_dy = (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
-    vx = _pad_odd_x(v)
-    dv_dx = (vx[2:, 1:-1] - vx[:-2, 1:-1]) / (2.0 * hx)
-    u_at_v = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])  # at interior v-faces
-    out_v[:, 1:-1] = u_at_v * dv_dx + v[:, 1:-1] * dv_dy
-    return MacVector(g, out_u, out_v)
+    out = MacVector(g, np.empty_like(w.u), np.empty_like(w.v))
+    # the v component is the u component's stencil on transposed views; each 4-point average is summed
+    # before transposing, as floating-point addition is not associative
+    for a, cross, o, hn, ht in ((w.u, _avg4(w.v), out.u, g.hx, g.hy), (w.v.T, _avg4(w.u).T, out.v.T, g.hy, g.hx)):
+        o[0, :] = o[-1, :] = 0.0
+        ai = a[1:-1, :]
+        dtan = np.empty_like(cross)  # tangential central difference
+        np.subtract(ai[:, 2:], ai[:, :-2], out=dtan[:, 1:-1])
+        dtan[:, 0] = ai[:, 1] + ai[:, 0]
+        dtan[:, -1] = -ai[:, -1] - ai[:, -2]
+        dtan /= 2.0 * ht
+        cross *= dtan
+        own = np.subtract(a[2:, :], a[:-2, :], out=o[1:-1, :])
+        own /= 2.0 * hn
+        own *= ai
+        own += cross
+    return out
 
 
 def chemical_force(mu: CellField, phi: CellField) -> MacVector:
@@ -389,11 +417,9 @@ def curl_at_nodes(w: MacVector) -> np.ndarray:
     so the curl of a discrete gradient vanishes identically at interior nodes.
     """
     g = w.grid
-    uy = _pad_odd_y(w.u)  # (nx+1, ny+2): index j of the node sees uy[:, j:j+2]
-    vx = _pad_odd_x(w.v)  # (nx+2, ny+1)
-    du_dy = (uy[:, 1:] - uy[:, :-1]) / g.hy
-    dv_dx = (vx[1:, :] - vx[:-1, :]) / g.hx
-    return dv_dx - du_dy
+    out = _wall_diff(w.v, g.hx, np.empty((g.nx + 1, g.ny + 1)), odd=True)
+    out -= _wall_diff(w.u.T, g.hy, np.empty((g.nx + 1, g.ny + 1)).T, odd=True).T
+    return out
 
 
 def norm_l2_nodes(grid: GridSpec, node_values: np.ndarray) -> float:

@@ -67,7 +67,10 @@ class PhysParams:
 def potential_f_prime(phi: CellField, params: PhysParams) -> CellField:
     """Pointwise F'(phi) = phi (phi^2 - 1 - beta) / eps^2."""
     c = 1.0 + params.beta
-    return CellField(phi.grid, phi.data * (phi.data**2 - c) / params.epsilon**2)
+    out = phi.data**2
+    out -= c
+    out *= phi.data
+    return CellField(phi.grid, np.divide(out, params.epsilon**2, out=out))
 
 
 def energy_e1(phi: CellField, params: PhysParams) -> float:

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .first_order import _zero_mean, decoupled_step, step_first_order
-from .grid import div_face_to_cell
+from .grid import MacVector, div_face_to_cell
 from .model import PhysParams, SavState, SchemeState, SchemeState2
 
 __all__ = [
@@ -74,12 +74,22 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: f
     return SchemeState2(**vars(s1), **history, g=g1)
 
 
+def _combine(c, x, prev, scale=None):
+    """c*x - prev, times scale if given, for two fields of one kind, built in place."""
+    out = c * x
+    for a, b in ((out.u, prev.u), (out.v, prev.v)) if isinstance(out, MacVector) else ((out.data, prev.data),):
+        a -= b
+        if scale is not None:
+            a *= scale
+    return out
+
+
 def extrapolants(state: SchemeState2) -> SimpleNamespace:
     """Second-order extrapolation 2x^n - x^{n-1} of phi, mu and u."""
     return SimpleNamespace(
-        phi=2.0 * state.phi - state.phi_prev,
-        mu=2.0 * state.mu - state.mu_prev,
-        u=2.0 * state.u - state.u_prev,
+        phi=_combine(2.0, state.phi, state.phi_prev),
+        mu=_combine(2.0, state.mu, state.mu_prev),
+        u=_combine(2.0, state.u, state.u_prev),
     )
 
 
@@ -89,15 +99,16 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
     correction and the g bookkeeping."""
-    lag = SimpleNamespace(phi=(1.0 / 3.0) * (4.0 * state.phi - state.phi_prev), p=state.p,
-                          u=(1.0 / 3.0) * (4.0 * state.u - state.u_prev),
+    lag = SimpleNamespace(phi=_combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
+                          u=_combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
                           r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
                           q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0)
     new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
                                  tol_poisson, tol_helmholtz)
     del lag
-    nu_div = params.viscosity * div_ut
-    del div_ut
-    new.p = _zero_mean(new.p - nu_div)
+    div_ut.data *= params.viscosity  # nu div u~, in place on the step's own array
+    new.p.data -= div_ut.data
+    _zero_mean(new.p)
+    div_ut.data += state.g.data  # g^{n+1} = g^n + nu div u~
     return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u,
-                        sav_prev=SavState(state.sav.r, state.sav.q), g=state.g + nu_div)
+                        sav_prev=SavState(state.sav.r, state.sav.q), g=div_ut)

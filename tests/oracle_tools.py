@@ -136,6 +136,120 @@ def dense_neumann_solve(grid, rhs):
 
 
 # ---------------------------------------------------------------------------
+# reference stencils: the compositions the grid's kernels are bitwise equal to
+# ---------------------------------------------------------------------------
+
+
+def ref_grad(p):
+    """grad_cell_to_face as an expression over a zero-padded face field."""
+    g, d = p.grid, p.data
+    u, v = np.zeros((g.nx + 1, g.ny)), np.zeros((g.nx, g.ny + 1))
+    u[1:-1, :] = (d[1:, :] - d[:-1, :]) / g.hx
+    v[:, 1:-1] = (d[:, 1:] - d[:, :-1]) / g.hy
+    return MacVector(g, u, v)
+
+
+def ref_div(w):
+    g = w.grid
+    return CellField(g, (w.u[1:, :] - w.u[:-1, :]) / g.hx + (w.v[:, 1:] - w.v[:, :-1]) / g.hy)
+
+
+def ref_lap_cell(f):
+    """The cell Laplacian as div o grad through the zero-padded face gradient."""
+    return ref_div(ref_grad(f))
+
+
+def _pad_odd_y(a):
+    # ghost columns below/above a wall: odd reflection of the tangential value
+    return np.concatenate([-a[:, :1], a, -a[:, -1:]], axis=1)
+
+
+def _pad_odd_x(a):
+    return np.concatenate([-a[:1, :], a, -a[-1:, :]], axis=0)
+
+
+def ref_lap_velocity(w):
+    g = w.grid
+    hx2, hy2 = g.hx * g.hx, g.hy * g.hy
+    out_u = np.zeros_like(w.u)
+    uy = _pad_odd_y(w.u)
+    out_u[1:-1, :] = (w.u[2:, :] - 2.0 * w.u[1:-1, :] + w.u[:-2, :]) / hx2 + (
+        uy[1:-1, 2:] - 2.0 * uy[1:-1, 1:-1] + uy[1:-1, :-2]) / hy2
+    out_v = np.zeros_like(w.v)
+    vx = _pad_odd_x(w.v)
+    out_v[:, 1:-1] = (vx[2:, 1:-1] - 2.0 * vx[1:-1, 1:-1] + vx[:-2, 1:-1]) / hx2 + (
+        w.v[:, 2:] - 2.0 * w.v[:, 1:-1] + w.v[:, :-2]) / hy2
+    return MacVector(g, out_u, out_v)
+
+
+def ref_advect_velocity(w):
+    g = w.grid
+    hx, hy = g.hx, g.hy
+    u, v = w.u, w.v
+    out_u = np.zeros_like(u)
+    du_dx = (u[2:, :] - u[:-2, :]) / (2.0 * hx)
+    uy = _pad_odd_y(u)
+    du_dy = (uy[1:-1, 2:] - uy[1:-1, :-2]) / (2.0 * hy)
+    v_at_u = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+    out_u[1:-1, :] = u[1:-1, :] * du_dx + v_at_u * du_dy
+    out_v = np.zeros_like(v)
+    dv_dy = (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
+    vx = _pad_odd_x(v)
+    dv_dx = (vx[2:, 1:-1] - vx[:-2, 1:-1]) / (2.0 * hx)
+    u_at_v = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    out_v[:, 1:-1] = u_at_v * dv_dx + v[:, 1:-1] * dv_dy
+    return MacVector(g, out_u, out_v)
+
+
+def ref_curl_at_nodes(w):
+    g = w.grid
+    uy = _pad_odd_y(w.u)
+    vx = _pad_odd_x(w.v)
+    return (vx[1:, :] - vx[:-1, :]) / g.hx - (uy[:, 1:] - uy[:, :-1]) / g.hy
+
+
+def ref_minus_scaled_grad(w, k, p):
+    """w - k grad p through the container arithmetic."""
+    return w - k * ref_grad(p)
+
+
+def ref_advect_scalar(w, f):
+    g, d = f.grid, f.data
+    fu = np.concatenate([d[:1, :], 0.5 * (d[1:, :] + d[:-1, :]), d[-1:, :]], axis=0)
+    fv = np.concatenate([d[:, :1], 0.5 * (d[:, 1:] + d[:, :-1]), d[:, -1:]], axis=1)
+    return ref_div(MacVector(g, w.u * fu, w.v * fv))
+
+
+def ref_apply_ch_operator(spec, phi):
+    lp = ref_lap_cell(phi)
+    return phi + spec.mobility_dt * ref_lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
+
+
+def ref_apply_helmholtz_operator(spec, w):
+    out = w - spec.visc_dt * ref_lap_velocity(w)
+    out.u[[0, -1], :] = w.u[[0, -1], :]
+    out.v[:, [0, -1]] = w.v[:, [0, -1]]
+    return out
+
+
+def with_signed_zeros(rng, shape):
+    """Standard normal entries, about a fifth of them +0.0 and a fifth -0.0:
+    a kernel that reorders an operation or drops a subtraction from zero
+    changes the sign of some zero in its output."""
+    a = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    a[pick < 0.2] = 0.0
+    a[(pick >= 0.2) & (pick < 0.4)] = -0.0
+    return a
+
+
+def field_bytes(x):
+    """The shapes and bytes of a field's arrays, for bitwise comparisons."""
+    arrays = (x,) if isinstance(x, np.ndarray) else (x.data,) if isinstance(x, CellField) else (x.u, x.v)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+# ---------------------------------------------------------------------------
 # standalone transform solves and the conjugate-gradient reference
 # ---------------------------------------------------------------------------
 

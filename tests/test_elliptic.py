@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chns.elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
     apply_ch_operator,
     apply_helmholtz_operator,
+    cell_inverse,
+    cell_transform,
     ch_residual,
+    face_inverse,
+    face_transform,
     helmholtz_residual,
     project,
     solve_neumann_poisson,
@@ -28,12 +33,17 @@ from oracle_tools import (
     cg_neumann_poisson,
     cg_velocity_helmholtz,
     dense_neumann_solve,
+    field_bytes,
     mat_face_to_face,
     mat_from_cell_op,
     pack_face,
+    ref_apply_ch_operator,
+    ref_apply_helmholtz_operator,
+    ref_minus_scaled_grad,
     solve_ch_system,
     solve_velocity_helmholtz,
     unpack_face,
+    with_signed_zeros,
 )
 
 RNG = np.random.default_rng(7)
@@ -263,3 +273,40 @@ def test_residual_checks_reject_a_nan_field():
     w.u[1:-1, :] = np.nan
     with pytest.raises(SolverConvergenceError):
         helmholtz_residual(HelmholtzSpec(visc_dt=1e-3), w, MacVector.zeros(g), 1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(4, 20), ny=st.integers(4, 20), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
+       k=st.floats(1e-4, 10.0), gamma_eff=st.floats(0.5, 60.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=8, ny=8, lx=1.0, ly=0.5, k=0.01, gamma_eff=56.6, seed=0)
+def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, gamma_eff, seed):
+    """The in-place forward operators and projection return the bytes of the
+    container arithmetic they replaced, signed zeros included."""
+    g = GridSpec(nx, ny, x1=lx, y1=ly)
+    assume(g.hx != g.hy)
+    rng = np.random.default_rng(seed)
+    phi = CellField(g, with_signed_zeros(rng, (nx, ny)))
+    w = MacVector(g, with_signed_zeros(rng, (nx + 1, ny)), with_signed_zeros(rng, (nx, ny + 1)))
+    ch, hz = ChOperatorSpec(mobility_dt=k, gamma_eff=gamma_eff), HelmholtzSpec(visc_dt=k)
+    assert field_bytes(apply_ch_operator(ch, phi)) == field_bytes(ref_apply_ch_operator(ch, phi))
+    assert field_bytes(apply_helmholtz_operator(hz, w)) == field_bytes(ref_apply_helmholtz_operator(hz, w))
+    w.u[[0, -1], :] = 0.0  # no penetration, as the projection requires
+    w.v[:, [0, -1]] = 0.0
+    u, psi = project(w, k)
+    assert field_bytes(u) == field_bytes(ref_minus_scaled_grad(w, k, psi))
+
+
+def test_transforms_leave_their_arguments_unchanged():
+    """Only temporaries a function owns are overwritten: callers reuse the
+    arrays they pass, as phase_substeps reuses phi0_hat after cell_inverse."""
+    g = GridSpec(9, 8)
+    rng = np.random.default_rng(3)
+    a = with_signed_zeros(rng, (9, 8))
+    w = MacVector(g, with_signed_zeros(rng, (10, 8)), with_signed_zeros(rng, (9, 9)))
+    before = field_bytes(a), field_bytes(w)
+    coeffs, face_coeffs = cell_transform(a), face_transform(w)
+    assert (field_bytes(a), field_bytes(w)) == before
+    before = field_bytes(coeffs), [field_bytes(c) for c in face_coeffs]
+    cell_inverse(coeffs)
+    face_inverse(g, face_coeffs)
+    assert (field_bytes(coeffs), [field_bytes(c) for c in face_coeffs]) == before

@@ -51,6 +51,7 @@ from chns.model import (
 from chns.second_order import bootstrap, step_second_order
 from oracle_tools import (
     _bdf1_substeps,
+    field_bytes,
     loop_dot_cell,
     loop_dot_face,
     monolithic_first_order,
@@ -58,6 +59,7 @@ from oracle_tools import (
     solve_velocity_helmholtz,
     three_projection_first_order,
     three_projection_second_order,
+    with_signed_zeros,
 )
 
 RNG = np.random.default_rng(99)
@@ -104,6 +106,15 @@ def test_potential_values():
     out1 = potential_f_prime(CellField.full(g, 1.0), p)
     assert np.allclose(out1.data, (1.0 - 1.0 - p.beta) / p.epsilon**2, atol=1e-12)
     assert abs(out1.data[0, 0] + 55.555555555555557) <= 1e-9
+
+
+def test_potential_is_its_closed_form_bytewise():
+    """The in-place F'(phi) is phi (phi^2 - 1 - beta) / eps^2 to the byte."""
+    g = GridSpec(9, 8)
+    p = reference_params(epsilon=0.07, beta=2.0)
+    phi = CellField(g, with_signed_zeros(np.random.default_rng(4), (9, 8)))
+    expected = phi.data * (phi.data**2 - (1.0 + p.beta)) / p.epsilon**2
+    assert potential_f_prime(phi, p).data.tobytes() == expected.tobytes()
 
 
 def test_energy_e1_closed_forms():
@@ -483,3 +494,27 @@ def test_reports_collected():
     reports = step_first_order(state, p, 0.01).reports
     assert len(reports) == 3  # 1 phase + 1 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)
+
+
+def _arrays_by_name(state):
+    return {name: field_bytes(x) for name, x in vars(state).items() if isinstance(x, (CellField, MacVector))}
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_a_step_leaves_its_input_state_unchanged(scheme):
+    """The step works in place only on arrays it made: every array of the state
+    it advances, the msav2 bootstrap's initial state included, keeps its bytes."""
+    g = GridSpec(10, 8, x1=1.3)
+    p = reference_params()
+    state = messy_state(g, p, rng=np.random.default_rng(5))
+    before = _arrays_by_name(state)
+    assert set(before) >= {"phi", "mu", "u", "u_tilde", "p"}
+    if scheme == "msav1":
+        step_first_order(state, p, 0.01)
+    else:
+        level = bootstrap(state, p, 0.01)
+        assert _arrays_by_name(state) == before
+        state, before = level, _arrays_by_name(level)
+        assert set(before) >= {"phi_prev", "mu_prev", "u_prev", "g"}
+        step_second_order(state, p, 0.01)
+    assert _arrays_by_name(state) == before

@@ -1,7 +1,7 @@
 """Package surface: every exported name resolves, every name a demo or the
 benchmark imports from chns exists, the BDF2 state has no optional history,
 no module of the package or the tests imports a name it never uses, and no
-module of the package has a global statement."""
+module of the package has a global statement or an np.negative with an out array."""
 
 import ast
 import importlib
@@ -99,3 +99,15 @@ def test_no_global_statements():
     found = [f"{path.name}:{node.lineno}" for path in SRC for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
     assert not found, f"global statements at {found}"
+
+
+def test_no_negative_into_an_out_array():
+    """numpy 2.4.6 np.negative(x, out=view) reads the wrong elements of x when
+    x has a 64-byte stride (a column of an (n, 8) array), so a stencil's wall
+    column on a grid 8 values wide would come out wrong.  The package writes
+    out[...] = -x instead."""
+    found = [f"{path.name}:{node.lineno}" for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "negative"
+             and (len(node.args) > 1 or any(kw.arg == "out" for kw in node.keywords))]
+    assert not found, (f"np.negative with an out array at {found}: numpy 2.4.6 reads the wrong elements of an "
+                       "input with a 64-byte stride into a strided out view; write out[...] = -x instead")
