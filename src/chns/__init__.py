@@ -49,7 +49,6 @@ from .grid import (
 )
 from .model import (
     PhysParams,
-    SavState,
     SchemeState,
     SchemeState2,
     energy_e1,
@@ -61,10 +60,8 @@ from .second_order import bootstrap, step_second_order
 from .diagnostics import (
     EnergyAudit,
     ErrorRecord,
-    RunResult,
     audit_step,
     cauchy_ladder,
-    energy2_report,
     mass,
     modified_energy,
     observed_rate,

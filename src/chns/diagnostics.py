@@ -22,6 +22,12 @@ is the one that holds to rounding and the one acceptance keys on.  The gap
 between the two readings is reported as identity_defect, which is zero for
 the first-order law.
 
+Every energy comes from one quadratic form, the level energy
+L(x) = |grad phi|^2 + gamma_eff |phi|^2 + |u|^2 + 2 r^2 + q^2 of x = (phi, u, r, q):
+the first-order Etilde is L(x^n) + dt^2 |grad p^n|^2, the BDF2 one
+(L(x^n) + L(2x^n - x^{n-1}))/2 + (2/3) dt^2 |grad(p^n + g^n)|^2 + dt/nu |g^n|^2,
+and E_total is half the field part of L(x^n) plus E1(phi^n), less a constant.
+
 The audit is a check of the stored fields that repeats none of the step's
 operator applications.  |grad u~|^2 = <-lap u~, u~> and |div u~|^2 come from
 the level: the step forms them from the Laplacian of its Helmholtz residual
@@ -60,7 +66,7 @@ from .grid import (
     norm_l2_nodes,
 )
 from .model import PhysParams, SchemeState, SchemeState2, energy_e1
-from .second_order import bootstrap, step_second_order
+from .second_order import _combine, bootstrap, step_second_order
 
 __all__ = [
     "EnergyAudit",
@@ -68,10 +74,8 @@ __all__ = [
     "mass",
     "total_energy",
     "modified_energy",
-    "energy2_report",
     "audit_step",
     "audit_slack",
-    "RunResult",
     "simulate_run",
     "iterate_with_audits",
     "ErrorRecord",
@@ -98,72 +102,42 @@ def grad_energy_velocity(w: MacVector) -> float:
     return -dot_face(lap_velocity(w), w)
 
 
-def _quadratics(state: SchemeState):
-    """|grad phi|^2, |phi|^2 and |u|^2 of a state: the reductions the physical
-    and the modified energies share, so an audit row computes them once."""
-    return grad_sq_cell(state.phi), dot_cell(state.phi, state.phi), dot_face(state.u, state.u)
+def _field_energy(phi: CellField, u: MacVector, params: PhysParams) -> float:
+    """|grad phi|^2 + gamma_eff |phi|^2 + |u|^2: the field part of the level
+    energy L(x), which the physical and the modified energies share."""
+    return grad_sq_cell(phi) + params.gamma_eff * dot_cell(phi, phi) + dot_face(u, u)
 
 
-def total_energy(state: SchemeState, params: PhysParams, quads=None) -> float:
-    """Physical total energy, including the additive constant dropped from the
-    working potential, so the reported value matches the unshifted model."""
-    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
+def total_energy(state: SchemeState, params: PhysParams, field_part: float | None = None) -> float:
+    """Physical total energy field_part/2 + E1(phi), with the additive constant
+    dropped from the working potential restored, so the reported value matches
+    the unshifted model.  field_part, if given, is _field_energy of the state."""
+    if field_part is None:
+        field_part = _field_energy(state.phi, state.u, params)
     g = state.grid
-    area = (g.x1 - g.x0) * (g.y1 - g.y0)
-    quad = 0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2
     shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
-    return (
-        0.5 * u_sq
-        + 0.5 * grad_phi
-        + quad * phi_sq
-        + energy_e1(state.phi, params)
-        - shift * area
-    )
+    return 0.5 * field_part + energy_e1(state.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0)
 
 
-def modified_energy(state: SchemeState, params: PhysParams, dt: float, quads=None) -> float:
-    """Etilde of the energy law the state obeys.  A two-level state obeys the
-    BDF2 law (the sum of energy2_report); any other state the first-order law
+def modified_energy(state: SchemeState, params: PhysParams, dt: float, field_part: float | None = None) -> float:
+    """Etilde of the energy law the state obeys, from the level energy
+    L(x) = field_part + 2 r^2 + q^2, field_part as in _field_energy (or as given).
+    A two-level state obeys the BDF2 law, the G-stability average over x and
+    the extrapolated level x_bar = 2x - x_prev,
 
-        |grad phi|^2 + gamma_eff |phi|^2 + 2 r^2 + |u|^2 + dt^2 |grad p|^2 + q^2.
-    """
-    if isinstance(state, SchemeState2):
-        return energy2_report(state, params, dt, quads)["etilde"]
-    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
-    return (
-        grad_phi
-        + params.gamma_eff * phi_sq
-        + 2.0 * state.r**2
-        + u_sq
-        + dt * dt * grad_sq_cell(state.p)
-        + state.q**2
-    )
+        (L(x) + L(x_bar))/2 + (2/3) dt^2 |grad(p + g)|^2 + dt/nu |g|^2;
 
-
-def energy2_report(state: SchemeState2, params: PhysParams, dt: float, quads=None) -> dict:
-    """Named components of the BDF2 modified energy and their sum, "etilde"."""
-    grad_phi, phi_sq, u_sq = _quadratics(state) if quads is None else quads
-    ge = params.gamma_eff
-    u_x = 2.0 * state.u - state.u_prev
-    phi_x = 2.0 * state.phi - state.phi_prev
-    r_x = 2.0 * state.sav.r - state.sav_prev.r
-    q_x = 2.0 * state.sav.q - state.sav_prev.q
-    comp = {
-        "u_half": 0.5 * u_sq,
-        "u_extrap_half": 0.5 * dot_face(u_x, u_x),
-        "grad_H": (2.0 / 3.0) * dt * dt * grad_sq_cell(state.p + state.g),  # H = p + g
-        "g_term": dt / params.viscosity * dot_cell(state.g, state.g),
-        "grad_phi_half": 0.5 * grad_phi,
-        "grad_phi_extrap_half": 0.5 * grad_sq_cell(phi_x),
-        "phi_half": 0.5 * ge * phi_sq,
-        "phi_extrap_half": 0.5 * ge * dot_cell(phi_x, phi_x),
-        "r_sq": state.sav.r**2,
-        "r_extrap_sq": r_x**2,
-        "q_half": 0.5 * state.sav.q**2,
-        "q_extrap_half": 0.5 * q_x**2,
-    }
-    comp["etilde"] = float(sum(comp.values()))
-    return comp
+    any other state the first-order law, L(x) + dt^2 |grad p|^2."""
+    if field_part is None:
+        field_part = _field_energy(state.phi, state.u, params)
+    level = field_part + 2.0 * state.r**2 + state.q**2
+    if not isinstance(state, SchemeState2):
+        return level + dt * dt * grad_sq_cell(state.p)
+    phi_bar, u_bar = _combine(2.0, state.phi, state.phi_prev), _combine(2.0, state.u, state.u_prev)
+    r_bar, q_bar = 2.0 * state.r - state.r_prev, 2.0 * state.q - state.q_prev
+    level_bar = _field_energy(phi_bar, u_bar, params) + 2.0 * r_bar**2 + q_bar**2
+    return (0.5 * (level + level_bar) + (2.0 / 3.0) * dt * dt * grad_sq_cell(state.p + state.g)
+            + dt / params.viscosity * dot_cell(state.g, state.g))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +163,6 @@ class EnergyAudit:
     diss_curl: float
     identity_defect: float
     solver_residual_max: float
-    solver_iterations: int
 
     @property
     def slack(self) -> float:
@@ -226,8 +199,8 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
     stored u~ with the Laplacian of its Helmholtz residual check and the
     divergence its projection consumed."""
     nu_dt = params.viscosity * dt
-    quads = _quadratics(new)
-    et_new = modified_energy(new, params, dt, quads)
+    field_part = _field_energy(new.phi, new.u, params)
+    et_new = modified_energy(new, params, dt, field_part)
     et_prev = modified_energy(prev, params, dt) if etilde_prev is None else etilde_prev
     diss_mu = 2.0 * params.mobility * dt * grad_sq_cell(new.mu)
     diss_q = 2.0 * dt / params.horizon * new.q**2
@@ -240,7 +213,7 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
     return EnergyAudit(
         t=new.t,
-        E_total=total_energy(new, params, quads),
+        E_total=total_energy(new, params, field_part),
         Etilde=et_new,
         Etilde_prev=et_prev,
         mass=mass(new.phi),
@@ -255,7 +228,6 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
         diss_curl=curl,
         identity_defect=visc - div - curl if bdf2 else 0.0,
         solver_residual_max=max((r.residual for r in new.reports), default=0.0),
-        solver_iterations=int(sum(r.iterations for r in new.reports)),
     )
 
 

@@ -94,12 +94,9 @@ class HelmholtzSpec:
 
 @dataclass
 class SolveReport:
-    """iterations is 0 for a direct transform solve, the only kind the
-    library runs; the audit column solver_iterations sums it.  residual is the
-    normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), which stays
-    at rounding level for the transform paths regardless of conditioning."""
+    """residual is the normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||),
+    which stays at rounding level for the transform paths regardless of conditioning."""
 
-    iterations: int
     residual: float
     mean_defect: float = 0.0
 
@@ -220,7 +217,7 @@ TOL_HELMHOLTZ = 1e-11  # default residual tolerance of the phase and velocity op
 
 def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, mean_defect=0.0):
     resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
-    report = SolveReport(iterations=0, residual=resid, mean_defect=mean_defect)
+    report = SolveReport(residual=resid, mean_defect=mean_defect)
     if not resid <= max(tol, 1e-13):  # a NaN residual fails too
         raise SolverConvergenceError(report)
     return report

@@ -78,7 +78,7 @@ from .grid import (
     lap_velocity,
     minus_scaled_grad,
 )
-from .model import PhysParams, SavState, SchemeState, potential_f_prime, sqrt_aux_energy
+from .model import PhysParams, SchemeState, potential_f_prime, sqrt_aux_energy
 
 __all__ = [
     "XiSystem",
@@ -277,13 +277,13 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     mu.data *= -1.0
     mu.data += params.gamma_eff * phi.data
     mu.data += np.multiply(terms.f_prime.data, xi1, out=terms.f_prime.data)
-    sav = SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon))
+    r_new, q_new = xi1 * terms.sq, xi2 * exp(-t_new / params.horizon)
     del lap_phi, terms
     reports = [ch_report, h_report]
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
     u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports, div_w=div_ut)
     psi.data += lag.p.data  # the level's pressure lag.p + psi
-    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, sav=sav,
+    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, r=r_new, q=q_new,
                       reports=tuple(reports), grad_ut_sq=grad_ut_sq,
                       div_ut_sq=dot_cell(div_ut, div_ut))
     return new, div_ut

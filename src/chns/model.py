@@ -9,8 +9,10 @@ with the shifted quadratic part absorbed into the linear coefficient
 gamma_eff = gamma + beta/eps^2 of the chemical potential.  beta = 0 recovers
 the plain double well.
 
-Two scalar auxiliary variables accompany the fields: r tracks
-sqrt(E1(phi) + delta) and q tracks exp(-t/T); both are carried in SavState.
+Two scalar auxiliary variables accompany the fields on each level: r tracks
+sqrt(E1(phi) + delta) and q tracks exp(-t/T).  Both energy laws are built from
+the level energy L(x) = |grad phi|^2 + gamma_eff |phi|^2 + |u|^2 + 2 r^2 + q^2
+of a level x = (phi, u, r, q); see diagnostics.
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ from .grid import CellField, GridSpec, MacVector, lap_cell
 
 __all__ = [
     "PhysParams",
-    "SavState",
     "SchemeState",
     "SchemeState2",
     "potential_f_prime",
     "energy_e1",
-    "chemical_potential",
     "initial_state",
     "state_from_fields",
-    "E1_FLOOR",
 ]
 
 E1_FLOOR = 1e-14  # below this, r/sqrt(E1+delta) is numerically meaningless
@@ -97,12 +96,6 @@ def chemical_potential(phi: CellField, params: PhysParams) -> CellField:
 
 
 @dataclass
-class SavState:
-    r: float  # tracks sqrt(E1 + delta)
-    q: float  # tracks exp(-t/T)
-
-
-@dataclass
 class SchemeState:
     """Full state at one time level."""
 
@@ -112,20 +105,13 @@ class SchemeState:
     u: MacVector  # projected (divergence-free) velocity
     u_tilde: MacVector  # intermediate velocity of the level's momentum solve
     p: CellField  # zero-mean pressure
-    sav: SavState
+    r: float  # tracks sqrt(E1(phi) + delta)
+    q: float  # tracks exp(-t/T)
     reports: tuple = ()  # residual-check SolveReports of the step that produced this level
     # <-lap u~, u~> and |div u~|^2 of u_tilde, from that step's own operator applications; NaN on a
     # level no step produced (initial data), which the audit only ever sees as the earlier level
     grad_ut_sq: float = np.nan
     div_ut_sq: float = np.nan
-
-    @property
-    def r(self) -> float:
-        return self.sav.r
-
-    @property
-    def q(self) -> float:
-        return self.sav.q
 
     @property
     def grid(self) -> GridSpec:
@@ -141,7 +127,8 @@ class SchemeState2(SchemeState):
     phi_prev: CellField
     mu_prev: CellField
     u_prev: MacVector
-    sav_prev: SavState
+    r_prev: float
+    q_prev: float
     g: CellField
 
 
@@ -155,7 +142,7 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
     mu = chemical_potential(phi, params)
     r0 = sqrt_aux_energy(phi, params)
     return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
-                       sav=SavState(r=r0, q=1.0))
+                       r=r0, q=1.0)
 
 
 def initial_state(grid: GridSpec, params: PhysParams) -> SchemeState:

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .first_order import _zero_mean, decoupled_step, step_first_order
 from .grid import MacVector, div_face_to_cell
-from .model import PhysParams, SavState, SchemeState, SchemeState2
+from .model import PhysParams, SchemeState, SchemeState2
 
 __all__ = [
     "bootstrap",
@@ -56,13 +56,12 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: f
     is called as trace(prev, new, substep_dt) right after each substep, while
     prev is alive: the states that the audit checks against the first-order
     energy law, each carrying its substep's solver reports.  Level 1 keeps
-    phi, mu, u and sav of state0 as its history and no other part of it, so a
+    phi, mu, u, r and q of state0 as its history and no other part of it, so a
     caller that hands over its only reference frees state0 after the first
     substep's trace.
     """
     sub_dt = dt / BOOTSTRAP_SUBSTEPS
-    history = dict(phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u,
-                   sav_prev=SavState(state0.sav.r, state0.sav.q))
+    history = dict(phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u, r_prev=state0.r, q_prev=state0.q)
     s1 = state0
     del state0
     for _ in range(BOOTSTRAP_SUBSTEPS):
@@ -101,8 +100,7 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
     correction and the g bookkeeping."""
     lag = SimpleNamespace(phi=_combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
                           u=_combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
-                          r=(4.0 * state.sav.r - state.sav_prev.r) / 3.0,
-                          q=(4.0 * state.sav.q - state.sav_prev.q) / 3.0)
+                          r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
     new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
                                  tol_poisson, tol_helmholtz)
     del lag
@@ -110,5 +108,5 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
     new.p.data -= div_ut.data
     _zero_mean(new.p)
     div_ut.data += state.g.data  # g^{n+1} = g^n + nu div u~
-    return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u,
-                        sav_prev=SavState(state.sav.r, state.sav.q), g=div_ut)
+    return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u, r_prev=state.r,
+                        q_prev=state.q, g=div_ut)

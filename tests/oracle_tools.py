@@ -15,7 +15,6 @@ The standalone phase and velocity solvers are the library's transform pieces
 together as the step puts them, so a test of them tests the step's code.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 from math import exp
 from types import SimpleNamespace
@@ -56,7 +55,7 @@ from chns.grid import (
     lap_velocity,
     norm_l2_cell,
 )
-from chns.model import SavState, SchemeState, SchemeState2, energy_e1, potential_f_prime, sqrt_aux_energy
+from chns.model import SchemeState, SchemeState2, energy_e1, potential_f_prime, sqrt_aux_energy
 from chns.second_order import extrapolants
 
 
@@ -314,7 +313,8 @@ def _neg_lap_diag(grid):
 
 def cg_neumann_poisson(rhs, tol=1e-12):
     """The zero-mean solution of lap(psi) = rhs by PCG on the mean-free
-    right-hand side, with the library's residual check."""
+    right-hand side, with the library's residual check; returns (psi,
+    SolveReport, PCG iterations)."""
     g = rhs.grid
     mean = float(rhs.data.mean())
     b = rhs.data - mean
@@ -327,11 +327,12 @@ def cg_neumann_poisson(rhs, tol=1e-12):
     psi = CellField(g, psi_data - psi_data.mean())
     report = _checked(norm_l2_cell(lap_cell(psi) - CellField(g, b)), _lap_norm_bound(g), norm_l2_cell(psi),
                       norm_l2_cell(rhs), tol, mean_defect=mean * g.cell_area * g.nx * g.ny)
-    return psi, replace(report, iterations=iters)
+    return psi, report, iters
 
 
 def cg_ch_system(spec, rhs_phi, tol=1e-11):
-    """The phase operator solved by PCG, with the library's residual check."""
+    """The phase operator solved by PCG, with the library's residual check;
+    returns (phi, SolveReport, PCG iterations)."""
     g = rhs_phi.grid
     dl = _neg_lap_diag(g)
     inv_diag = 1.0 / (1.0 + spec.mobility_dt * (dl * dl + spec.gamma_eff * dl))
@@ -341,12 +342,13 @@ def cg_ch_system(spec, rhs_phi, tol=1e-11):
 
     phi_data, iters, _ = _pcg(apply_a, rhs_phi.data, inv_diag, tol=0.01 * tol, maxiter=50 * g.nx * g.ny)
     phi = CellField(g, phi_data)
-    return phi, replace(ch_residual(spec, phi, rhs_phi, tol), iterations=iters)
+    return phi, ch_residual(spec, phi, rhs_phi, tol), iters
 
 
 def cg_velocity_helmholtz(spec, rhs, tol=1e-11):
     """The velocity operator solved by PCG, one component at a time, with the
-    library's residual check."""
+    library's residual check; returns (w, SolveReport, PCG iterations of both
+    components)."""
     g = rhs.grid
     b = spec.visc_dt
     dy_u = np.full(g.ny, 2.0 / g.hy**2)
@@ -370,7 +372,7 @@ def cg_velocity_helmholtz(spec, rhs, tol=1e-11):
     out = MacVector.zeros(g)
     out.u[1:-1, :], iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
     out.v[:, 1:-1], iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
-    return out, replace(helmholtz_residual(spec, out, rhs, tol), iterations=iu + iv)
+    return out, helmholtz_residual(spec, out, rhs, tol), iu + iv
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ def monolithic_second_order(state2, params, dt):
     mat[ix_r, :nc] = -(0.5 / sq) * area * fp * 3.0 / two_dt
     mat[ix_r, ofs_mu:ofs_ut] = -(0.5 / sq) * area * adv
     mat[ix_r, ofs_ut:ofs_un] = (0.5 / sq) * area * chem
-    hist = (4.0 * state2.sav.r - state2.sav_prev.r) / two_dt
+    hist = (4.0 * state2.r - state2.r_prev) / two_dt
     hist += (0.5 / sq) * area * float(
         fp @ (-4.0 * state2.phi.data + state2.phi_prev.data).ravel()
     ) / two_dt
@@ -568,7 +570,7 @@ def monolithic_second_order(state2, params, dt):
 
     mat[ix_q, ix_q] = 3.0 / two_dt + 1.0 / params.horizon
     mat[ix_q, ofs_ut:ofs_un] = -e_pos * area * conv
-    rhs[ix_q] = (4.0 * state2.sav.q - state2.sav_prev.q) / two_dt
+    rhs[ix_q] = (4.0 * state2.q - state2.q_prev) / two_dt
 
     return _solve_monolithic(grid, mat, rhs, sq, t_new, params.horizon)
 
@@ -661,8 +663,8 @@ def _bdf2_xi_system(state, sub, terms, params, dt):
     e_pos = exp(t_new / params.horizon)
     e_neg = exp(-t_new / params.horizon)
     half = 0.5 / sq
-    r_n, r_nm1 = state.sav.r, state.sav_prev.r
-    q_n, q_nm1 = state.sav.q, state.sav_prev.q
+    r_n, r_nm1 = state.r, state.r_prev
+    q_n, q_nm1 = state.q, state.q_prev
 
     bdf_phi0 = 3.0 * sub.phi0 - 4.0 * state.phi + state.phi_prev
     a0 = (4.0 * r_n - r_nm1) / two_dt + half * (
@@ -690,10 +692,10 @@ def three_projection_first_order(state, params, dt):
     xi1, xi2 = solve_xi(_bdf1_xi_system(state, sub, params, dt, terms))
     u, p = _project_each_family(state.p, (sub.ut0, sub.ut1, sub.ut2), xi1, xi2, dt, 0.0)
     t_new = state.t + dt
-    sav = SavState(r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon))
     return SchemeState(
         t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u,
-        u_tilde=sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2, p=p, sav=sav,
+        u_tilde=sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2, p=p,
+        r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon),
     )
 
 
@@ -710,9 +712,9 @@ def three_projection_second_order(state2, params, dt):
     g = state2.g + nu * div_face_to_cell(ut)
     return SchemeState2(
         t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u, u_tilde=ut, p=p,
-        sav=SavState(r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon)),
+        r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon),
         phi_prev=state2.phi, mu_prev=state2.mu, u_prev=state2.u,
-        sav_prev=SavState(state2.sav.r, state2.sav.q), g=g,
+        r_prev=state2.r, q_prev=state2.q, g=g,
     )
 
 
@@ -751,15 +753,17 @@ def _node_energy(grid, v):
 def reference_etilde(state, params, dt):
     """Etilde of the law the state obeys, from zero-padded face gradients and
     field-container products (the forms of dot_cell, dot_face and
-    grad_cell_to_face), summed in diagnostics.energy2_report's order."""
+    grad_cell_to_face).  The BDF2 law is written out term by term, twelve
+    terms for the current and the extrapolated level, not through a level
+    energy L(x), so it checks diagnostics.modified_energy's grouping."""
     ge = params.gamma_eff
     if not isinstance(state, SchemeState2):
         return (_grad_energy(state.phi) + ge * dot_cell(state.phi, state.phi) + 2.0 * state.r**2
                 + dot_face(state.u, state.u) + dt * dt * _grad_energy(state.p) + state.q**2)
     u_x = 2.0 * state.u - state.u_prev
     phi_x = 2.0 * state.phi - state.phi_prev
-    r_x = 2.0 * state.sav.r - state.sav_prev.r
-    q_x = 2.0 * state.sav.q - state.sav_prev.q
+    r_x = 2.0 * state.r - state.r_prev
+    q_x = 2.0 * state.q - state.q_prev
     return float(sum([
         0.5 * dot_face(state.u, state.u),
         0.5 * dot_face(u_x, u_x),
@@ -769,11 +773,22 @@ def reference_etilde(state, params, dt):
         0.5 * _grad_energy(phi_x),
         0.5 * ge * dot_cell(state.phi, state.phi),
         0.5 * ge * dot_cell(phi_x, phi_x),
-        state.sav.r**2,
+        state.r**2,
         r_x**2,
-        0.5 * state.sav.q**2,
+        0.5 * state.q**2,
         0.5 * q_x**2,
     ]))
+
+
+def reference_total_energy(state, params):
+    """The physical total energy written out term by term: kinetic, gradient,
+    the quadratic part gamma/2 + beta/(2 eps^2) of the potential, E1, and the
+    constant the working potential drops."""
+    g = state.grid
+    shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
+    return (0.5 * dot_face(state.u, state.u) + 0.5 * _grad_energy(state.phi)
+            + (0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2) * dot_cell(state.phi, state.phi)
+            + energy_e1(state.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0))
 
 
 def reference_audit_row(prev, new, params, dt):
@@ -791,17 +806,11 @@ def reference_audit_row(prev, new, params, dt):
     curl = nu_dt * _node_energy(new.grid, curl_at_nodes(new.u)) if bdf2 else 0.0
     diss_visc = 2.0 * visc - div
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
-    g = new.grid
-    shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
-    e_total = (0.5 * dot_face(new.u, new.u) + 0.5 * _grad_energy(new.phi)
-               + (0.5 * params.gamma + 0.5 * params.beta / params.epsilon**2) * dot_cell(new.phi, new.phi)
-               + energy_e1(new.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0))
     return EnergyAudit(
-        t=new.t, E_total=e_total, Etilde=et_new, Etilde_prev=et_prev, mass=mass(new.phi),
+        t=new.t, E_total=reference_total_energy(new, params), Etilde=et_new, Etilde_prev=et_prev, mass=mass(new.phi),
         div_norm=norm_l2_cell(div_face_to_cell(new.u)), r=new.r, q=new.q, decay_defect=defect,
         decay_defect_raw=et_new - et_prev + diss_mu + visc + curl + diss_q if bdf2 else defect,
         diss_mu=diss_mu, diss_visc=diss_visc, diss_q=diss_q, diss_curl=curl,
         identity_defect=visc - div - curl if bdf2 else 0.0,
         solver_residual_max=max((r.residual for r in new.reports), default=0.0),
-        solver_iterations=int(sum(r.iterations for r in new.reports)),
     )

@@ -176,16 +176,16 @@ def test_criterion_5_decoupled_equals_monolithic():
     ref2 = monolithic_second_order(st2, p, dt)
     bar_phi = 2.0 * st2.phi - st2.phi_prev
     sq2 = np.sqrt(energy_e1(bar_phi, p) + p.delta)
-    xi1_2 = got2.sav.r / sq2
-    xi2_2 = got2.sav.q * np.exp((st2.t + dt) / p.horizon)
+    xi1_2 = got2.r / sq2
+    xi2_2 = got2.q * np.exp((st2.t + dt) / p.horizon)
     checks2 = [
         norm_l2_cell(got2.phi - ref2["phi"]) / max(1.0, norm_l2_cell(ref2["phi"])),
         norm_l2_cell(got2.mu - ref2["mu"]) / max(1.0, norm_l2_cell(ref2["mu"])),
         norm_l2_face(got2.u_tilde - ref2["u_tilde"]) / max(1.0, norm_l2_face(ref2["u_tilde"])),
         norm_l2_face(got2.u - ref2["u"]) / max(1.0, norm_l2_face(ref2["u"])),
         norm_l2_cell(got2.p - ref2["p"]) / max(1.0, norm_l2_cell(ref2["p"])),
-        abs(got2.sav.r - ref2["r"]) / max(1.0, abs(ref2["r"])),
-        abs(got2.sav.q - ref2["q"]) / max(1.0, abs(ref2["q"])),
+        abs(got2.r - ref2["r"]) / max(1.0, abs(ref2["r"])),
+        abs(got2.q - ref2["q"]) / max(1.0, abs(ref2["q"])),
         abs(xi1_2 - ref2["xi1"]) / max(1.0, abs(ref2["xi1"])),
         abs(xi2_2 - ref2["xi2"]) / max(1.0, abs(ref2["xi2"])),
     ]
@@ -226,15 +226,15 @@ def test_criterion_6_elliptic_oracles():
     rhs2 = CellField(g2, d2 - d2.mean())
     worst_paths = 0.0
     a, _ = solve_neumann_poisson(rhs2)
-    b, _ = cg_neumann_poisson(rhs2, tol=1e-12)
+    b, _, _ = cg_neumann_poisson(rhs2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_cell(a - b))
     spec2 = ChOperatorSpec(mobility_dt=1e-5, gamma_eff=PARAMS.gamma_eff)
     a, _ = solve_ch_system(spec2, rhs2)
-    b, _ = cg_ch_system(spec2, rhs2, tol=1e-12)
+    b, _, _ = cg_ch_system(spec2, rhs2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_cell(a - b))
     w2 = MacVector(g2, rng.standard_normal((17, 16)), rng.standard_normal((16, 17)))
     a, _ = solve_velocity_helmholtz(HelmholtzSpec(2e-4), w2)
-    b, _ = cg_velocity_helmholtz(HelmholtzSpec(2e-4), w2, tol=1e-12)
+    b, _, _ = cg_velocity_helmholtz(HelmholtzSpec(2e-4), w2, tol=1e-12)
     worst_paths = max(worst_paths, norm_l2_face(a - b))
 
     ok = worst_dense <= 1e-9 and worst_paths <= 1e-10
@@ -272,13 +272,13 @@ def test_criterion_7_structural_invariants(state0):
         failures.append(f"first-order q recurrence defect {worst_q1:.2e}")
 
     st2 = bootstrap(rest_state(GRID, PARAMS, 0.0), PARAMS, dt)
-    qs = [1.0, st2.sav.q]
+    qs = [1.0, st2.q]
     worst_q2 = 0.0
     for _ in range(10):
         st2 = step_second_order(st2, PARAMS, dt)
         expected = (4.0 * qs[-1] - qs[-2]) / (3.0 + 2.0 * dt / PARAMS.horizon)
-        worst_q2 = max(worst_q2, abs(st2.sav.q - expected))
-        qs.append(st2.sav.q)
+        worst_q2 = max(worst_q2, abs(st2.q - expected))
+        qs.append(st2.q)
     if worst_q2 > 1e-12:
         failures.append(f"second-order q recurrence defect {worst_q2:.2e}")
 

@@ -203,7 +203,7 @@ def test_audit_csv_headers_shared_between_schemes(tmp_path):
 
 
 AUDIT_HEADER = ("t,E_total,Etilde,mass,div_norm,r,q,decay_defect,decay_defect_raw,diss_mu,diss_visc,diss_q,"
-                "diss_curl,identity_defect,solver_residual_max,solver_iterations")
+                "diss_curl,identity_defect,solver_residual_max")
 TABLE_HEADER = ("dt,e_phi_linf,rate_e_phi_linf,e_grad_phi_linf,rate_e_grad_phi_linf,e_r,rate_e_r,e_u_linf,"
                 "rate_e_u_linf,e_grad_u_l2,rate_e_grad_u_l2,e_p_l2,rate_e_p_l2,e_q,rate_e_q")
 
@@ -553,7 +553,7 @@ def test_simulate_exits_on_an_audit_violation_after_writing_its_files(tmp_path, 
 
 
 _FAILURES = {
-    "solver": (lambda: SolverConvergenceError(SolveReport(iterations=0, residual=1.0)), EXIT_SOLVER),
+    "solver": (lambda: SolverConvergenceError(SolveReport(residual=1.0)), EXIT_SOLVER),
     "singular": (lambda: SingularSystemError("injected"), EXIT_SINGULAR),
 }
 
@@ -601,7 +601,7 @@ def test_failed_run_keeps_the_rows_of_its_completed_steps(tmp_path, monkeypatch,
 
     def fails_at_level_3(state, params, dt, **kwargs):
         if round(state.t / dt) == 2:
-            raise SolverConvergenceError(SolveReport(iterations=0, residual=1.0))
+            raise SolverConvergenceError(SolveReport(residual=1.0))
         return step(state, params, dt, **kwargs)
 
     monkeypatch.setattr(diagnostics, step_name, fails_at_level_3)

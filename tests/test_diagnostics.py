@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chns import diagnostics, first_order, second_order
 from chns.diagnostics import (
@@ -17,7 +18,6 @@ from chns.diagnostics import (
     audit_slack,
     audit_step,
     cauchy_ladder,
-    energy2_report,
     grad_energy_velocity,
     iterate_with_audits,
     mass,
@@ -31,9 +31,9 @@ from chns.diagnostics import (
 from chns.errors import StateError
 from chns.first_order import step_first_order
 from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell
-from chns.model import PhysParams, SchemeState, initial_state, state_from_fields
+from chns.model import PhysParams, SchemeState, SchemeState2, energy_e1, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
-from oracle_tools import cauchy_pair, reference_audit_row
+from oracle_tools import cauchy_pair, reference_audit_row, reference_etilde, reference_total_energy
 
 
 def test_observed_rate_values():
@@ -305,6 +305,41 @@ def test_carried_etilde_prev_equals_recomputed(scheme):
         prev = new
 
 
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), two_level=st.booleans(), log_dt=st.floats(-5.0, 1.0),
+       log_eps=st.floats(-2.0, 0.0), log_nu=st.floats(-4.0, 0.0), log_gamma=st.floats(-2.0, 2.0),
+       log_beta=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_energies_equal_the_term_by_term_oracle(nx, ny, two_level, log_dt, log_eps, log_nu, log_gamma, log_beta,
+                                               seed):
+    """modified_energy and total_energy, built from the level energy L(x),
+    equal the oracle's term-by-term sums on random one- and two-level states.
+    E_total is compared relative to the sum of its terms' magnitudes, since
+    E1 and the dropped constant cancel down to the unshifted potential."""
+    g = GridSpec(nx, ny)
+    p = PhysParams(epsilon=10**log_eps, viscosity=10**log_nu, gamma=10**log_gamma, beta=10**log_beta)
+    dt = 10**log_dt
+    rng = np.random.default_rng(seed)
+
+    def cell():
+        return CellField(g, rng.uniform(-1.5, 1.5, (nx, ny)))
+
+    def face():
+        return MacVector(g, rng.standard_normal((nx + 1, ny)), rng.standard_normal((nx, ny + 1)))
+
+    level = dict(t=0.0, phi=cell(), mu=cell(), u=face(), u_tilde=face(), p=cell(), r=rng.uniform(0.1, 10.0),
+                 q=rng.uniform(0.0, 2.0))
+    state = SchemeState(**level)
+    if two_level:
+        state = SchemeState2(**level, phi_prev=cell(), mu_prev=cell(), u_prev=face(), r_prev=rng.uniform(0.1, 10.0),
+                             q_prev=rng.uniform(0.0, 2.0), g=cell())
+    etilde = modified_energy(state, p, dt)
+    assert abs(etilde - reference_etilde(state, p, dt)) <= 1e-13 * etilde
+    e_ref = reference_total_energy(state, p)
+    shift_area = (p.beta**2 + 2.0 * p.beta) / (4.0 * p.epsilon**2)  # on the unit square
+    scale = abs(e_ref) + energy_e1(state.phi, p) + shift_area
+    assert abs(total_energy(state, p) - e_ref) <= 1e-13 * scale
+
+
 def test_audit_step_law_follows_the_state():
     """One audit for both laws: a first-order row (the msav2 bootstrap rows
     included) has no curl term and equal raw and adjusted defects; a row of
@@ -318,8 +353,8 @@ def test_audit_step_law_follows_the_state():
     st3 = step_second_order(st2, p, dt)
     second = audit_step(st2, st3, p, dt)
     assert first.Etilde_prev == modified_energy(s0, p, dt)
-    assert second.Etilde_prev == energy2_report(st2, p, dt)["etilde"]
-    assert second.Etilde == energy2_report(st3, p, dt)["etilde"]
+    assert second.Etilde_prev == modified_energy(st2, p, dt)
+    assert second.Etilde == modified_energy(st3, p, dt)
     assert first.passed and second.passed
     assert second.diss_curl > 0.0 and second.identity_defect != 0.0
     gap = second.decay_defect_raw - second.decay_defect + second.identity_defect

@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves, every name a demo or the
-benchmark imports from chns exists, the BDF2 state has no optional history,
-no module of the package or the tests imports a name it never uses, and no
-module of the package has a global statement or an np.negative with an out array."""
+"""Package surface: every exported name resolves and is read outside its
+module, every name a demo or the benchmark imports from chns exists, the BDF2
+state has no optional history, no module of the package or the tests imports
+a name it never uses, and no module of the package has a global statement or
+an np.negative with an out array."""
 
 import ast
 import importlib
@@ -12,7 +13,7 @@ import pytest
 
 import chns
 from chns.grid import CellField, GridSpec, MacVector
-from chns.model import SavState, SchemeState2
+from chns.model import SchemeState2
 
 MODULES = ["chns"] + [f"chns.{m.name}" for m in pkgutil.iter_modules(chns.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,13 +49,41 @@ def test_demo_imports_resolve(source):
     assert not missing, f"{source.name} imports {missing}"
 
 
+def _names_read(path):
+    """Every name a file reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_no_dead_exports():
+    """Every name in a module's __all__ is read outside that module: by another
+    module of the package, a test, a demo or the benchmark.  chns/__init__.py
+    only re-exports, so its imports are not reads."""
+    readers = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+    readers += sorted((ROOT / "tests").glob("*.py")) + SOURCES
+    reads = {p.resolve(): _names_read(p) for p in readers}
+    dead = []
+    for modname in MODULES[1:]:
+        module = importlib.import_module(modname)
+        home = Path(module.__file__).resolve()
+        dead += [f"{modname}.{name}" for name in getattr(module, "__all__", ())
+                 if not any(name in names for path, names in reads.items() if path != home)]
+    assert not dead, f"exported but never read outside their module: {dead}"
+
+
 def test_scheme_state2_requires_history():
     g = GridSpec(4, 4)
     zero = CellField.zeros(g)
     fields = dict(
         t=0.0, phi=zero, mu=zero, u=MacVector.zeros(g), u_tilde=MacVector.zeros(g), p=zero,
-        sav=SavState(1.0, 1.0), mu_prev=zero, u_prev=MacVector.zeros(g), sav_prev=SavState(1.0, 1.0),
-        g=zero,
+        r=1.0, q=1.0, mu_prev=zero, u_prev=MacVector.zeros(g), r_prev=1.0, q_prev=1.0, g=zero,
     )
     with pytest.raises(TypeError):
         SchemeState2(**fields)

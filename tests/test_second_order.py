@@ -4,17 +4,20 @@ dense oracle, and the third-order local error."""
 import numpy as np
 
 from chns.elliptic import ChOperatorSpec, HelmholtzSpec
-from chns.diagnostics import energy2_report
+from chns.diagnostics import modified_energy
 from chns.first_order import step_first_order
 from chns.grid import (
     CellField,
     GridSpec,
     MacVector,
     div_face_to_cell,
+    dot_cell,
+    dot_face,
+    grad_sq_cell,
     norm_l2_cell,
     norm_l2_face,
 )
-from chns.model import PhysParams, SavState, SchemeState2, state_from_fields
+from chns.model import PhysParams, SchemeState2, state_from_fields
 from chns.second_order import BOOTSTRAP_SUBSTEPS, bootstrap, step_second_order
 from oracle_tools import (
     monolithic_second_order,
@@ -38,7 +41,7 @@ def test_bootstrap_matches_first_order_step_exactly():
     assert np.array_equal(st2.phi.data, s1.phi.data)
     assert np.array_equal(st2.u.u, s1.u.u) and np.array_equal(st2.u.v, s1.u.v)
     assert np.array_equal(st2.p.data, s1.p.data)
-    assert st2.sav.r == s1.sav.r and st2.sav.q == s1.sav.q
+    assert st2.r == s1.r and st2.q == s1.q
     # g starts from zero: g1 = nu * div(u~1)
     expected_g = p.viscosity * div_face_to_cell(s1.u_tilde)
     assert np.array_equal(st2.g.data, expected_g.data)
@@ -51,17 +54,17 @@ def test_fixed_point_and_bdf2_q_recurrence():
     dt = 0.02
     substeps = BOOTSTRAP_SUBSTEPS
     st2 = bootstrap(rest_state(g, p, root), p, dt)
-    qs = [1.0, st2.sav.q]
+    qs = [1.0, st2.q]
     # bootstrap applies the first-order q recurrence once per substep
     assert abs(qs[1] - (1.0 + dt / substeps / p.horizon) ** -substeps) <= 1e-13
     for _ in range(4):
         st2 = step_second_order(st2, p, dt)
         q_expected = (4.0 * qs[-1] - qs[-2]) / (3.0 + 2.0 * dt / p.horizon)
-        assert abs(st2.sav.q - q_expected) <= 1e-12
-        qs.append(st2.sav.q)
+        assert abs(st2.q - q_expected) <= 1e-12
+        qs.append(st2.q)
         assert norm_l2_cell(st2.phi - CellField.full(g, root)) <= 1e-10
         assert norm_l2_face(st2.u) <= 1e-10
-        assert abs(st2.sav.r - 1.0) <= 1e-10
+        assert abs(st2.r - 1.0) <= 1e-10
 
 
 def test_q_recurrence_zero_velocity_nonconstant_energy():
@@ -69,12 +72,12 @@ def test_q_recurrence_zero_velocity_nonconstant_energy():
     p = PhysParams()
     dt = 0.01
     st2 = bootstrap(rest_state(g, p, 0.0), p, dt)
-    qs = [1.0, st2.sav.q]
+    qs = [1.0, st2.q]
     for _ in range(5):
         st2 = step_second_order(st2, p, dt)
         q_expected = (4.0 * qs[-1] - qs[-2]) / (3.0 + 2.0 * dt / p.horizon)
-        assert abs(st2.sav.q - q_expected) <= 1e-12
-        qs.append(st2.sav.q)
+        assert abs(st2.q - q_expected) <= 1e-12
+        qs.append(st2.q)
         assert norm_l2_face(st2.u) <= 1e-12
 
 
@@ -148,8 +151,8 @@ def test_step_matches_monolithic_dense_solve():
     assert rel(got.u_tilde, ref["u_tilde"], norm_l2_face) <= 1e-9
     assert rel(got.u, ref["u"], norm_l2_face) <= 1e-9
     assert rel(got.p, ref["p"], norm_l2_cell) <= 1e-9
-    assert abs(got.sav.r - ref["r"]) <= 1e-9 * max(1.0, abs(ref["r"]))
-    assert abs(got.sav.q - ref["q"]) <= 1e-9 * max(1.0, abs(ref["q"]))
+    assert abs(got.r - ref["r"]) <= 1e-9 * max(1.0, abs(ref["r"]))
+    assert abs(got.q - ref["q"]) <= 1e-9 * max(1.0, abs(ref["q"]))
 
 
 def test_one_projection_matches_per_family_projections():
@@ -183,12 +186,14 @@ def test_energy_report_rest_state_reduces_to_scalar_terms():
     p = PhysParams()
     dt = 0.01
     st2 = bootstrap(rest_state(g, p, 0.0), p, dt)
-    rep = energy2_report(st2, p, dt)
-    assert rep["u_half"] == 0.0 and rep["u_extrap_half"] == 0.0
-    assert rep["grad_H"] <= 1e-28 and rep["g_term"] <= 1e-28
-    assert rep["grad_phi_half"] == 0.0 and rep["phi_half"] == 0.0
-    expected = rep["r_sq"] + rep["r_extrap_sq"] + rep["q_half"] + rep["q_extrap_half"]
-    assert abs(rep["etilde"] - expected) <= 1e-12 * expected
+    u_bar = 2.0 * st2.u - st2.u_prev
+    assert dot_face(st2.u, st2.u) == 0.0 and dot_face(u_bar, u_bar) == 0.0
+    assert (2.0 / 3.0) * dt * dt * grad_sq_cell(st2.p + st2.g) <= 1e-28  # the grad H term, H = p + g
+    assert dt / p.viscosity * dot_cell(st2.g, st2.g) <= 1e-28
+    assert grad_sq_cell(st2.phi) == 0.0 and dot_cell(st2.phi, st2.phi) == 0.0
+    r_bar, q_bar = 2.0 * st2.r - st2.r_prev, 2.0 * st2.q - st2.q_prev
+    expected = st2.r**2 + r_bar**2 + 0.5 * st2.q**2 + 0.5 * q_bar**2
+    assert abs(modified_energy(st2, p, dt) - expected) <= 1e-12 * expected
 
 
 def test_one_step_local_error_is_third_order():
@@ -226,11 +231,13 @@ def test_one_step_local_error_is_third_order():
             u=cur.u,
             u_tilde=cur.u_tilde,
             p=cur.p,
-            sav=SavState(cur.sav.r, cur.sav.q),
+            r=cur.r,
+            q=cur.q,
             phi_prev=prev.phi,
             mu_prev=prev.mu,
             u_prev=prev.u,
-            sav_prev=SavState(prev.sav.r, prev.sav.q),
+            r_prev=prev.r,
+            q_prev=prev.q,
             g=CellField.zeros(g),
         )
         new = step_second_order(hist, p, dt)
