@@ -16,8 +16,9 @@ Runs the fast 64x64 profile; pass --full for the 160x160 reference grid
 
 import sys
 
-from chns import GridSpec, PhysParams, initial_state
 from chns.diagnostics import attach_rates, cauchy_ladder
+from chns.grid import GridSpec
+from chns.model import PhysParams, initial_state
 
 n = 160 if "--full" in sys.argv[1:] else 64
 grid = GridSpec(n, n)

@@ -14,7 +14,8 @@ actually achieves:
 
 import numpy as np
 
-from chns import (
+from chns.elliptic import project
+from chns.grid import (
     CellField,
     GridSpec,
     MacVector,
@@ -27,7 +28,6 @@ from chns import (
     lap_cell,
     norm_l2_cell,
     norm_l2_face,
-    project,
 )
 
 rng = np.random.default_rng(1)

@@ -10,9 +10,9 @@ reads CSV.
 
 import os
 
-from chns import GridSpec, PhysParams, initial_state
 from chns.diagnostics import simulate_run, total_energy, write_audit_csv
-from chns.grid import write_field_bin, write_field_csv
+from chns.grid import GridSpec, write_field_bin, write_field_csv
+from chns.model import PhysParams, initial_state
 
 outdir = os.path.join(os.path.dirname(__file__), "out_simulation")
 os.makedirs(outdir, exist_ok=True)
@@ -24,16 +24,15 @@ dt = 0.002
 n_steps = round(params.horizon / dt)
 
 print(f"initial total energy {total_energy(state0, params):.6f}, r0 = {state0.r:.6f}")
-run = simulate_run("msav2", state0, params, dt, n_steps)
+audits, final = simulate_run("msav2", state0, params, dt, n_steps)
 
-for audit in run.audits[:: max(1, len(run.audits) // 10)]:
+for audit in audits[:: max(1, len(audits) // 10)]:
     print(
         f"t={audit.t:6.4f}  E={audit.E_total:10.6f}  Etilde={audit.Etilde:10.6f}"
         f"  r={audit.r:8.5f}  q={audit.q:7.5f}  |div u|={audit.div_norm:.1e}"
     )
 
-final = run.final_state
-write_audit_csv(os.path.join(outdir, "audit.csv"), run.audits)
+write_audit_csv(os.path.join(outdir, "audit.csv"), audits)
 write_field_csv(os.path.join(outdir, "phi_final.csv"), grid, "cell", final.phi.data)
 write_field_csv(os.path.join(outdir, "p_final.csv"), grid, "cell", final.p.data)
 write_field_bin(os.path.join(outdir, "u_final.bin"), grid, "face_u", final.u.u)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .errors import ChnsError
-from .first_order import _zero_mean, step_first_order
+from .first_order import step_first_order, zero_mean
 from .grid import (
     CellField,
     MacVector,
@@ -66,26 +66,7 @@ from .grid import (
     norm_l2_nodes,
 )
 from .model import PhysParams, SchemeState, SchemeState2, energy_e1
-from .second_order import _combine, bootstrap, step_second_order
-
-__all__ = [
-    "EnergyAudit",
-    "AUDIT_COLUMNS",
-    "mass",
-    "total_energy",
-    "modified_energy",
-    "audit_step",
-    "audit_slack",
-    "simulate_run",
-    "iterate_with_audits",
-    "ErrorRecord",
-    "cauchy_ladder",
-    "observed_rate",
-    "attach_rates",
-    "TABLE_COLUMNS",
-    "write_audit_csv",
-    "write_table_csv",
-]
+from .second_order import bootstrap, combine, step_second_order
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +114,7 @@ def modified_energy(state: SchemeState, params: PhysParams, dt: float, field_par
     level = field_part + 2.0 * state.r**2 + state.q**2
     if not isinstance(state, SchemeState2):
         return level + dt * dt * grad_sq_cell(state.p)
-    phi_bar, u_bar = _combine(2.0, state.phi, state.phi_prev), _combine(2.0, state.u, state.u_prev)
+    phi_bar, u_bar = combine(2.0, state.phi, state.phi_prev), combine(2.0, state.u, state.u_prev)
     r_bar, q_bar = 2.0 * state.r - state.r_prev, 2.0 * state.q - state.q_prev
     level_bar = _field_energy(phi_bar, u_bar, params) + 2.0 * r_bar**2 + q_bar**2
     return (0.5 * (level + level_bar) + (2.0 / 3.0) * dt * dt * grad_sq_cell(state.p + state.g)
@@ -236,12 +217,6 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
-    audits: list
-    final_state: object
-
-
 def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=None):
     """Yield (step_index, state) for each level, holding no earlier level.
     on_step, if given, is called as on_step(prev, new, dt) right after each
@@ -297,15 +272,16 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
 
 
 def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int,
-                 tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ) -> RunResult:
-    """Run one simulation with the per-step energy audit (see iterate_with_audits)."""
+                 tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ):
+    """Run one simulation with the per-step energy audit (see iterate_with_audits)
+    and return (audits, final_state)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     audits, run = [], iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
     del state0  # as in iterate_with_audits, the run alone holds the initial state
     for _, state, step_audits in run:
         audits.extend(step_audits)
-    return RunResult(audits=audits, final_state=state)
+    return audits, state
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +328,7 @@ class ErrorRecord:
         self.e_u_linf = max(self.e_u_linf, norm_l2_face(du))
         self._sum_grad_u += self.dt * max(grad_energy_velocity(du), 0.0)
         self.e_grad_u_l2 = sqrt(self._sum_grad_u)
-        dp = _zero_mean(coarse.p - fine.p)  # pressure error in the quotient space (mod constants)
+        dp = zero_mean(coarse.p - fine.p)  # pressure error in the quotient space (mod constants)
         self._sum_p += self.dt * dot_cell(dp, dp)
         self.e_p_l2 = sqrt(self._sum_p)
 

@@ -47,25 +47,6 @@ from .grid import (
     norm_l2_face,
 )
 
-__all__ = [
-    "ChOperatorSpec",
-    "HelmholtzSpec",
-    "SolveReport",
-    "solve_neumann_poisson",
-    "project",
-    "apply_ch_operator",
-    "apply_helmholtz_operator",
-    "cell_transform",
-    "cell_inverse",
-    "face_transform",
-    "face_inverse",
-    "cell_laplacian_symbol",
-    "ch_inv_symbol",
-    "helmholtz_inv_symbol",
-    "ch_residual",
-    "helmholtz_residual",
-]
-
 
 @dataclass(frozen=True)
 class ChOperatorSpec:

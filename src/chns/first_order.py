@@ -80,19 +80,8 @@ from .grid import (
 )
 from .model import PhysParams, SchemeState, potential_f_prime, sqrt_aux_energy
 
-__all__ = [
-    "XiSystem",
-    "ExplicitTerms",
-    "explicit_terms",
-    "phase_families",
-    "velocity_families",
-    "assemble_xi_system",
-    "solve_xi",
-    "decoupled_step",
-    "step_first_order",
-]
 
-DET_GUARD = 1e-14
+_DET_GUARD = 1e-14
 
 
 @dataclass
@@ -203,7 +192,7 @@ def solve_xi(sys: XiSystem):
     the time step is too large for unique solvability."""
     det = sys.a1 * sys.b2 - sys.a2 * sys.b1
     scale = max(abs(sys.a1 * sys.b2), abs(sys.a2 * sys.b1), 1e-300)
-    if abs(det) <= DET_GUARD * scale:
+    if abs(det) <= _DET_GUARD * scale:
         raise SingularSystemError(
             f"singular recombination system (det={det:.3e}, scale={scale:.3e}); retry with a smaller dt"
         )
@@ -212,7 +201,7 @@ def solve_xi(sys: XiSystem):
     return xi1, xi2
 
 
-def _zero_mean(p: CellField) -> CellField:
+def zero_mean(p: CellField) -> CellField:
     p.data -= p.data.mean()  # in place: every caller owns p
     return p
 
@@ -294,5 +283,5 @@ def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_pois
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
     new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)[0]
-    _zero_mean(new.p)
+    zero_mean(new.p)
     return new

@@ -38,31 +38,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InputDataError
 
-__all__ = [
-    "GridSpec",
-    "CellField",
-    "MacVector",
-    "grad_cell_to_face",
-    "minus_scaled_grad",
-    "div_face_to_cell",
-    "lap_cell",
-    "lap_velocity",
-    "advect_scalar",
-    "advect_velocity",
-    "chemical_force",
-    "dot_cell",
-    "dot_face",
-    "grad_sq_cell",
-    "norm_l2_cell",
-    "norm_l2_face",
-    "curl_at_nodes",
-    "norm_l2_nodes",
-    "write_field_csv",
-    "read_field_csv",
-    "write_field_bin",
-    "read_field_bin",
-]
-
 
 @dataclass(frozen=True)
 class GridSpec:

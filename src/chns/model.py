@@ -24,17 +24,8 @@ import numpy as np
 from .errors import StateError
 from .grid import CellField, GridSpec, MacVector, lap_cell
 
-__all__ = [
-    "PhysParams",
-    "SchemeState",
-    "SchemeState2",
-    "potential_f_prime",
-    "energy_e1",
-    "initial_state",
-    "state_from_fields",
-]
 
-E1_FLOOR = 1e-14  # below this, r/sqrt(E1+delta) is numerically meaningless
+_E1_FLOOR = 1e-14  # below this, r/sqrt(E1+delta) is numerically meaningless
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,7 @@ def energy_e1(phi: CellField, params: PhysParams) -> float:
 def sqrt_aux_energy(phi: CellField, params: PhysParams) -> float:
     """sqrt(E1(phi) + delta), guarding against the degenerate zero."""
     val = energy_e1(phi, params) + params.delta
-    if val <= E1_FLOOR:
+    if val <= _E1_FLOOR:
         raise StateError(
             f"E1(phi) + delta = {val:.3e} is too small; the auxiliary ratio r/sqrt(E1+delta) "
             "is undefined (choose delta > 0 for states near the potential minimum)"
@@ -90,7 +81,7 @@ def sqrt_aux_energy(phi: CellField, params: PhysParams) -> float:
     return float(np.sqrt(val))
 
 
-def chemical_potential(phi: CellField, params: PhysParams) -> CellField:
+def _chemical_potential(phi: CellField, params: PhysParams) -> CellField:
     """mu = -lap(phi) + gamma_eff*phi + F'(phi)."""
     return -1.0 * lap_cell(phi) + params.gamma_eff * phi + potential_f_prime(phi, params)
 
@@ -139,7 +130,7 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
     its exact initial value r0/sqrt(E1+delta) = 1, which the first step's
     forcing terms require; r0 = sqrt(E1(phi)+delta) and q0 = 1.
     """
-    mu = chemical_potential(phi, params)
+    mu = _chemical_potential(phi, params)
     r0 = sqrt_aux_energy(phi, params)
     return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
                        r=r0, q=1.0)

@@ -27,15 +27,10 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
-from .first_order import _zero_mean, decoupled_step, step_first_order
+from .first_order import decoupled_step, step_first_order, zero_mean
 from .grid import MacVector, div_face_to_cell
 from .model import PhysParams, SchemeState, SchemeState2
 
-__all__ = [
-    "bootstrap",
-    "extrapolants",
-    "step_second_order",
-]
 
 BOOTSTRAP_SUBSTEPS = 4  # first-order steps across the first interval; see bootstrap
 
@@ -73,7 +68,7 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: f
     return SchemeState2(**vars(s1), **history, g=g1)
 
 
-def _combine(c, x, prev, scale=None):
+def combine(c, x, prev, scale=None):
     """c*x - prev, times scale if given, for two fields of one kind, built in place."""
     out = c * x
     for a, b in ((out.u, prev.u), (out.v, prev.v)) if isinstance(out, MacVector) else ((out.data, prev.data),):
@@ -86,9 +81,9 @@ def _combine(c, x, prev, scale=None):
 def extrapolants(state: SchemeState2) -> SimpleNamespace:
     """Second-order extrapolation 2x^n - x^{n-1} of phi, mu and u."""
     return SimpleNamespace(
-        phi=_combine(2.0, state.phi, state.phi_prev),
-        mu=_combine(2.0, state.mu, state.mu_prev),
-        u=_combine(2.0, state.u, state.u_prev),
+        phi=combine(2.0, state.phi, state.phi_prev),
+        mu=combine(2.0, state.mu, state.mu_prev),
+        u=combine(2.0, state.u, state.u_prev),
     )
 
 
@@ -98,15 +93,15 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
     correction and the g bookkeeping."""
-    lag = SimpleNamespace(phi=_combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
-                          u=_combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
+    lag = SimpleNamespace(phi=combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
+                          u=combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
                           r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
     new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
                                  tol_poisson, tol_helmholtz)
     del lag
     div_ut.data *= params.viscosity  # nu div u~, in place on the step's own array
     new.p.data -= div_ut.data
-    _zero_mean(new.p)
+    zero_mean(new.p)
     div_ut.data += state.g.data  # g^{n+1} = g^n + nu div u~
     return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u, r_prev=state.r,
                         q_prev=state.q, g=div_ut)

@@ -83,8 +83,8 @@ def ladder_rows_second(state0):
 def test_criterion_1_energy_stability_first_order(state0):
     worst = float("-inf")
     for dt in (1e-1, 1e-2, 1e-3):
-        run = simulate_run("msav1", state0, PARAMS, dt, max(1, round(0.1 / dt)))
-        for audit in run.audits:
+        audits, _ = simulate_run("msav1", state0, PARAMS, dt, max(1, round(0.1 / dt)))
+        for audit in audits:
             worst = max(worst, audit.decay_defect - audit.slack)
     _report(1, "first-order energy decay at dt in {1e-1,1e-2,1e-3}", worst <= 0.0,
             f"worst defect-slack = {worst:.3e}")
@@ -96,8 +96,8 @@ def test_criterion_2_energy_stability_second_order(state0):
         # at dt = 0.1 one interval reaches t_final; run three so genuine BDF2
         # transitions are audited at every dt in the list
         n = max(3, round(0.1 / dt))
-        run = simulate_run("msav2", state0, PARAMS, dt, n)
-        for audit in run.audits:
+        audits, _ = simulate_run("msav2", state0, PARAMS, dt, n)
+        for audit in audits:
             worst = max(worst, audit.decay_defect - audit.slack)
     _report(2, "second-order energy decay (defect-adjusted dissipation)", worst <= 0.0,
             f"worst defect-slack = {worst:.3e}")
@@ -247,11 +247,11 @@ def test_criterion_7_structural_invariants(state0):
 
     # mass drift and divergence over 100 steps, both schemes
     for scheme in ("msav1", "msav2"):
-        run = simulate_run(scheme, state0, PARAMS, 1e-3, 100)
+        audits, _ = simulate_run(scheme, state0, PARAMS, 1e-3, 100)
         m0 = mass(state0.phi)
         scale = max(1.0, GRID.cell_area * float(np.sum(np.abs(state0.phi.data))))
-        drift = max(abs(a.mass - m0) for a in run.audits) / scale
-        div_worst = max(a.div_norm for a in run.audits)
+        drift = max(abs(a.mass - m0) for a in audits) / scale
+        div_worst = max(a.div_norm for a in audits)
         if drift > 1e-11:
             failures.append(f"{scheme} mass drift {drift:.2e}")
         if div_worst > 1e-9:

@@ -333,6 +333,19 @@ def test_horizon_beyond_exponential_clock_rejected(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_a_run_past_the_horizon_warns_and_runs(tmp_path, capsys):
+    """Past t = T the factor xi2 = exp(t/T) q drifts from 1 while every audit
+    row still passes, so a t_final beyond horizon_T is named on stderr; the run
+    and its exit code are unchanged.  A run to t_final = T prints no warning."""
+    sets = ["nx=8", "ny=8", "dt=0.05", f"outdir={tmp_path}"]
+    code = run_cli("simulate", *(arg for item in sets + ["t_final=0.2"] for arg in ("--set", item)))
+    assert code == EXIT_OK
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "t_final/horizon_T = 2 " in warnings[0]
+    assert run_cli("simulate", *(arg for item in sets for arg in ("--set", item))) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+
+
 def _rest_snapshots(root):
     """Valid 8x8 initial data at rest: the phase as .bin, the velocity as .csv."""
     g = GridSpec(8, 8)

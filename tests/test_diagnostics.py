@@ -227,9 +227,9 @@ def test_audit_csv_schema_shared_between_schemes(tmp_path):
     s0 = initial_state(g, p)
     paths = {}
     for scheme in ("msav1", "msav2"):
-        run = simulate_run(scheme, s0, p, 0.01, 3)
+        audits, _ = simulate_run(scheme, s0, p, 0.01, 3)
         path = tmp_path / f"audit_{scheme}.csv"
-        write_audit_csv(path, run.audits)
+        write_audit_csv(path, audits)
         paths[scheme] = path.read_text().splitlines()
     assert paths["msav1"][0] == paths["msav2"][0] == ",".join(AUDIT_COLUMNS)
     assert len(paths["msav1"]) == 4  # header + one row per step
@@ -242,9 +242,9 @@ def test_csv_outputs_deterministic(tmp_path):
     s0 = initial_state(g, p)
     texts = []
     for tag in ("a", "b"):
-        run = simulate_run("msav1", s0, p, 0.01, 3)
+        audits, _ = simulate_run("msav1", s0, p, 0.01, 3)
         path = tmp_path / f"audit_{tag}.csv"
-        write_audit_csv(path, run.audits)
+        write_audit_csv(path, audits)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
 
@@ -271,8 +271,8 @@ def test_energy_audit_detects_broken_pairing(scheme, monkeypatch):
     g = GridSpec(32, 32)
     p = PhysParams()
     s0 = initial_state(g, p)
-    clean = simulate_run(scheme, s0, p, 0.01, 10)
-    assert all(a.passed for a in clean.audits)
+    clean, _ = simulate_run(scheme, s0, p, 0.01, 10)
+    assert all(a.passed for a in clean)
 
     assemble = first_order.assemble_xi_system
 
@@ -281,8 +281,8 @@ def test_energy_audit_detects_broken_pairing(scheme, monkeypatch):
         return assemble(lag, ch_pairs, (tuple(1.5 * x for x in ut_chem), conv_ut), *rest)
 
     monkeypatch.setattr(first_order, "assemble_xi_system", mis_weighted)
-    corrupted = simulate_run(scheme, s0, p, 0.01, 10)
-    assert any(not a.passed for a in corrupted.audits)
+    corrupted, _ = simulate_run(scheme, s0, p, 0.01, 10)
+    assert any(not a.passed for a in corrupted)
 
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])
@@ -418,8 +418,8 @@ def test_energy_decay_at_very_large_steps():
     s0 = initial_state(g, p)
     for dt in (0.1, 1.0):
         for scheme in ("msav1", "msav2"):
-            run = simulate_run(scheme, s0, p, dt, 1)
-            assert all(a.passed for a in run.audits), (scheme, dt)
+            audits, _ = simulate_run(scheme, s0, p, dt, 1)
+            assert all(a.passed for a in audits), (scheme, dt)
 
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])

@@ -1,8 +1,11 @@
-"""Package surface: every exported name resolves and is read outside its
-module, every name a demo or the benchmark imports from chns exists, the BDF2
-state has no optional history, no module of the package or the tests imports
-a name it never uses, and no module of the package has a global statement or
-an np.negative with an out array."""
+"""Package surface: a public name (no leading underscore) is declared once, by
+its definition, with no __all__ list and no re-export from the package root;
+every public name of a library module is read outside that module, and no
+private name is imported across modules of the package; every name a demo or
+the benchmark imports from chns exists, the BDF2 state has no optional
+history, no module of the package or the tests imports a name it never uses,
+and no module of the package has a global statement or an np.negative with an
+out array."""
 
 import ast
 import importlib
@@ -22,10 +25,15 @@ SOURCES = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").gl
 
 
 @pytest.mark.parametrize("modname", MODULES)
-def test_all_names_resolve(modname):
+def test_public_names_are_declared_once(modname):
+    """A name's definition is its only declaration: no module keeps an __all__
+    list, and the package root binds nothing from a submodule."""
     module = importlib.import_module(modname)
-    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
-    assert not missing, f"{modname}.__all__ lists {missing}"
+    tree = ast.parse(Path(module.__file__).read_text())
+    assert "__all__" not in _top_level_names(tree), f"{modname} defines __all__"
+    if modname == "chns":
+        imports = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert not imports and _top_level_names(tree) == set(), f"chns/__init__.py binds names (imports at {imports})"
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=[s.name if s.parent.name == "demos" else f"perfbench/{s.name}"
@@ -62,20 +70,47 @@ def _names_read(path):
     return names
 
 
-def test_no_dead_exports():
-    """Every name in a module's __all__ is read outside that module: by another
-    module of the package, a test, a demo or the benchmark.  chns/__init__.py
-    only re-exports, so its imports are not reads."""
-    readers = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
-    readers += sorted((ROOT / "tests").glob("*.py")) + SOURCES
+def _top_level_names(tree):
+    """The names a module's own statements bind: its defs, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+# every module but the root, which holds only its docstring, and cli, whose surface is the
+# chns command (the benchmark's tracer looks up its cmd_* functions by string)
+LIBRARY = [m for m in MODULES if m not in ("chns", "chns.cli")]
+
+
+def test_no_dead_public_names():
+    """Every public name a library module defines is read outside that module:
+    by another module of the package, a test, a demo or the benchmark.  A name
+    only its own module reads takes a leading underscore."""
+    readers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + SOURCES
     reads = {p.resolve(): _names_read(p) for p in readers}
     dead = []
-    for modname in MODULES[1:]:
-        module = importlib.import_module(modname)
-        home = Path(module.__file__).resolve()
-        dead += [f"{modname}.{name}" for name in getattr(module, "__all__", ())
-                 if not any(name in names for path, names in reads.items() if path != home)]
-    assert not dead, f"exported but never read outside their module: {dead}"
+    for modname in LIBRARY:
+        home = Path(importlib.import_module(modname).__file__).resolve()
+        dead += [f"{modname}.{name}" for name in sorted(_top_level_names(ast.parse(home.read_text())))
+                 if not name.startswith("_")
+                 and not any(name in names for path, names in reads.items() if path != home)]
+    assert not dead, f"public but never read outside their module: {dead}"
+
+
+def test_no_private_name_crosses_a_module():
+    """No module of the package imports a name with a leading underscore from
+    another: a name that crosses a module is public.  Tests may read private
+    names."""
+    found = [f"{path.name}:{node.lineno} {a.name}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "chns")
+             for a in node.names if a.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"
 
 
 def test_scheme_state2_requires_history():
@@ -91,7 +126,7 @@ def test_scheme_state2_requires_history():
 
 
 def _unused_imports(path):
-    """Names a module imports and never reads, less those it re-exports through __all__."""
+    """Names a module imports and never reads."""
     tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
@@ -100,15 +135,10 @@ def _unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(((a.asname or a.name), node.lineno) for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-# chns/__init__.py imports only to re-export
-LINTED = [p for p in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-          if p != ROOT / "src" / "chns" / "__init__.py"]
+LINTED = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("source", LINTED, ids=[str(p.relative_to(ROOT)) for p in LINTED])
