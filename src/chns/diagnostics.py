@@ -271,13 +271,12 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
         rows = []
 
 
-def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int,
-                 tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ):
+def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int):
     """Run one simulation with the per-step energy audit (see iterate_with_audits)
     and return (audits, final_state)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    audits, run = [], iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz)
+    audits, run = [], iterate_with_audits(scheme, state0, params, dt, n_steps)
     del state0  # as in iterate_with_audits, the run alone holds the initial state
     for _, state, step_audits in run:
         audits.extend(step_audits)

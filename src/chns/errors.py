@@ -22,17 +22,17 @@ class CompatibilityError(ChnsError):
     Carries the measured defect (the integral of the right-hand side).
     """
 
-    def __init__(self, defect, message=None):
+    def __init__(self, defect):
         self.defect = defect
-        super().__init__(message or f"incompatible Neumann right-hand side, integral = {defect:.3e}")
+        super().__init__(f"incompatible Neumann right-hand side, integral = {defect:.3e}")
 
 
 class SolverConvergenceError(ChnsError):
     """A solve failed its residual check.  Carries the SolveReport."""
 
-    def __init__(self, report, message=None):
+    def __init__(self, report):
         self.report = report
-        super().__init__(message or f"solve failed its residual check: residual {report.residual:.3e}")
+        super().__init__(f"solve failed its residual check: residual {report.residual:.3e}")
 
 
 class SingularSystemError(ChnsError):

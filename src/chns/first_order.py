@@ -241,7 +241,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     del c_hat, v_hat
     ut_new = face_inverse(g, w_hat)
     del w_hat
-    for a, c, v in ((rhs_u.u, terms.chem.u, terms.conv.u), (rhs_u.v, terms.chem.v, terms.conv.v)):
+    for a, c, v in zip(rhs_u.arrays, terms.chem.arrays, terms.conv.arrays):
         a += np.multiply(c, xi1 * k, out=c)  # the right-hand side of u~
         a -= np.multiply(v, xi2 * k, out=v)
     del terms.chem, terms.conv

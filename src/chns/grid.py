@@ -86,85 +86,81 @@ def _require_same_grid(a, b):
         raise DimensionMismatchError(f"fields live on different grids: {a.grid} vs {b.grid}")
 
 
-@dataclass
-class CellField:
-    """Scalar samples at cell centers, shape (nx, ny)."""
-
-    grid: GridSpec
-    data: np.ndarray
+class _Field:
+    """The value algebra the field containers share: copy, +, - and scalar *
+    act on each array of a subclass's arrays tuple.  The subclass's _KIND maps
+    each array's field name to its snapshot kind, whose _KIND_SHAPES entry
+    the array's shape is checked against."""
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.grid.nx, self.grid.ny):
-            raise DimensionMismatchError(
-                f"cell data shape {self.data.shape} != {(self.grid.nx, self.grid.ny)}"
-            )
+        g = self.grid
+        for name, kind in self._KIND.items():
+            a = np.asarray(getattr(self, name), dtype=float)
+            _check_kind(kind, a.shape, g.nx, g.ny)
+            setattr(self, name, a)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
-
-    @classmethod
-    def full(cls, grid, value):
-        return cls(grid, np.full((grid.nx, grid.ny), float(value)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        x = grid.cell_x()[:, None]
-        y = grid.cell_y()[None, :]
-        return cls(grid, np.broadcast_to(fn(x, y), (grid.nx, grid.ny)).astype(float).copy())
+        return cls(grid, *[np.zeros(_KIND_SHAPES[kind](grid.nx, grid.ny)) for kind in cls._KIND.values()])
 
     def copy(self):
-        return CellField(self.grid, self.data.copy())
+        return type(self)(self.grid, *[a.copy() for a in self.arrays])
 
     def __add__(self, other):
         _require_same_grid(self, other)
-        return CellField(self.grid, self.data + other.data)
+        return type(self)(self.grid, *[a + b for a, b in zip(self.arrays, other.arrays)])
 
     def __sub__(self, other):
         _require_same_grid(self, other)
-        return CellField(self.grid, self.data - other.data)
+        return type(self)(self.grid, *[a - b for a, b in zip(self.arrays, other.arrays)])
 
     def __mul__(self, scalar):
-        return CellField(self.grid, self.data * float(scalar))
+        s = float(scalar)
+        return type(self)(self.grid, *[a * s for a in self.arrays])
 
     __rmul__ = __mul__
 
 
 @dataclass
-class MacVector:
+class CellField(_Field):
+    """Scalar samples at cell centers, shape (nx, ny)."""
+
+    grid: GridSpec
+    data: np.ndarray
+
+    _KIND = {"data": "cell"}
+    arrays = property(lambda self: (self.data,))
+
+    @classmethod
+    def full(cls, grid, value):
+        out = cls.zeros(grid)
+        out.data.fill(float(value))
+        return out
+
+    @classmethod
+    def from_function(cls, grid, fn):
+        out = cls.zeros(grid)
+        out.data[...] = fn(grid.cell_x()[:, None], grid.cell_y()[None, :])
+        return out
+
+
+@dataclass
+class MacVector(_Field):
     """Staggered vector field: u on vertical faces, v on horizontal faces."""
 
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        g = self.grid
-        if self.u.shape != (g.nx + 1, g.ny) or self.v.shape != (g.nx, g.ny + 1):
-            raise DimensionMismatchError(
-                f"face data shapes {self.u.shape}/{self.v.shape} != "
-                f"{(g.nx + 1, g.ny)}/{(g.nx, g.ny + 1)}"
-            )
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
+    _KIND = {"u": "face_u", "v": "face_v"}
+    arrays = property(lambda self: (self.u, self.v))
 
     @classmethod
     def from_functions(cls, grid, fu, fv):
-        xu = grid.face_x()[:, None]
-        yu = grid.cell_y()[None, :]
-        xv = grid.cell_x()[:, None]
-        yv = grid.face_y()[None, :]
-        u = np.broadcast_to(fu(xu, yu), (grid.nx + 1, grid.ny)).astype(float).copy()
-        v = np.broadcast_to(fv(xv, yv), (grid.nx, grid.ny + 1)).astype(float).copy()
-        return cls(grid, u, v)
-
-    def copy(self):
-        return MacVector(self.grid, self.u.copy(), self.v.copy())
+        out = cls.zeros(grid)
+        out.u[...] = fu(grid.face_x()[:, None], grid.cell_y()[None, :])
+        out.v[...] = fv(grid.cell_x()[:, None], grid.face_y()[None, :])
+        return out
 
     def normal_boundary_max(self):
         """Largest |normal component| stored on the domain walls."""
@@ -174,20 +170,6 @@ class MacVector:
             np.abs(self.v[:, 0]).max(),
             np.abs(self.v[:, -1]).max(),
         )
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return MacVector(self.grid, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return MacVector(self.grid, self.u - other.u, self.v - other.v)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return MacVector(self.grid, self.u * s, self.v * s)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +183,21 @@ def grad_cell_to_face(p: CellField) -> MacVector:
     Boundary faces carry zero normal derivative (homogeneous Neumann), so the
     result always has vanishing normal boundary components.
     """
-    g = p.grid
-    d = p.data
-    u = np.zeros((g.nx + 1, g.ny))
-    v = np.zeros((g.nx, g.ny + 1))
-    np.subtract(d[1:, :], d[:-1, :], out=u[1:-1, :])
-    u[1:-1, :] /= g.hx
-    np.subtract(d[:, 1:], d[:, :-1], out=v[:, 1:-1])
-    v[:, 1:-1] /= g.hy
-    return MacVector(g, u, v)
+    g, d = p.grid, p.data
+    out = MacVector.zeros(g)
+    for a, o, h in ((d, out.u, g.hx), (d.T, out.v.T, g.hy)):
+        inner = np.subtract(a[1:], a[:-1], out=o[1:-1])
+        inner /= h
+    return out
 
 
 def minus_scaled_grad(w: MacVector, k: float, p: CellField) -> MacVector:
-    """w - k * grad_cell_to_face(p), with the gradient scaled in place."""
+    """w - k * grad_cell_to_face(p), formed in place on the gradient's arrays."""
     _require_same_grid(w, p)
     grad = grad_cell_to_face(p)
-    return MacVector(w.grid, w.u - np.multiply(grad.u, k, out=grad.u), w.v - np.multiply(grad.v, k, out=grad.v))
+    for a, b in zip(grad.arrays, w.arrays):
+        np.subtract(b, np.multiply(a, k, out=a), out=a)
+    return grad
 
 
 def div_face_to_cell(w: MacVector) -> CellField:
@@ -246,7 +227,7 @@ def lap_cell(f: CellField) -> CellField:
     symmetric negative semidefinite and shares its eigenbasis with the fast
     transform solvers.  The y direction works on transposed views."""
     g, d = f.grid, f.data
-    out, lap_y = np.empty((g.nx, g.ny)), np.empty((g.nx, g.ny))
+    out, lap_y = np.empty(d.shape), np.empty(d.shape)
     for a, o, h in ((d, out, g.hx), (d.T, lap_y.T, g.hy)):
         grad = a[1:] - a[:-1]
         grad /= h
@@ -289,19 +270,13 @@ def advect_scalar(w: MacVector, f: CellField) -> CellField:
     (exact mass conservation by telescoping).
     """
     _require_same_grid(w, f)
-    g = f.grid
     d = f.data
-    fu = np.empty((g.nx + 1, g.ny))
-    fu[1:-1, :] = 0.5 * (d[1:, :] + d[:-1, :])
-    fu[0, :] = d[0, :]
-    fu[-1, :] = d[-1, :]
-    fv = np.empty((g.nx, g.ny + 1))
-    fv[:, 1:-1] = 0.5 * (d[:, 1:] + d[:, :-1])
-    fv[:, 0] = d[:, 0]
-    fv[:, -1] = d[:, -1]
-    fu *= w.u
-    fv *= w.v
-    return div_face_to_cell(MacVector(g, fu, fv))
+    flux = MacVector(f.grid, np.empty(w.u.shape), np.empty(w.v.shape))
+    for a, o, wa in ((d, flux.u, w.u), (d.T, flux.v.T, w.v.T)):
+        o[1:-1] = 0.5 * (a[1:] + a[:-1])
+        o[0], o[-1] = a[0], a[-1]
+        o *= wa
+    return div_face_to_cell(flux)
 
 
 def _avg4(b):
@@ -345,12 +320,10 @@ def chemical_force(mu: CellField, phi: CellField) -> MacVector:
     difference of phi.  Zero on boundary faces."""
     _require_same_grid(mu, phi)
     g = mu.grid
-    m, p = mu.data, phi.data
-    fu = np.zeros((g.nx + 1, g.ny))
-    fv = np.zeros((g.nx, g.ny + 1))
-    fu[1:-1, :] = 0.5 * (m[1:, :] + m[:-1, :]) * (p[1:, :] - p[:-1, :]) / g.hx
-    fv[:, 1:-1] = 0.5 * (m[:, 1:] + m[:, :-1]) * (p[:, 1:] - p[:, :-1]) / g.hy
-    return MacVector(g, fu, fv)
+    out = MacVector.zeros(g)
+    for m, p, o, h in ((mu.data, phi.data, out.u, g.hx), (mu.data.T, phi.data.T, out.v.T, g.hy)):
+        o[1:-1] = 0.5 * (m[1:] + m[:-1]) * (p[1:] - p[:-1]) / h
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .first_order import decoupled_step, step_first_order, zero_mean
-from .grid import MacVector, div_face_to_cell
+from .grid import div_face_to_cell
 from .model import PhysParams, SchemeState, SchemeState2
 
 
@@ -71,7 +71,7 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: f
 def combine(c, x, prev, scale=None):
     """c*x - prev, times scale if given, for two fields of one kind, built in place."""
     out = c * x
-    for a, b in ((out.u, prev.u), (out.v, prev.v)) if isinstance(out, MacVector) else ((out.data, prev.data),):
+    for a, b in zip(out.arrays, prev.arrays):
         a -= b
         if scale is not None:
             a *= scale

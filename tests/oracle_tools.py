@@ -219,6 +219,16 @@ def ref_advect_scalar(w, f):
     return ref_div(MacVector(g, w.u * fu, w.v * fv))
 
 
+def ref_chemical_force(mu, phi):
+    """chemical_force with its x and y stencils written out separately."""
+    g = mu.grid
+    m, p = mu.data, phi.data
+    fu, fv = np.zeros((g.nx + 1, g.ny)), np.zeros((g.nx, g.ny + 1))
+    fu[1:-1, :] = 0.5 * (m[1:, :] + m[:-1, :]) * (p[1:, :] - p[:-1, :]) / g.hx
+    fv[:, 1:-1] = 0.5 * (m[:, 1:] + m[:, :-1]) * (p[:, 1:] - p[:, :-1]) / g.hy
+    return MacVector(g, fu, fv)
+
+
 def ref_apply_ch_operator(spec, phi):
     lp = ref_lap_cell(phi)
     return phi + spec.mobility_dt * ref_lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
@@ -244,8 +254,7 @@ def with_signed_zeros(rng, shape):
 
 def field_bytes(x):
     """The shapes and bytes of a field's arrays, for bitwise comparisons."""
-    arrays = (x,) if isinstance(x, np.ndarray) else (x.data,) if isinstance(x, CellField) else (x.u, x.v)
-    return [(a.shape, a.tobytes()) for a in arrays]
+    return [(a.shape, a.tobytes()) for a in ((x,) if isinstance(x, np.ndarray) else x.arrays)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Monitors, Cauchy errors, rates, and the CSV surfaces."""
 
 import gc
+import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +30,7 @@ from chns.diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from chns.errors import StateError
+from chns.errors import SingularSystemError, StateError
 from chns.first_order import step_first_order
 from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell
 from chns.model import PhysParams, SchemeState, SchemeState2, energy_e1, initial_state, state_from_fields
@@ -338,6 +340,42 @@ def test_energies_equal_the_term_by_term_oracle(nx, ny, two_level, log_dt, log_e
     shift_area = (p.beta**2 + 2.0 * p.beta) / (4.0 * p.epsilon**2)  # on the unit square
     scale = abs(e_ref) + energy_e1(state.phi, p) + shift_area
     assert abs(total_energy(state, p) - e_ref) <= 1e-13 * scale
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), dt=_decades(-5, 1), epsilon=_decades(-2, 0),
+       mobility=_decades(-5, -1), viscosity=_decades(-4, 0), gamma=_decades(-2, 2), beta=_decades(-2, 2),
+       delta=_decades(-4, 0), horizon=_decades(-2, 1), phi_scale=_decades(-2, 1), psi_scale=_decades(-3, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_audit_row_passes_on_random_draws(scheme, nx, ny, dt, epsilon, mobility, viscosity, gamma, beta,
+                                                delta, horizon, phi_scale, psi_scale, seed):
+    """The discrete energy law holds on every row of a 3-level run from a
+    random phi and a discretely divergence-free u (the discrete curl of a node
+    stream function that vanishes on the walls), on any grid and any
+    parameters.  The only failures allowed are those with a documented exit
+    code: a StateError past t/T = log(DBL_MAX), where exp(t/T) overflows, or
+    at the E1 floor, and a SingularSystemError."""
+    g = GridSpec(nx, ny)
+    p = PhysParams(epsilon=epsilon, mobility=mobility, viscosity=viscosity, gamma=gamma, beta=beta, delta=delta,
+                   horizon=horizon)
+    rng = np.random.default_rng(seed)
+    phi = CellField(g, phi_scale * rng.uniform(-1.0, 1.0, (nx, ny)))
+    psi = np.zeros((nx + 1, ny + 1))
+    psi[1:-1, 1:-1] = psi_scale * rng.standard_normal((nx - 1, ny - 1))
+    u = MacVector(g, (psi[:, 1:] - psi[:, :-1]) / g.hy, (psi[:-1, :] - psi[1:, :]) / g.hx)
+    try:
+        audits, _ = simulate_run(scheme, state_from_fields(p, phi, u), p, dt, 3)
+    except SingularSystemError:
+        return
+    except StateError as exc:
+        assert "too small" in str(exc) or exc.step * dt / p.horizon > math.log(sys.float_info.max) * (1 - 1e-12)
+        return
+    assert all(a.passed for a in audits), [(a.t, a.decay_defect, a.slack) for a in audits if not a.passed]
 
 
 def test_audit_step_law_follows_the_state():

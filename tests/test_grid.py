@@ -36,6 +36,7 @@ from oracle_tools import (
     field_bytes,
     ref_advect_scalar,
     ref_advect_velocity,
+    ref_chemical_force,
     ref_curl_at_nodes,
     ref_div,
     ref_grad,
@@ -385,11 +386,40 @@ def test_kernels_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, 
         "lap_velocity": (lap_velocity(w), ref_lap_velocity(w)),
         "advect_velocity": (advect_velocity(w), ref_advect_velocity(w)),
         "advect_scalar": (advect_scalar(w, f), ref_advect_scalar(w, f)),
+        "chemical_force": (chemical_force(f, p), ref_chemical_force(f, p)),
         "curl_at_nodes": (curl_at_nodes(w), ref_curl_at_nodes(w)),
         "minus_scaled_grad": (minus_scaled_grad(w, k, p), ref_minus_scaled_grad(w, k, p)),
     }
     for name, (got, want) in pairs.items():
         assert field_bytes(got) == field_bytes(want), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), s=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_algebra_is_numpy_on_each_array_bytewise(nx, ny, s, seed):
+    """copy, +, - and scalar * (either side) of both field types give numpy's
+    bytes on each of their arrays, signed zeros included, as a new field of
+    the same type that shares no memory with its operands."""
+    g = GridSpec(nx, ny)
+    rng = np.random.default_rng(seed)
+    cells = [CellField(g, with_signed_zeros(rng, (nx, ny))) for _ in range(2)]
+    faces = [MacVector(g, with_signed_zeros(rng, (nx + 1, ny)), with_signed_zeros(rng, (nx, ny + 1)))
+             for _ in range(2)]
+    for a, b in (cells, faces):
+        xs, ys = ((x.data,) if isinstance(x, CellField) else (x.u, x.v) for x in (a, b))
+        cases = {
+            "a + b": (a + b, [x + y for x, y in zip(xs, ys)]),
+            "a - b": (a - b, [x - y for x, y in zip(xs, ys)]),
+            "s * a": (s * a, [x * s for x in xs]),
+            "a * s": (a * s, [x * s for x in xs]),
+            "copy": (a.copy(), [x.copy() for x in xs]),
+        }
+        for name, (got, want) in cases.items():
+            assert type(got) is type(a) and got.grid == g, name
+            assert field_bytes(got) == [(x.shape, x.tobytes()) for x in want], name
+            got_arrays = (got.data,) if isinstance(got, CellField) else (got.u, got.v)
+            assert not any(np.shares_memory(x, y) for x in got_arrays for y in xs + ys), name
 
 
 def test_curl_of_gradient_vanishes_interior():

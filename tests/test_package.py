@@ -1,11 +1,12 @@
 """Package surface: a public name (no leading underscore) is declared once, by
 its definition, with no __all__ list and no re-export from the package root;
-every public name of a library module is read outside that module, and no
-private name is imported across modules of the package; every name a demo or
-the benchmark imports from chns exists, the BDF2 state has no optional
-history, no module of the package or the tests imports a name it never uses,
-and no module of the package has a global statement or an np.negative with an
-out array."""
+every public name of a library module is read outside that module (imported
+from it, or read as an attribute of the module), every optional parameter of
+the package is passed at some call, and no private name is imported across
+modules of the package; every name a demo or the benchmark imports from chns
+exists, the BDF2 state has no optional history, no module of the package or
+the tests imports a name it never uses, and no module of the package has a
+global statement or an np.negative with an out array."""
 
 import ast
 import importlib
@@ -22,6 +23,8 @@ MODULES = ["chns"] + [f"chns.{m.name}" for m in pkgutil.iter_modules(chns.__path
 ROOT = Path(__file__).resolve().parents[1]
 # the demos, and the benchmark, whose every run fails on one missing import
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("modname", MODULES)
@@ -58,15 +61,31 @@ def test_demo_imports_resolve(source):
 
 
 def _names_read(path):
-    """Every name a file reads: bare names, attributes and imported names."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+    """The package names a file reads: names it imports from a chns module
+    (absolute or relative), attributes it reads through a chns module alias
+    (`import chns.cli as cli`, `from chns import grid`), and each dotted part
+    of the strings the benchmark looks names up by.  A bare name or an
+    attribute of anything else does not count: `row.passed` reads no
+    module's `passed`."""
+    tree = ast.parse(path.read_text())
+    submodules = {m.rsplit(".", 1)[-1] for m in MODULES}
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "chns"):
             names.update(a.name for a in node.names)
+            if node.module in ("chns", None):
+                aliases.update(a.asname or a.name for a in node.names if a.name in submodules)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or "chns" for a in node.names if a.name.split(".")[0] == "chns")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                names.add(node.attr)
+        elif path.parent.name == "perfbench" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
     return names
 
 
@@ -91,7 +110,7 @@ def test_no_dead_public_names():
     """Every public name a library module defines is read outside that module:
     by another module of the package, a test, a demo or the benchmark.  A name
     only its own module reads takes a leading underscore."""
-    readers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + SOURCES
+    readers = SRC + TESTS + SOURCES
     reads = {p.resolve(): _names_read(p) for p in readers}
     dead = []
     for modname in LIBRARY:
@@ -102,11 +121,81 @@ def test_no_dead_public_names():
     assert not dead, f"public but never read outside their module: {dead}"
 
 
+def _optional_parameters(path):
+    """(callee, parameter, position) of each parameter with a default of each
+    def in a file.  A class's __init__ is keyed by the class, which is what
+    its callers call; position counts a call's positional arguments, so it
+    skips a method's self or cls, and is None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                skip = int(cls is not None and "staticmethod" not in
+                           {d.id for d in child.decorator_list if isinstance(d, ast.Name)})
+                callee = cls if cls is not None and child.name == "__init__" else child.name
+                found.extend((callee, arg.arg, i - skip) for i, arg in enumerate(positional)
+                             if i >= len(positional) - len(a.defaults))
+                found.extend((callee, arg.arg, None) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def _calls(path):
+    """(callee, call) of each call in a file, by the callee's name or
+    attribute; a name bound to an expression holding a dict of functions (a
+    dispatch table) calls each function in the dict."""
+    tree = ast.parse(path.read_text())
+    tables = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            for d in ast.walk(node.value):
+                if isinstance(d, ast.Dict) and d.values and all(isinstance(v, ast.Name) for v in d.values):
+                    tables.setdefault(node.targets[0].id, []).extend(v.id for v in d.values)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            found.extend((callee, node) for callee in tables.get(name, [name]))
+    return found
+
+
+def _passes(call, parameter, position):
+    """Whether a call passes a parameter, by keyword or at its position; a
+    *args or **kwargs argument passes every one."""
+    return (any(kw.arg in (parameter, None) for kw in call.keywords)
+            or position is not None and (len(call.args) > position
+                                         or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_no_dead_options():
+    """Every optional parameter of a function or method of the package is
+    passed, by keyword or by position, at some call in the package, a test, a
+    demo or the benchmark: one no call sets is a constant, not an option."""
+    calls = {}
+    for path in SRC + TESTS + SOURCES:
+        for callee, call in _calls(path):
+            calls.setdefault(callee, []).append(call)
+    dead = [f"{path.name}: {callee}({parameter}=...)" for path in SRC
+            for callee, parameter, position in _optional_parameters(path)
+            if not any(_passes(call, parameter, position) for call in calls.get(callee, []))]
+    assert not dead, f"optional parameters no call passes: {dead}"
+
+
 def test_no_private_name_crosses_a_module():
     """No module of the package imports a name with a leading underscore from
     another: a name that crosses a module is public.  Tests may read private
     names."""
-    found = [f"{path.name}:{node.lineno} {a.name}" for path in sorted((ROOT / "src").rglob("*.py"))
+    found = [f"{path.name}:{node.lineno} {a.name}" for path in SRC
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "chns")
              for a in node.names if a.name.startswith("_")]
@@ -138,7 +227,7 @@ def _unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-LINTED = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+LINTED = SRC + TESTS
 
 
 @pytest.mark.parametrize("source", LINTED, ids=[str(p.relative_to(ROOT)) for p in LINTED])
@@ -147,9 +236,6 @@ def test_no_unused_imports(source):
     step would make, parsed with ast since no linter is a dependency."""
     unused = _unused_imports(source)
     assert not unused, f"{source.name} imports but never uses {unused}"
-
-
-SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def test_no_global_statements():
