@@ -62,6 +62,7 @@ from .grid import (
     write_field_csv,
 )
 from .model import PhysParams, initial_state, potential_f_prime, state_from_fields
+from .second_order import BOOTSTRAP_SUBSTEPS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,6 +186,13 @@ def build_config(raw_overrides: dict) -> RunConfig:
                           "where exp(t/T) overflows")
     if cfg.snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
+    for dt in (cfg.dt, *cfg.ladder):
+        for k in (dt, 2.0 * dt / 3.0, dt / BOOTSTRAP_SUBSTEPS):  # msav1's, msav2's and the bootstrap's step sizes
+            for key in ("mobility", "viscosity"):
+                coefficient = getattr(cfg.params, key) * k
+                if not 0.0 < coefficient < math.inf:
+                    raise ConfigError(f"{key} * k = {coefficient!r} for k = {k!r} (dt = {dt!r}) "
+                                      "must be positive and finite")
     return cfg
 
 

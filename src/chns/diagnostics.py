@@ -96,7 +96,8 @@ def total_energy(state: SchemeState, params: PhysParams, field_part: float | Non
     if field_part is None:
         field_part = _field_energy(state.phi, state.u, params)
     g = state.grid
-    shift = (params.beta**2 + 2.0 * params.beta) / (4.0 * params.epsilon**2)
+    # beta * beta, not beta**2, which raises OverflowError instead of giving inf
+    shift = (params.beta * params.beta + 2.0 * params.beta) / (4.0 * params.epsilon**2)
     return 0.5 * field_part + energy_e1(state.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0)
 
 

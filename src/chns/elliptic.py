@@ -140,11 +140,16 @@ def cell_inverse(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 _FACE_TYPES = ((1, 2), (2, 1))
 
 
+def _interior(w: MacVector):
+    """Views of the off-wall entries of w's components, as a (u, v) pair."""
+    return w.u[1:-1, :], w.v[:, 1:-1]
+
+
 def face_transform(w: MacVector):
     """Orthonormal coefficients of the interior entries of a face vector, as
     a (u, v) pair; on-wall entries are boundary data and are dropped."""
     out = []
-    for a, (tx, ty) in zip((w.u[1:-1, :], w.v[:, 1:-1]), _FACE_TYPES):
+    for a, (tx, ty) in zip(_interior(w), _FACE_TYPES):
         a = dst(a, type=tx, axis=0, norm="ortho")
         out.append(dst(a, type=ty, axis=1, norm="ortho", overwrite_x=True))
     return out
@@ -153,7 +158,7 @@ def face_transform(w: MacVector):
 def face_inverse(grid: GridSpec, coeffs) -> MacVector:
     """The face vector with these interior coefficients and zero wall entries."""
     out = MacVector.zeros(grid)
-    for dest, a, (tx, ty) in zip((out.u[1:-1, :], out.v[:, 1:-1]), coeffs, _FACE_TYPES):
+    for dest, a, (tx, ty) in zip(_interior(out), coeffs, _FACE_TYPES):
         a = idst(a, type=ty, axis=1, norm="ortho")
         dest[...] = idst(a, type=tx, axis=0, norm="ortho", overwrite_x=True)
     return out
@@ -223,9 +228,9 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
     SolverConvergenceError above max(tol, 1e-13)."""
     g = w.grid
     defect = apply_helmholtz_operator(spec, w, lap_w)  # A w - b, its wall rows those of A w
-    defect.u[1:-1, :] -= rhs.u[1:-1, :]
-    defect.v[:, 1:-1] -= rhs.v[:, 1:-1]
-    ru, rv = rhs.u[1:-1, :], rhs.v[:, 1:-1]
+    ru, rv = _interior(rhs)
+    for d, r in zip(_interior(defect), (ru, rv)):
+        d -= r
     rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
     return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol)

@@ -33,6 +33,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,15 +162,6 @@ class MacVector(_Field):
         out.u[...] = fu(grid.face_x()[:, None], grid.cell_y()[None, :])
         out.v[...] = fv(grid.cell_x()[:, None], grid.face_y()[None, :])
         return out
-
-    def normal_boundary_max(self):
-        """Largest |normal component| stored on the domain walls."""
-        return max(
-            np.abs(self.u[0, :]).max(),
-            np.abs(self.u[-1, :]).max(),
-            np.abs(self.v[:, 0]).max(),
-            np.abs(self.v[:, -1]).max(),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +421,205 @@ def _finite(path, values):
     return values
 
 
+# '%.17g' of whole arrays.  Python formats one value at a time, at several
+# hundred ns each; _g17_text writes the same bytes with numpy passes over a
+# block of values:
+#
+#   * Digits.  For 1e-6 < |x| < 1e17 the decimal exponent X of |x| is
+#     floor(log10|x|), checked exactly below, so s = 16 - X lies in [0, 22],
+#     where 10**s is an exact double.  Dekker's product writes |x| * 10**s
+#     exactly as hi + lo; hi >= 1e16 > 2**53 is an even integer, so
+#     D = hi + rint(lo) rounds |x| * 10**s to an integer, half to even: the
+#     correctly rounded 17-digit significand that '%.17g' prints.
+#   * Text.  Each value fills a 32-byte slot of four little-endian words, NUL
+#     where its text has no byte, and bytes.translate drops the NULs:
+#         0      '-' of a negative value
+#         1-5    '0.' and up to three zeros, when -4 <= X < 0
+#         7      the first digit
+#         8-23   the other 16 digits less trailing zeros; when a fraction
+#                follows the integer digits, the '.' before the first fraction
+#                digit, and the digits from there on one byte later (the
+#                last one in byte 24)
+#         25-28  'e-05' or 'e-06', when X < -4
+#         29     ',' or '\n'
+#     Tables indexed by (significant digits, X) hold the masks and characters
+#     that place them.
+#   * Zeros are '0' and '-0'.  Subnormals, |x| <= 1e-6, |x| >= 1e17, inf and
+#     nan go through '%.17g' itself, one value at a time.
+
+_CSV_BLOCK_VALUES = 4096  # values per _g17_text call: its temporaries (0.7 MB at most) stay in L2 cache
+_WORD = np.dtype("<u8")
+_EXPONENTS = range(-6, 17)  # X of the values formatted with arrays; (nd, X) is layout column 23 * (nd - 1) + X + 6
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
+
+
+def _word(text, at=0):
+    """A little-endian word holding the ASCII text from byte `at` on."""
+    return int.from_bytes(b"\0" * at + text, "little")
+
+
+def _byte_mask(start, stop):
+    """A 128-bit mask of bytes start..stop-1."""
+    return (1 << 8 * stop) - (1 << 8 * start) if stop > start else 0
+
+
+def _layout_table():
+    """Per (significant digits nd, X): the masks of digits 1-16 that keep their
+    bytes (2 words) and that move one byte on (2 words), the '.' (2 words),
+    the prefix word and the exponent word."""
+    rows = []
+    for nd in range(1, 18):
+        for x in _EXPONENTS:
+            prefix = suffix = b""
+            if x < -4:
+                integer, suffix = 1, b"e-0%d" % -x
+            elif x < 0:
+                integer, prefix = 0, b"0." + b"0" * (-x - 1)
+            else:
+                integer = x + 1
+            kept = max(nd, integer) - 1  # digits 1..kept are written
+            dot = integer - 1 if 1 <= integer <= kept else 16  # the '.' goes before digit dot + 1
+            masks = (_byte_mask(0, min(kept, dot)), _byte_mask(dot, kept), ord(".") << 8 * dot if dot < 16 else 0)
+            words = [m >> shift & (2**64 - 1) for m in masks for shift in (0, 64)]
+            rows.append(words + [_word(prefix, 1), _word(suffix, 1)])
+    return np.array(rows, _WORD).T.copy()
+
+
+def _digit_tables():
+    """For every 4-digit group g: its ASCII digits in bytes 0-3 and in bytes
+    4-7 of a word, and, for each of the four groups of digits 1-16 (in the
+    order 5-8, 13-16, 1-4, 9-12), the layout column offset 23 * (nd - 1) of a
+    significand whose last nonzero digit is in g, 0 for g = 0."""
+    text = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8).reshape(10000, 4)
+    chars = text.view("<u4").ravel().astype(_WORD)
+    last = np.zeros(10000, np.int16)  # the place, 1-4, of g's last nonzero digit
+    for place in range(4):
+        last[text[:, place] != ord("0")] = place + 1
+    ends = np.array([5, 13, 1, 9], np.int16)[:, None] + last - 1
+    ends *= len(_EXPONENTS)
+    ends[:, last == 0] = 0
+    return chars, (chars << np.uint64(32)).astype(_WORD), ends
+
+
+@lru_cache(maxsize=None)
+def _g17_tables():
+    """(layout, chars_lo, chars_hi, last_digit), built at the first write, so a
+    run that writes no CSV snapshot neither builds nor holds them."""
+    return _layout_table(), *_digit_tables()
+
+
+_FIRST = np.array([_word(b"-" * neg) | _word(b"%d" % d, 7) for neg in (0, 1) for d in range(10)], _WORD)
+_COMMA, _NEWLINE = _word(b",", 5), _word(b"\n", 5)
+
+
+def _split(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, s):
+    """(hi, lo) with hi + lo == a * 10**s exactly and hi the rounded product."""
+    hi = a * _POW10.take(s)
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
+    lo = ah * bh
+    lo -= hi
+    lo += ah * bl
+    lo += al * bh
+    lo += al * bl
+    return hi, lo
+
+
+def _significand(x):
+    """(d, key, rest): d the 17-digit decimal significand of |x| rounded half
+    to even (0 for a zero), key = X + 6 for its decimal exponent X (6 for a
+    zero), and rest the indices left to '%.17g' itself."""
+    a = np.abs(x)
+    outside = np.flatnonzero(~((a > 1e-6) & (a < 1e17)))
+    a[outside] = 1.0
+    s = np.log10(a)
+    np.floor(s, out=s)
+    s = s.astype(np.int64)
+    np.subtract(16, s, out=s)
+    np.clip(s, 0, 22, out=s)
+    hi, lo = _times_pow10(a, s)
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # where log10 may have missed the decade by one
+    if near.size:
+        h, l = hi[near], lo[near]
+        step = ((h < 1e16) | ((h == 1e16) & (l < 0))).astype(np.int64)
+        step -= (h > 1e17) | ((h == 1e17) & (l >= 0))
+        s[near] += step
+        hi[near], lo[near] = _times_pow10(a[near], s[near])
+    # Rounding never carries into the next decade: that needs a double within
+    # 5e-18 relative below a power 10**(X+1), and for X + 1 in [-5, 17] the
+    # nearest one below is 8.7e-17 or more below.
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    key = np.subtract(22, s, out=s)
+    zero = outside[x[outside] == 0]
+    d[zero] = 0
+    key[zero] = 6
+    return d, key, outside[x[outside] != 0]
+
+
+def _g17_text(block, sep):
+    """The bytes of '%.17g' % x for each x of block in C order, each followed
+    by its separator word's byte (_COMMA or _NEWLINE)."""
+    x = block.ravel()
+    layout, chars_lo, chars_hi, last_digit = _g17_tables()
+    d, key, rest = _significand(x)
+    first = d // 10**16
+    d -= first * 10**16
+    groups = np.empty((4, x.size), np.int64)  # digits 5-8, 13-16, 1-4, 9-12
+    np.floor_divide(d, 10**8, out=groups[0])
+    np.subtract(d, groups[0] * 10**8, out=groups[1])
+    np.floor_divide(groups[:2], 10**4, out=groups[2:])
+    groups[:2] -= groups[2:] * 10**4
+    key += np.max([table.take(g) for table, g in zip(last_digit, groups)], axis=0)
+    digits = chars_lo.take(groups[2:])  # digits 1-8 and 9-16
+    digits |= chars_hi.take(groups[:2])
+    del groups  # freed before the words are built: the block's peak stays lower
+    words = np.empty((4, x.size), _WORD)
+    first += np.signbit(x) * 10
+    _FIRST.take(first, out=words[0])
+    words[0] |= layout[6].take(key)
+    move = digits & layout[2:4].take(key, axis=1)
+    digits &= layout[0:2].take(key, axis=1)
+    np.left_shift(move, 8, out=words[1:3])
+    words[1:3] |= digits
+    words[1:3] |= layout[4:6].take(key, axis=1)
+    words[2] |= move[0] >> 56
+    np.right_shift(move[1], 56, out=words[3])
+    words[3] |= layout[7].take(key)
+    words[3] |= sep
+    for i, value in zip(rest, x[rest].tolist()):
+        words[:3, i] = np.frombuffer(("%.17g" % value).encode().ljust(24, b"\0"), _WORD)
+    return words.T.tobytes().translate(None, b"\0")
+
+
 def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
     """Snapshot format: header '# nx,ny,hx,hy,kind' then row-major values.
 
     Each value is written as '%.17g', so read_field_csv returns it bit for bit
     (-0.0 and subnormals included); the bytes are those of
-    np.savetxt(fh, values, fmt="%.17g", delimiter=",")."""
+    np.savetxt(fh, values, fmt="%.17g", delimiter=",").  Rows are formatted
+    in blocks of at most _CSV_BLOCK_VALUES values (one row if longer), so no
+    whole-array text is built."""
     values = np.asarray(values, dtype=float)
     _check_kind(kind, values.shape, grid.nx, grid.ny)
-    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}\n")
-        for row in values:  # one row of Python floats at a time: no whole-array string or list
-            fh.write(row_format % tuple(row.tolist()))
+    rows = max(1, _CSV_BLOCK_VALUES // values.shape[1])
+    sep = np.full((rows, values.shape[1]), _COMMA, _WORD)
+    sep[:, -1] = _NEWLINE
+    with open(path, "wb") as fh:
+        fh.write(f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}\n".encode())
+        for start in range(0, values.shape[0], rows):
+            block = values[start:start + rows]
+            fh.write(_g17_text(block, sep[: len(block)].ravel()))
 
 
 def read_field_csv(path):

@@ -257,6 +257,11 @@ def field_bytes(x):
     return [(a.shape, a.tobytes()) for a in ((x,) if isinstance(x, np.ndarray) else x.arrays)]
 
 
+def normal_boundary_max(w):
+    """Largest |normal component| of the face vector w stored on the domain walls."""
+    return max(np.abs(w.u[0, :]).max(), np.abs(w.u[-1, :]).max(), np.abs(w.v[:, 0]).max(), np.abs(w.v[:, -1]).max())
+
+
 # ---------------------------------------------------------------------------
 # standalone transform solves and the conjugate-gradient reference
 # ---------------------------------------------------------------------------

@@ -101,17 +101,36 @@ def test_every_documented_key_lands_on_its_attribute(key):
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge", "audit"])
-@pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150",
+@pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150", "beta=1e300",
                                      "outdir=", "outdir={file}", "outdir={file}/sub"])
 def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch, capsys, command, setting):
-    """epsilon = 1e150 leaves E1 + delta under its floor, and 1e-77 or 1e-150 make
-    |F'(phi0)|^2 overflow; an outdir that cannot be created fails the same way."""
+    """epsilon = 1e150 leaves E1 + delta under its floor, 1e-77 or 1e-150 make
+    |F'(phi0)|^2 overflow, and beta = 1e300 the total energy's beta^2; an
+    outdir that cannot be created fails the same way."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     code = run_cli(command, "--set", "nx=8", "--set", "ny=8", "--set", "init=paper5", "--set", "outdir=out",
                    "--set", setting.format(file=tmp_path / "file"))
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command, sets, key", [
+    ("simulate", ["viscosity=5e-324", "dt=1e-6", "t_final=1e-6"], "viscosity"),
+    ("simulate", ["scheme=msav2", "viscosity=5e-320", "dt=1e-4", "t_final=1e-4"], "viscosity"),
+    ("audit", ["mobility=5e-324", "ladder=1e-6", "t_final=1e-6"], "mobility"),
+    ("converge", ["viscosity=1e300", "horizon_T=1e9", "t_final=1e9", "ladder=1e9"], "viscosity"),
+])
+def test_a_step_coefficient_out_of_range_is_a_config_error(tmp_path, capsys, command, sets, key):
+    """mobility * k and viscosity * k must be positive and finite for every step
+    size k a run takes (dt, 2 dt/3 for msav2, dt/4 in its bootstrap) at the run's
+    dt and every ladder entry: 5e-320 * 1e-4 is positive but 5e-320 * 1e-4/4
+    underflows to 0, and 1e300 * 1e9 overflows."""
+    args = [arg for item in ["nx=8", "ny=8", f"outdir={tmp_path}", *sets] for arg in ("--set", item)]
+    assert run_cli(command, *args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
     assert not list(tmp_path.rglob("*.csv"))
 
 

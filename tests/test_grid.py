@@ -1,10 +1,14 @@
 """Operator identities, stencil symbols, and snapshot files."""
 
 import io
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chns.errors import DimensionMismatchError
 from chns.grid import (
@@ -479,6 +483,69 @@ def test_snapshot_csv_is_savetxt_bytes_and_round_trips_exactly(tmp_path, kind):
     assert header.startswith(b"# 5,4,") and body == reference.getvalue()
     *_, got_kind, back = read_field_csv(path)
     assert got_kind == kind and back.tobytes() == values.tobytes()
+
+
+def _csv_body_and_savetxt(directory, kind, values):
+    """What write_field_csv writes after its header line for values (shaped
+    as a kind field of some grid), and np.savetxt's bytes for them."""
+    nx, ny = {"cell": values.shape, "face_u": (values.shape[0] - 1, values.shape[1]),
+              "face_v": (values.shape[0], values.shape[1] - 1)}[kind]
+    path = Path(directory) / "field.csv"
+    write_field_csv(path, GridSpec(nx, ny), kind, values)
+    reference = io.BytesIO()
+    np.savetxt(reference, values, fmt="%.17g", delimiter=",")
+    return path.read_bytes().split(b"\n", 1)[1], reference.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["cell", "face_u", "face_v"]),
+       nx=st.integers(4, 7), ny=st.integers(4, 7))
+def test_snapshot_csv_is_savetxt_bytes_for_any_finite_values(data, kind, nx, ny):
+    """Any finite doubles, subnormals, signed zeros and the extremes included,
+    on every shape of the three kinds for 4-7 cells a side (GridSpec's least
+    is 4); about half the entries are drawn from the range formatted with whole
+    arrays."""
+    shape = {"cell": (nx, ny), "face_u": (nx + 1, ny), "face_v": (nx, ny + 1)}[kind]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(finite, st.floats(-1e17, 1e17))))
+    with tempfile.TemporaryDirectory() as directory:
+        body, reference = _csv_body_and_savetxt(directory, kind, values)
+    assert body == reference
+
+
+def test_snapshot_csv_is_savetxt_bytes_at_decimal_edges(tmp_path):
+    """The doubles where a decimal conversion slips most easily, both signs,
+    over more than one of the writer's blocks of rows: the 40 on each side of
+    10**k for k in [-8, 17] (where log10 may miss the decade by one), the
+    powers of two 2**k for k in [-80, 60], the ties 2**49 + j/8 that round
+    half to even, and the doubles nearest 10**k that lie below it but whose
+    17 digits round up to 10**k."""
+    steps = np.arange(-40, 41)
+    near_decades = (10.0 ** np.arange(-8, 18)).view(np.int64)[:, None] + steps  # one ulp per step
+    rounding_up = [float(f"1e{k}") for k in (-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)]
+    values = np.concatenate([near_decades.ravel().view(np.float64), 2.0 ** np.arange(-80, 61),
+                             2.0**49 + np.arange(64) / 8, rounding_up])
+    values = np.concatenate([values, -values])
+    values = np.append(values, np.zeros(-len(values) % 4)).reshape(-1, 4)  # 4650 values: two 4096-value blocks
+    body, reference = _csv_body_and_savetxt(tmp_path, "cell", values)
+    assert body == reference
+
+
+def test_snapshot_csv_writer_memory_stays_small(tmp_path):
+    """Writing a 321x320 face_u field (0.8 MB of doubles, 2 MB of text)
+    allocates at most 4 MB at a time: the text is built a block of rows at a
+    time, never for the whole array."""
+    g = GridSpec(320, 320)
+    values = np.random.default_rng(5).standard_normal((321, 320))
+    path = tmp_path / "u.csv"
+    write_field_csv(path, g, "face_u", values)
+    tracemalloc.start()
+    try:
+        write_field_csv(path, g, "face_u", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_snapshot_bin_roundtrip(tmp_path):
