@@ -56,8 +56,8 @@ print(f"3. curl(grad p)       max interior value {np.max(np.abs(curl[1:-1, 1:-1]
 mass_flux = g.cell_area * float(np.sum(advect_scalar(w, p).data))
 print(f"4. advection          total mass flux {mass_flux:+.3e}")
 
-u, _ = project(w, 0.01)
-u2, _ = project(u, 0.01)
+u, _, _ = project(w, 0.01)
+u2, _, _ = project(u, 0.01)
 print(
     f"5. projection         |div u| = {norm_l2_cell(div_face_to_cell(u)):.3e}, "
     f"idempotence defect {norm_l2_face(u2 - u):.3e}"

@@ -7,25 +7,28 @@ and energy-stability audits.
 
 Configuration files are flat key=value text, one pair per line, '#' comments.
 Every key is optional.  The keys are RunConfig's fields (scheme msav1 | msav2,
-dt, t_final, tol_poisson, tol_helmholtz, snapshot_every, outdir, ladder, init
-paper5 | files, init_phi, init_u, init_v) and PhysParams' (epsilon, mobility,
-viscosity, gamma, beta, delta, and horizon as horizon_T), whose defaults are
-the reference benchmark's, plus nx = ny = 160 cells on the unit square.  dt
-must divide t_final; ladder is a comma-separated dt list (converge: a halving
-ladder; audit: the dt values to audit); snapshot_every = 0 writes no periodic
-snapshots; init=files reads .csv or .bin snapshots.
+dt, t_final, snapshot_every, outdir, ladder, init paper5 | files, init_phi,
+init_u, init_v) and PhysParams' (epsilon, mobility, viscosity, gamma, beta,
+delta, and horizon as horizon_T), whose defaults are the reference benchmark's,
+plus nx = ny = 160 cells on the unit square.  dt must divide t_final; ladder is
+a comma-separated dt list (converge: a halving ladder; audit: the dt values to
+audit); snapshot_every = 0 writes no periodic snapshots; init=files reads .csv
+or .bin snapshots.  The solver residual bounds are fixed (elliptic.TOL_POISSON
+and TOL_HELMHOLTZ) and are no keys: a config naming tol_poisson or
+tol_helmholtz exits 2 as an unknown key.
 
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
-system, 5 audit violation.  Every value, each ladder dt, the initial data of
-either init kind (finite mu, r, energy and |F'(phi)|^2, E1 + delta above its
-floor) and outdir are checked before the first step: an unusable one exits 2,
-as does a config, snapshot or output file that cannot be read, created or
-written, mid-run included.  main alone maps errors to exit codes, naming the
-step and dt of a failure inside a run, whose audit CSV keeps the rows of the
-steps before it.  simulate and audit share one run function and write every
-file before they exit 5.  --threads N sets the FFT workers of that command.
-A t_final past horizon_T runs, with a warning on stderr: the stability and
-accuracy statements cover t <= horizon_T.
+system, 5 audit violation.  Every value, each ladder dt, the step coefficients
+at each dt the command runs (mobility * k, viscosity * k and the phase
+symbol's extreme), the initial data of either init kind (finite mu, r, energy
+and |F'(phi)|^2, E1 + delta above its floor) and outdir are checked before the
+first step: an unusable one exits 2, as does a config, snapshot or output file
+that cannot be read, created or written, mid-run included.  main alone maps
+errors to exit codes, naming the step and dt of a failure inside a run, whose
+audit CSV keeps the rows of the steps before it.  simulate and audit share one
+run function and write every file before they exit 5.  --threads N sets the
+FFT workers of that command.  A t_final past horizon_T runs, with a warning on
+stderr: the stability and accuracy statements cover t <= horizon_T.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON, cell_laplacian_symbol
 from .errors import (ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError,
                      StateError)
 from .grid import (
@@ -85,8 +88,6 @@ class RunConfig:
     scheme: str = "msav1"
     dt: float = 0.001
     t_final: float = 0.1
-    tol_poisson: float = TOL_POISSON
-    tol_helmholtz: float = TOL_HELMHOLTZ
     snapshot_every: int = 0
     outdir: str = "out"
     ladder: tuple = ()  # comma-separated dt values
@@ -94,6 +95,10 @@ class RunConfig:
     init_phi: str = ""
     init_u: str = ""
     init_v: str = ""
+    # the fixed residual bounds, read by perfbench/worker.py; properties, not fields, so no config keys.
+    # They go together with iterate_with_audits's tol_poisson and tol_helmholtz keywords.
+    tol_poisson = property(lambda self: TOL_POISSON)
+    tol_helmholtz = property(lambda self: TOL_HELMHOLTZ)
 
 
 # config key -> (the class it sets a field of, that field, its default): the grid size (the only
@@ -157,9 +162,7 @@ _PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str, tuple: _parse
 
 
 def steps_for(t_final: float, dt: float) -> int:
-    """Whole-step validation: t_final/dt must be an integer to rounding."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    """Whole-step validation: t_final/dt (dt > 0) must be an integer to rounding."""
     ratio = t_final / dt
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-12 * max(1.0, abs(ratio)):
@@ -176,6 +179,8 @@ def build_config(raw_overrides: dict) -> RunConfig:
         cfg = RunConfig(GridSpec(**values[GridSpec]), PhysParams(**values[PhysParams]), **values[RunConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not cfg.dt > 0:
+        raise ConfigError(f"dt must be positive, got {cfg.dt!r}")
     if not all(0 < dl < math.inf for dl in cfg.ladder):
         raise ConfigError("ladder entries must be positive and finite")
     if cfg.t_final <= 0:
@@ -186,14 +191,21 @@ def build_config(raw_overrides: dict) -> RunConfig:
                           "where exp(t/T) overflows")
     if cfg.snapshot_every < 0:
         raise ConfigError("snapshot_every must be >= 0")
-    for dt in (cfg.dt, *cfg.ladder):
-        for k in (dt, 2.0 * dt / 3.0, dt / BOOTSTRAP_SUBSTEPS):  # msav1's, msav2's and the bootstrap's step sizes
-            for key in ("mobility", "viscosity"):
-                coefficient = getattr(cfg.params, key) * k
-                if not 0.0 < coefficient < math.inf:
-                    raise ConfigError(f"{key} * k = {coefficient!r} for k = {k!r} (dt = {dt!r}) "
-                                      "must be positive and finite")
     return cfg
+
+
+def _check_step_sizes(cfg: RunConfig, dts) -> None:
+    """The step coefficients of every step size k the scheme takes at each dt of dts (msav1's dt,
+    msav2's 2dt/3 and its bootstrap's substep) must be positive and finite."""
+    lam = float(cell_laplacian_symbol(cfg.grid)[-1, -1])  # lap_cell's most negative eigenvalue
+    for dt in dts:
+        for k in (dt,) if cfg.scheme == "msav1" else (2.0 * dt / 3.0, dt / BOOTSTRAP_SUBSTEPS):
+            mobility_k = cfg.params.mobility * k
+            extreme = 1.0 + mobility_k * lam * (lam - cfg.params.gamma_eff)  # >= 1, peaks at the most negative lam
+            for name, value in (("mobility * k", mobility_k), ("viscosity * k", cfg.params.viscosity * k),
+                                ("the phase symbol 1 + mobility * k * lam * (lam - gamma_eff)", extreme)):
+                if not 0.0 < value < math.inf:
+                    raise ConfigError(f"{name} = {value!r} for k = {k!r} (dt = {dt!r}) must be positive and finite")
 
 
 def _read_initial_fields(cfg: RunConfig):
@@ -259,8 +271,7 @@ def _run(cfg: RunConfig, state, dt, n_steps, snapshot_every, csv_name):
     """Step the audited run at dt from state, writing field snapshots every snapshot_every
     levels (0 = never) and each audit row to csv_name in outdir as soon as its step is
     taken, so a failed step leaves the rows before it; returns the rows and the final state."""
-    rows, levels = [], iterate_with_audits(cfg.scheme, state, cfg.params, dt, n_steps,
-                                           tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
+    rows, levels = [], iterate_with_audits(cfg.scheme, state, cfg.params, dt, n_steps)
 
     def produced_rows():
         nonlocal state  # rebound at every level, so no earlier level stays alive here
@@ -288,6 +299,7 @@ def _verdict(runs) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     n_steps = steps_for(cfg.t_final, cfg.dt)
+    _check_step_sizes(cfg, (cfg.dt,))
     rows, final = _run(cfg, _load_initial_state(cfg), cfg.dt, n_steps, cfg.snapshot_every, "audit.csv")
     last_periodic = cfg.snapshot_every and n_steps % cfg.snapshot_every == 0
     _write_state_snapshots(cfg.outdir, cfg.grid, final, "final", f"{n_steps:06d}" if last_periodic else None)
@@ -307,9 +319,9 @@ def cmd_converge(cfg: RunConfig) -> int:
         if not (b < a and abs(a / b - 2.0) < 1e-9):
             raise ConfigError("converge ladder must decrease by exact factors of 2")
     n_steps = steps_for(cfg.t_final, ladder[0])
+    _check_step_sizes(cfg, (ladder[0] / 2**j for j in range(len(ladder) + 1)))  # cauchy_ladder's runs
     state0 = _load_initial_state(cfg)
-    records = cauchy_ladder(cfg.scheme, state0, cfg.params, ladder[0], n_steps, len(ladder),
-                            tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
+    records = cauchy_ladder(cfg.scheme, state0, cfg.params, ladder[0], n_steps, len(ladder))
     rows = attach_rates(records)
     table_path = os.path.join(cfg.outdir, f"converge_{cfg.scheme}.csv")
     write_table_csv(table_path, rows)
@@ -323,6 +335,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     ladder = [(dt, steps_for(cfg.t_final, dt)) for dt in cfg.ladder or _AUDIT_LADDER]
+    _check_step_sizes(cfg, (dt for dt, _ in ladder))
     state0 = _load_initial_state(cfg)
     runs = []
     for dt, n_steps in ladder:

@@ -218,7 +218,7 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
 # ---------------------------------------------------------------------------
 
 
-def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=None):
+def _iterate(scheme, state, params, dt, n_steps, on_step=None):
     """Yield (step_index, state) for each level, holding no earlier level.
     on_step, if given, is called as on_step(prev, new, dt) right after each
     step, msav2's bootstrap substeps included (see second_order.bootstrap).
@@ -234,11 +234,10 @@ def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_
             # a plain call, since a ** call would keep its arguments alive in a tuple
             first = [state]
             del state
-            state = bootstrap(first.pop(), params, dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz,
-                              trace=on_step)
+            state = bootstrap(first.pop(), params, dt, trace=on_step)
             yield 1, state
         for k in range(2 if scheme == "msav2" else 1, n_steps + 1):
-            new = step(state, params, dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
+            new = step(state, params, dt)
             if on_step is not None:
                 on_step(state, new, dt)
             state = new
@@ -248,6 +247,8 @@ def _iterate(scheme, state, params, dt, n_steps, tol_poisson, tol_helmholtz, on_
         raise
 
 
+# tol_poisson and tol_helmholtz keep the call of perfbench/worker.py working, which passes the fixed bounds
+# as RunConfig's properties of those names; they go together.  Any other value raises ValueError.
 def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POISSON, tol_helmholtz=TOL_HELMHOLTZ):
     """Yield (step_index, new_state, audits_of_this_step) for each level.
 
@@ -257,6 +258,8 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
     against the BDF2 law.  A row's Etilde is handed on as the next row's
     Etilde_prev when both audit the same law at the same dt.
     """
+    if (tol_poisson, tol_helmholtz) != (TOL_POISSON, TOL_HELMHOLTZ):
+        raise ValueError(f"the residual bounds are fixed at {TOL_POISSON!r}, {TOL_HELMHOLTZ!r}")
     rows, etilde, law = [], None, None
 
     def audit(prev, new, step_dt):
@@ -265,7 +268,7 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
         rows.append(audit_step(prev, new, params, step_dt, etilde if row_law == law else None))
         etilde, law = rows[-1].Etilde, row_law
 
-    run = _iterate(scheme, state0, params, dt, n_steps, tol_poisson, tol_helmholtz, on_step=audit)
+    run = _iterate(scheme, state0, params, dt, n_steps, on_step=audit)
     del state0  # the run alone holds the initial state, and drops it after its last use
     for k, state in run:
         yield k, state, rows
@@ -337,18 +340,15 @@ class ErrorRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)[1:] if f.init}
 
 
-def cauchy_ladder(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int, rungs: int,
-                  tol_poisson: float = TOL_POISSON, tol_helmholtz: float = TOL_HELMHOLTZ) -> list[ErrorRecord]:
+def cauchy_ladder(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int,
+                  rungs: int) -> list[ErrorRecord]:
     """Cauchy errors of a halving ladder: rung j compares the run at dt/2^j
     with its dt/2^(j+1) companion at every level of the coarser run.
 
     The rungs + 1 runs advance depth-first, so each is integrated once and
     holds only its current state: one step of run j is followed by two steps
     of run j+1, after which rung j compares the two states."""
-    runs = [
-        _iterate(scheme, state0, params, dt / 2**j, n_steps * 2**j, tol_poisson, tol_helmholtz)
-        for j in range(rungs + 1)
-    ]
+    runs = [_iterate(scheme, state0, params, dt / 2**j, n_steps * 2**j) for j in range(rungs + 1)]
     records = [ErrorRecord(dt / 2**j) for j in range(rungs)]
     for _ in range(n_steps):
         _advance(runs, records, 0)
@@ -399,9 +399,7 @@ TABLE_COLUMNS = ("dt",) + tuple(
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return "" if np.isnan(x) else f"{x:.17g}"
-    return str(x)
+    return "" if np.isnan(x) else f"{x:.17g}"
 
 
 def _write_csv(path, columns, rows):

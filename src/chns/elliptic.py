@@ -10,8 +10,8 @@ Three problem classes appear, all with constant coefficients:
 
 The mirror-ghost cell Laplacian is exactly diagonalized by the type-II
 discrete cosine transform, and the no-slip face Laplacian by a DST-I x DST-II
-tensor transform, so every solve is a direct transform solve (machine
-precision residuals at O(N log N) cost).
+tensor transform, so every solve is a direct transform solve at O(N log N)
+cost, whose residual is checked against a fixed machine-scale bound.
 
 Both transforms are orthonormal, so by Parseval dot_cell/dot_face (of face
 fields with zero wall entries) is cell_area times the plain sum over
@@ -22,8 +22,9 @@ suite holds those pieces to dense LU solves and to a conjugate-gradient
 reference (tests/oracle_tools.py).
 
 The module keeps no state beyond its symbol caches: solvers are pure functions
-of (rhs, tol), safe to call concurrently, and transform with scipy.fft's worker
-count (1 outside a scipy.fft.set_workers context, which chns --threads opens).
+of their right-hand side, safe to call concurrently, and transform with
+scipy.fft's worker count (1 outside a scipy.fft.set_workers context, which
+chns --threads opens).
 """
 
 from __future__ import annotations
@@ -117,13 +118,17 @@ def ch_inv_symbol(grid: GridSpec, spec: ChOperatorSpec):
     return 1.0 / (1.0 + spec.mobility_dt * lam * (lam - spec.gamma_eff))
 
 
+# a component's walls are zeros of its DST-I direction and odd ghosts of its DST-II one
+_FACE_TYPES = ((1, 2), (2, 1))
+
+
 @lru_cache(maxsize=None)
 def helmholtz_inv_symbol(grid: GridSpec, spec: HelmholtzSpec):
     """Inverse of the velocity operator in the face_transform basis, as a
-    (u, v) pair."""
-    nx, ny = grid.nx, grid.ny
-    return tuple(1.0 / (1.0 - spec.visc_dt * _symbol(grid, mx, my)) for mx, my in
-                 ((np.arange(1, nx), np.arange(1, ny + 1)), (np.arange(1, nx + 1), np.arange(1, ny))))
+    (u, v) pair; a DST-I direction of n cells has the modes 1..n-1, a DST-II one 1..n."""
+    return tuple(1.0 / (1.0 - spec.visc_dt * _symbol(grid, np.arange(1, grid.nx + tx - 1),
+                                                     np.arange(1, grid.ny + ty - 1)))
+                 for tx, ty in _FACE_TYPES)
 
 
 def cell_transform(a: np.ndarray) -> np.ndarray:
@@ -134,10 +139,6 @@ def cell_transform(a: np.ndarray) -> np.ndarray:
 def cell_inverse(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Cell data of DCT-II coefficients; overwrite_x=True may consume coeffs."""
     return idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite_x)
-
-
-# a component's walls are zeros of its DST-I direction and odd ghosts of its DST-II one
-_FACE_TYPES = ((1, 2), (2, 1))
 
 
 def _interior(w: MacVector):
@@ -197,35 +198,33 @@ def _lap_norm_bound(grid: GridSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-TOL_POISSON = 1e-12  # default residual tolerance of the pressure Poisson solve
-TOL_HELMHOLTZ = 1e-11  # default residual tolerance of the phase and velocity operators
+TOL_POISSON = 1e-12  # residual bound of the pressure Poisson solve
+TOL_HELMHOLTZ = 1e-11  # residual bound of the phase and velocity operators
 
 
 def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, mean_defect=0.0):
     resid = defect_norm / max(op_norm * x_norm + rhs_norm, 1e-300)
     report = SolveReport(residual=resid, mean_defect=mean_defect)
-    if not resid <= max(tol, 1e-13):  # a NaN residual fails too
+    if not resid <= tol:  # a NaN residual fails too
         raise SolverConvergenceError(report)
     return report
 
 
-def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, tol: float,
-                lap_phi: CellField | None = None):
+def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, lap_phi: CellField | None = None):
     """Check phi as a solve of the phase operator against rhs, reusing lap_phi = lap_cell(phi)
-    if given; returns the SolveReport, or raises SolverConvergenceError above max(tol, 1e-13)."""
+    if given; returns the SolveReport, or raises SolverConvergenceError above TOL_HELMHOLTZ."""
     lb = _lap_norm_bound(phi.grid)
     op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
     defect = apply_ch_operator(spec, phi, lap_phi)
     defect.data -= rhs.data
-    return _checked(norm_l2_cell(defect), op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), tol)
+    return _checked(norm_l2_cell(defect), op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), TOL_HELMHOLTZ)
 
 
-def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: float,
-                       lap_w: MacVector | None = None):
+def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w: MacVector | None = None):
     """Check w as a solve of the velocity operator against rhs, whose on-wall
     entries are boundary data, not equations, and are ignored, reusing
     lap_w = lap_velocity(w) if given; returns the SolveReport, or raises
-    SolverConvergenceError above max(tol, 1e-13)."""
+    SolverConvergenceError above TOL_HELMHOLTZ."""
     g = w.grid
     defect = apply_helmholtz_operator(spec, w, lap_w)  # A w - b, its wall rows those of A w
     ru, rv = _interior(rhs)
@@ -233,7 +232,7 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
         d -= r
     rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
-    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), tol)
+    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), TOL_HELMHOLTZ)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +240,9 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, tol: f
 # ---------------------------------------------------------------------------
 
 
-def solve_neumann_poisson(rhs: CellField, tol: float = TOL_POISSON):
-    """Solve lap(psi) = rhs with Neumann walls; returns the zero-mean psi.
+def solve_neumann_poisson(rhs: CellField):
+    """Solve lap(psi) = rhs with Neumann walls; returns the zero-mean psi and
+    its SolveReport, or raises SolverConvergenceError above TOL_POISSON.
 
     The right-hand side must satisfy the solvability condition that its
     integral vanishes, up to 1e-10 * ||rhs||; a violation beyond that raises
@@ -266,13 +266,13 @@ def solve_neumann_poisson(rhs: CellField, tol: float = TOL_POISSON):
     defect = lap_cell(psi)
     defect.data -= b
     report = _checked(norm_l2_cell(defect), _lap_norm_bound(g), norm_l2_cell(psi),
-                      rhs_norm, tol, mean_defect=mean * g.cell_area * g.nx * g.ny)
+                      rhs_norm, TOL_POISSON, mean_defect=mean * g.cell_area * g.nx * g.ny)
     return psi, report
 
 
-def project(w: MacVector, dt_coef: float, tol: float = TOL_POISSON, reports=None, div_w: CellField | None = None):
+def project(w: MacVector, dt_coef: float, div_w: CellField | None = None):
     """Remove the gradient part of w, reusing div_w = div_face_to_cell(w) if
-    given: returns (u, psi) with
+    given: returns (u, psi, report), report the Poisson solve's SolveReport, with
 
         lap(psi) = div(w) / dt_coef   (Neumann, zero mean),
         u = w - dt_coef * grad(psi),
@@ -288,7 +288,5 @@ def project(w: MacVector, dt_coef: float, tol: float = TOL_POISSON, reports=None
     # projections of roundoff-scale divergences stay well posed
     rhs = d.data - d.data.mean()
     rhs /= dt_coef
-    psi, report = solve_neumann_poisson(CellField(d.grid, rhs), tol=tol)
-    if reports is not None:
-        reports.append(report)
-    return minus_scaled_grad(w, dt_coef, psi), psi
+    psi, report = solve_neumann_poisson(CellField(d.grid, rhs))
+    return minus_scaled_grad(w, dt_coef, psi), psi, report

@@ -51,8 +51,6 @@ import numpy as np
 from .elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
-    TOL_HELMHOLTZ,
-    TOL_POISSON,
     cell_inverse,
     cell_laplacian_symbol,
     cell_transform,
@@ -206,8 +204,7 @@ def zero_mean(p: CellField) -> CellField:
     return p
 
 
-def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poisson: float,
-                   tol_helmholtz: float) -> SchemeState:
+def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float) -> SchemeState:
     """The step both orders share: the substep families at effective step k
     from the lagged level lag (phi, u, p, r, q), explicit terms at the
     extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
@@ -219,8 +216,6 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     and |div u~|^2 of its u~ from the Laplacian of the Helmholtz residual
     check and the divergence the projection consumes.
     """
-    if k <= 0:
-        raise ValueError("dt must be positive")
     terms = explicit_terms(bar, params)
     del bar  # only the explicit terms read the extrapolated level
     g = lag.phi.grid
@@ -246,7 +241,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
         a -= np.multiply(v, xi2 * k, out=v)
     del terms.chem, terms.conv
     lap_ut = lap_velocity(ut_new)  # shared by the residual check and the audit's <-lap u~, u~>
-    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, tol_helmholtz, lap_w=lap_ut)
+    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, lap_w=lap_ut)
     del rhs_u
     grad_ut_sq = -dot_face(lap_ut, ut_new)
     del lap_ut
@@ -260,7 +255,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     rhs_phi.data -= np.multiply(terms.adv.data, k, out=terms.adv.data)
     rhs_phi.data *= xi1
     rhs_phi.data += lag.phi.data
-    ch_report = ch_residual(ch_spec, phi, rhs_phi, tol_helmholtz, lap_phi=lap_phi)
+    ch_report = ch_residual(ch_spec, phi, rhs_phi, lap_phi=lap_phi)
     del rhs_phi
     mu = lap_phi  # -lap phi + gamma_eff phi + xi1 F'
     mu.data *= -1.0
@@ -268,20 +263,18 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float, tol_poi
     mu.data += np.multiply(terms.f_prime.data, xi1, out=terms.f_prime.data)
     r_new, q_new = xi1 * terms.sq, xi2 * exp(-t_new / params.horizon)
     del lap_phi, terms
-    reports = [ch_report, h_report]
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
-    u_new, psi = project(ut_new, k, tol=tol_poisson, reports=reports, div_w=div_ut)
+    u_new, psi, p_report = project(ut_new, k, div_w=div_ut)
     psi.data += lag.p.data  # the level's pressure lag.p + psi
     new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, r=r_new, q=q_new,
-                      reports=tuple(reports), grad_ut_sq=grad_ut_sq,
+                      reports=(ch_report, h_report, p_report), grad_ut_sq=grad_ut_sq,
                       div_ut_sq=dot_cell(div_ut, div_ut))
     return new, div_ut
 
 
-def step_first_order(state: SchemeState, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
-                     tol_helmholtz: float = TOL_HELMHOLTZ) -> SchemeState:
+def step_first_order(state: SchemeState, params: PhysParams, dt: float) -> SchemeState:
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new = decoupled_step(state, state, params, dt, state.t + dt, tol_poisson, tol_helmholtz)[0]
+    new = decoupled_step(state, state, params, dt, state.t + dt)[0]
     zero_mean(new.p)
     return new

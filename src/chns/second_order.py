@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .first_order import decoupled_step, step_first_order, zero_mean
 from .grid import div_face_to_cell
 from .model import PhysParams, SchemeState, SchemeState2
@@ -35,8 +34,7 @@ from .model import PhysParams, SchemeState, SchemeState2
 BOOTSTRAP_SUBSTEPS = 4  # first-order steps across the first interval; see bootstrap
 
 
-def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
-              tol_helmholtz: float = TOL_HELMHOLTZ, trace=None) -> SchemeState2:
+def bootstrap(state0: SchemeState, params: PhysParams, dt: float, trace=None) -> SchemeState2:
     """Build the two-level state by running the first-order stepper across the
     first interval (BOOTSTRAP_SUBSTEPS equal steps of dt/BOOTSTRAP_SUBSTEPS).
 
@@ -60,7 +58,7 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, tol_poisson: f
     s1 = state0
     del state0
     for _ in range(BOOTSTRAP_SUBSTEPS):
-        new = step_first_order(s1, params, sub_dt, tol_poisson=tol_poisson, tol_helmholtz=tol_helmholtz)
+        new = step_first_order(s1, params, sub_dt)
         if trace is not None:
             trace(s1, new, sub_dt)
         s1 = new
@@ -87,8 +85,7 @@ def extrapolants(state: SchemeState2) -> SimpleNamespace:
     )
 
 
-def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_poisson: float = TOL_POISSON,
-                      tol_helmholtz: float = TOL_HELMHOLTZ) -> SchemeState2:
+def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> SchemeState2:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
@@ -96,8 +93,7 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float, tol_po
     lag = SimpleNamespace(phi=combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
                           u=combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
                           r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
-    new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt,
-                                 tol_poisson, tol_helmholtz)
+    new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt)
     del lag
     div_ut.data *= params.viscosity  # nu div u~, in place on the step's own array
     new.p.data -= div_ut.data

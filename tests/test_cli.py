@@ -1,6 +1,7 @@
 """Batch front end: config parsing, subcommands, exit codes, artifacts."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,29 @@ def test_bad_value_rejected():
 def test_empty_config_is_the_reference_benchmark():
     assert build_config({}) == cli.RunConfig(
         grid=GridSpec(160, 160), params=PhysParams(), scheme="msav1", dt=0.001, t_final=0.1,
-        tol_poisson=1e-12, tol_helmholtz=1e-11, snapshot_every=0, outdir="out", ladder=(), init="paper5",
+        snapshot_every=0, outdir="out", ladder=(), init="paper5",
         init_phi="", init_u="", init_v="",
     )
+
+
+def test_the_residual_bounds_are_fixed_and_no_config_keys(capsys):
+    """The residual bounds are no keys, so naming one exits 2.  perfbench's
+    setup passes RunConfig's tol_poisson and tol_helmholtz to
+    iterate_with_audits; that call runs, and any other bound raises ValueError."""
+    assert len(cli._KEYS) == 19 and not {"tol_poisson", "tol_helmholtz"} & set(cli._KEYS)
+    for key in ("tol_poisson", "tol_helmholtz"):
+        assert run_cli("simulate", "--set", f"{key}=1e300") == EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    cfg = build_config({})
+    assert (cfg.tol_poisson, cfg.tol_helmholtz) == (elliptic.TOL_POISSON, elliptic.TOL_HELMHOLTZ) == (1e-12, 1e-11)
+    state0 = initial_state(cfg.grid, cfg.params)
+    steps = diagnostics.iterate_with_audits(cfg.scheme, state0, cfg.params, cfg.dt, steps_for(cfg.t_final, cfg.dt),
+                                            tol_poisson=cfg.tol_poisson, tol_helmholtz=cfg.tol_helmholtz)
+    k, _, rows = next(steps)
+    assert k == 1 and len(rows) == 1 and rows[0].passed
+    for bounds in ({"tol_poisson": 1e-6}, {"tol_helmholtz": 1e300}):
+        with pytest.raises(ValueError, match="fixed"):
+            next(diagnostics.iterate_with_audits(cfg.scheme, state0, cfg.params, cfg.dt, 1, **bounds))
 
 
 _EVERY_KEY = {  # key: (its text, the attribute it sets, the value it lands as)
@@ -80,8 +101,6 @@ _EVERY_KEY = {  # key: (its text, the attribute it sets, the value it lands as)
     "beta": ("4", "params.beta", 4.0),
     "delta": ("0.5", "params.delta", 0.5),
     "horizon_T": ("0.3", "params.horizon", 0.3),
-    "tol_poisson": ("1e-10", "tol_poisson", 1e-10),
-    "tol_helmholtz": ("1e-9", "tol_helmholtz", 1e-9),
     "snapshot_every": ("7", "snapshot_every", 7),
     "outdir": ("runs/a", "outdir", "runs/a"),
     "ladder": ("0.02, 0.01", "ladder", (0.02, 0.01)),
@@ -102,11 +121,15 @@ def test_every_documented_key_lands_on_its_attribute(key):
 
 @pytest.mark.parametrize("command", ["simulate", "converge", "audit"])
 @pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150", "beta=1e300",
-                                     "outdir=", "outdir={file}", "outdir={file}/sub"])
+                                     "outdir=", "outdir={file}", "outdir={file}/sub",
+                                     "nx", "nx=eight", "scheme=msav3", "ladder=0.1,x", "t_final=-1",
+                                     "snapshot_every=-1", "ladder=0,1"])
 def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch, capsys, command, setting):
     """epsilon = 1e150 leaves E1 + delta under its floor, 1e-77 or 1e-150 make
     |F'(phi0)|^2 overflow, and beta = 1e300 the total energy's beta^2; an
-    outdir that cannot be created fails the same way."""
+    outdir that cannot be created fails the same way, and so do a setting
+    without '=', an integer, choice or ladder that does not parse, and a
+    ladder entry, t_final or snapshot_every out of range."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     code = run_cli(command, "--set", "nx=8", "--set", "ny=8", "--set", "init=paper5", "--set", "outdir=out",
@@ -121,17 +144,49 @@ def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch
     ("simulate", ["scheme=msav2", "viscosity=5e-320", "dt=1e-4", "t_final=1e-4"], "viscosity"),
     ("audit", ["mobility=5e-324", "ladder=1e-6", "t_final=1e-6"], "mobility"),
     ("converge", ["viscosity=1e300", "horizon_T=1e9", "t_final=1e9", "ladder=1e9"], "viscosity"),
+    ("simulate", ["mobility=1e30", "gamma=1e300"], "gamma_eff"),
+    ("converge", ["mobility=1e30", "gamma=1e300"], "mobility"),
+    ("audit", ["scheme=msav2", "mobility=1e30", "gamma=1e300"], "mobility"),
+    ("audit", ["mobility=1e7", "gamma=1e300"], "(dt = 0.1)"),
+    ("simulate", ["dt=0"], "dt must be positive"),
+    ("audit", ["dt=-0.01"], "dt must be positive"),
+    ("converge", ["viscosity=1e-323", "dt=0.5", "ladder=0.5", "t_final=0.5", "horizon_T=1"], "(dt = 0.25)"),
+    ("converge", ["scheme=msav2", "viscosity=2.5e-323", "dt=0.5", "ladder=0.5", "t_final=0.5", "horizon_T=1"],
+     "(dt = 0.25)"),
 ])
 def test_a_step_coefficient_out_of_range_is_a_config_error(tmp_path, capsys, command, sets, key):
     """mobility * k and viscosity * k must be positive and finite for every step
-    size k a run takes (dt, 2 dt/3 for msav2, dt/4 in its bootstrap) at the run's
-    dt and every ladder entry: 5e-320 * 1e-4 is positive but 5e-320 * 1e-4/4
-    underflows to 0, and 1e300 * 1e9 overflows."""
+    size k a run takes (dt for msav1; 2 dt/3 and dt/4 in the bootstrap for msav2)
+    at each dt the command runs: 5e-320 * 1e-4 is positive but 5e-320 * 1e-4/4
+    underflows to 0, 1e300 * 1e9 overflows, and the converge ladder 0.5 also
+    runs its dt = 0.25 companion, where 1e-323 * 0.25 (msav1) and
+    2.5e-323 * 0.25/4 (msav2's bootstrap) underflow.  So must the phase symbol
+    1 + mobility k lam (lam - gamma_eff), which mobility = 1e30 and
+    gamma = 1e300 overflow, and mobility = 1e7 at the audit's default dt = 0.1
+    only; dt must be positive."""
     args = [arg for item in ["nx=8", "ny=8", f"outdir={tmp_path}", *sets] for arg in ("--set", item)]
     assert run_cli(command, *args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_only_the_step_sizes_a_run_takes_are_checked(tmp_path):
+    """msav1 takes k = dt only, so viscosity = 5e-320 at dt = 1e-4 passes there;
+    msav2's bootstrap substep dt/4 underflows it.  simulate checks its own dt
+    alone: mobility = 1e305 on 8x8 overflows the phase symbol at the audit's
+    default dt = 0.1, not at dt = 1e-3."""
+    sets = {"nx": "8", "ny": "8", "viscosity": "5e-320", "dt": "1e-4", "t_final": "1e-4"}
+    cli._check_step_sizes(build_config({**sets, "scheme": "msav1"}), (1e-4,))
+    with pytest.raises(ConfigError, match="viscosity"):
+        cli._check_step_sizes(build_config({**sets, "scheme": "msav2"}), (1e-4,))
+    cfg = build_config({"nx": "8", "ny": "8", "mobility": "1e305"})
+    cli._check_step_sizes(cfg, (cfg.dt,))
+    with pytest.raises(ConfigError, match="phase symbol"):
+        cli._check_step_sizes(cfg, (0.1,))
+    code = run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", "mobility=1e305",
+                   "--set", "t_final=1e-3", "--set", f"outdir={tmp_path}")
+    assert code != EXIT_CONFIG
 
 
 def test_steps_validation():
@@ -365,13 +420,12 @@ def test_a_run_past_the_horizon_warns_and_runs(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
-def _rest_snapshots(root):
-    """Valid 8x8 initial data at rest: the phase as .bin, the velocity as .csv."""
-    g = GridSpec(8, 8)
+def _rest_snapshots(root, g=GridSpec(8, 8)):
+    """Valid initial data at rest on g: the phase as .bin, the velocity as .csv."""
     paths = {"init_phi": root / "phi0.bin", "init_u": root / "u0.csv", "init_v": root / "v0.csv"}
-    write_field_bin(paths["init_phi"], g, "cell", np.full((8, 8), 0.5))
-    write_field_csv(paths["init_u"], g, "face_u", np.zeros((9, 8)))
-    write_field_csv(paths["init_v"], g, "face_v", np.zeros((8, 9)))
+    write_field_bin(paths["init_phi"], g, "cell", np.full((g.nx, g.ny), 0.5))
+    write_field_csv(paths["init_u"], g, "face_u", np.zeros((g.nx + 1, g.ny)))
+    write_field_csv(paths["init_v"], g, "face_v", np.zeros((g.nx, g.ny + 1)))
     return paths
 
 
@@ -405,6 +459,34 @@ def test_truncated_bin_payload_is_a_config_error(tmp_path):
     with open(paths["init_phi"], "r+b") as fh:
         fh.truncate(8 * 70)  # header + 62 of 64 values
     assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+
+
+def _truncate(path, size):
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+_MALFORMED = {  # a snapshot fault for each load-time rejection of a snapshot file
+    "csv unknown kind": lambda p: p["init_u"].write_text(p["init_u"].read_text().replace("face_u", "bogus", 1)),
+    "csv shape": lambda p: p["init_u"].write_text("".join(p["init_u"].read_text().splitlines(True)[:-1])),
+    "csv header": lambda p: p["init_u"].write_text(p["init_u"].read_text().replace(",face_u", "", 1)),
+    "bin header truncated": lambda p: _truncate(p["init_phi"], 8 * 5),
+    "bin kind code": lambda p: _patch_bin(p["init_phi"], 4, 7.0),
+    "bin of another size": lambda p: write_field_bin(p["init_phi"], GridSpec(6, 6), "cell", np.full((6, 6), 0.5)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED))
+def test_malformed_snapshot_is_a_config_error(tmp_path, capsys, fault):
+    """An unknown kind or a data shape that differs from the .csv header, a
+    header without five fields, a .bin shorter than its header or with an
+    unknown kind code, and a whole snapshot of a 6x6 grid for the 8x8 run:
+    each exits 2 before the first step."""
+    paths = _rest_snapshots(tmp_path)
+    _MALFORMED[fault](paths)
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "out" / "audit.csv").exists()
 
 
 def test_trailing_bin_bytes_are_a_config_error(tmp_path):
@@ -477,47 +559,63 @@ def test_initial_data_at_the_potential_minimum_is_a_config_error(tmp_path):
 
 
 _JUNK = ("0", "-1", "nan", "inf", "abc", "1e-300", "0.03")
+# valid values of each physical key; a run draws each key from here or leaves it at its default
+_VALID = {"epsilon": ("0.3", "0.05"), "mobility": ("1e-3", "0.05"), "viscosity": ("1e-3", "0.5"),
+          "gamma": ("1", "0"), "beta": ("5", "0.5"), "delta": ("0", "1"), "horizon_T": ("0.1", "10")}
+# extreme settings, each a set of keys that reach one limit together, and the two removed tol_* keys
+_EXTREME = (
+    ("mobility=1e30", "gamma=1e300"), ("beta=1e300",),
+    ("viscosity=5e-324", "dt=1e-6", "t_final=1e-6", "ladder=1e-6"),
+    ("viscosity=5e-320", "dt=1e-4", "t_final=1e-4", "ladder=1e-4"),
+    ("epsilon=1e-160",), ("mobility=1e300",), ("viscosity=1e300",), ("horizon_T=1e-300",), ("dt=0",),
+    ("tol_poisson=1e300",), ("tol_helmholtz=1e300", "tol_poisson=1e-12"),
+)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(("simulate", "converge", "audit")),
     scheme=st.sampled_from(("msav1", "msav2")),
+    cells=st.tuples(st.integers(4, 8), st.integers(4, 8)),
     t_final=st.sampled_from(("0.1", "1", "80")),
     steps=st.integers(1, 3),
     horizon=st.sampled_from(("0.1", "0.01", "100")),
     ladder=st.sampled_from(("halving", "quartering", "single")),
+    valid=st.fixed_dictionaries({}, optional={key: st.sampled_from(values) for key, values in _VALID.items()}),
     junk=st.one_of(st.none(), st.tuples(st.sampled_from(("t_final", "dt", "horizon_T", "ladder")),
                                         st.sampled_from(_JUNK))),
+    extreme=st.lists(st.sampled_from(_EXTREME), max_size=2),
     mutation=st.one_of(st.none(), st.tuples(
         st.sampled_from(("init_phi", "init_u", "init_v")),
         st.integers(0, 10**4),
         st.binary(max_size=3),
         st.booleans(),
     )),
-    no_quadratic=st.booleans(),
 )
 def test_main_returns_an_exit_code_and_never_raises(
-    command, scheme, t_final, steps, horizon, ladder, junk, mutation, no_quadratic,
+    command, scheme, cells, t_final, steps, horizon, ladder, valid, junk, extreme, mutation,
 ):
-    """Hostile config values and corrupted snapshot bytes end in a documented
-    exit code.  dt is t_final over a few steps and the ladder holds dt over
-    1, 2 or 4, so no example runs long; one key may be replaced by junk, and
-    gamma = beta = 0 leaves the phase operator without its quadratic part."""
+    """Valid physical values, hostile config values, the extremes that once
+    ended in a traceback or a warning (beta = 1e300, viscosity * k
+    underflowing, mobility = 1e30 with gamma = 1e300 overflowing the phase
+    symbol), the removed tol_* keys and corrupted snapshot bytes end in a
+    documented exit code, with no warning.  The grid is 4-8 cells a side, dt
+    is t_final over a few steps and the ladder holds dt over 1, 2 or 4, so no
+    example runs long; one key may be replaced by junk."""
     dt = float(t_final) / steps
     sets = {
         "scheme": scheme, "t_final": t_final, "dt": repr(dt), "horizon_T": horizon,
         "ladder": {"halving": f"{dt!r},{dt / 2!r}", "quartering": f"{dt!r},{dt / 4!r}"}.get(ladder, repr(dt)),
-        "nx": "8", "ny": "8",
+        "nx": str(cells[0]), "ny": str(cells[1]), "snapshot_every": "2", **valid,
     }
-    if no_quadratic:
-        sets.update(gamma="0", beta="0")
     if junk is not None:
         sets[junk[0]] = junk[1]
-    with tempfile.TemporaryDirectory() as root:
+    sets.update(item.split("=") for group in extreme for item in group)
+    with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raises out of main
         sets["outdir"] = f"{root}/out"
         if mutation is not None:
-            paths = _rest_snapshots(Path(root))
+            paths = _rest_snapshots(Path(root), GridSpec(*cells))
             key, index, patch, truncate = mutation
             data = paths[key].read_bytes()
             i = index % len(data)
@@ -525,6 +623,8 @@ def test_main_returns_an_exit_code_and_never_raises(
             sets.update(init="files", **paths)
         code = run_cli(command, *(arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")))
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_SINGULAR, EXIT_AUDIT)
+    if any(item.startswith("tol_") for group in extreme for item in group):
+        assert code == EXIT_CONFIG
 
 
 def test_zero_effective_quadratic_coefficient_is_a_config_error(tmp_path):

@@ -61,8 +61,8 @@ def _level_pairs():
     g = GridSpec(8, 8)
     p = PhysParams()
     s0 = initial_state(g, p)
-    coarse = [new for _, new in _iterate("msav1", s0, p, 0.01, 2, 1e-12, 1e-11)]
-    fine = [new for _, new in _iterate("msav1", s0, p, 0.005, 4, 1e-12, 1e-11)]
+    coarse = [new for _, new in _iterate("msav1", s0, p, 0.01, 2)]
+    fine = [new for _, new in _iterate("msav1", s0, p, 0.005, 4)]
     return list(zip(coarse, fine[1::2]))
 
 
@@ -406,7 +406,7 @@ def test_audit_step_law_follows_the_state():
 def _audited_pairs(scheme, grid, n_steps, dt=0.01):
     """(prev, new, step_dt) of every audited step of a run: each msav2 bootstrap substep, then each level."""
     p, pairs = PhysParams(), []
-    for _ in _iterate(scheme, initial_state(grid, p), p, dt, n_steps, 1e-12, 1e-11,
+    for _ in _iterate(scheme, initial_state(grid, p), p, dt, n_steps,
                       on_step=lambda prev, new, step_dt: pairs.append((prev, new, step_dt))):
         pass
     return p, pairs

@@ -200,7 +200,7 @@ def test_advect_scalar_constant_field_divfree():
     # make w discretely divergence-free by removing its gradient part
     from chns.elliptic import project
 
-    w, _ = project(w, 1.0)
+    w, _, _ = project(w, 1.0)
     out = advect_scalar(w, CellField.full(g, 4.2))
     assert np.max(np.abs(out.data)) <= 1e-12
 

@@ -220,7 +220,7 @@ def test_one_step_local_error_is_third_order():
         dt_fine = dt / 8.0
         n_fine = 40  # reaches t = 5 dt
         states = [None] * (n_fine + 1)
-        for k, new in _iterate("msav2", s0, p, dt_fine, n_fine, 1e-12, 1e-11):
+        for k, new in _iterate("msav2", s0, p, dt_fine, n_fine):
             states[k] = new
         a, m = 32, 8  # t_star = 4 dt, history at t_star - dt
         cur, prev = states[a], states[a - m]
