@@ -20,8 +20,9 @@ tol_helmholtz exits 2 as an unknown key.
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
 system, 5 audit violation.  Every value, each ladder dt, the step coefficients
 at each dt the command runs (mobility * k, viscosity * k and the phase
-symbol's extreme), the initial data of either init kind (finite mu, r, energy
-and |F'(phi)|^2, E1 + delta above its floor) and outdir are checked before the
+symbol's extreme and its square), the initial data of either init kind (finite
+mu, r, energy, |F'(phi)|^2, |mu grad phi|^2 and |(u.grad)u|^2, E1 + delta above
+its floor) and outdir are checked before the
 first step: an unusable one exits 2, as does a config, snapshot or output file
 that cannot be read, created or written, mid-run included.  main alone maps
 errors to exit codes, naming the step and dt of a failure inside a run, whose
@@ -58,7 +59,10 @@ from .grid import (
     CellField,
     GridSpec,
     MacVector,
+    advect_velocity,
+    chemical_force,
     dot_cell,
+    dot_face,
     read_field_bin,
     read_field_csv,
     write_field_bin,
@@ -196,14 +200,17 @@ def build_config(raw_overrides: dict) -> RunConfig:
 
 def _check_step_sizes(cfg: RunConfig, dts) -> None:
     """The step coefficients of every step size k the scheme takes at each dt of dts (msav1's dt,
-    msav2's 2dt/3 and its bootstrap's substep) must be positive and finite."""
+    msav2's 2dt/3 and its bootstrap's substep) must be positive and finite, and so must the
+    square of the phase symbol's extreme, the scale of the phase residual check's norms."""
     lam = float(cell_laplacian_symbol(cfg.grid)[-1, -1])  # lap_cell's most negative eigenvalue
     for dt in dts:
         for k in (dt,) if cfg.scheme == "msav1" else (2.0 * dt / 3.0, dt / BOOTSTRAP_SUBSTEPS):
             mobility_k = cfg.params.mobility * k
             extreme = 1.0 + mobility_k * lam * (lam - cfg.params.gamma_eff)  # >= 1, peaks at the most negative lam
+            symbol = "the phase symbol 1 + mobility * k * lam * (lam - gamma_eff)"
             for name, value in (("mobility * k", mobility_k), ("viscosity * k", cfg.params.viscosity * k),
-                                ("the phase symbol 1 + mobility * k * lam * (lam - gamma_eff)", extreme)):
+                                (symbol, extreme), (f"the square of {symbol}, which the phase residual takes,",
+                                                    extreme * extreme)):
                 if not 0.0 < value < math.inf:
                     raise ConfigError(f"{name} = {value!r} for k = {k!r} (dt = {dt!r}) must be positive and finite")
 
@@ -233,18 +240,22 @@ def _read_initial_fields(cfg: RunConfig):
 
 def _load_initial_state(cfg: RunConfig):
     """The level-0 state of cfg.init, with the same checks for either kind: a finite chemical
-    potential, r, total energy and |F'(phi)|^2 (which the first step's residuals square), and
-    E1 + delta above its floor.  Then cfg.outdir is created for the run's files."""
+    potential, r, total energy, and |F'(phi)|^2, |mu grad phi|^2 and |(u.grad)u|^2 (the explicit
+    terms the first step's residuals and 2x2 pairings square), and E1 + delta above its floor.
+    Then cfg.outdir is created for the run's files."""
     try:
         with np.errstate(all="ignore"):  # an overflow is reported below as a non-finite value
             state = (initial_state(cfg.grid, cfg.params) if cfg.init == "paper5"
                      else state_from_fields(cfg.params, *_read_initial_fields(cfg)))
             f_prime = potential_f_prime(state.phi, cfg.params)
-            scalars = (state.r, total_energy(state, cfg.params), dot_cell(f_prime, f_prime))
+            chem, conv = chemical_force(state.mu, state.phi), advect_velocity(state.u)
+            scalars = (state.r, total_energy(state, cfg.params), dot_cell(f_prime, f_prime), dot_face(chem, chem),
+                       dot_face(conv, conv))
     except (InputDataError, DimensionMismatchError, StateError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
     if not (np.isfinite(state.mu.data).all() and all(map(math.isfinite, scalars))):
-        raise ConfigError("the initial data have a non-finite chemical potential, r, total energy or |F'(phi)|^2")
+        raise ConfigError("the initial data have a non-finite chemical potential, r, total energy, |F'(phi)|^2, "
+                          "|mu grad phi|^2 or |(u.grad)u|^2")
     os.makedirs(cfg.outdir, exist_ok=True)
     return state
 

@@ -17,9 +17,14 @@ Both transforms are orthonormal, so by Parseval dot_cell/dot_face (of face
 fields with zero wall entries) is cell_area times the plain sum over
 coefficients.  The time step therefore uses the pieces of each transform
 solve directly: forward transform, inverse symbol, inverse transform and
-residual check, and of the solvers only the pressure projection.  The test
+residual check, and of the solvers only the pressure projection.  The
+forward transforms take a stack of right-hand sides of one operator in one
+call per axis (face_transform of several vectors, cell_transform of a
+stacked array), each slice bitwise the single call, and the phase check
+has a mu form (ch_mu_residual) that costs one cell Laplacian.  The test
 suite holds those pieces to dense LU solves and to a conjugate-gradient
-reference (tests/oracle_tools.py).
+reference (tests/oracle_tools.py).  Every transform goes through the
+module-level names dctn, idctn, dst and idst.
 
 The module keeps no state beyond its symbol caches: solvers are pure functions
 of their right-hand side, safe to call concurrently, and transform with
@@ -132,8 +137,9 @@ def helmholtz_inv_symbol(grid: GridSpec, spec: HelmholtzSpec):
 
 
 def cell_transform(a: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II coefficients of cell data."""
-    return dctn(a, type=2, norm="ortho")
+    """Orthonormal DCT-II coefficients of cell data over the last two axes of a:
+    one field, or a stack of fields along its first axis, in one call."""
+    return dctn(a, type=2, norm="ortho", axes=(-2, -1))
 
 
 def cell_inverse(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -146,13 +152,17 @@ def _interior(w: MacVector):
     return w.u[1:-1, :], w.v[:, 1:-1]
 
 
-def face_transform(w: MacVector):
-    """Orthonormal coefficients of the interior entries of a face vector, as
-    a (u, v) pair; on-wall entries are boundary data and are dropped."""
+def face_transform(*ws: MacVector):
+    """Orthonormal coefficients of the interior entries of face vectors, as a
+    (u, v) pair; on-wall entries are boundary data and are dropped.  Of one
+    vector each component is its coefficient array; of several, the stack of
+    theirs along the first axis, in the order of ws, at one dst call per
+    component and axis."""
     out = []
-    for a, (tx, ty) in zip(_interior(w), _FACE_TYPES):
-        a = dst(a, type=tx, axis=0, norm="ortho")
-        out.append(dst(a, type=ty, axis=1, norm="ortho", overwrite_x=True))
+    for parts, (tx, ty) in zip(zip(*map(_interior, ws)), _FACE_TYPES):
+        a = dst(np.stack(parts), type=tx, axis=-2, norm="ortho", overwrite_x=True)  # in place on the stack
+        a = dst(a, type=ty, axis=-1, norm="ortho", overwrite_x=True)
+        out.append(a if len(ws) > 1 else a[0])
     return out
 
 
@@ -170,8 +180,8 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
 # ---------------------------------------------------------------------------
 
 
-def apply_ch_operator(spec: ChOperatorSpec, phi: CellField, lap_phi: CellField | None = None) -> CellField:
-    lp = lap_cell(phi) if lap_phi is None else lap_phi
+def apply_ch_operator(spec: ChOperatorSpec, phi: CellField) -> CellField:
+    lp = lap_cell(phi)
     out = lap_cell(lp)  # phi + a lap^2 phi - a g lap phi, in place on lap^2 phi
     out.data *= spec.mobility_dt
     out.data += phi.data
@@ -210,14 +220,33 @@ def _checked(defect_norm, op_norm, x_norm, rhs_norm, tol, mean_defect=0.0):
     return report
 
 
-def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField, lap_phi: CellField | None = None):
-    """Check phi as a solve of the phase operator against rhs, reusing lap_phi = lap_cell(phi)
-    if given; returns the SolveReport, or raises SolverConvergenceError above TOL_HELMHOLTZ."""
-    lb = _lap_norm_bound(phi.grid)
-    op_norm = 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
-    defect = apply_ch_operator(spec, phi, lap_phi)
+def _ch_op_norm(spec: ChOperatorSpec, grid: GridSpec) -> float:
+    lb = _lap_norm_bound(grid)
+    return 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
+
+
+def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField):
+    """Check phi as a solve of the phase operator against rhs; returns the
+    SolveReport, or raises SolverConvergenceError above TOL_HELMHOLTZ."""
+    defect = apply_ch_operator(spec, phi)
     defect.data -= rhs.data
-    return _checked(norm_l2_cell(defect), op_norm, norm_l2_cell(phi), norm_l2_cell(rhs), TOL_HELMHOLTZ)
+    return _checked(norm_l2_cell(defect), _ch_op_norm(spec, phi.grid), norm_l2_cell(phi), norm_l2_cell(rhs),
+                    TOL_HELMHOLTZ)
+
+
+def ch_mu_residual(spec: ChOperatorSpec, phi: CellField, mu: CellField, rhs: CellField):
+    """Check a phase solve in its mu form  phi - mobility_dt*lap(mu) = rhs, where
+    mu = -lap(phi) + gamma_eff*phi + f for the f that rhs leaves out: with
+    rhs = phi* - k*xi1*adv and f = xi1*F', the same equation as the phase
+    operator's  A phi = phi* + xi1*(mobility_dt*lap(F') - k*adv), at one cell
+    Laplacian.  The backward error is taken over ||A|| ||phi|| alone, never a
+    larger denominator than ch_residual's.  Returns the SolveReport, or raises
+    SolverConvergenceError above TOL_HELMHOLTZ."""
+    defect = lap_cell(mu)
+    defect.data *= -spec.mobility_dt
+    defect.data += phi.data
+    defect.data -= rhs.data
+    return _checked(norm_l2_cell(defect), _ch_op_norm(spec, phi.grid), norm_l2_cell(phi), 0.0, TOL_HELMHOLTZ)
 
 
 def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w: MacVector | None = None):

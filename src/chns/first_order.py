@@ -30,7 +30,14 @@ the phase operator, DST-I x DST-II for the velocity operator), so the step
 never leaves transform space until the end: the ten pairings of the 2x2
 system are weighted coefficient sums (Parseval), the families are recombined
 on coefficients, and each operator costs one inverse transform and one
-residual check of the field the step keeps.
+residual check of the field the step keeps.  Each new field is transformed
+once: the velocity right-hand sides (rhs0, chem, conv) as one stack and F'
+and adv as another, while phi* is not transformed at all, since every level
+carries phi_hat, the coefficients its step inverted into phi (msav2 lags at
+(4 phi_hat - phi_hat_prev)/3).  A step thus makes 12 transform calls: 4
+forward and 4 inverse face passes, 1 forward and 1 inverse cell transform,
+and the projection's 2.  The phase solve is checked in its mu form
+phi - phi* - k M lap mu + k xi1 adv = 0, with the mu the level stores.
 
 The recombined u~ = u~_0 + xi1 u~_1 + xi2 u~_2 is projected once,
 u^{n+1} = u~ - k grad psi with lap psi = div u~ / k, which equals projecting
@@ -55,7 +62,7 @@ from .elliptic import (
     cell_laplacian_symbol,
     cell_transform,
     ch_inv_symbol,
-    ch_residual,
+    ch_mu_residual,
     face_inverse,
     face_transform,
     helmholtz_inv_symbol,
@@ -143,46 +150,46 @@ def assemble_xi_system(lag, ch_pairs, vel_pairs, sq: float, params: PhysParams, 
     return XiSystem(a0=a0, a1=a1, a2=a2, b0=b0, b1=b1, b2=b2)
 
 
-def _wsum(weight, a, b) -> float:
-    return float(np.einsum("ij,ij,ij->", weight, a, b))  # sum(weight * a * b), no temporaries
-
-
-def phase_families(lag, terms: ExplicitTerms, spec: ChOperatorSpec, k: float):
-    """DCT coefficients of the phase families phi0 (carrying lag.phi) and
-    phi1 (carrying k(M lap F' - adv)), and their pairings ((F', phi0 - phi*),
-    (F', phi1), (mu0, adv), (mu1, adv)), with mu_i = (gamma_eff - lam) phi_i
-    (+ F' for family 1).  A pairing is taken once its factors exist, so only
-    the two family arrays outlive the call."""
-    g = lag.phi.grid
+def phase_families(lag_hat: np.ndarray, terms: ExplicitTerms, spec: ChOperatorSpec, k: float):
+    """DCT coefficients of the phase families phi0 (carrying phi*, whose
+    coefficients lag_hat are read and left unchanged) and phi1 (carrying
+    k(M lap F' - adv)), and their pairings ((F', phi0 - phi*), (F', phi1),
+    (mu0, adv), (mu1, adv)), with mu_i = (gamma_eff - lam) phi_i (+ F' for
+    family 1).  F' and adv are transformed as one stack, and a pairing is
+    taken once its factors exist, so only the two family arrays outlive the call."""
+    g = terms.f_prime.grid
     inv, lam, ge = ch_inv_symbol(g, spec), cell_laplacian_symbol(g), spec.gamma_eff
-    f_hat, adv_hat = cell_transform(terms.f_prime.data), cell_transform(terms.adv.data)
+    f_hat, adv_hat = cell_transform(np.stack((terms.f_prime.data, terms.adv.data)))
+    lam_adv = lam * adv_hat
     phi1 = (spec.mobility_dt * lam) * f_hat
     phi1 -= k * adv_hat
     phi1 *= inv
     f_phi1 = float(np.vdot(f_hat, phi1))
-    mu1_adv = ge * float(np.vdot(phi1, adv_hat)) - _wsum(lam, phi1, adv_hat) + float(np.vdot(f_hat, adv_hat))
-    lag_hat = cell_transform(lag.phi.data)
+    mu1_adv = ge * float(np.vdot(phi1, adv_hat)) - float(np.vdot(phi1, lam_adv)) + float(np.vdot(f_hat, adv_hat))
     phi0 = inv * lag_hat
-    f_dphi0 = float(np.vdot(f_hat, np.subtract(phi0, lag_hat, out=lag_hat)))
-    mu0_adv = ge * float(np.vdot(phi0, adv_hat)) - _wsum(lam, phi0, adv_hat)
+    mu0_adv = ge * float(np.vdot(phi0, adv_hat)) - float(np.vdot(phi0, lam_adv))
+    f_dphi0 = float(np.vdot(f_hat, np.subtract(phi0, lag_hat, out=lam_adv)))  # lam adv is read no more
     return phi0, phi1, tuple(g.cell_area * x for x in (f_dphi0, f_phi1, mu0_adv, mu1_adv))
 
 
 def velocity_families(rhs0: MacVector, terms: ExplicitTerms, spec: HelmholtzSpec, k: float):
-    """Face coefficients of rhs0, chem and conv, and the pairings
-    ((u~_i, chem), (conv, u~_i)) of u~_0 = H^-1 rhs0, u~_1 = H^-1 (k chem)
-    and u~_2 = H^-1 (-k conv): H is symmetric, so five sums weighted by its
-    inverse symbol give all six."""
+    """Face coefficients of rhs0, chem and conv, as one (u, v) pair of stacks,
+    and the pairings ((u~_i, chem), (conv, u~_i)) of u~_0 = H^-1 rhs0,
+    u~_1 = H^-1 (k chem) and u~_2 = H^-1 (-k conv): H is symmetric, so five
+    sums against sym*c and sym*v, sym its inverse symbol, give all six."""
     g = rhs0.grid
-    sym = helmholtz_inv_symbol(g, spec)
-    hats = w_hat, c_hat, v_hat = face_transform(rhs0), face_transform(terms.chem), face_transform(terms.conv)
-
-    def pair(a, b):
-        return g.cell_area * (_wsum(sym[0], a[0], b[0]) + _wsum(sym[1], a[1], b[1]))
-
-    cv = pair(c_hat, v_hat)
-    return hats, ((pair(w_hat, c_hat), k * pair(c_hat, c_hat), -k * cv),
-                  (pair(v_hat, w_hat), k * cv, -k * pair(v_hat, v_hat)))
+    hats = face_transform(rhs0, terms.chem, terms.conv)
+    wc = cc = cv = vw = vv = 0.0
+    for (w_hat, c_hat, v_hat), sym in zip(hats, helmholtz_inv_symbol(g, spec)):
+        s = sym * c_hat
+        wc += float(np.vdot(w_hat, s))
+        cc += float(np.vdot(c_hat, s))
+        cv += float(np.vdot(v_hat, s))
+        s = np.multiply(sym, v_hat, out=s)
+        vw += float(np.vdot(w_hat, s))
+        vv += float(np.vdot(v_hat, s))
+    wc, cc, cv, vw, vv = (g.cell_area * x for x in (wc, cc, cv, vw, vv))
+    return hats, ((wc, k * cc, -k * cv), (vw, k * cv, -k * vv))
 
 
 def solve_xi(sys: XiSystem):
@@ -204,11 +211,16 @@ def zero_mean(p: CellField) -> CellField:
     return p
 
 
-def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float) -> SchemeState:
+def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: PhysParams, k: float,
+                   t_new: float) -> SchemeState:
     """The step both orders share: the substep families at effective step k
-    from the lagged level lag (phi, u, p, r, q), explicit terms at the
-    extrapolated level bar (phi, mu, u), the 2x2 recombination, one inverse
-    transform and one residual check per operator, and one projection.
+    from the lagged level lag (phi, p, r, q), the DCT coefficients lag_hat
+    of lag.phi and the momentum right-hand side rhs_u = u* - k grad p*,
+    which the step consumes (a caller that builds lag_hat and rhs_u in the
+    call hands over their only references, so each goes after its last
+    use), explicit terms at the extrapolated level bar (phi, mu, u), the 2x2
+    recombination, one inverse transform and one residual check per
+    operator, and one projection.
 
     Returns the new level and div u~.  The level's pressure is lag.p + psi,
     before the caller's own correction and zero-mean normalization; it carries
@@ -222,18 +234,22 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float) -> Sche
     ch_spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
     h_spec = HelmholtzSpec(visc_dt=params.viscosity * k)
 
-    phi_hat, phi1_hat, ch_pairs = phase_families(lag, terms, ch_spec, k)
-    rhs_u = minus_scaled_grad(lag.u, k, lag.p)
-    (w_hat, c_hat, v_hat), vel_pairs = velocity_families(rhs_u, terms, h_spec, k)
+    phi_hat, phi1_hat, ch_pairs = phase_families(lag_hat, terms, ch_spec, k)
+    del lag_hat
+    hats, vel_pairs = velocity_families(rhs_u, terms, h_spec, k)
     xi1, xi2 = solve_xi(assemble_xi_system(lag, ch_pairs, vel_pairs, terms.sq, params, k, t_new))
 
     # recombine on coefficients, then one inverse transform and one residual check per operator,
     # the velocity first; each array is updated in place at its last use, as the step sets a run's peak memory
-    for w, c, v, s in zip(w_hat, c_hat, v_hat, helmholtz_inv_symbol(g, h_spec)):
-        w += np.multiply(c, xi1 * k, out=c)
-        w -= np.multiply(v, xi2 * k, out=v)
-        w *= s
-    del c_hat, v_hat
+    w_hat = []
+    for sym in helmholtz_inv_symbol(g, h_spec):
+        w, c, v = hats.pop(0)  # a component's stack, freed before face_inverse: a is an array of its own
+        a = np.multiply(c, xi1 * k)
+        a += w
+        a -= np.multiply(v, xi2 * k, out=v)
+        a *= sym
+        w_hat.append(a)
+    del hats, w, c, v
     ut_new = face_inverse(g, w_hat)
     del w_hat
     for a, c, v in zip(rhs_u.arrays, terms.chem.arrays, terms.conv.arrays):
@@ -245,28 +261,23 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float) -> Sche
     del rhs_u
     grad_ut_sq = -dot_face(lap_ut, ut_new)
     del lap_ut
-    phi_hat += np.multiply(phi1_hat, xi1, out=phi1_hat)
+    phi_hat += np.multiply(phi1_hat, xi1, out=phi1_hat)  # the level's phi_hat
     del phi1_hat
-    phi = CellField(g, cell_inverse(phi_hat, overwrite_x=True))
-    del phi_hat
-    lap_phi = lap_cell(phi)  # shared by the residual check and mu
-    rhs_phi = lap_cell(terms.f_prime)  # lag.phi + xi1 (k M lap F' - k adv)
-    rhs_phi.data *= params.mobility * k
-    rhs_phi.data -= np.multiply(terms.adv.data, k, out=terms.adv.data)
-    rhs_phi.data *= xi1
-    rhs_phi.data += lag.phi.data
-    ch_report = ch_residual(ch_spec, phi, rhs_phi, lap_phi=lap_phi)
-    del rhs_phi
-    mu = lap_phi  # -lap phi + gamma_eff phi + xi1 F'
+    phi = CellField(g, cell_inverse(phi_hat))
+    mu = lap_cell(phi)  # -lap phi + gamma_eff phi + xi1 F'
     mu.data *= -1.0
     mu.data += params.gamma_eff * phi.data
     mu.data += np.multiply(terms.f_prime.data, xi1, out=terms.f_prime.data)
+    rhs_mu = terms.adv  # phi* - k xi1 adv, the right-hand side of the mu form
+    rhs_mu.data *= -k * xi1
+    rhs_mu.data += lag.phi.data
+    ch_report = ch_mu_residual(ch_spec, phi, mu, rhs_mu)
     r_new, q_new = xi1 * terms.sq, xi2 * exp(-t_new / params.horizon)
-    del lap_phi, terms
+    del rhs_mu, terms
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
     u_new, psi, p_report = project(ut_new, k, div_w=div_ut)
     psi.data += lag.p.data  # the level's pressure lag.p + psi
-    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, r=r_new, q=q_new,
+    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, r=r_new, q=q_new, phi_hat=phi_hat,
                       reports=(ch_report, h_report, p_report), grad_ut_sq=grad_ut_sq,
                       div_ut_sq=dot_cell(div_ut, div_ut))
     return new, div_ut
@@ -275,6 +286,7 @@ def decoupled_step(lag, bar, params: PhysParams, k: float, t_new: float) -> Sche
 def step_first_order(state: SchemeState, params: PhysParams, dt: float) -> SchemeState:
     """Advance one backward-Euler level: the shared step with k = dt, the state
     itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new = decoupled_step(state, state, params, dt, state.t + dt)[0]
+    new = decoupled_step(state, state.phi_hat, minus_scaled_grad(state.u, dt, state.p), state, params, dt,
+                         state.t + dt)[0]
     zero_mean(new.p)
     return new

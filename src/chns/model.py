@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import cell_transform
 from .errors import StateError
 from .grid import CellField, GridSpec, MacVector, lap_cell
 
@@ -98,6 +99,7 @@ class SchemeState:
     p: CellField  # zero-mean pressure
     r: float  # tracks sqrt(E1(phi) + delta)
     q: float  # tracks exp(-t/T)
+    phi_hat: np.ndarray  # phi's DCT coefficients, the ones its step inverted (cell_transform(phi) to rounding)
     reports: tuple = ()  # residual-check SolveReports of the step that produced this level
     # <-lap u~, u~> and |div u~|^2 of u_tilde, from that step's own operator applications; NaN on a
     # level no step produced (initial data), which the audit only ever sees as the earlier level
@@ -116,6 +118,7 @@ class SchemeState2(SchemeState):
     H = p + g is formed from it when needed."""
 
     phi_prev: CellField
+    phi_hat_prev: np.ndarray
     mu_prev: CellField
     u_prev: MacVector
     r_prev: float
@@ -128,12 +131,14 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
 
     The chemical potential is evaluated from phi with the auxiliary ratio at
     its exact initial value r0/sqrt(E1+delta) = 1, which the first step's
-    forcing terms require; r0 = sqrt(E1(phi)+delta) and q0 = 1.
+    forcing terms require; r0 = sqrt(E1(phi)+delta) and q0 = 1.  phi_hat is
+    phi's DCT, which the first step lags at; every later level carries the
+    coefficients its step inverted.
     """
     mu = _chemical_potential(phi, params)
     r0 = sqrt_aux_energy(phi, params)
     return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
-                       r=r0, q=1.0)
+                       r=r0, q=1.0, phi_hat=cell_transform(phi.data))
 
 
 def initial_state(grid: GridSpec, params: PhysParams) -> SchemeState:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from .first_order import decoupled_step, step_first_order, zero_mean
-from .grid import div_face_to_cell
+from .grid import div_face_to_cell, minus_scaled_grad
 from .model import PhysParams, SchemeState, SchemeState2
 
 
@@ -54,7 +54,8 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, trace=None) ->
     substep's trace.
     """
     sub_dt = dt / BOOTSTRAP_SUBSTEPS
-    history = dict(phi_prev=state0.phi, mu_prev=state0.mu, u_prev=state0.u, r_prev=state0.r, q_prev=state0.q)
+    history = dict(phi_prev=state0.phi, phi_hat_prev=state0.phi_hat, mu_prev=state0.mu, u_prev=state0.u,
+                   r_prev=state0.r, q_prev=state0.q)
     s1 = state0
     del state0
     for _ in range(BOOTSTRAP_SUBSTEPS):
@@ -90,14 +91,17 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> Sch
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
     correction and the g bookkeeping."""
+    k = 2.0 * dt / 3.0
     lag = SimpleNamespace(phi=combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
-                          u=combine(4.0, state.u, state.u_prev, 1.0 / 3.0),
                           r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
-    new, div_ut = decoupled_step(lag, extrapolants(state), params, 2.0 * dt / 3.0, state.t + dt)
+    # the lagged coefficients and the momentum right-hand side are built in the call, which holds their only references
+    new, div_ut = decoupled_step(lag, (4.0 * state.phi_hat - state.phi_hat_prev) * (1.0 / 3.0),
+                                 minus_scaled_grad(combine(4.0, state.u, state.u_prev, 1.0 / 3.0), k, state.p),
+                                 extrapolants(state), params, k, state.t + dt)
     del lag
     div_ut.data *= params.viscosity  # nu div u~, in place on the step's own array
     new.p.data -= div_ut.data
     zero_mean(new.p)
     div_ut.data += state.g.data  # g^{n+1} = g^n + nu div u~
-    return SchemeState2(**vars(new), phi_prev=state.phi, mu_prev=state.mu, u_prev=state.u, r_prev=state.r,
-                        q_prev=state.q, g=div_ut)
+    return SchemeState2(**vars(new), phi_prev=state.phi, phi_hat_prev=state.phi_hat, mu_prev=state.mu,
+                        u_prev=state.u, r_prev=state.r, q_prev=state.q, g=div_ut)

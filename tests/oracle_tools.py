@@ -20,6 +20,7 @@ from math import exp
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.fft import dctn, dst
 
 from chns.diagnostics import EnergyAudit, ErrorRecord, _iterate, grad_energy_velocity, mass
 from chns.elliptic import (
@@ -240,6 +241,21 @@ def ref_apply_helmholtz_operator(spec, w):
     out.u[[0, -1], :] = w.u[[0, -1], :]
     out.v[:, [0, -1]] = w.v[:, [0, -1]]
     return out
+
+
+def ref_face_transform(w):
+    """The per-vector face transform the stacked one replaced: an out-of-place
+    DST pass over the interior view of each component, then an in-place one."""
+    out = []
+    for a, (tx, ty) in zip((w.u[1:-1, :], w.v[:, 1:-1]), ((1, 2), (2, 1))):
+        a = dst(a, type=tx, axis=0, norm="ortho")
+        out.append(dst(a, type=ty, axis=1, norm="ortho", overwrite_x=True))
+    return out
+
+
+def ref_cell_transform(a):
+    """The per-field cell transform the stacked one replaced."""
+    return dctn(a, type=2, norm="ortho")
 
 
 def with_signed_zeros(rng, shape):
@@ -715,10 +731,12 @@ def three_projection_first_order(state, params, dt):
     xi1, xi2 = solve_xi(_bdf1_xi_system(state, sub, params, dt, terms))
     u, p = _project_each_family(state.p, (sub.ut0, sub.ut1, sub.ut2), xi1, xi2, dt, 0.0)
     t_new = state.t + dt
+    phi = sub.phi0 + xi1 * sub.phi1
     return SchemeState(
-        t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u,
+        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u,
         u_tilde=sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2, p=p,
         r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon),
+        phi_hat=cell_transform(phi.data),
     )
 
 
@@ -733,10 +751,11 @@ def three_projection_second_order(state2, params, dt):
     t_new = state2.t + dt
     ut = sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2
     g = state2.g + nu * div_face_to_cell(ut)
+    phi = sub.phi0 + xi1 * sub.phi1
     return SchemeState2(
-        t=t_new, phi=sub.phi0 + xi1 * sub.phi1, mu=sub.mu0 + xi1 * sub.mu1, u=u, u_tilde=ut, p=p,
-        r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon),
-        phi_prev=state2.phi, mu_prev=state2.mu, u_prev=state2.u,
+        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u, u_tilde=ut, p=p,
+        r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon), phi_hat=cell_transform(phi.data),
+        phi_prev=state2.phi, phi_hat_prev=state2.phi_hat, mu_prev=state2.mu, u_prev=state2.u,
         r_prev=state2.r, q_prev=state2.q, g=g,
     )
 

@@ -120,16 +120,19 @@ def test_every_documented_key_lands_on_its_attribute(key):
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge", "audit"])
-@pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150", "beta=1e300",
+@pytest.mark.parametrize("setting", ["epsilon=1e150", "epsilon=1e-77", "epsilon=1e-150", "beta=1e300", "gamma=1e156",
                                      "outdir=", "outdir={file}", "outdir={file}/sub",
                                      "nx", "nx=eight", "scheme=msav3", "ladder=0.1,x", "t_final=-1",
                                      "snapshot_every=-1", "ladder=0,1"])
 def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch, capsys, command, setting):
     """epsilon = 1e150 leaves E1 + delta under its floor, 1e-77 or 1e-150 make
-    |F'(phi0)|^2 overflow, and beta = 1e300 the total energy's beta^2; an
-    outdir that cannot be created fails the same way, and so do a setting
-    without '=', an integer, choice or ladder that does not parse, and a
-    ladder entry, t_final or snapshot_every out of range."""
+    |F'(phi0)|^2 overflow, beta = 1e300 the total energy's beta^2, and
+    gamma = 1e156 |mu grad phi|^2, which the 2x2 pairings square (it ended in
+    a singular system at step 1; at audit's dt = 0.1 the phase symbol's
+    square overflows first); an outdir that cannot be created fails the same
+    way, and so do a setting without '=', an integer, choice or ladder that
+    does not parse, and a ladder entry, t_final or snapshot_every out of
+    range."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     code = run_cli(command, "--set", "nx=8", "--set", "ny=8", "--set", "init=paper5", "--set", "outdir=out",
@@ -153,6 +156,10 @@ def test_unusable_initial_data_or_outdir_is_a_config_error(tmp_path, monkeypatch
     ("converge", ["viscosity=1e-323", "dt=0.5", "ladder=0.5", "t_final=0.5", "horizon_T=1"], "(dt = 0.25)"),
     ("converge", ["scheme=msav2", "viscosity=2.5e-323", "dt=0.5", "ladder=0.5", "t_final=0.5", "horizon_T=1"],
      "(dt = 0.25)"),
+    ("simulate", ["mobility=1e200", "t_final=1e-3"], "the square of the phase symbol"),
+    ("simulate", ["gamma=1e300"], "the square of the phase symbol"),
+    ("simulate", ["scheme=msav2", "gamma=1e307"], "the square of the phase symbol"),
+    ("converge", ["gamma=1e305"], "the square of the phase symbol"),
 ])
 def test_a_step_coefficient_out_of_range_is_a_config_error(tmp_path, capsys, command, sets, key):
     """mobility * k and viscosity * k must be positive and finite for every step
@@ -163,7 +170,10 @@ def test_a_step_coefficient_out_of_range_is_a_config_error(tmp_path, capsys, com
     2.5e-323 * 0.25/4 (msav2's bootstrap) underflow.  So must the phase symbol
     1 + mobility k lam (lam - gamma_eff), which mobility = 1e30 and
     gamma = 1e300 overflow, and mobility = 1e7 at the audit's default dt = 0.1
-    only; dt must be positive."""
+    only, and its square, the scale of the phase residual's norms, which
+    mobility = 1e200 or gamma = 1e300 (msav2 1e307, converge 1e305) alone
+    overflow on 8x8 (they ended in a NaN residual at step 1); dt must be
+    positive."""
     args = [arg for item in ["nx=8", "ny=8", f"outdir={tmp_path}", *sets] for arg in ("--set", item)]
     assert run_cli(command, *args) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -174,17 +184,17 @@ def test_a_step_coefficient_out_of_range_is_a_config_error(tmp_path, capsys, com
 def test_only_the_step_sizes_a_run_takes_are_checked(tmp_path):
     """msav1 takes k = dt only, so viscosity = 5e-320 at dt = 1e-4 passes there;
     msav2's bootstrap substep dt/4 underflows it.  simulate checks its own dt
-    alone: mobility = 1e305 on 8x8 overflows the phase symbol at the audit's
-    default dt = 0.1, not at dt = 1e-3."""
+    alone: mobility = 1e150 on 8x8 overflows the square of the phase symbol
+    at the audit's default dt = 0.1, not at dt = 1e-3."""
     sets = {"nx": "8", "ny": "8", "viscosity": "5e-320", "dt": "1e-4", "t_final": "1e-4"}
     cli._check_step_sizes(build_config({**sets, "scheme": "msav1"}), (1e-4,))
     with pytest.raises(ConfigError, match="viscosity"):
         cli._check_step_sizes(build_config({**sets, "scheme": "msav2"}), (1e-4,))
-    cfg = build_config({"nx": "8", "ny": "8", "mobility": "1e305"})
+    cfg = build_config({"nx": "8", "ny": "8", "mobility": "1e150"})
     cli._check_step_sizes(cfg, (cfg.dt,))
     with pytest.raises(ConfigError, match="phase symbol"):
         cli._check_step_sizes(cfg, (0.1,))
-    code = run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", "mobility=1e305",
+    code = run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", "mobility=1e150",
                    "--set", "t_final=1e-3", "--set", f"outdir={tmp_path}")
     assert code != EXIT_CONFIG
 
@@ -549,6 +559,20 @@ def test_non_finite_initial_energy_rejected_at_load(tmp_path, key):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_initial_convection_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    """u = 1e100 off the walls has a finite energy, but |(u.grad)u|^2, which the
+    2x2 pairings square, overflows: a config error at load (it ended in a NaN
+    residual at step 1)."""
+    paths = _rest_snapshots(tmp_path)
+    u = np.full((9, 8), 1e100)
+    u[[0, -1], :] = 0.0
+    write_field_csv(paths["init_u"], GridSpec(8, 8), "face_u", u)
+    assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
+    assert "|(u.grad)u|^2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_initial_data_at_the_potential_minimum_is_a_config_error(tmp_path):
     """phi = sqrt(1 + beta) everywhere with delta = 0 leaves E1 + delta ~ 0, where
     r/sqrt(E1 + delta) is undefined: an input error at load, not a solver failure."""
@@ -568,6 +592,7 @@ _EXTREME = (
     ("viscosity=5e-324", "dt=1e-6", "t_final=1e-6", "ladder=1e-6"),
     ("viscosity=5e-320", "dt=1e-4", "t_final=1e-4", "ladder=1e-4"),
     ("epsilon=1e-160",), ("mobility=1e300",), ("viscosity=1e300",), ("horizon_T=1e-300",), ("dt=0",),
+    ("mobility=1e200",), ("mobility=1e150",), ("gamma=1e300", "mobility=1e-300"),
     ("tol_poisson=1e300",), ("tol_helmholtz=1e300", "tol_poisson=1e-12"),
 )
 
@@ -598,8 +623,10 @@ def test_main_returns_an_exit_code_and_never_raises(
     """Valid physical values, hostile config values, the extremes that once
     ended in a traceback or a warning (beta = 1e300, viscosity * k
     underflowing, mobility = 1e30 with gamma = 1e300 overflowing the phase
-    symbol), the removed tol_* keys and corrupted snapshot bytes end in a
-    documented exit code, with no warning.  The grid is 4-8 cells a side, dt
+    symbol) or in a NaN residual (mobility = 1e200 squaring the symbol past
+    DBL_MAX, gamma = 1e300 with mobility = 1e-300 the pairings; mobility =
+    1e150 still solves), the removed tol_* keys and corrupted snapshot bytes
+    end in a documented exit code, with no warning.  The grid is 4-8 cells a side, dt
     is t_final over a few steps and the ladder holds dt over 1, 2 or 4, so no
     example runs long; one key may be replaced by junk."""
     dt = float(t_final) / steps

@@ -40,6 +40,8 @@ from oracle_tools import (
     pack_face,
     ref_apply_ch_operator,
     ref_apply_helmholtz_operator,
+    ref_cell_transform,
+    ref_face_transform,
     ref_minus_scaled_grad,
     solve_ch_system,
     solve_velocity_helmholtz,
@@ -297,16 +299,43 @@ def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx
     assert field_bytes(u) == field_bytes(ref_minus_scaled_grad(w, k, psi))
 
 
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 20), ny=st.integers(4, 20), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_transforms_equal_per_field_calls_bytewise(nx, ny, m, seed):
+    """face_transform of m face vectors and cell_transform of a stack of m
+    cell fields give, slice by slice, the bytes of one call per vector or
+    field and of the per-field scipy calls they replaced, signed zeros
+    included, on non-square grids, and leave their arguments unchanged."""
+    assume(nx != ny)
+    g = GridSpec(nx, ny)
+    rng = np.random.default_rng(seed)
+    ws = [MacVector(g, with_signed_zeros(rng, (nx + 1, ny)), with_signed_zeros(rng, (nx, ny + 1))) for _ in range(m)]
+    cells = with_signed_zeros(rng, (m, nx, ny))
+    before = [field_bytes(w) for w in ws], field_bytes(cells)
+    stacked, stacked_cells = face_transform(*ws), cell_transform(cells)
+    assert ([field_bytes(w) for w in ws], field_bytes(cells)) == before
+    for i, w in enumerate(ws):
+        for got, one, ref in zip(stacked, face_transform(w), ref_face_transform(w)):
+            assert field_bytes(got[i] if m > 1 else got) == field_bytes(one) == field_bytes(ref)
+        assert (field_bytes(stacked_cells[i]) == field_bytes(cell_transform(cells[i]))
+                == field_bytes(ref_cell_transform(cells[i])))
+
+
 def test_transforms_leave_their_arguments_unchanged():
     """Only temporaries a function owns are overwritten: callers reuse the
-    arrays they pass, as phase_substeps reuses phi0_hat after cell_inverse."""
+    arrays they pass, as phase_substeps reuses phi0_hat after cell_inverse,
+    and the step its right-hand sides after their stacked transforms."""
     g = GridSpec(9, 8)
     rng = np.random.default_rng(3)
     a = with_signed_zeros(rng, (9, 8))
     w = MacVector(g, with_signed_zeros(rng, (10, 8)), with_signed_zeros(rng, (9, 9)))
-    before = field_bytes(a), field_bytes(w)
+    w2 = MacVector(g, with_signed_zeros(rng, (10, 8)), with_signed_zeros(rng, (9, 9)))
+    stack = with_signed_zeros(rng, (2, 9, 8))
+    before = field_bytes(a), field_bytes(w), field_bytes(w2), field_bytes(stack)
     coeffs, face_coeffs = cell_transform(a), face_transform(w)
-    assert (field_bytes(a), field_bytes(w)) == before
+    cell_transform(stack)
+    face_transform(w, w2)
+    assert (field_bytes(a), field_bytes(w), field_bytes(w2), field_bytes(stack)) == before
     before = field_bytes(coeffs), [field_bytes(c) for c in face_coeffs]
     cell_inverse(coeffs)
     face_inverse(g, face_coeffs)

@@ -1,23 +1,28 @@
 """First-order stepper: substep algebra, the 2x2 recombination system, the
 monolithic dense oracle, and structural invariants."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chns import elliptic, first_order
+from chns.cli import _load_initial_state, build_config
+from chns.diagnostics import _iterate
 from chns.elliptic import (
     ChOperatorSpec,
     HelmholtzSpec,
     cell_inverse,
     cell_laplacian_symbol,
     cell_transform,
+    ch_mu_residual,
     face_inverse,
     helmholtz_inv_symbol,
     project,
 )
-from chns.errors import SingularSystemError, StateError
+from chns.errors import SingularSystemError, SolverConvergenceError, StateError
 from chns.first_order import (
     ExplicitTerms,
     XiSystem,
@@ -40,6 +45,7 @@ from chns.grid import (
     lap_cell,
     norm_l2_cell,
     norm_l2_face,
+    write_field_bin,
 )
 from chns.model import (
     PhysParams,
@@ -48,7 +54,7 @@ from chns.model import (
     potential_f_prime,
     state_from_fields,
 )
-from chns.second_order import bootstrap, step_second_order
+from chns.second_order import bootstrap, extrapolants, step_second_order
 from oracle_tools import (
     _bdf1_substeps,
     field_bytes,
@@ -147,7 +153,7 @@ def phase_substeps(state, p, dt):
     """(phi0, mu0), (phi1, mu1) in physical space, from the step's DCT coefficients."""
     terms = explicit_terms(state, p)
     g = state.phi.grid
-    phi0_hat, phi1_hat, _ = phase_families(state, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
+    phi0_hat, phi1_hat, _ = phase_families(state.phi_hat, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
     mu = p.gamma_eff - cell_laplacian_symbol(g)  # the symbol of -lap + gamma_eff
     return ((CellField(g, cell_inverse(phi0_hat)), CellField(g, cell_inverse(mu * phi0_hat))),
             (CellField(g, cell_inverse(phi1_hat)),
@@ -157,7 +163,7 @@ def phase_substeps(state, p, dt):
 def spectral_xi_system(state, p, dt):
     """The 2x2 system the step forms from its transform-space pairings."""
     terms = explicit_terms(state, p)
-    _, _, ch_pairs = phase_families(state, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
+    _, _, ch_pairs = phase_families(state.phi_hat, terms, ChOperatorSpec(p.mobility * dt, p.gamma_eff), dt)
     rhs0 = state.u - dt * grad_cell_to_face(state.p)
     _, vel_pairs = velocity_families(rhs0, terms, HelmholtzSpec(p.viscosity * dt), dt)
     return assemble_xi_system(state, ch_pairs, vel_pairs, terms.sq, p, dt, state.t + dt)
@@ -190,7 +196,7 @@ def test_velocity_substeps_trivial_cases():
     spec = HelmholtzSpec(p.viscosity * 0.01)
     hats, (ut_chem, conv_ut) = velocity_families(state.u, explicit_terms(state, p), spec, 0.01)
     sym = helmholtz_inv_symbol(g, spec)
-    ut0, ut1, ut2 = (face_inverse(g, [s * c for s, c in zip(sym, hat)]) for hat in hats)
+    ut0, ut1, ut2 = (face_inverse(g, [s * c for s, c in zip(sym, hat)]) for hat in zip(*hats))
     assert norm_l2_face(ut0) <= 1e-13
     assert norm_l2_face(ut1) <= 1e-13  # mu grad phi = 0 for constant phi
     assert norm_l2_face(ut2) <= 1e-13
@@ -312,10 +318,11 @@ def test_spectral_pairings_equal_physical_quadratures(nx, ny, k, mobility, visco
         return w
 
     lag = SimpleNamespace(phi=cell())
+    lag.phi_hat = cell_transform(lag.phi.data)
     terms = ExplicitTerms(sq=1.0, f_prime=cell(), adv=cell(), chem=face(), conv=face())
     rhs0 = face()
     ch_spec, h_spec = ChOperatorSpec(mobility * k, p.gamma_eff), HelmholtzSpec(viscosity * k)
-    _, _, (f_dphi0, f_phi1, mu0_adv, mu1_adv) = phase_families(lag, terms, ch_spec, k)
+    _, _, (f_dphi0, f_phi1, mu0_adv, mu1_adv) = phase_families(lag.phi_hat, terms, ch_spec, k)
     _, (ut_chem, conv_ut) = velocity_families(rhs0, terms, h_spec, k)
 
     fp, adv = terms.f_prime, terms.adv
@@ -337,6 +344,112 @@ def test_spectral_pairings_equal_physical_quadratures(nx, ny, k, mobility, visco
         checks.append((conv_ut[i], dot_face(terms.conv, ut), fn(ut) * fn(terms.conv)))
     for got, want, scale in checks:
         assert abs(got - want) <= 1e-13 * scale
+
+
+def test_a_step_makes_twelve_transform_calls(monkeypatch):
+    """Each msav1 step, msav2 BDF2 step and bootstrap substep transforms its
+    new fields once, through chns.elliptic's module-level scipy names: the
+    three velocity right-hand sides as one stack (4 dst), the recombined u~
+    (4 idst), F' and adv as one stack (1 dctn), the recombined phi (1 idctn),
+    and the Poisson solve (1 dctn, 1 idctn).  phi* is never transformed."""
+    calls = []
+    for name in ("dctn", "idctn", "dst", "idst"):
+        monkeypatch.setattr(elliptic, name, lambda *a, _f=getattr(elliptic, name), _n=name, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    g, p, dt = GridSpec(12, 10), reference_params(), 0.01
+    state = messy_state(g, p)
+
+    def counted(step, *args):
+        calls.clear()
+        out = step(*args)
+        return out, dict(Counter(calls))
+
+    per_step = {"dst": 4, "idst": 4, "dctn": 2, "idctn": 2}
+    assert counted(step_first_order, state, p, dt)[1] == per_step
+    state2, got = counted(bootstrap, state, p, dt)
+    assert got == {name: 4 * n for name, n in per_step.items()}
+    assert counted(step_second_order, state2, p, dt)[1] == per_step
+
+
+def _files_state(tmp_path, p):
+    """A level-0 state loaded as init=files loads it, from .bin snapshots of messy fields."""
+    g = GridSpec(12, 10)
+    fields = messy_state(g, p)
+    for name, kind, values in (("phi", "cell", fields.phi.data), ("u", "face_u", fields.u.u),
+                               ("v", "face_v", fields.u.v)):
+        write_field_bin(tmp_path / f"{name}.bin", g, kind, values)
+    cfg = build_config({"nx": "12", "ny": "10", "init": "files", "outdir": str(tmp_path / "out"),
+                        **{f"init_{name}": str(tmp_path / f"{name}.bin") for name in ("phi", "u", "v")}})
+    return _load_initial_state(cfg)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@pytest.mark.parametrize("init", ["paper5", "files"])
+def test_every_level_carries_the_coefficients_of_its_phi(tmp_path, scheme, init):
+    """phi_hat (and msav2's phi_hat_prev) is within 1e-14, relative, of
+    cell_transform(phi) (phi_prev) on the initial level and on every level a
+    step or bootstrap substep produces, and no step writes the phi_hat of
+    the level it reads."""
+    p = reference_params()
+    state0 = initial_state(GridSpec(12, 10), p) if init == "paper5" else _files_state(tmp_path, p)
+    levels = []
+
+    def record(level):
+        pairs = [(level.phi_hat, level.phi)]
+        if hasattr(level, "phi_hat_prev"):
+            pairs.append((level.phi_hat_prev, level.phi_prev))
+        for hat, phi in pairs:
+            assert np.linalg.norm(hat - cell_transform(phi.data)) <= 1e-14 * np.linalg.norm(hat)
+        levels.append((level, level.phi_hat.tobytes()))
+
+    record(state0)
+    for _, state in _iterate(scheme, state0, p, 0.01, 4, on_step=lambda prev, new, dt: record(new)):
+        if state is not levels[-1][0]:
+            record(state)  # msav2's level 1, built from the last bootstrap substep
+    assert len(levels) == (5 if scheme == "msav1" else 9)
+    assert all(level.phi_hat.tobytes() == carried for level, carried in levels)
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_the_mu_form_phase_check_rejects_a_perturbed_phi_or_mu(scheme):
+    """The stored phi and mu of a step satisfy phi - k M lap mu = phi* - k xi1 adv
+    far inside the phase check's bound; the same check rejects phi or mu
+    with one entry moved by 1e-6 of the field's largest entry."""
+    g, p, dt = GridSpec(12, 10), reference_params(), 0.01
+    state = messy_state(g, p)
+    if scheme == "msav1":
+        k, lag_phi, bar, new = dt, state.phi, state, step_first_order(state, p, dt)
+    else:
+        state = bootstrap(state, p, dt)
+        k, bar, new = 2.0 * dt / 3.0, extrapolants(state), step_second_order(state, p, dt)
+        lag_phi = (4.0 * state.phi - state.phi_prev) * (1.0 / 3.0)
+    terms = explicit_terms(bar, p)
+    xi1 = new.r / terms.sq
+    spec = ChOperatorSpec(mobility_dt=p.mobility * k, gamma_eff=p.gamma_eff)
+    rhs = lag_phi - (k * xi1) * terms.adv
+    assert ch_mu_residual(spec, new.phi, new.mu, rhs).residual <= 1e-13
+    for name in ("phi", "mu"):
+        bad = getattr(new, name).copy()
+        bad.data[3, 4] += 1e-6 * np.abs(bad.data).max()
+        fields = {"phi": new.phi, "mu": new.mu, name: bad}
+        with pytest.raises(SolverConvergenceError):
+            ch_mu_residual(spec, fields["phi"], fields["mu"], rhs)
+
+
+def test_a_step_whose_phi_is_off_fails_its_phase_check(monkeypatch):
+    """The step checks the phi it inverts: one entry moved by 1e-8 of the
+    field's largest entry raises."""
+    def off(coeffs):
+        phi = cell_inverse(coeffs)
+        phi[3, 4] += 1e-8 * np.abs(phi).max()
+        return phi
+
+    g, p = GridSpec(12, 10), reference_params()
+    state = messy_state(g, p)
+    monkeypatch.setattr(first_order, "cell_inverse", off)
+    with pytest.raises(SolverConvergenceError) as exc:
+        step_first_order(state, p, 0.01)
+    assert exc.value.report.residual > elliptic.TOL_HELMHOLTZ
 
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])

@@ -207,7 +207,8 @@ def test_scheme_state2_requires_history():
     zero = CellField.zeros(g)
     fields = dict(
         t=0.0, phi=zero, mu=zero, u=MacVector.zeros(g), u_tilde=MacVector.zeros(g), p=zero,
-        r=1.0, q=1.0, mu_prev=zero, u_prev=MacVector.zeros(g), r_prev=1.0, q_prev=1.0, g=zero,
+        r=1.0, q=1.0, phi_hat=zero.data, phi_hat_prev=zero.data, mu_prev=zero, u_prev=MacVector.zeros(g),
+        r_prev=1.0, q_prev=1.0, g=zero,
     )
     with pytest.raises(TypeError):
         SchemeState2(**fields)

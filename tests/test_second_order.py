@@ -233,7 +233,9 @@ def test_one_step_local_error_is_third_order():
             p=cur.p,
             r=cur.r,
             q=cur.q,
+            phi_hat=cur.phi_hat,
             phi_prev=prev.phi,
+            phi_hat_prev=prev.phi_hat,
             mu_prev=prev.mu,
             u_prev=prev.u,
             r_prev=prev.r,
