@@ -19,17 +19,17 @@ tol_helmholtz exits 2 as an unknown key.
 
 Exit codes: 0 ok, 2 config error, 3 solver failure, 4 singular recombination
 system, 5 audit violation.  Every value, each ladder dt, the step coefficients
-at each dt the command runs (mobility * k, viscosity * k and the phase
-symbol's extreme and its square), the initial data of either init kind (finite
-mu, r, energy, |F'(phi)|^2, |mu grad phi|^2 and |(u.grad)u|^2, E1 + delta above
-its floor) and outdir are checked before the
-first step: an unusable one exits 2, as does a config, snapshot or output file
-that cannot be read, created or written, mid-run included.  main alone maps
-errors to exit codes, naming the step and dt of a failure inside a run, whose
-audit CSV keeps the rows of the steps before it.  simulate and audit share one
-run function and write every file before they exit 5.  --threads N sets the
-FFT workers of that command.  A t_final past horizon_T runs, with a warning on
-stderr: the stability and accuracy statements cover t <= horizon_T.
+at each dt the command runs (mobility * k, viscosity * k and the phase symbol's
+extreme and its square), the initial data of either init kind (finite mu, r,
+energy and square of each of the first step's explicit terms, E1 + delta above
+its floor) and outdir are checked before the first step: an unusable one exits
+2, as does a config, snapshot or output file that cannot be read, created or
+written, mid-run included.  main alone maps errors to exit codes, naming the
+step and dt of a failure inside a run, whose audit CSV keeps the rows of the
+steps before it.  simulate and audit share one run function and write every file
+before they exit 5.  --threads N sets the FFT workers of that command.  A
+t_final past horizon_T runs, with a warning on stderr: the stability and
+accuracy statements cover t <= horizon_T.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from .grid import (
     CellField,
     GridSpec,
     MacVector,
-    advect_velocity,
-    chemical_force,
     dot_cell,
     dot_face,
     read_field_bin,
@@ -68,7 +66,8 @@ from .grid import (
     write_field_bin,
     write_field_csv,
 )
-from .model import PhysParams, initial_state, potential_f_prime, state_from_fields
+from .first_order import explicit_terms
+from .model import PhysParams, initial_state, state_from_fields
 from .second_order import BOOTSTRAP_SUBSTEPS
 
 EXIT_OK = 0
@@ -238,24 +237,31 @@ def _read_initial_fields(cfg: RunConfig):
     return CellField(g, values[0]), MacVector(g, *values[1:])
 
 
+_SQUARE = {float: float.__mul__, CellField: dot_cell, MacVector: dot_face}
+_TERM_SYMBOLS = {"sq": "sqrt(E1 + delta)", "f_prime": "F'(phi)", "adv": "u.grad phi", "chem": "mu grad phi",
+                 "conv": "(u.grad)u"}
+
+
 def _load_initial_state(cfg: RunConfig):
     """The level-0 state of cfg.init, with the same checks for either kind: a finite chemical
-    potential, r, total energy, and |F'(phi)|^2, |mu grad phi|^2 and |(u.grad)u|^2 (the explicit
-    terms the first step's residuals and 2x2 pairings square), and E1 + delta above its floor.
-    Then cfg.outdir is created for the run's files."""
+    potential, r and total energy, a finite square of every field of the first step's
+    explicit_terms (the terms its residuals and 2x2 pairings square), and E1 + delta above its
+    floor.  Then cfg.outdir is created for the run's files."""
     try:
         with np.errstate(all="ignore"):  # an overflow is reported below as a non-finite value
             state = (initial_state(cfg.grid, cfg.params) if cfg.init == "paper5"
                      else state_from_fields(cfg.params, *_read_initial_fields(cfg)))
-            f_prime = potential_f_prime(state.phi, cfg.params)
-            chem, conv = chemical_force(state.mu, state.phi), advect_velocity(state.u)
-            scalars = (state.r, total_energy(state, cfg.params), dot_cell(f_prime, f_prime), dot_face(chem, chem),
-                       dot_face(conv, conv))
+            scalars = (state.r, total_energy(state, cfg.params))
+            terms = explicit_terms(state, cfg.params)
+            squares = {name: _SQUARE[type(v)](v, v) for name, v in vars(terms).items()}
     except (InputDataError, DimensionMismatchError, StateError) as exc:
         raise ConfigError(f"cannot load initial data: {exc}") from exc
     if not (np.isfinite(state.mu.data).all() and all(map(math.isfinite, scalars))):
-        raise ConfigError("the initial data have a non-finite chemical potential, r, total energy, |F'(phi)|^2, "
-                          "|mu grad phi|^2 or |(u.grad)u|^2")
+        raise ConfigError("the initial data have a non-finite chemical potential, r or total energy")
+    for name, square in squares.items():
+        if not math.isfinite(square):
+            raise ConfigError(f"the initial data have a non-finite |{_TERM_SYMBOLS.get(name, name)}|^2 "
+                              f"(explicit term {name} of the first step)")
     os.makedirs(cfg.outdir, exist_ok=True)
     return state
 

@@ -20,8 +20,8 @@ solve directly: forward transform, inverse symbol, inverse transform and
 residual check, and of the solvers only the pressure projection.  The
 forward transforms take a stack of right-hand sides of one operator in one
 call per axis (face_transform of several vectors, cell_transform of a
-stacked array), each slice bitwise the single call, and the phase check
-has a mu form (ch_mu_residual) that costs one cell Laplacian.  The test
+stacked array), each slice bitwise the single call, and the phase solve
+is checked in its mu form (ch_mu_residual), at one cell Laplacian.  The test
 suite holds those pieces to dense LU solves and to a conjugate-gradient
 reference (tests/oracle_tools.py).  Every transform goes through the
 module-level names dctn, idctn, dst and idst.
@@ -81,8 +81,8 @@ class HelmholtzSpec:
 
 @dataclass
 class SolveReport:
-    """residual is the normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||),
-    which stays at rounding level for the transform paths regardless of conditioning."""
+    """residual is the normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), over ||A|| ||phi||
+    alone for the phase check: rounding level for the transform paths regardless of conditioning."""
 
     residual: float
     mean_defect: float = 0.0
@@ -176,7 +176,7 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
 
 
 # ---------------------------------------------------------------------------
-# forward operators (shared by the residual checks and the test oracles)
+# forward operators: the Helmholtz check's, and the phase one the test oracles' matrices are built of
 # ---------------------------------------------------------------------------
 
 
@@ -204,7 +204,7 @@ def _lap_norm_bound(grid: GridSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# residual checks: normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||)
+# residual checks: normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), ||A|| ||phi|| for the phase
 # ---------------------------------------------------------------------------
 
 
@@ -225,23 +225,14 @@ def _ch_op_norm(spec: ChOperatorSpec, grid: GridSpec) -> float:
     return 1.0 + spec.mobility_dt * lb * (lb + spec.gamma_eff)
 
 
-def ch_residual(spec: ChOperatorSpec, phi: CellField, rhs: CellField):
-    """Check phi as a solve of the phase operator against rhs; returns the
-    SolveReport, or raises SolverConvergenceError above TOL_HELMHOLTZ."""
-    defect = apply_ch_operator(spec, phi)
-    defect.data -= rhs.data
-    return _checked(norm_l2_cell(defect), _ch_op_norm(spec, phi.grid), norm_l2_cell(phi), norm_l2_cell(rhs),
-                    TOL_HELMHOLTZ)
-
-
 def ch_mu_residual(spec: ChOperatorSpec, phi: CellField, mu: CellField, rhs: CellField):
     """Check a phase solve in its mu form  phi - mobility_dt*lap(mu) = rhs, where
     mu = -lap(phi) + gamma_eff*phi + f for the f that rhs leaves out: with
     rhs = phi* - k*xi1*adv and f = xi1*F', the same equation as the phase
     operator's  A phi = phi* + xi1*(mobility_dt*lap(F') - k*adv), at one cell
-    Laplacian.  The backward error is taken over ||A|| ||phi|| alone, never a
-    larger denominator than ch_residual's.  Returns the SolveReport, or raises
-    SolverConvergenceError above TOL_HELMHOLTZ."""
+    Laplacian; with f = 0, A phi = rhs itself.  The backward error is taken
+    over ||A|| ||phi|| alone, as rhs is only part of A phi's right-hand side.
+    Returns the SolveReport, or raises SolverConvergenceError above TOL_HELMHOLTZ."""
     defect = lap_cell(mu)
     defect.data *= -spec.mobility_dt
     defect.data += phi.data

@@ -79,11 +79,10 @@ from .grid import (
     div_face_to_cell,
     dot_cell,
     dot_face,
-    lap_cell,
     lap_velocity,
     minus_scaled_grad,
 )
-from .model import PhysParams, SchemeState, potential_f_prime, sqrt_aux_energy
+from .model import PhysParams, SchemeState, chemical_potential, potential_f_prime, sqrt_aux_energy
 
 
 _DET_GUARD = 1e-14
@@ -264,10 +263,8 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
     phi_hat += np.multiply(phi1_hat, xi1, out=phi1_hat)  # the level's phi_hat
     del phi1_hat
     phi = CellField(g, cell_inverse(phi_hat))
-    mu = lap_cell(phi)  # -lap phi + gamma_eff phi + xi1 F'
-    mu.data *= -1.0
-    mu.data += params.gamma_eff * phi.data
-    mu.data += np.multiply(terms.f_prime.data, xi1, out=terms.f_prime.data)
+    terms.f_prime.data *= xi1
+    mu = chemical_potential(phi, params.gamma_eff, terms.f_prime)
     rhs_mu = terms.adv  # phi* - k xi1 adv, the right-hand side of the mu form
     rhs_mu.data *= -k * xi1
     rhs_mu.data += lag.phi.data

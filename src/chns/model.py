@@ -82,9 +82,14 @@ def sqrt_aux_energy(phi: CellField, params: PhysParams) -> float:
     return float(np.sqrt(val))
 
 
-def _chemical_potential(phi: CellField, params: PhysParams) -> CellField:
-    """mu = -lap(phi) + gamma_eff*phi + F'(phi)."""
-    return -1.0 * lap_cell(phi) + params.gamma_eff * phi + potential_f_prime(phi, params)
+def chemical_potential(phi: CellField, gamma_eff: float, f: CellField) -> CellField:
+    """mu = -lap(phi) + gamma_eff*phi + f, formed in place on lap(phi): f is F'(phi)
+    on initial data, xi1*F'(bar phi) in the step and zero for the bare phase operator."""
+    mu = lap_cell(phi)
+    mu.data *= -1.0
+    mu.data += gamma_eff * phi.data
+    mu.data += f.data
+    return mu
 
 
 @dataclass
@@ -135,7 +140,7 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
     phi's DCT, which the first step lags at; every later level carries the
     coefficients its step inverted.
     """
-    mu = _chemical_potential(phi, params)
+    mu = chemical_potential(phi, params.gamma_eff, potential_f_prime(phi, params))
     r0 = sqrt_aux_energy(phi, params)
     return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
                        r=r0, q=1.0, phi_hat=cell_transform(phi.data))

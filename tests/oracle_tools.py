@@ -33,7 +33,7 @@ from chns.elliptic import (
     cell_inverse,
     cell_transform,
     ch_inv_symbol,
-    ch_residual,
+    ch_mu_residual,
     face_inverse,
     face_transform,
     helmholtz_inv_symbol,
@@ -57,7 +57,8 @@ from chns.grid import (
     lap_velocity,
     norm_l2_cell,
 )
-from chns.model import SchemeState, SchemeState2, energy_e1, potential_f_prime, sqrt_aux_energy
+from chns.model import (SchemeState, SchemeState2, chemical_potential, energy_e1, potential_f_prime,
+                        sqrt_aux_energy)
 from chns.second_order import extrapolants
 
 
@@ -236,6 +237,11 @@ def ref_apply_ch_operator(spec, phi):
     return phi + spec.mobility_dt * ref_lap_cell(lp) - (spec.mobility_dt * spec.gamma_eff) * lp
 
 
+def ref_chemical_potential(phi, gamma_eff, f):
+    """chemical_potential through the container arithmetic."""
+    return -1.0 * lap_cell(phi) + gamma_eff * phi + f
+
+
 def ref_apply_helmholtz_operator(spec, w):
     out = w - spec.visc_dt * ref_lap_velocity(w)
     out.u[[0, -1], :] = w.u[[0, -1], :]
@@ -284,12 +290,19 @@ def normal_boundary_max(w):
 # ---------------------------------------------------------------------------
 
 
+def _phase_check(spec, phi, rhs_phi):
+    """The step's phase check of A phi = rhs: its mu form, with mu the step's
+    chemical_potential of phi at f = 0."""
+    mu = chemical_potential(phi, spec.gamma_eff, CellField.zeros(phi.grid))
+    return ch_mu_residual(spec, phi, mu, rhs_phi)
+
+
 def solve_ch_system(spec, rhs_phi):
     """Solve (I + mobility_dt*lap^2 - mobility_dt*gamma_eff*lap) phi = rhs by
-    the DCT, with the step's residual check; returns (phi, SolveReport)."""
+    the DCT, with the step's phase check; returns (phi, SolveReport)."""
     g = rhs_phi.grid
     phi = CellField(g, cell_inverse(cell_transform(rhs_phi.data) * ch_inv_symbol(g, spec)))
-    return phi, ch_residual(spec, phi, rhs_phi)
+    return phi, _phase_check(spec, phi, rhs_phi)
 
 
 def solve_velocity_helmholtz(spec, rhs):
@@ -370,8 +383,8 @@ def cg_neumann_poisson(rhs, tol=1e-12):
 
 
 def cg_ch_system(spec, rhs_phi, tol=1e-11):
-    """The phase operator solved by PCG, with the library's residual check;
-    returns (phi, SolveReport, PCG iterations)."""
+    """The phase operator solved by PCG, with the step's phase check held to
+    tol; returns (phi, SolveReport, PCG iterations)."""
     g = rhs_phi.grid
     dl = _neg_lap_diag(g)
     inv_diag = 1.0 / (1.0 + spec.mobility_dt * (dl * dl + spec.gamma_eff * dl))
@@ -381,7 +394,7 @@ def cg_ch_system(spec, rhs_phi, tol=1e-11):
 
     phi_data, iters, _ = _pcg(apply_a, rhs_phi.data, inv_diag, tol=0.01 * tol, maxiter=50 * g.nx * g.ny)
     phi = CellField(g, phi_data)
-    return phi, _within(ch_residual(spec, phi, rhs_phi), tol), iters
+    return phi, _within(_phase_check(spec, phi, rhs_phi), tol), iters
 
 
 def cg_velocity_helmholtz(spec, rhs, tol=1e-11):

@@ -1,5 +1,6 @@
 """Batch front end: config parsing, subcommands, exit codes, artifacts."""
 
+import dataclasses
 import tempfile
 import warnings
 from pathlib import Path
@@ -571,6 +572,29 @@ def test_initial_convection_whose_square_overflows_is_a_config_error(tmp_path, c
     assert _simulate_from(paths, tmp_path / "out") == EXIT_CONFIG
     assert "|(u.grad)u|^2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(first_order.ExplicitTerms)])
+def test_every_explicit_term_of_the_first_step_is_checked_at_load(tmp_path, monkeypatch, capsys, name):
+    """The load check squares every field of the record that explicit_terms
+    builds for the first step: a term made non-finite is a config error that
+    names it, with no CSV written, so a term added to ExplicitTerms is checked
+    with no edit to the CLI."""
+    def with_a_nan_term(state, params):
+        terms = first_order.explicit_terms(state, params)
+        value = getattr(terms, name)
+        if isinstance(value, float):
+            setattr(terms, name, np.nan)
+        else:
+            for a in value.arrays:
+                a[...] = np.nan
+        return terms
+
+    monkeypatch.setattr(cli, "explicit_terms", with_a_nan_term)
+    assert run_cli("simulate", "--set", "nx=8", "--set", "ny=8", "--set", f"outdir={tmp_path / 'out'}") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"(explicit term {name} of the first step)" in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_initial_data_at_the_potential_minimum_is_a_config_error(tmp_path):

@@ -11,7 +11,7 @@ from chns.elliptic import (
     apply_helmholtz_operator,
     cell_inverse,
     cell_transform,
-    ch_residual,
+    ch_mu_residual,
     face_inverse,
     face_transform,
     helmholtz_residual,
@@ -28,6 +28,7 @@ from chns.grid import (
     norm_l2_cell,
     norm_l2_face,
 )
+from chns.model import chemical_potential
 from oracle_tools import (
     cg_ch_system,
     cg_neumann_poisson,
@@ -41,6 +42,7 @@ from oracle_tools import (
     ref_apply_ch_operator,
     ref_apply_helmholtz_operator,
     ref_cell_transform,
+    ref_chemical_potential,
     ref_face_transform,
     ref_minus_scaled_grad,
     solve_ch_system,
@@ -269,9 +271,10 @@ def test_solver_roundtrip_residuals_reported():
 def test_residual_checks_reject_a_nan_field():
     """A NaN residual compares false against any bound; the checks must still fail it."""
     g = GridSpec(8, 6)
-    phi = CellField.full(g, np.nan)
-    with pytest.raises(SolverConvergenceError):
-        ch_residual(ChOperatorSpec(mobility_dt=1e-3, gamma_eff=1.0), phi, CellField.zeros(g))
+    nan, zero = CellField.full(g, np.nan), CellField.zeros(g)
+    for phi, mu in ((nan, zero), (zero, nan)):
+        with pytest.raises(SolverConvergenceError):
+            ch_mu_residual(ChOperatorSpec(mobility_dt=1e-3, gamma_eff=1.0), phi, mu, zero)
     w = MacVector.zeros(g)
     w.u[1:-1, :] = np.nan
     with pytest.raises(SolverConvergenceError):
@@ -283,8 +286,8 @@ def test_residual_checks_reject_a_nan_field():
        k=st.floats(1e-4, 10.0), gamma_eff=st.floats(0.5, 60.0), seed=st.integers(0, 2**32 - 1))
 @example(nx=8, ny=8, lx=1.0, ly=0.5, k=0.01, gamma_eff=56.6, seed=0)
 def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, gamma_eff, seed):
-    """The in-place forward operators and projection return the bytes of the
-    container arithmetic they replaced, signed zeros included."""
+    """The in-place forward operators, chemical potential and projection return
+    the bytes of the container arithmetic they replaced, signed zeros included."""
     g = GridSpec(nx, ny, x1=lx, y1=ly)
     assume(g.hx != g.hy)
     rng = np.random.default_rng(seed)
@@ -293,6 +296,9 @@ def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx
     ch, hz = ChOperatorSpec(mobility_dt=k, gamma_eff=gamma_eff), HelmholtzSpec(visc_dt=k)
     assert field_bytes(apply_ch_operator(ch, phi)) == field_bytes(ref_apply_ch_operator(ch, phi))
     assert field_bytes(apply_helmholtz_operator(hz, w)) == field_bytes(ref_apply_helmholtz_operator(hz, w))
+    f = CellField(g, with_signed_zeros(rng, (nx, ny)))
+    assert (field_bytes(chemical_potential(phi, gamma_eff, f))
+            == field_bytes(ref_chemical_potential(phi, gamma_eff, f)))
     w.u[[0, -1], :] = 0.0  # no penetration, as the projection requires
     w.v[:, [0, -1]] = 0.0
     u, psi, _ = project(w, k)

@@ -1,9 +1,10 @@
 """Package surface: a public name (no leading underscore) is declared once, by
 its definition, with no __all__ list and no re-export from the package root;
 every public name of a library module is read outside that module (imported
-from it, or read as an attribute of the module), every optional parameter of
-the package is passed at some call, and no private name is imported across
-modules of the package; every name a demo or the benchmark imports from chns
+from it, or read as an attribute of the module) and, when tests alone read
+it, used by that module too, every optional parameter of the package is
+passed at some call, and no private name is imported across modules of the
+package; every name a demo or the benchmark imports from chns
 exists, the BDF2 state has no optional history, no module of the package or
 the tests imports a name it never uses, and no module of the package has a
 global statement or an np.negative with an out array."""
@@ -109,16 +110,24 @@ LIBRARY = [m for m in MODULES if m not in ("chns", "chns.cli")]
 def test_no_dead_public_names():
     """Every public name a library module defines is read outside that module:
     by another module of the package, a test, a demo or the benchmark.  A name
-    only its own module reads takes a leading underscore."""
-    readers = SRC + TESTS + SOURCES
-    reads = {p.resolve(): _names_read(p) for p in readers}
-    dead = []
+    only its own module reads takes a leading underscore.  A name that only
+    tests read must also be used by its own module: one that is not is a test
+    helper, and belongs in tests/oracle_tools.py with the reference solvers."""
+    reads = {p.resolve(): _names_read(p) for p in SRC + TESTS + SOURCES}
+    tests = {p.resolve() for p in TESTS}
+    dead, helpers = [], []
     for modname in LIBRARY:
         home = Path(importlib.import_module(modname).__file__).resolve()
-        dead += [f"{modname}.{name}" for name in sorted(_top_level_names(ast.parse(home.read_text())))
-                 if not name.startswith("_")
-                 and not any(name in names for path, names in reads.items() if path != home)]
+        tree = ast.parse(home.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name in sorted(n for n in _top_level_names(tree) if not n.startswith("_")):
+            readers = {path for path, names in reads.items() if path != home and name in names}
+            if not readers:
+                dead.append(f"{modname}.{name}")
+            elif readers <= tests and name not in used:
+                helpers.append(f"{modname}.{name}")
     assert not dead, f"public but never read outside their module: {dead}"
+    assert not helpers, f"read by tests alone and unused by their own module, test helpers: {helpers}"
 
 
 def _optional_parameters(path):
