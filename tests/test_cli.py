@@ -1,6 +1,7 @@
 """Batch front end: config parsing, subcommands, exit codes, artifacts."""
 
 import dataclasses
+import platform
 import tempfile
 import warnings
 from pathlib import Path
@@ -387,6 +388,32 @@ def test_threads_apply_to_their_command_only(tmp_path, monkeypatch):
     workers.clear()
     elliptic.cell_transform(np.zeros((4, 4)))
     assert workers == [1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    assert run_cli("simulate", "--threads", threads, "--set", "nx=8", "--set", "ny=8",
+                   "--set", f"outdir={tmp_path}") == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="main sets malloc thresholds on glibc only")
+def test_a_run_reuses_the_heap_of_the_runs_before_it(tmp_path):
+    """main fixes glibc's mmap and trim thresholds, so a run takes its temporaries from
+    the heap that earlier runs grew instead of faulting in fresh pages at every step
+    (about 3,900 minor faults a run under glibc's dynamic thresholds).  Two warm-up runs
+    first: the second can still raise the heap's peak by a final snapshot's text."""
+    import resource  # POSIX only, like glibc
+
+    def simulate(label):
+        return run_cli("simulate", "--set", "scheme=msav2", "--set", "nx=192", "--set", "ny=192",
+                       "--set", "t_final=0.005", "--set", f"outdir={tmp_path / label}")
+
+    assert simulate("warm-up-1") == EXIT_OK and simulate("warm-up-2") == EXIT_OK
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert simulate("measured") == EXIT_OK
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 @pytest.mark.parametrize("command, blocked, sets", [
