@@ -3,8 +3,8 @@
 The stability monitors evaluate the exact discrete energy identities of the
 two steppers.  The state picks the law: a two-level state obeys the BDF2 law,
 any other state (the msav2 bootstrap substeps included) the first-order one.
-A run audits each step as soon as it is taken, so it holds one level, never
-the earlier ones.  For each accepted step the recorded decay defect
+A run audits each step from its levels and record as soon as it is taken,
+so it holds one level and no record.  For each accepted step the decay defect
 
     defect = Etilde^{n+1} - Etilde^n + dissipation
 
@@ -30,10 +30,10 @@ and E_total is half the field part of L(x^n) plus E1(phi^n), less a constant.
 
 The audit is a check of the stored fields that repeats none of the step's
 operator applications.  |grad u~|^2 = <-lap u~, u~> and |div u~|^2 come from
-the level: the step forms them from the Laplacian of its Helmholtz residual
-check and the divergence its projection consumes, both applied to the u~ it
-stores.  Every energy, dissipation and Cauchy error reduces through the
-grid's dot_cell, dot_face, grad_sq_cell and (the node curl) norm_l2_nodes.
+the step's record: the step forms them from the Laplacian of its Helmholtz
+residual check and the divergence its projection consumes, both applied to
+the record's u~.  Every energy, dissipation and Cauchy error reduces through
+the grid's dot_cell, dot_face, grad_sq_cell and (the node curl) norm_l2_nodes.
 
 Convergence is measured with Cauchy errors between a run at dt and a
 companion at dt/2 on the same grid, compared at every coarse level; no exact
@@ -51,7 +51,7 @@ import numpy as np
 
 from .elliptic import TOL_HELMHOLTZ, TOL_POISSON
 from .errors import ChnsError
-from .first_order import step_first_order, zero_mean
+from .first_order import StepRecord, step_first_order, zero_mean
 from .grid import (
     CellField,
     MacVector,
@@ -166,29 +166,27 @@ def audit_slack(etilde_prev: float) -> float:
     return 1e-9 * max(1.0, etilde_prev)
 
 
-def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: float,
+def audit_step(prev: SchemeState, new: SchemeState, record: StepRecord, params: PhysParams, dt: float,
                etilde_prev: float | None = None) -> EnergyAudit:
-    """Audit row of one step against the energy law new obeys (see
-    modified_energy), with the solver reports new carries.  etilde_prev, if
-    given, is prev's Etilde under the same law and dt (the Etilde of prev's
-    own row), which saves recomputing it.  new is a level a step produced.
+    """Audit row of the step from prev to new against the energy law new obeys
+    (see modified_energy), with the solver reports of the step's record.
+    etilde_prev, if given, is prev's Etilde under the same law and dt (the
+    Etilde of prev's own row), which saves recomputing it.
 
     Both laws dissipate diss_mu = 2 M dt |grad mu|^2, diss_q = 2 dt/T q^2 and
     V = nu dt |grad u~|^2.  The BDF2 law adds D = nu dt |div u~|^2 and, in its
     stated form, C = nu dt |curl u|^2 at the nodes; the first-order law has
     neither, so its raw and adjusted defects coincide.  |grad u~|^2 and
-    |div u~|^2 are the ones new carries: the step formed them from its
-    stored u~ with the Laplacian of its Helmholtz residual check and the
-    divergence its projection consumed."""
+    |div u~|^2 are the record's."""
     nu_dt = params.viscosity * dt
     field_part = _field_energy(new.phi, new.u, params)
     et_new = modified_energy(new, params, dt, field_part)
     et_prev = modified_energy(prev, params, dt) if etilde_prev is None else etilde_prev
     diss_mu = 2.0 * params.mobility * dt * grad_sq_cell(new.mu)
     diss_q = 2.0 * dt / params.horizon * new.q**2
-    visc = nu_dt * new.grad_ut_sq
+    visc = nu_dt * record.grad_ut_sq
     bdf2 = isinstance(new, SchemeState2)
-    div = nu_dt * new.div_ut_sq if bdf2 else 0.0
+    div = nu_dt * record.div_ut_sq if bdf2 else 0.0
     curl = nu_dt * norm_l2_nodes(new.grid, curl_at_nodes(new.u)) ** 2 if bdf2 else 0.0
     # the exact discrete identity carries 2V - D; the stated BDF2 estimate V + C
     diss_visc = 2.0 * visc - div
@@ -209,7 +207,7 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
         diss_q=diss_q,
         diss_curl=curl,
         identity_defect=visc - div - curl if bdf2 else 0.0,
-        solver_residual_max=max((r.residual for r in new.reports), default=0.0),
+        solver_residual_max=max((r.residual for r in record.reports), default=0.0),
     )
 
 
@@ -219,11 +217,11 @@ def audit_step(prev: SchemeState, new: SchemeState, params: PhysParams, dt: floa
 
 
 def _iterate(scheme, state, params, dt, n_steps, on_step=None):
-    """Yield (step_index, state) for each level, holding no earlier level.
-    on_step, if given, is called as on_step(prev, new, dt) right after each
-    step, msav2's bootstrap substeps included (see second_order.bootstrap).
-    A ChnsError from a step leaves with the level index and dt recorded on it
-    as step and dt."""
+    """Yield (step_index, state) for each level, holding no earlier level and no
+    record.  on_step, if given, is called as on_step(prev, new, record, dt)
+    right after each step, msav2's bootstrap substeps included (see
+    second_order.bootstrap).  A ChnsError from a step leaves with the level
+    index and dt recorded on it as step and dt."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
@@ -237,9 +235,10 @@ def _iterate(scheme, state, params, dt, n_steps, on_step=None):
             state = bootstrap(first.pop(), params, dt, trace=on_step)
             yield 1, state
         for k in range(2 if scheme == "msav2" else 1, n_steps + 1):
-            new = step(state, params, dt)
+            new, record = step(state, params, dt)
             if on_step is not None:
-                on_step(state, new, dt)
+                on_step(state, new, record, dt)
+            del record  # a generator local would keep u~ alive through the next step
             state = new
             yield k, state
     except ChnsError as exc:
@@ -262,10 +261,10 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
         raise ValueError(f"the residual bounds are fixed at {TOL_POISSON!r}, {TOL_HELMHOLTZ!r}")
     rows, etilde, law = [], None, None
 
-    def audit(prev, new, step_dt):
+    def audit(prev, new, record, step_dt):
         nonlocal etilde, law
         row_law = (isinstance(new, SchemeState2), step_dt)
-        rows.append(audit_step(prev, new, params, step_dt, etilde if row_law == law else None))
+        rows.append(audit_step(prev, new, record, params, step_dt, etilde if row_law == law else None))
         etilde, law = rows[-1].Etilde, row_law
 
     run = _iterate(scheme, state0, params, dt, n_steps, on_step=audit)

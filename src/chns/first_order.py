@@ -205,13 +205,22 @@ def solve_xi(sys: XiSystem):
     return xi1, xi2
 
 
+@dataclass
+class StepRecord:
+    """What a step makes besides its level, which the audit reads once."""
+
+    u_tilde: MacVector  # the intermediate velocity
+    reports: tuple  # the phase, Helmholtz and Poisson residual checks' SolveReports
+    grad_ut_sq: float  # <-lap u~, u~> and |div u~|^2, from the step's own operator applications
+    div_ut_sq: float
+
+
 def zero_mean(p: CellField) -> CellField:
     p.data -= p.data.mean()  # in place: every caller owns p
     return p
 
 
-def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: PhysParams, k: float,
-                   t_new: float) -> SchemeState:
+def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: PhysParams, k: float, t_new: float):
     """The step both orders share: the substep families at effective step k
     from the lagged level lag (phi, p, r, q), the DCT coefficients lag_hat
     of lag.phi and the momentum right-hand side rhs_u = u* - k grad p*,
@@ -221,11 +230,9 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
     recombination, one inverse transform and one residual check per
     operator, and one projection.
 
-    Returns the new level and div u~.  The level's pressure is lag.p + psi,
-    before the caller's own correction and zero-mean normalization; it carries
-    the phase, Helmholtz and Poisson reports of the step, and <-lap u~, u~>
-    and |div u~|^2 of its u~ from the Laplacian of the Helmholtz residual
-    check and the divergence the projection consumes.
+    Returns the new level, its StepRecord and div u~.  The level's pressure
+    is lag.p + psi, before the caller's own correction and zero-mean
+    normalization.
     """
     terms = explicit_terms(bar, params)
     del bar  # only the explicit terms read the extrapolated level
@@ -274,16 +281,16 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
     u_new, psi, p_report = project(ut_new, k, div_w=div_ut)
     psi.data += lag.p.data  # the level's pressure lag.p + psi
-    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, u_tilde=ut_new, p=psi, r=r_new, q=q_new, phi_hat=phi_hat,
-                      reports=(ch_report, h_report, p_report), grad_ut_sq=grad_ut_sq,
-                      div_ut_sq=dot_cell(div_ut, div_ut))
-    return new, div_ut
+    new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, p=psi, r=r_new, q=q_new, phi_hat=phi_hat)
+    record = StepRecord(u_tilde=ut_new, reports=(ch_report, h_report, p_report), grad_ut_sq=grad_ut_sq,
+                        div_ut_sq=dot_cell(div_ut, div_ut))
+    return new, record, div_ut
 
 
-def step_first_order(state: SchemeState, params: PhysParams, dt: float) -> SchemeState:
-    """Advance one backward-Euler level: the shared step with k = dt, the state
-    itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new = decoupled_step(state, state.phi_hat, minus_scaled_grad(state.u, dt, state.p), state, params, dt,
-                         state.t + dt)[0]
+def step_first_order(state: SchemeState, params: PhysParams, dt: float) -> tuple[SchemeState, StepRecord]:
+    """Advance one backward-Euler level, returned with the step's record: the shared step
+    with k = dt, the state itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
+    new, record, _ = decoupled_step(state, state.phi_hat, minus_scaled_grad(state.u, dt, state.p), state, params,
+                                    dt, state.t + dt)
     zero_mean(new.p)
-    return new
+    return new, record

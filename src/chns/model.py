@@ -94,29 +94,23 @@ def chemical_potential(phi: CellField, gamma_eff: float, f: CellField) -> CellFi
 
 @dataclass
 class SchemeState:
-    """Full state at one time level."""
+    """One time level: what the next step reads."""
 
     t: float
     phi: CellField
     mu: CellField
     u: MacVector  # projected (divergence-free) velocity
-    u_tilde: MacVector  # intermediate velocity of the level's momentum solve
     p: CellField  # zero-mean pressure
     r: float  # tracks sqrt(E1(phi) + delta)
     q: float  # tracks exp(-t/T)
     phi_hat: np.ndarray  # phi's DCT coefficients, the ones its step inverted (cell_transform(phi) to rounding)
-    reports: tuple = ()  # residual-check SolveReports of the step that produced this level
-    # <-lap u~, u~> and |div u~|^2 of u_tilde, from that step's own operator applications; NaN on a
-    # level no step produced (initial data), which the audit only ever sees as the earlier level
-    grad_ut_sq: float = np.nan
-    div_ut_sq: float = np.nan
 
     @property
     def grid(self) -> GridSpec:
         return self.phi.grid
 
 
-@dataclass(kw_only=True)
+@dataclass
 class SchemeState2(SchemeState):
     """Two-level state for the BDF2 stepper, plus the rotational bookkeeping
     field g (accumulated nu*div of the intermediate velocities); the audit's
@@ -142,8 +136,8 @@ def state_from_fields(params: PhysParams, phi: CellField, vel: MacVector):
     """
     mu = chemical_potential(phi, params.gamma_eff, potential_f_prime(phi, params))
     r0 = sqrt_aux_energy(phi, params)
-    return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, u_tilde=vel.copy(), p=CellField.zeros(phi.grid),
-                       r=r0, q=1.0, phi_hat=cell_transform(phi.data))
+    return SchemeState(t=0.0, phi=phi, mu=mu, u=vel, p=CellField.zeros(phi.grid), r=r0, q=1.0,
+                       phi_hat=cell_transform(phi.data))
 
 
 def initial_state(grid: GridSpec, params: PhysParams) -> SchemeState:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .first_order import decoupled_step, step_first_order, zero_mean
+from .first_order import StepRecord, decoupled_step, step_first_order, zero_mean
 from .grid import div_face_to_cell, minus_scaled_grad
 from .model import PhysParams, SchemeState, SchemeState2
 
@@ -38,20 +38,18 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, trace=None) ->
     """Build the two-level state by running the first-order stepper across the
     first interval (BOOTSTRAP_SUBSTEPS equal steps of dt/BOOTSTRAP_SUBSTEPS).
 
-    One whole-interval step already preserves second-order global
-    accuracy at the final time, but its backward-Euler treatment of the stiff
-    fourth-order operator imprints a startup error on the crossover modes
-    (mobility*dt*lam^2 ~ 1) that floors max-in-time Cauchy norms near dt^1.6;
-    subdividing the bootstrap interval pushes that startup below the BDF2
-    error at practical step sizes.
+    One whole-interval step already preserves second-order global accuracy
+    at the final time; the substeps shrink its startup error in max-in-time
+    norms.  On data without the compatibility conditions at t = 0, such as
+    demos/paper5.cfg's, an initial layer, not the startup, limits msav2's
+    rates: with 16 substeps grad phi still reads 1.57, 1.33, 1.25 down a 64^2 ladder.
 
-    Starts the g sequence: g^0 = 0, so g^1 = nu div(u~^1).  trace, if given,
-    is called as trace(prev, new, substep_dt) right after each substep, while
-    prev is alive: the states that the audit checks against the first-order
-    energy law, each carrying its substep's solver reports.  Level 1 keeps
-    phi, mu, u, r and q of state0 as its history and no other part of it, so a
-    caller that hands over its only reference frees state0 after the first
-    substep's trace.
+    Starts the g sequence: g^0 = 0, so g^1 = nu div(u~^1) of the last
+    substep's record.  trace, if given, is called as trace(prev, new, record,
+    substep_dt) right after each substep, which the audit checks against the
+    first-order law.  Level 1 keeps phi, mu, u, r and q of state0 as its
+    history and no other part of it, so a caller that hands over its only
+    reference frees state0 after the first substep's trace.
     """
     sub_dt = dt / BOOTSTRAP_SUBSTEPS
     history = dict(phi_prev=state0.phi, phi_hat_prev=state0.phi_hat, mu_prev=state0.mu, u_prev=state0.u,
@@ -59,11 +57,12 @@ def bootstrap(state0: SchemeState, params: PhysParams, dt: float, trace=None) ->
     s1 = state0
     del state0
     for _ in range(BOOTSTRAP_SUBSTEPS):
-        new = step_first_order(s1, params, sub_dt)
+        record = None  # the previous substep's record, freed before this substep runs
+        new, record = step_first_order(s1, params, sub_dt)
         if trace is not None:
-            trace(s1, new, sub_dt)
+            trace(s1, new, record, sub_dt)
         s1 = new
-    g1 = params.viscosity * div_face_to_cell(s1.u_tilde)
+    g1 = params.viscosity * div_face_to_cell(record.u_tilde)
     return SchemeState2(**vars(s1), **history, g=g1)
 
 
@@ -86,16 +85,16 @@ def extrapolants(state: SchemeState2) -> SimpleNamespace:
     )
 
 
-def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> SchemeState2:
+def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> tuple[SchemeState2, StepRecord]:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
     pressure p^n, and the extrapolated level, then the rotational pressure
-    correction and the g bookkeeping."""
+    correction and the g bookkeeping; returns the level and the step's record."""
     k = 2.0 * dt / 3.0
     lag = SimpleNamespace(phi=combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
                           r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
     # the lagged coefficients and the momentum right-hand side are built in the call, which holds their only references
-    new, div_ut = decoupled_step(lag, (4.0 * state.phi_hat - state.phi_hat_prev) * (1.0 / 3.0),
+    new, record, div_ut = decoupled_step(lag, (4.0 * state.phi_hat - state.phi_hat_prev) * (1.0 / 3.0),
                                  minus_scaled_grad(combine(4.0, state.u, state.u_prev, 1.0 / 3.0), k, state.p),
                                  extrapolants(state), params, k, state.t + dt)
     del lag
@@ -104,4 +103,4 @@ def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> Sch
     zero_mean(new.p)
     div_ut.data += state.g.data  # g^{n+1} = g^n + nu div u~
     return SchemeState2(**vars(new), phi_prev=state.phi, phi_hat_prev=state.phi_hat, mu_prev=state.mu,
-                        u_prev=state.u, r_prev=state.r, q_prev=state.q, g=div_ut)
+                        u_prev=state.u, r_prev=state.r, q_prev=state.q, g=div_ut), record

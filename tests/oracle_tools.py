@@ -738,24 +738,26 @@ def _bdf2_xi_system(state, sub, terms, params, dt):
 
 def three_projection_first_order(state, params, dt):
     """One backward-Euler step that projects each substep family separately
-    (three Poisson solves) and recombines the projected fields."""
+    (three Poisson solves) and recombines the projected fields; returns the
+    level and its recombined u~."""
     terms = explicit_terms(state, params)
     sub = _bdf1_substeps(state, params, dt, terms)
     xi1, xi2 = solve_xi(_bdf1_xi_system(state, sub, params, dt, terms))
     u, p = _project_each_family(state.p, (sub.ut0, sub.ut1, sub.ut2), xi1, xi2, dt, 0.0)
     t_new = state.t + dt
     phi = sub.phi0 + xi1 * sub.phi1
-    return SchemeState(
-        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u,
-        u_tilde=sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2, p=p,
+    level = SchemeState(
+        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u, p=p,
         r=xi1 * sqrt_aux_energy(state.phi, params), q=xi2 * exp(-t_new / params.horizon),
         phi_hat=cell_transform(phi.data),
     )
+    return level, sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2
 
 
 def three_projection_second_order(state2, params, dt):
     """One BDF2 step that projects each substep family separately with its own
-    rotational correction and recombines the projected fields."""
+    rotational correction and recombines the projected fields; returns the
+    level and its recombined u~."""
     terms = explicit_terms(extrapolants(state2), params)
     nu = params.viscosity
     sub = _bdf2_substeps(state2, params, dt, terms)
@@ -765,12 +767,13 @@ def three_projection_second_order(state2, params, dt):
     ut = sub.ut0 + xi1 * sub.ut1 + xi2 * sub.ut2
     g = state2.g + nu * div_face_to_cell(ut)
     phi = sub.phi0 + xi1 * sub.phi1
-    return SchemeState2(
-        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u, u_tilde=ut, p=p,
+    level = SchemeState2(
+        t=t_new, phi=phi, mu=sub.mu0 + xi1 * sub.mu1, u=u, p=p,
         r=xi1 * terms.sq, q=xi2 * exp(-t_new / params.horizon), phi_hat=cell_transform(phi.data),
         phi_prev=state2.phi, phi_hat_prev=state2.phi_hat, mu_prev=state2.mu, u_prev=state2.u,
         r_prev=state2.r, q_prev=state2.q, g=g,
     )
+    return level, ut
 
 
 def cauchy_pair(scheme, state0, params, dt, n_steps):
@@ -846,18 +849,18 @@ def reference_total_energy(state, params):
             + energy_e1(state.phi, params) - shift * (g.x1 - g.x0) * (g.y1 - g.y0))
 
 
-def reference_audit_row(prev, new, params, dt):
+def reference_audit_row(prev, new, record, params, dt):
     """diagnostics.audit_step's row recomputed from the stored fields alone:
     both Etildes by reference_etilde, |grad u~|^2 as <-lap u~, u~> and
-    |div u~|^2 from div_face_to_cell of new.u_tilde, not from the values the
-    step carries, and the node curl energy with explicit trapezoid weights."""
+    |div u~|^2 from div_face_to_cell of record.u_tilde, not from the values
+    the record carries, and the node curl energy with explicit trapezoid weights."""
     nu_dt = params.viscosity * dt
     et_new, et_prev = reference_etilde(new, params, dt), reference_etilde(prev, params, dt)
     diss_mu = 2.0 * params.mobility * dt * _grad_energy(new.mu)
     diss_q = 2.0 * dt / params.horizon * new.q**2
-    visc = nu_dt * grad_energy_velocity(new.u_tilde)
+    visc = nu_dt * grad_energy_velocity(record.u_tilde)
     bdf2 = isinstance(new, SchemeState2)
-    div = nu_dt * norm_l2_cell(div_face_to_cell(new.u_tilde)) ** 2 if bdf2 else 0.0
+    div = nu_dt * norm_l2_cell(div_face_to_cell(record.u_tilde)) ** 2 if bdf2 else 0.0
     curl = nu_dt * _node_energy(new.grid, curl_at_nodes(new.u)) if bdf2 else 0.0
     diss_visc = 2.0 * visc - div
     defect = et_new - et_prev + diss_mu + diss_visc + diss_q
@@ -867,5 +870,5 @@ def reference_audit_row(prev, new, params, dt):
         decay_defect_raw=et_new - et_prev + diss_mu + visc + curl + diss_q if bdf2 else defect,
         diss_mu=diss_mu, diss_visc=diss_visc, diss_q=diss_q, diss_curl=curl,
         identity_defect=visc - div - curl if bdf2 else 0.0,
-        solver_residual_max=max((r.residual for r in new.reports), default=0.0),
+        solver_residual_max=max((r.residual for r in record.reports), default=0.0),
     )

@@ -153,7 +153,7 @@ def test_criterion_5_decoupled_equals_monolithic():
     worst = 0.0
 
     state = messy_state(g, p)
-    got = step_first_order(state, p, dt)
+    got, rec = step_first_order(state, p, dt)
     ref = monolithic_first_order(state, p, dt)
     sq = np.sqrt(energy_e1(state.phi, p) + p.delta)
     xi1 = got.r / sq
@@ -161,7 +161,7 @@ def test_criterion_5_decoupled_equals_monolithic():
     checks = [
         norm_l2_cell(got.phi - ref["phi"]) / max(1.0, norm_l2_cell(ref["phi"])),
         norm_l2_cell(got.mu - ref["mu"]) / max(1.0, norm_l2_cell(ref["mu"])),
-        norm_l2_face(got.u_tilde - ref["u_tilde"]) / max(1.0, norm_l2_face(ref["u_tilde"])),
+        norm_l2_face(rec.u_tilde - ref["u_tilde"]) / max(1.0, norm_l2_face(ref["u_tilde"])),
         norm_l2_face(got.u - ref["u"]) / max(1.0, norm_l2_face(ref["u"])),
         norm_l2_cell(got.p - ref["p"]) / max(1.0, norm_l2_cell(ref["p"])),
         abs(got.r - ref["r"]) / max(1.0, abs(ref["r"])),
@@ -172,7 +172,7 @@ def test_criterion_5_decoupled_equals_monolithic():
     worst = max(worst, max(checks))
 
     st2 = bootstrap(messy_state(g, p), p, dt)
-    got2 = step_second_order(st2, p, dt)
+    got2, rec2 = step_second_order(st2, p, dt)
     ref2 = monolithic_second_order(st2, p, dt)
     bar_phi = 2.0 * st2.phi - st2.phi_prev
     sq2 = np.sqrt(energy_e1(bar_phi, p) + p.delta)
@@ -181,7 +181,7 @@ def test_criterion_5_decoupled_equals_monolithic():
     checks2 = [
         norm_l2_cell(got2.phi - ref2["phi"]) / max(1.0, norm_l2_cell(ref2["phi"])),
         norm_l2_cell(got2.mu - ref2["mu"]) / max(1.0, norm_l2_cell(ref2["mu"])),
-        norm_l2_face(got2.u_tilde - ref2["u_tilde"]) / max(1.0, norm_l2_face(ref2["u_tilde"])),
+        norm_l2_face(rec2.u_tilde - ref2["u_tilde"]) / max(1.0, norm_l2_face(ref2["u_tilde"])),
         norm_l2_face(got2.u - ref2["u"]) / max(1.0, norm_l2_face(ref2["u"])),
         norm_l2_cell(got2.p - ref2["p"]) / max(1.0, norm_l2_cell(ref2["p"])),
         abs(got2.r - ref2["r"]) / max(1.0, abs(ref2["r"])),
@@ -265,7 +265,7 @@ def test_criterion_7_structural_invariants(state0):
     worst_q1 = 0.0
     s = state
     for _ in range(10):
-        s = step_first_order(s, PARAMS, dt)
+        s = step_first_order(s, PARAMS, dt)[0]
         q_expected /= 1.0 + dt / PARAMS.horizon
         worst_q1 = max(worst_q1, abs(s.q - q_expected))
     if worst_q1 > 1e-12:
@@ -275,7 +275,7 @@ def test_criterion_7_structural_invariants(state0):
     qs = [1.0, st2.q]
     worst_q2 = 0.0
     for _ in range(10):
-        st2 = step_second_order(st2, PARAMS, dt)
+        st2 = step_second_order(st2, PARAMS, dt)[0]
         expected = (4.0 * qs[-1] - qs[-2]) / (3.0 + 2.0 * dt / PARAMS.horizon)
         worst_q2 = max(worst_q2, abs(st2.q - expected))
         qs.append(st2.q)
@@ -288,7 +288,7 @@ def test_criterion_7_structural_invariants(state0):
     fp = rest_state(GRID, p_fp, root)
     s = fp
     for _ in range(5):
-        s = step_first_order(s, p_fp, 0.02)
+        s = step_first_order(s, p_fp, 0.02)[0]
     fp_drift = norm_l2_cell(s.phi - fp.phi) + norm_l2_face(s.u) + abs(s.r - fp.r)
     if fp_drift > 1e-10:
         failures.append(f"fixed point drift {fp_drift:.2e}")

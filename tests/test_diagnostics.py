@@ -32,7 +32,7 @@ from chns.diagnostics import (
 )
 from chns.elliptic import cell_transform
 from chns.errors import SingularSystemError, StateError
-from chns.first_order import step_first_order
+from chns.first_order import StepRecord, step_first_order
 from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell
 from chns.model import PhysParams, SchemeState, SchemeState2, energy_e1, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
@@ -152,16 +152,22 @@ def test_ladder_runs_hold_only_their_current_state(scheme, monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])
 def test_a_run_holds_one_level(scheme, monkeypatch):
-    """Whenever a step starts, only the state it steps is live; whenever a row
-    is audited, only that step's prev and new are.  The msav2 bootstrap keeps
-    only the initial fields that become level 1's history, not the initial
-    state.  Both drivers hold to it: iterate_with_audits and simulate_run."""
+    """Whenever a step starts, only the state it steps is live and no step's
+    record; whenever a row is audited, only that step's prev, new and record
+    are.  The msav2 bootstrap keeps only the initial fields that become level
+    1's history, not the initial state.  Both drivers hold to it:
+    iterate_with_audits and simulate_run."""
     dt, starts, audits = 0.01, [], []
+
+    def live():
+        gc.collect()
+        objs = gc.get_objects()
+        return sum(isinstance(obj, SchemeState) for obj in objs), sum(isinstance(obj, StepRecord) for obj in objs)
 
     def counting(fn, into):
         def wrapped(state, *args, **kwargs):
-            gc.collect()
-            into.append((state.t, sum(isinstance(obj, SchemeState) for obj in gc.get_objects()) - before))
+            levels, records = live()
+            into.append((levels - before[0], records - before[1]))
             return fn(state, *args, **kwargs)
         return wrapped
 
@@ -172,29 +178,29 @@ def test_a_run_holds_one_level(scheme, monkeypatch):
 
     def check():
         assert len(starts) == len(audits) == (4 if scheme == "msav1" else 7)
-        assert [n for _, n in starts] == [1] * len(starts)
-        assert [n for _, n in audits] == [2] * len(audits)
+        assert starts == [(1, 0)] * len(starts)  # (levels, records) live
+        assert audits == [(2, 1)] * len(audits)
         starts.clear()
         audits.clear()
 
-    gc.collect()
-    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    before = live()
     for _ in iterate_with_audits(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4):
         pass
     check()
     del _  # the loop variable holds the final level
-    gc.collect()
-    before = sum(isinstance(obj, SchemeState) for obj in gc.get_objects())
+    before = live()
     simulate_run(scheme, initial_state(GridSpec(8, 8), p), p, dt, 4)
     check()
 
 
-@pytest.mark.parametrize("scheme, budget", [("msav1", 34), ("msav2", 48)])
+@pytest.mark.parametrize("scheme, budget", [("msav1", 31), ("msav2", 40)])
 def test_a_run_peaks_within_its_memory_budget(scheme, budget):
     """Peak traced memory of a 6-step audited run at 32^2 above its start, in
     field arrays of (n+1) n doubles, after a warm-up run has filled the
-    transform symbol caches.  A level is 7 arrays for msav1 and 13 for msav2,
-    so a run that keeps one more level alive exceeds the budget."""
+    transform symbol caches.  The peaks are 25.7 (msav1) and 33.8 (msav2).  A
+    run that keeps its previous level alive peaks at 31.8 and 41.3 (an msav2
+    level shares phi, mu and u with the next level's history), so it exceeds
+    the budget."""
     n, p = 32, PhysParams()
 
     def run():
@@ -329,8 +335,7 @@ def test_energies_equal_the_term_by_term_oracle(nx, ny, two_level, log_dt, log_e
     def face():
         return MacVector(g, rng.standard_normal((nx + 1, ny)), rng.standard_normal((nx, ny + 1)))
 
-    level = dict(t=0.0, phi=cell(), mu=cell(), u=face(), u_tilde=face(), p=cell(), r=rng.uniform(0.1, 10.0),
-                 q=rng.uniform(0.0, 2.0))
+    level = dict(t=0.0, phi=cell(), mu=cell(), u=face(), p=cell(), r=rng.uniform(0.1, 10.0), q=rng.uniform(0.0, 2.0))
     level["phi_hat"] = cell_transform(level["phi"].data)
     state = SchemeState(**level)
     if two_level:
@@ -389,10 +394,10 @@ def test_audit_step_law_follows_the_state():
     p = PhysParams()
     dt = 0.01
     s0 = initial_state(g, p)
-    first = audit_step(s0, step_first_order(s0, p, dt), p, dt)
+    first = audit_step(s0, *step_first_order(s0, p, dt), p, dt)
     st2 = bootstrap(s0, p, dt)
-    st3 = step_second_order(st2, p, dt)
-    second = audit_step(st2, st3, p, dt)
+    st3, rec3 = step_second_order(st2, p, dt)
+    second = audit_step(st2, st3, rec3, p, dt)
     assert first.Etilde_prev == modified_energy(s0, p, dt)
     assert second.Etilde_prev == modified_energy(st2, p, dt)
     assert second.Etilde == modified_energy(st3, p, dt)
@@ -407,25 +412,25 @@ def test_audit_step_law_follows_the_state():
 
 
 def _audited_pairs(scheme, grid, n_steps, dt=0.01):
-    """(prev, new, step_dt) of every audited step of a run: each msav2 bootstrap substep, then each level."""
+    """(prev, new, record, step_dt) of every audited step of a run: each msav2 bootstrap substep, then each level."""
     p, pairs = PhysParams(), []
     for _ in _iterate(scheme, initial_state(grid, p), p, dt, n_steps,
-                      on_step=lambda prev, new, step_dt: pairs.append((prev, new, step_dt))):
+                      on_step=lambda prev, new, record, step_dt: pairs.append((prev, new, record, step_dt))):
         pass
     return p, pairs
 
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])
 def test_step_carries_its_own_grad_and_div_of_u_tilde(scheme):
-    """Every level a step produces, the msav2 bootstrap substeps included,
-    carries <-lap u~, u~> and |div u~|^2 equal to a recomputation from the
-    u~ it stores: the audit's viscous terms check the stored field."""
+    """Every step's record, the msav2 bootstrap substeps included, carries
+    <-lap u~, u~> and |div u~|^2 equal to a recomputation from the u~ it
+    holds: the audit's viscous terms check the step's own field."""
     _, pairs = _audited_pairs(scheme, GridSpec(12, 10), 3)
     assert len(pairs) == (3 if scheme == "msav1" else 6)
-    for _, new, _ in pairs:
-        d = div_face_to_cell(new.u_tilde)
-        for carried, recomputed in ((new.grad_ut_sq, grad_energy_velocity(new.u_tilde)),
-                                    (new.div_ut_sq, dot_cell(d, d))):
+    for _, _, record, _ in pairs:
+        d = div_face_to_cell(record.u_tilde)
+        for carried, recomputed in ((record.grad_ut_sq, grad_energy_velocity(record.u_tilde)),
+                                    (record.div_ut_sq, dot_cell(d, d))):
             assert recomputed > 0.0
             assert abs(carried - recomputed) <= 1e-14 * recomputed
 
@@ -437,8 +442,8 @@ def test_audit_rows_match_the_reference_audit(scheme, nx, ny):
     the test oracle: every column to 1e-13 relative, the defects to 1e-6 of
     the slack.  A reduction that drops a wall face or a direction fails."""
     p, pairs = _audited_pairs(scheme, GridSpec(nx, ny), 4)
-    for prev, new, step_dt in pairs:
-        row, ref = audit_step(prev, new, p, step_dt), reference_audit_row(prev, new, p, step_dt)
+    for prev, new, record, step_dt in pairs:
+        row, ref = audit_step(prev, new, record, p, step_dt), reference_audit_row(prev, new, record, p, step_dt)
         for name in ("Etilde_prev",) + AUDIT_COLUMNS:
             got, want = getattr(row, name), getattr(ref, name)
             tol = 1e-6 * ref.slack if name.startswith("decay_defect") else 1e-13 * max(1.0, abs(want))

@@ -403,7 +403,7 @@ def test_every_level_carries_the_coefficients_of_its_phi(tmp_path, scheme, init)
         levels.append((level, level.phi_hat.tobytes()))
 
     record(state0)
-    for _, state in _iterate(scheme, state0, p, 0.01, 4, on_step=lambda prev, new, dt: record(new)):
+    for _, state in _iterate(scheme, state0, p, 0.01, 4, on_step=lambda prev, new, rec, dt: record(new)):
         if state is not levels[-1][0]:
             record(state)  # msav2's level 1, built from the last bootstrap substep
     assert len(levels) == (5 if scheme == "msav1" else 9)
@@ -418,10 +418,10 @@ def test_the_mu_form_phase_check_rejects_a_perturbed_phi_or_mu(scheme):
     g, p, dt = GridSpec(12, 10), reference_params(), 0.01
     state = messy_state(g, p)
     if scheme == "msav1":
-        k, lag_phi, bar, new = dt, state.phi, state, step_first_order(state, p, dt)
+        k, lag_phi, bar, new = dt, state.phi, state, step_first_order(state, p, dt)[0]
     else:
         state = bootstrap(state, p, dt)
-        k, bar, new = 2.0 * dt / 3.0, extrapolants(state), step_second_order(state, p, dt)
+        k, bar, new = 2.0 * dt / 3.0, extrapolants(state), step_second_order(state, p, dt)[0]
         lag_phi = (4.0 * state.phi - state.phi_prev) * (1.0 / 3.0)
     terms = explicit_terms(bar, p)
     xi1 = new.r / terms.sq
@@ -461,13 +461,13 @@ def test_step_matches_physical_space_composition(scheme):
     dt = 0.01
     state = messy_state(g, p, rng=np.random.default_rng(7))
     if scheme == "msav1":
-        got, ref = step_first_order(state, p, dt), three_projection_first_order(state, p, dt)
+        (got, rec), (ref, ref_ut) = step_first_order(state, p, dt), three_projection_first_order(state, p, dt)
     else:
         state = bootstrap(state, p, dt)
-        got, ref = step_second_order(state, p, dt), three_projection_second_order(state, p, dt)
-    for name, norm in (("phi", norm_l2_cell), ("mu", norm_l2_cell), ("u_tilde", norm_l2_face),
-                       ("u", norm_l2_face), ("p", norm_l2_cell)):
+        (got, rec), (ref, ref_ut) = step_second_order(state, p, dt), three_projection_second_order(state, p, dt)
+    for name, norm in (("phi", norm_l2_cell), ("mu", norm_l2_cell), ("u", norm_l2_face), ("p", norm_l2_cell)):
         assert norm(getattr(got, name) - getattr(ref, name)) <= 1e-12 * norm(getattr(ref, name)), name
+    assert norm_l2_face(rec.u_tilde - ref_ut) <= 1e-12 * norm_l2_face(ref_ut)
     assert abs(got.r - ref.r) <= 1e-12 * abs(ref.r)
     assert abs(got.q - ref.q) <= 1e-12 * abs(ref.q)
 
@@ -503,7 +503,7 @@ def test_fixed_point_state():
     state = rest_state(g, p, root)
     assert state.r == 1.0  # sqrt(E1 + delta) = sqrt(delta) = 1
     dt = 0.02
-    new = step_first_order(state, p, dt)
+    new = step_first_order(state, p, dt)[0]
     assert norm_l2_cell(new.phi - state.phi) <= 1e-11
     assert norm_l2_face(new.u) <= 1e-11
     assert abs(new.r - state.r) <= 1e-11
@@ -517,7 +517,7 @@ def test_q_recurrence_at_zero_velocity():
     dt = 0.01
     q_expected = 1.0
     for _ in range(5):
-        state = step_first_order(state, p, dt)
+        state = step_first_order(state, p, dt)[0]
         q_expected /= 1.0 + dt / p.horizon
         assert abs(state.q - q_expected) <= 1e-12
         assert norm_l2_face(state.u) <= 1e-12
@@ -529,7 +529,7 @@ def test_step_matches_monolithic_dense_solve():
     p = reference_params()
     dt = 0.02
     state = messy_state(g, p)
-    got = step_first_order(state, p, dt)
+    got, rec = step_first_order(state, p, dt)
     ref = monolithic_first_order(state, p, dt)
 
     def rel(a, b, norm):
@@ -537,7 +537,7 @@ def test_step_matches_monolithic_dense_solve():
 
     assert rel(got.phi, ref["phi"], norm_l2_cell) <= 1e-9
     assert rel(got.mu, ref["mu"], norm_l2_cell) <= 1e-9
-    assert rel(got.u_tilde, ref["u_tilde"], norm_l2_face) <= 1e-9
+    assert rel(rec.u_tilde, ref["u_tilde"], norm_l2_face) <= 1e-9
     assert rel(got.u, ref["u"], norm_l2_face) <= 1e-9
     assert rel(got.p, ref["p"], norm_l2_cell) <= 1e-9
     assert abs(got.r - ref["r"]) <= 1e-9 * max(1.0, abs(ref["r"]))
@@ -556,8 +556,8 @@ def test_one_projection_matches_per_family_projections():
     dt = 0.01
     got = ref = messy_state(g, p, rng=np.random.default_rng(11))
     for _ in range(20):
-        got = step_first_order(got, p, dt)
-        ref = three_projection_first_order(ref, p, dt)
+        got = step_first_order(got, p, dt)[0]
+        ref = three_projection_first_order(ref, p, dt)[0]
     assert norm_l2_face(got.u - ref.u) <= 1e-12 * norm_l2_face(ref.u)
     assert norm_l2_cell(got.p - ref.p) <= 1e-12 * norm_l2_cell(ref.p)
 
@@ -568,7 +568,7 @@ def test_step_invariants_divergence_and_mass():
     state = initial_state(g, p)
     m0 = g.cell_area * float(np.sum(state.phi.data))
     for _ in range(3):
-        state = step_first_order(state, p, 0.01)
+        state = step_first_order(state, p, 0.01)[0]
         assert norm_l2_cell(div_face_to_cell(state.u)) <= 1e-9
         assert abs(state.p.data.mean()) <= 1e-13
         m = g.cell_area * float(np.sum(state.phi.data))
@@ -586,11 +586,11 @@ def test_one_step_local_error_is_second_order():
     p = reference_params()
     state = initial_state(g, p)
     for _ in range(10):
-        state = step_first_order(state, p, 1e-4)
+        state = step_first_order(state, p, 1e-4)[0]
     ep, eu = [], []
     for dt in (0.001, 0.0005, 0.00025, 0.000125):
-        one = step_first_order(state, p, dt)
-        half = step_first_order(step_first_order(state, p, dt / 2), p, dt / 2)
+        one = step_first_order(state, p, dt)[0]
+        half = step_first_order(step_first_order(state, p, dt / 2)[0], p, dt / 2)[0]
         ep.append(norm_l2_cell(one.phi - half.phi))
         eu.append(norm_l2_face(one.u - half.u))
     phi_rates = np.log2(np.array(ep[:-1]) / np.array(ep[1:]))
@@ -604,7 +604,7 @@ def test_reports_collected():
     g = GridSpec(8, 8)
     p = reference_params()
     state = initial_state(g, p)
-    reports = step_first_order(state, p, 0.01).reports
+    reports = step_first_order(state, p, 0.01)[1].reports
     assert len(reports) == 3  # 1 phase + 1 helmholtz + 1 poisson
     assert all(r.residual <= 1e-11 for r in reports)
 
@@ -621,7 +621,7 @@ def test_a_step_leaves_its_input_state_unchanged(scheme):
     p = reference_params()
     state = messy_state(g, p, rng=np.random.default_rng(5))
     before = _arrays_by_name(state)
-    assert set(before) >= {"phi", "mu", "u", "u_tilde", "p"}
+    assert set(before) >= {"phi", "mu", "u", "p"}
     if scheme == "msav1":
         step_first_order(state, p, 0.01)
     else:

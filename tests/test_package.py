@@ -5,20 +5,23 @@ from it, or read as an attribute of the module) and, when tests alone read
 it, used by that module too, every optional parameter of the package is
 passed at some call, and no private name is imported across modules of the
 package; every name a demo or the benchmark imports from chns
-exists, the BDF2 state has no optional history, no module of the package or
+exists, a level holds only what the next step reads and the BDF2 state adds
+no optional history, no module of the package or
 the tests imports a name it never uses, and no module of the package has a
 global statement or an np.negative with an out array."""
 
 import ast
 import importlib
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import chns
 from chns.grid import CellField, GridSpec, MacVector
-from chns.model import SchemeState2
+from chns.first_order import StepRecord
+from chns.model import SchemeState, SchemeState2
 
 MODULES = ["chns"] + [f"chns.{m.name}" for m in pkgutil.iter_modules(chns.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,14 +217,25 @@ def test_no_private_name_crosses_a_module():
 def test_scheme_state2_requires_history():
     g = GridSpec(4, 4)
     zero = CellField.zeros(g)
-    fields = dict(
-        t=0.0, phi=zero, mu=zero, u=MacVector.zeros(g), u_tilde=MacVector.zeros(g), p=zero,
+    level = dict(
+        t=0.0, phi=zero, mu=zero, u=MacVector.zeros(g), p=zero,
         r=1.0, q=1.0, phi_hat=zero.data, phi_hat_prev=zero.data, mu_prev=zero, u_prev=MacVector.zeros(g),
         r_prev=1.0, q_prev=1.0, g=zero,
     )
     with pytest.raises(TypeError):
-        SchemeState2(**fields)
-    assert SchemeState2(**fields, phi_prev=zero).phi_prev is zero
+        SchemeState2(**level)
+    assert SchemeState2(**level, phi_prev=zero).phi_prev is zero
+
+
+def test_a_level_holds_only_what_the_next_step_reads():
+    """SchemeState is the level (t, phi, mu, u, p, r, q, phi_hat), SchemeState2
+    adds exactly the BDF2 history and g, and a step's by-products are its
+    StepRecord's."""
+    level = {"t", "phi", "mu", "u", "p", "r", "q", "phi_hat"}
+    history = {"phi_prev", "phi_hat_prev", "mu_prev", "u_prev", "r_prev", "q_prev", "g"}
+    assert {f.name for f in fields(SchemeState)} == level
+    assert {f.name for f in fields(SchemeState2)} == level | history
+    assert {f.name for f in fields(StepRecord)} == {"u_tilde", "reports", "grad_ut_sq", "div_ut_sq"}
 
 
 def _unused_imports(path):
