@@ -23,8 +23,10 @@ rounding, are what make the projection steps produce discretely
 divergence-free velocities and the time steppers satisfy a discrete energy
 law with machine-precision slack.
 
-All operators are pure functions; field containers are treated as
-immutable values after construction.
+Operators never modify their arguments; each returns new arrays.  Field
+containers are mutable: a caller may update a container it owns in place,
+as the steppers do (first_order.zero_mean, and the scaled or accumulated
+terms of a step).
 """
 
 from __future__ import annotations
@@ -431,26 +433,31 @@ def _finite(path, values):
 #     exactly as hi + lo; hi >= 1e16 > 2**53 is an even integer, so
 #     D = hi + rint(lo) rounds |x| * 10**s to an integer, half to even: the
 #     correctly rounded 17-digit significand that '%.17g' prints.
-#   * Text.  Each value fills a 32-byte slot of four little-endian words, NUL
-#     where its text has no byte, and bytes.translate drops the NULs:
-#         0      '-' of a negative value
-#         1-5    '0.' and up to three zeros, when -4 <= X < 0
-#         7      the first digit
-#         8-23   the other 16 digits less trailing zeros; when a fraction
-#                follows the integer digits, the '.' before the first fraction
-#                digit, and the digits from there on one byte later (the
-#                last one in byte 24)
-#         25-28  'e-05' or 'e-06', when X < -4
-#         29     ',' or '\n'
-#     Tables indexed by (significant digits, X) hold the masks and characters
-#     that place them.
+#   * Text.  Each value fills a 24-byte slot of three little-endian words,
+#     NUL where its text has no byte, and bytes.translate drops the NULs.
+#     The slot starts with the separator before the value, so the longest
+#     text of the array range (23 bytes) fits:
+#         0      ',', or '\n' before the first value of a row
+#         1      '-' of a negative value
+#         2-7    the first digit: at byte 7, alone or after '0.' and up to
+#                three zeros (-4 <= X < 0); at byte 6 when the '.' or more
+#                integer digits follow (X >= 0 with a fraction); at byte 2,
+#                with the '.' at byte 3, when X < -4
+#         8-23   digits 1-16 less trailing zeros.  When a fraction follows
+#                X >= 0, the integer ones move one byte down, which frees
+#                byte 7 + X for the '.'; when X < -4 all move four bytes
+#                down, which frees bytes 20-23 for 'e-05' or 'e-06'
+#     Tables indexed by (significant digits nd, X) hold the masks, the
+#     characters and the move that place digits 1-16, and one indexed by
+#     (nd, X, sign, first digit) the rest of bytes 1-7.
 #   * Zeros are '0' and '-0'.  Subnormals, |x| <= 1e-6, |x| >= 1e17, inf and
-#     nan go through '%.17g' itself, one value at a time.
+#     nan go through '%.17g' itself, one value at a time: its text, up to 24
+#     bytes ('-d.dddddddddddddddde-ddd'), is joined in after the text of the
+#     slots before it, in place of the value's own slot.
 
-_CSV_BLOCK_VALUES = 4096  # values per _g17_text call: its temporaries (0.7 MB at most) stay in L2 cache
+_CSV_BLOCK_VALUES = 8192  # values per _g17_text call: its temporaries (1.8 MB at most) stay in a 2 MB L2 cache
 _WORD = np.dtype("<u8")
 _EXPONENTS = range(-6, 17)  # X of the values formatted with arrays; (nd, X) is layout column 23 * (nd - 1) + X + 6
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
 
 
 def _word(text, at=0):
@@ -463,26 +470,30 @@ def _byte_mask(start, stop):
     return (1 << 8 * stop) - (1 << 8 * start) if stop > start else 0
 
 
-def _layout_table():
-    """Per (significant digits nd, X): the masks of digits 1-16 that keep their
-    bytes (2 words) and that move one byte on (2 words), the '.' (2 words),
-    the prefix word and the exponent word."""
-    rows = []
+def _layout_tables():
+    """The layout rows per column (nd, X): the masks of digits 1-16 that stay
+    (2 words) and that move down (2 words), the '.' or 'e-0N' among them
+    (2 words) and the move in bits; and the front words per (column, sign,
+    first digit): bytes 1-7 of the slot."""
+    rows, front = [], []
     for nd in range(1, 18):
         for x in _EXPONENTS:
-            prefix = suffix = b""
+            kept = max(nd - 1, x)  # digits 1..kept are written
+            moved, shift, fill = 0, 8, 0  # digits 1..moved move down by shift bits
             if x < -4:
-                integer, suffix = 1, b"e-0%d" % -x
+                head, moved, shift, fill = b"#." if kept else b"#", kept, 32, _word(b"e-0%d" % -x, 12)
             elif x < 0:
-                integer, prefix = 0, b"0." + b"0" * (-x - 1)
+                head = b"0." + b"0" * (-x - 1) + b"#"
+            elif kept > x:  # the '.' goes in byte 7 + x, the head's own for x = 0
+                head, moved, fill = b"#." if x == 0 else b"#\0", x, ord(".") << 8 * (x - 1) if x else 0
             else:
-                integer = x + 1
-            kept = max(nd, integer) - 1  # digits 1..kept are written
-            dot = integer - 1 if 1 <= integer <= kept else 16  # the '.' goes before digit dot + 1
-            masks = (_byte_mask(0, min(kept, dot)), _byte_mask(dot, kept), ord(".") << 8 * dot if dot < 16 else 0)
-            words = [m >> shift & (2**64 - 1) for m in masks for shift in (0, 64)]
-            rows.append(words + [_word(prefix, 1), _word(suffix, 1)])
-    return np.array(rows, _WORD).T.copy()
+                head = b"#"
+            masks = (_byte_mask(moved, kept), _byte_mask(0, moved), fill)
+            rows.append([m >> at & (2**64 - 1) for m in masks for at in (0, 64)] + [shift])
+            at = 2 if x < -4 else 8 - len(head)  # where the head, '#' for the first digit, starts
+            for sign in (b"\0", b"-"):
+                front += [_word(sign + b"\0" * (at - 2) + head.replace(b"#", b"%d" % f), 1) for f in range(10)]
+    return np.array(rows, _WORD).T.copy(), np.array(front, _WORD)
 
 
 def _digit_tables():
@@ -503,29 +514,24 @@ def _digit_tables():
 
 @lru_cache(maxsize=None)
 def _g17_tables():
-    """(layout, chars_lo, chars_hi, last_digit), built at the first write, so a
-    run that writes no CSV snapshot neither builds nor holds them."""
-    return _layout_table(), *_digit_tables()
-
-
-_FIRST = np.array([_word(b"-" * neg) | _word(b"%d" % d, 7) for neg in (0, 1) for d in range(10)], _WORD)
-_COMMA, _NEWLINE = _word(b",", 5), _word(b"\n", 5)
-
-
-def _split(a):
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
+    """(layout, front, chars_lo, chars_hi, last_digit), built at the first
+    write, so a run that writes no CSV snapshot neither builds nor holds them."""
+    return *_layout_tables(), *_digit_tables()
 
 
 _POW10 = 10.0 ** np.arange(23)
-_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Dekker's split by 2**27 + 1
+_POW10_LO = _POW10 - _POW10_HI
+_HIGH_27 = np.uint64(2**64 - 2**26)  # the sign, the exponent and the leading 27 significant bits of a double
 
 
 def _times_pow10(a, s):
-    """(hi, lo) with hi + lo == a * 10**s exactly and hi the rounded product."""
+    """(hi, lo) with hi + lo == a * 10**s exactly and hi the rounded product:
+    Dekker's product, with a split into 27 + 26 significant bits by a mask and
+    10**s into 26 + 26, so every partial product and partial sum is exact."""
     hi = a * _POW10.take(s)
-    ah, al = _split(a)
+    ah = np.bitwise_and(a.view(np.uint64), _HIGH_27).view(np.float64)
+    al = a - ah
     bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
     lo = ah * bh
     lo -= hi
@@ -544,9 +550,8 @@ def _significand(x):
     a[outside] = 1.0
     s = np.log10(a)
     np.floor(s, out=s)
-    s = s.astype(np.int64)
-    np.subtract(16, s, out=s)
-    np.clip(s, 0, 22, out=s)
+    np.subtract(16.0, s, out=s)
+    s = np.clip(s, 0.0, 22.0, out=s).astype(np.int64)
     hi, lo = _times_pow10(a, s)
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # where log10 may have missed the decade by one
     if near.size:
@@ -568,10 +573,10 @@ def _significand(x):
 
 
 def _g17_text(block, sep):
-    """The bytes of '%.17g' % x for each x of block in C order, each followed
-    by its separator word's byte (_COMMA or _NEWLINE)."""
+    """The bytes of '%.17g' % x for each x of block in C order, each preceded
+    by its separator, the byte of its sep word: ',' or '\\n'."""
     x = block.ravel()
-    layout, chars_lo, chars_hi, last_digit = _g17_tables()
+    layout, front, chars_lo, chars_hi, last_digit = _g17_tables()
     d, key, rest = _significand(x)
     first = d // 10**16
     d -= first * 10**16
@@ -580,26 +585,34 @@ def _g17_text(block, sep):
     np.subtract(d, groups[0] * 10**8, out=groups[1])
     np.floor_divide(groups[:2], 10**4, out=groups[2:])
     groups[:2] -= groups[2:] * 10**4
-    key += np.max([table.take(g) for table, g in zip(last_digit, groups)], axis=0)
+    ends = last_digit[0].take(groups[0])
+    for table, g in zip(last_digit[1:], groups[1:]):
+        np.maximum(ends, table.take(g), out=ends)
+    key += ends
     digits = chars_lo.take(groups[2:])  # digits 1-8 and 9-16
     digits |= chars_hi.take(groups[:2])
     del groups  # freed before the words are built: the block's peak stays lower
-    words = np.empty((4, x.size), _WORD)
+    lay = layout.take(key, axis=1)
+    stay, move, fill, shift = lay[:2], lay[2:4], lay[4:6], lay[6]
+    move &= digits
+    digits &= stay
+    digits |= fill
+    digits |= move >> shift
+    np.left_shift(move, 64 - shift, out=move)  # the bytes that move into the word below
     first += np.signbit(x) * 10
-    _FIRST.take(first, out=words[0])
-    words[0] |= layout[6].take(key)
-    move = digits & layout[2:4].take(key, axis=1)
-    digits &= layout[0:2].take(key, axis=1)
-    np.left_shift(move, 8, out=words[1:3])
-    words[1:3] |= digits
-    words[1:3] |= layout[4:6].take(key, axis=1)
-    words[2] |= move[0] >> 56
-    np.right_shift(move[1], 56, out=words[3])
-    words[3] |= layout[7].take(key)
-    words[3] |= sep
+    first += key * 20  # the front word's index: (layout column, sign, first digit)
+    head = front.take(first)
+    head |= sep
+    words = np.empty((x.size, 3), _WORD)
+    np.bitwise_or(head, move[0], out=words[:, 0])
+    np.bitwise_or(digits[0], move[1], out=words[:, 1])
+    words[:, 2] = digits[1]
+    pieces, start = [], 0
     for i, value in zip(rest, x[rest].tolist()):
-        words[:3, i] = np.frombuffer(("%.17g" % value).encode().ljust(24, b"\0"), _WORD)
-    return words.T.tobytes().translate(None, b"\0")
+        pieces += [words[start:i].tobytes().translate(None, b"\0"), b"%c%.17g" % (sep[i], value)]
+        start = i + 1
+    pieces.append(words[start:].tobytes().translate(None, b"\0"))
+    return b"".join(pieces)
 
 
 def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
@@ -609,17 +622,19 @@ def write_field_csv(path, grid: GridSpec, kind: str, values: np.ndarray):
     (-0.0 and subnormals included); the bytes are those of
     np.savetxt(fh, values, fmt="%.17g", delimiter=",").  Rows are formatted
     in blocks of at most _CSV_BLOCK_VALUES values (one row if longer), so no
-    whole-array text is built."""
+    whole-array text is built; each row's text starts with the '\\n' that ends
+    the line before it."""
     values = np.asarray(values, dtype=float)
     _check_kind(kind, values.shape, grid.nx, grid.ny)
     rows = max(1, _CSV_BLOCK_VALUES // values.shape[1])
-    sep = np.full((rows, values.shape[1]), _COMMA, _WORD)
-    sep[:, -1] = _NEWLINE
+    sep = np.full((rows, values.shape[1]), ord(","), _WORD)
+    sep[:, 0] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write(f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}\n".encode())
+        fh.write(f"# {grid.nx},{grid.ny},{grid.hx:.17g},{grid.hy:.17g},{kind}".encode())
         for start in range(0, values.shape[0], rows):
             block = values[start:start + rows]
             fh.write(_g17_text(block, sep[: len(block)].ravel()))
+        fh.write(b"\n")
 
 
 def read_field_csv(path):

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from chns.errors import DimensionMismatchError
 from chns.grid import (
+    _CSV_BLOCK_VALUES,
     CellField,
     GridSpec,
     MacVector,
@@ -515,18 +516,29 @@ def test_snapshot_csv_is_savetxt_bytes_for_any_finite_values(data, kind, nx, ny)
 
 def test_snapshot_csv_is_savetxt_bytes_at_decimal_edges(tmp_path):
     """The doubles where a decimal conversion slips most easily, both signs,
-    over more than one of the writer's blocks of rows: the 40 on each side of
-    10**k for k in [-8, 17] (where log10 may miss the decade by one), the
-    powers of two 2**k for k in [-80, 60], the ties 2**49 + j/8 that round
-    half to even, and the doubles nearest 10**k that lie below it but whose
-    17 digits round up to 10**k."""
+    repeated over two full blocks of the writer and part of a third, whatever
+    its block size: the 40 on each side of 10**k for k in [-8, 17] (where
+    log10 may miss the decade by one), the powers of two 2**k for k in
+    [-80, 60], the ties 2**49 + j/8 that round half to even, and the doubles
+    nearest 10**k that lie below it but whose 17 digits round up to 10**k.
+    The 24-byte texts, the longest '%.17g' writes, sit at the first and the
+    last value of each block and at the end of every third row."""
     steps = np.arange(-40, 41)
     near_decades = (10.0 ** np.arange(-8, 18)).view(np.int64)[:, None] + steps  # one ulp per step
     rounding_up = [float(f"1e{k}") for k in (-305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)]
-    values = np.concatenate([near_decades.ravel().view(np.float64), 2.0 ** np.arange(-80, 61),
-                             2.0**49 + np.arange(64) / 8, rounding_up])
-    values = np.concatenate([values, -values])
-    values = np.append(values, np.zeros(-len(values) % 4)).reshape(-1, 4)  # 4650 values: two 4096-value blocks
+    edges = np.concatenate([near_decades.ravel().view(np.float64), 2.0 ** np.arange(-80, 61),
+                            2.0**49 + np.arange(64) / 8, rounding_up])
+    edges = np.concatenate([edges, -edges])
+    cols = 7
+    block_rows = _CSV_BLOCK_VALUES // cols
+    rows = 2 * block_rows + block_rows // 2
+    values = np.resize(edges, (rows, cols))
+    longest = np.array([-2.2250738585072014e-308, -4.9406564584124654e-324, -1.7976931348623157e+308])
+    assert all(len(b"%.17g" % x) == 24 for x in longest)
+    values[::3, -1] = np.resize(longest, len(values[::3]))
+    firsts = np.arange(0, rows, block_rows)
+    values[firsts, 0] = longest[0]
+    values[np.minimum(firsts + block_rows, rows) - 1, -1] = longest[1]
     body, reference = _csv_body_and_savetxt(tmp_path, "cell", values)
     assert body == reference
 

@@ -20,11 +20,14 @@ exit code in OLD and in NEW.  Two directories written by one tree read 0.
 The run set covers simulate with both schemes and periodic snapshots on a
 non-square grid, init=files restarts from the .bin and from the .csv final
 snapshots of those runs, and converge and audit with the demo configs at
-reduced grids and horizons, both schemes.  OUTDIR must not exist or must be
-empty; the exit codes are also written to OUTDIR/exit_codes.txt, which the
-manifest does not list.  The digests depend on the numpy/scipy build and the
-CPU, so none is committed; a test checks that two runs on one tree print the
-same manifest.
+reduced grids and horizons, both schemes.  Its fields on those grids fit in
+one block of the CSV writer (grid._CSV_BLOCK_VALUES, 8192 values), so one
+more simulate run writes snapshots after each of its 2 steps on 91x91, the
+smallest square grid whose every field (91x91, 92x91 and 91x92) spans two.
+OUTDIR must not exist or must be empty; the exit codes are also written to
+OUTDIR/exit_codes.txt, which the manifest does not list.  The digests depend
+on the numpy/scipy build and the CPU, so none is committed; a test checks
+that two runs on one tree print the same manifest.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ RUNS = (
     ("simulate-msav2", "simulate", None, (*SIMULATE, "scheme=msav2", "snapshot_every=3")),
     ("restart-bin", "simulate", None, (*SIMULATE, "scheme=msav2", *_restart("simulate-msav1", "bin"))),
     ("restart-csv", "simulate", None, (*SIMULATE, "scheme=msav1", *_restart("simulate-msav2", "csv"))),
+    ("simulate-blocks", "simulate", None, ("nx=91", "ny=91", "dt=0.01", "t_final=0.02", "snapshot_every=1")),
     *((f"converge-{scheme}", "converge", "paper5.cfg", ("nx=8", "ny=6", "t_final=0.025", f"scheme={scheme}"))
       for scheme in ("msav1", "msav2")),
     *((f"audit-{scheme}", "audit", "audit.cfg", ("nx=8", "ny=6", "ladder=0.1, 0.01", f"scheme={scheme}"))
