@@ -27,11 +27,12 @@ its floor) and outdir are checked before the first step: an unusable one exits
 written, mid-run included.  main alone maps errors to exit codes, naming the
 step and dt of a failure inside a run, whose audit CSV keeps the rows of the
 steps before it.  simulate and audit share one run function and write every file
-before they exit 5.  --threads N sets the FFT workers of that command; N < 1
-exits 2.  On glibc, main fixes malloc's mmap and trim thresholds (32 and 64
-MiB) for the rest of the process, so repeated steps reuse the heap instead of
-faulting in fresh pages.  A t_final past horizon_T runs, with a warning on
-stderr: the stability and accuracy statements cover t <= horizon_T.
+before they exit 5.  --threads N runs that command's transforms on N threads
+(elliptic.transform_workers); N < 1 exits 2.  On glibc, main fixes malloc's
+mmap and trim thresholds (32 and 64 MiB) for the rest of the process, so
+repeated steps reuse the heap instead of faulting in fresh pages.  A t_final
+past horizon_T runs, with a warning on stderr: the stability and accuracy
+statements cover t <= horizon_T.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-import scipy.fft
 
 from .diagnostics import (
     attach_rates,
@@ -56,7 +56,7 @@ from .diagnostics import (
     write_audit_csv,
     write_table_csv,
 )
-from .elliptic import TOL_HELMHOLTZ, TOL_POISSON, cell_laplacian_symbol
+from .elliptic import TOL_HELMHOLTZ, TOL_POISSON, cell_laplacian_symbol, transform_workers
 from .errors import (ChnsError, ConfigError, DimensionMismatchError, InputDataError, SingularSystemError,
                      StateError)
 from .grid import (
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
         if cfg.t_final > cfg.params.horizon:  # xi2 = exp(t/T) q drifts from 1 there, which no audit row shows
             print(f"warning: t_final/horizon_T = {cfg.t_final / cfg.params.horizon:g} > 1; the stability and "
                   "accuracy statements cover t <= horizon_T only", file=sys.stderr)
-        with scipy.fft.set_workers(args.threads):  # this command's transforms only
+        with transform_workers(args.threads):  # this command's transforms only
             return commands[args.command](cfg)
     except OSError as exc:  # a config, snapshot or output file that cannot be read, created or written
         what = exc if exc.filename is None else f"cannot use {exc.filename!r}: {exc.strerror}"

@@ -24,21 +24,30 @@ stacked array), each slice bitwise the single call, and the phase solve
 is checked in its mu form (ch_mu_residual), at one cell Laplacian.  The test
 suite holds those pieces to dense LU solves and to a conjugate-gradient
 reference (tests/oracle_tools.py).  Every transform goes through the
-module-level names dctn, idctn, dst and idst.
+module-level names dctn, idctn, dst and idst: orthonormal transforms that
+call scipy's compiled pocketfft kernel with the arguments scipy.fft's own
+wrappers pass it, so each result is bitwise scipy.fft's.  The kernel is
+loaded from its file, not through scipy.fft, whose package import (numpy's
+test and f2py modules and scipy.special among them) takes longer than the
+rest of a small run's setup.
 
-The module keeps no state beyond its symbol caches: solvers are pure functions
-of their right-hand side, safe to call concurrently, and transform with
-scipy.fft's worker count (1 outside a scipy.fft.set_workers context, which
-chns --threads opens).
+The module keeps no state beyond its symbol caches and the worker count:
+solvers are pure functions of their right-hand side, safe to call
+concurrently, and transform on WORKERS threads (1 outside a
+transform_workers context, which chns --threads opens).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, dst, idctn, idst
 
 from .errors import CompatibilityError, InputDataError, SolverConvergenceError
 from .grid import (
@@ -86,6 +95,76 @@ class SolveReport:
 
     residual: float
     mean_defect: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# transforms
+# ---------------------------------------------------------------------------
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft extension, loaded from its file without running
+    scipy.fft's package __init__.  It depends on scipy's private layout
+    scipy/fft/_pocketfft/pypocketfft*.so; tests/test_elliptic.py holds the
+    transforms below bitwise to scipy.fft's.  The module name is the one scipy
+    imports it under, so either import finds the other's loaded copy."""
+    spec = importlib.util.find_spec("scipy")  # locates the package without importing it
+    if spec is None:
+        raise ImportError("chns.elliptic needs scipy's pocketfft extension, and scipy is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no pocketfft extension (pypocketfft*.so) in scipy's {folder}")
+
+
+_pocketfft = _load_pocketfft()
+
+# threads per transform call in the current context; chns --threads sets it for its command
+WORKERS = contextvars.ContextVar("chns.elliptic.WORKERS", default=1)
+
+
+@contextlib.contextmanager
+def transform_workers(n: int):
+    """Run the transforms of this context on n threads, restoring the count on exit."""
+    if n < 1:
+        raise ValueError(f"transform workers must be at least 1, got {n}")
+    token = WORKERS.set(n)
+    try:
+        yield
+    finally:
+        WORKERS.reset(token)
+
+
+# The kernel calls of scipy.fft's dctn/idctn/dst/idst at norm="ortho": inorm=1 both ways, an
+# inverse of type 2 or 3 is the other type, and overwrite_x passes x as the output array.  x
+# must be a float ndarray, as every field is: nothing converts it.
+_INVERSE_TYPE = {1: 1, 2: 3, 3: 2, 4: 4}
+
+
+def dctn(x: np.ndarray, type: int = 2, axes=None) -> np.ndarray:
+    """Orthonormal DCT of x over axes (all of them by default)."""
+    return _pocketfft.dct(x, type, axes, 1, None, WORKERS.get())
+
+
+def idctn(x: np.ndarray, type: int = 2, axes=None, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of dctn; overwrite_x=True writes the result into x."""
+    return _pocketfft.dct(x, _INVERSE_TYPE[type], axes, 1, x if overwrite_x else None, WORKERS.get())
+
+
+def dst(x: np.ndarray, type: int = 2, axis: int = -1, overwrite_x: bool = False) -> np.ndarray:
+    """Orthonormal DST of x along axis; overwrite_x=True writes the result into x."""
+    return _pocketfft.dst(x, type, (axis,), 1, x if overwrite_x else None, WORKERS.get())
+
+
+def idst(x: np.ndarray, type: int = 2, axis: int = -1, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of dst; overwrite_x=True writes the result into x."""
+    return _pocketfft.dst(x, _INVERSE_TYPE[type], (axis,), 1, x if overwrite_x else None, WORKERS.get())
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +218,13 @@ def helmholtz_inv_symbol(grid: GridSpec, spec: HelmholtzSpec):
 def cell_transform(a: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II coefficients of cell data over the last two axes of a:
     one field, or a stack of fields along its first axis, in one call."""
-    return dctn(a, type=2, norm="ortho", axes=(-2, -1))
+    return dctn(a, type=2, axes=(-2, -1))
 
 
 def cell_inverse(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Cell data of DCT-II coefficients; overwrite_x=True may consume coeffs."""
-    return idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite_x)
+    """Cell data of DCT-II coefficients over the last two axes, inverse of
+    cell_transform; overwrite_x=True may consume coeffs."""
+    return idctn(coeffs, type=2, axes=(-2, -1), overwrite_x=overwrite_x)
 
 
 def _interior(w: MacVector):
@@ -160,8 +240,8 @@ def face_transform(*ws: MacVector):
     component and axis."""
     out = []
     for parts, (tx, ty) in zip(zip(*map(_interior, ws)), _FACE_TYPES):
-        a = dst(np.stack(parts), type=tx, axis=-2, norm="ortho", overwrite_x=True)  # in place on the stack
-        a = dst(a, type=ty, axis=-1, norm="ortho", overwrite_x=True)
+        a = dst(np.stack(parts), type=tx, axis=-2, overwrite_x=True)  # in place on the stack
+        a = dst(a, type=ty, axis=-1, overwrite_x=True)
         out.append(a if len(ws) > 1 else a[0])
     return out
 
@@ -170,8 +250,8 @@ def face_inverse(grid: GridSpec, coeffs) -> MacVector:
     """The face vector with these interior coefficients and zero wall entries."""
     out = MacVector.zeros(grid)
     for dest, a, (tx, ty) in zip(_interior(out), coeffs, _FACE_TYPES):
-        a = idst(a, type=ty, axis=1, norm="ortho")
-        dest[...] = idst(a, type=tx, axis=0, norm="ortho", overwrite_x=True)
+        a = idst(a, type=ty, axis=1)
+        dest[...] = idst(a, type=tx, axis=0, overwrite_x=True)
     return out
 
 

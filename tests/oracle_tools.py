@@ -15,8 +15,12 @@ The standalone phase and velocity solvers are the library's transform pieces
 together as the step puts them, so a test of them tests the step's code.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from math import exp
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +277,16 @@ def with_signed_zeros(rng, shape):
     a[pick < 0.2] = 0.0
     a[(pick >= 0.2) & (pick < 0.4)] = -0.0
     return a
+
+
+def run_fresh_python(code):
+    """Stdout of code run in a fresh interpreter that imports chns from this
+    checkout's src; fails the calling test with its stderr if it exits nonzero."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def field_bytes(x):

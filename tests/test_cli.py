@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from chns.cli import (
@@ -373,13 +372,13 @@ def test_threads_flag_accepted(tmp_path):
 
 
 def test_threads_apply_to_their_command_only(tmp_path, monkeypatch):
-    """--threads 2 runs the command's transforms on 2 scipy.fft workers; a
-    library transform after main returns is back on scipy's default of 1."""
+    """--threads 2 runs the command's transforms on 2 threads; a library
+    transform after main returns is back on chns.elliptic's default of 1."""
     workers = []
 
-    def dctn(*args, **kwargs):
-        workers.append(kwargs.get("workers") or scipy.fft.get_workers())
-        return scipy.fft.dctn(*args, **kwargs)
+    def dctn(*args, _dctn=elliptic.dctn, **kwargs):
+        workers.append(elliptic.WORKERS.get())
+        return _dctn(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "dctn", dctn)
     assert run_cli("simulate", "--threads", "2", "--set", "nx=8", "--set", "ny=8", "--set", "dt=0.05",
@@ -388,6 +387,23 @@ def test_threads_apply_to_their_command_only(tmp_path, monkeypatch):
     workers.clear()
     elliptic.cell_transform(np.zeros((4, 4)))
     assert workers == [1]
+
+
+def test_two_threads_write_the_bytes_of_one(tmp_path):
+    """An msav2 run on 2 transform threads writes every file byte for byte as
+    on 1, periodic snapshots included: pocketfft splits a transform into whole
+    1-D lines, so the thread count moves no rounding.  72x66 cells give every
+    transform at least 64 lines along each axis, enough for pocketfft to use
+    both threads also on a build with 8 doubles per SIMD vector."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert run_cli("simulate", "--threads", threads, "--set", "scheme=msav2", "--set", "nx=72",
+                       "--set", "ny=66", "--set", "dt=0.01", "--set", "t_final=0.06",
+                       "--set", "snapshot_every=2", "--set", f"outdir={out}") == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert any("000002" in name for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

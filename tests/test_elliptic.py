@@ -45,6 +45,7 @@ from oracle_tools import (
     ref_chemical_potential,
     ref_face_transform,
     ref_minus_scaled_grad,
+    run_fresh_python,
     solve_ch_system,
     solve_velocity_helmholtz,
     unpack_face,
@@ -325,6 +326,52 @@ def test_stacked_transforms_equal_per_field_calls_bytewise(nx, ny, m, seed):
             assert field_bytes(got[i] if m > 1 else got) == field_bytes(one) == field_bytes(ref)
         assert (field_bytes(stacked_cells[i]) == field_bytes(cell_transform(cells[i]))
                 == field_bytes(ref_cell_transform(cells[i])))
+
+
+# Every call shape the step makes, through chns.elliptic and through scipy.fft as the step called
+# it before: the loader reads scipy's private layout, so a scipy that changes it fails here.
+_KERNEL_IDENTITY = """
+import {first}, {second}
+import numpy as np
+import scipy.fft as sf
+from chns import elliptic as el
+
+def same(got, ref):
+    assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+rng = np.random.default_rng(11)
+for shape in ((7, 6), (12, 10)):
+    field = rng.standard_normal(shape)
+    field[rng.random(shape) < 0.2] = -0.0
+    for a in (field, rng.standard_normal((3,) + shape)):
+        same(el.dctn(a, type=2, axes=(-2, -1)), sf.dctn(a, type=2, norm="ortho", axes=(-2, -1)))
+        ref_axes = None if a.ndim == 2 else (-2, -1)  # the step's former idctn transformed every axis
+        same(el.idctn(a, type=2, axes=(-2, -1)), sf.idctn(a, type=2, norm="ortho", axes=ref_axes))
+        mine = a.copy()
+        assert el.idctn(mine, type=2, axes=(-2, -1), overwrite_x=True) is mine
+        same(mine, sf.idctn(a.copy(), type=2, norm="ortho", axes=ref_axes, overwrite_x=True))
+    stack = rng.standard_normal((3,) + shape)
+    for tx, ty in ((1, 2), (2, 1)):
+        mine, ref = stack.copy(), stack.copy()
+        assert el.dst(el.dst(mine, type=tx, axis=-2, overwrite_x=True), type=ty, axis=-1, overwrite_x=True) is mine
+        ref = sf.dst(sf.dst(ref, type=tx, axis=-2, norm="ortho", overwrite_x=True),
+                     type=ty, axis=-1, norm="ortho", overwrite_x=True)
+        same(mine, ref)
+        once = el.idst(field, type=ty, axis=1)
+        same(once, sf.idst(field, type=ty, axis=1, norm="ortho"))
+        twice = once.copy()
+        assert el.idst(twice, type=tx, axis=0, overwrite_x=True) is twice
+        same(twice, sf.idst(once, type=tx, axis=0, norm="ortho", overwrite_x=True))
+"""
+
+
+@pytest.mark.parametrize("first, second", [("scipy.fft", "chns.elliptic"), ("chns.elliptic", "scipy.fft")])
+def test_transforms_are_scipy_fft_bitwise(first, second):
+    """chns.elliptic's dctn, idctn, dst and idst give scipy.fft's bytes at
+    norm="ortho" for every call shape the step makes, in place where scipy
+    is, on odd and even sizes, with either module imported first (each order
+    in a fresh interpreter)."""
+    run_fresh_python(_KERNEL_IDENTITY.format(first=first, second=second))
 
 
 def test_transforms_leave_their_arguments_unchanged():

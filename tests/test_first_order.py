@@ -348,7 +348,7 @@ def test_spectral_pairings_equal_physical_quadratures(nx, ny, k, mobility, visco
 
 def test_a_step_makes_twelve_transform_calls(monkeypatch):
     """Each msav1 step, msav2 BDF2 step and bootstrap substep transforms its
-    new fields once, through chns.elliptic's module-level scipy names: the
+    new fields once, through chns.elliptic's module-level transform names: the
     three velocity right-hand sides as one stack (4 dst), the recombined u~
     (4 idst), F' and adv as one stack (1 dctn), the recombined phi (1 idctn),
     and the Poisson solve (1 dctn, 1 idctn).  phi* is never transformed."""

@@ -7,8 +7,9 @@ passed at some call, and no private name is imported across modules of the
 package; every name a demo or the benchmark imports from chns
 exists, a level holds only what the next step reads and the BDF2 state adds
 no optional history, no module of the package or
-the tests imports a name it never uses, and no module of the package has a
-global statement or an np.negative with an out array."""
+the tests imports a name it never uses, no module of the package has a
+global statement or an np.negative with an out array, and a cold import of
+the command line loads neither scipy.fft nor scipy.special."""
 
 import ast
 import importlib
@@ -22,6 +23,7 @@ import chns
 from chns.grid import CellField, GridSpec, MacVector
 from chns.first_order import StepRecord
 from chns.model import SchemeState, SchemeState2
+from oracle_tools import run_fresh_python
 
 MODULES = ["chns"] + [f"chns.{m.name}" for m in pkgutil.iter_modules(chns.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,3 +282,13 @@ def test_no_negative_into_an_out_array():
              and (len(node.args) > 1 or any(kw.arg == "out" for kw in node.keywords))]
     assert not found, (f"np.negative with an out array at {found}: numpy 2.4.6 reads the wrong elements of an "
                        "input with a 64-byte stride into a strided out view; write out[...] = -x instead")
+
+
+def test_a_cold_import_loads_no_scipy_fft():
+    """A fresh `import chns.cli` and a transform load scipy's pocketfft
+    kernel alone, not the scipy.fft package (with scipy.special under it),
+    whose import took longer than the rest of a small run's setup."""
+    code = ("import sys, numpy as np, chns.cli, chns.elliptic\n"
+            "chns.elliptic.cell_transform(np.ones((4, 3)))\n"
+            "print(sorted({'scipy.fft', 'scipy.special'} & set(sys.modules)))")
+    assert run_fresh_python(code).strip() == "[]"
