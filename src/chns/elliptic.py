@@ -248,7 +248,8 @@ def face_transform(*ws: MacVector):
 
 def face_inverse(grid: GridSpec, coeffs) -> MacVector:
     """The face vector with these interior coefficients and zero wall entries."""
-    out = MacVector.zeros(grid)
+    out = MacVector.empty(grid)
+    out.u[::grid.nx] = out.v[:, ::grid.ny] = 0.0  # both walls of each component, one view each
     for dest, a, (tx, ty) in zip(_interior(out), coeffs, _FACE_TYPES):
         a = idst(a, type=ty, axis=1)
         dest[...] = idst(a, type=tx, axis=0, overwrite_x=True)
@@ -327,9 +328,10 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w:
     SolverConvergenceError above TOL_HELMHOLTZ."""
     g = w.grid
     defect = apply_helmholtz_operator(spec, w, lap_w)  # A w - b, its wall rows those of A w
-    ru, rv = _interior(rhs)
-    for d, r in zip(_interior(defect), (ru, rv)):
+    interior = _interior(rhs)
+    for d, r in zip(_interior(defect), interior):
         d -= r
+    ru, rv = (r.ravel() for r in interior)  # C-order arrays, v's a copy: np.vdot would copy each operand
     rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
     return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), TOL_HELMHOLTZ)
@@ -372,7 +374,9 @@ def solve_neumann_poisson(rhs: CellField):
 
 def project(w: MacVector, dt_coef: float, div_w: CellField | None = None):
     """Remove the gradient part of w, reusing div_w = div_face_to_cell(w) if
-    given: returns (u, psi, report), report the Poisson solve's SolveReport, with
+    given: returns (u, psi, report), report the Poisson solve's SolveReport
+    with mean_defect the boundary flux of w, the integral of div(w) that the
+    projection removes before the solve (rounding for no-penetration w), and
 
         lap(psi) = div(w) / dt_coef   (Neumann, zero mean),
         u = w - dt_coef * grad(psi),
@@ -383,10 +387,13 @@ def project(w: MacVector, dt_coef: float, div_w: CellField | None = None):
     backward-Euler stepper, 2*dt/3 for the BDF2 stepper.
     """
     d = div_face_to_cell(w) if div_w is None else div_w
+    g = d.grid
     # the mean of div(w) is the boundary flux: exactly zero for no-penetration
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed
-    rhs = d.data - d.data.mean()
+    mean = float(d.data.mean())
+    rhs = d.data - mean
     rhs /= dt_coef
-    psi, report = solve_neumann_poisson(CellField(d.grid, rhs))
+    psi, report = solve_neumann_poisson(CellField(g, rhs))
+    report.mean_defect = mean * g.cell_area * g.nx * g.ny  # the flux removed, not the rounding the solve saw
     return minus_scaled_grad(w, dt_coef, psi), psi, report

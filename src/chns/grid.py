@@ -106,6 +106,11 @@ class _Field:
     def zeros(cls, grid):
         return cls(grid, *[np.zeros(_KIND_SHAPES[kind](grid.nx, grid.ny)) for kind in cls._KIND.values()])
 
+    @classmethod
+    def empty(cls, grid):
+        """Uninitialized C-order arrays, for a kernel that writes every entry."""
+        return cls(grid, *[np.empty(_KIND_SHAPES[kind](grid.nx, grid.ny)) for kind in cls._KIND.values()])
+
     def copy(self):
         return type(self)(self.grid, *[a.copy() for a in self.arrays])
 
@@ -168,7 +173,44 @@ class MacVector(_Field):
 
 # ---------------------------------------------------------------------------
 # differential operators
+#
+# Every stencil runs over the flat C-order view of its arrays, where a shift
+# by s is a shift by one row (x) when s is the row length and by one column
+# (y) when s is 1: either is one contiguous loop.  At s = 1 one pair per row
+# straddles the row end, the last entry of row i against the first of row
+# i+1; its junk result falls on a wall lane along y, which each stencil sets
+# from its wall rule before any product or division reaches it.  Wall lanes
+# are set through 2-D views, rows for x and columns for y (_lanes).  Inputs
+# are read through reshape(-1), which copies an array that is not C-order;
+# outputs are written only into arrays the kernel allocates.  Cell and face
+# rows along y differ in length by one, so a stencil between them forms its
+# result in a buffer of the source's shape and places it with one copy or
+# one strided operand.
 # ---------------------------------------------------------------------------
+
+_FIRST, _SECOND, _LAST, _BEFORE_LAST = slice(0, 1), slice(1, 2), slice(-1, None), slice(-2, -1)
+
+
+def _lanes(a, s, pick):
+    """The lanes of the 2-D C-order array a across the flat stride s that the
+    slice pick selects: rows when s is a's row length (x), columns when s is 1 (y)."""
+    return a[pick] if s > 1 else a[:, pick]
+
+
+def _walls(a, s):
+    """The first and last lanes of a across s, as one view."""
+    return _lanes(a, s, slice(None, None, (a.shape[0] if s > 1 else a.shape[1]) - 1))
+
+
+def _face_diff(d, s, h, out):
+    """Into out, of the cells' shape: the differences d[k + s] - d[k] of the
+    flat cell data d divided by h, each cell's face past it across s, with the
+    far wall's zero in the last lane, where at s = 1 the row-end pairs fall."""
+    flat = out.reshape(-1)
+    np.subtract(d[s:], d[:-s], out=flat[:-s])
+    _lanes(out, s, _LAST)[...] = 0.0
+    flat /= h
+    return out
 
 
 def grad_cell_to_face(p: CellField) -> MacVector:
@@ -177,11 +219,11 @@ def grad_cell_to_face(p: CellField) -> MacVector:
     Boundary faces carry zero normal derivative (homogeneous Neumann), so the
     result always has vanishing normal boundary components.
     """
-    g, d = p.grid, p.data
-    out = MacVector.zeros(g)
-    for a, o, h in ((d, out.u, g.hx), (d.T, out.v.T, g.hy)):
-        inner = np.subtract(a[1:], a[:-1], out=o[1:-1])
-        inner /= h
+    g, d = p.grid, p.data.reshape(-1)
+    out = MacVector.empty(g)
+    _face_diff(d, g.ny, g.hx, out.u[1:])  # u's rows past the first are whole rows of the cells' shape
+    out.v[:, 1:] = _face_diff(d, 1, g.hy, np.empty((g.nx, g.ny)))
+    out.u[0] = out.v[:, 0] = 0.0
     return out
 
 
@@ -196,21 +238,24 @@ def minus_scaled_grad(w: MacVector, k: float, p: CellField) -> MacVector:
 
 def div_face_to_cell(w: MacVector) -> CellField:
     """Divergence of a face vector, evaluated at cell centers."""
-    g = w.grid
-    out = w.u[1:, :] - w.u[:-1, :]
+    g, u, v = w.grid, w.u.reshape(-1), w.v.reshape(-1)
+    out = (u[g.ny:] - u[:-g.ny]).reshape(g.nx, g.ny)
     out /= g.hx
-    dy = w.v[:, 1:] - w.v[:, :-1]
-    out += np.divide(dy, g.hy, out=dy)
+    dy = np.empty(w.v.shape)  # in v's rows, whose last entries pair a row's end with the next row's start: never read
+    np.subtract(v[1:], v[:-1], out=dy.reshape(-1)[:-1])
+    out += np.divide(dy[:, :-1], g.hy)
     return CellField(g, out)
 
 
-def _wall_diff(a, h, out, odd):
-    """Into out, the differences along axis 0 of a, with one ghost beyond each
-    end, divided by h: ghost = -a (odd reflection) or 0 (a zero wall value)."""
-    np.subtract(a[1:], a[:-1], out=out[1:-1])
-    np.subtract(a[0], -a[0] if odd else 0.0, out=out[0])
-    np.subtract(-a[-1] if odd else 0.0, a[-1], out=out[-1])
-    out /= h
+def _wall_diff(a, s, h, out, near):
+    """Into out, of a's shape: the differences a[k] - a[k - s] over the flat
+    views, divided by h, with the ghost lane near before a's first across s.
+    a holds its far ghost in its last lane; at s = 1 the shift pairs each row's
+    start with the previous row's end, and the first lane is set from near."""
+    flat, a_flat = out.reshape(-1), a.reshape(-1)
+    np.subtract(a_flat[s:], a_flat[:-s], out=flat[s:])
+    np.subtract(_lanes(a, s, _FIRST), near, out=_lanes(out, s, _FIRST))
+    flat /= h
     return out
 
 
@@ -219,13 +264,12 @@ def lap_cell(f: CellField) -> CellField:
 
     It is div(grad(f)) bit for bit, with no face field built, so it is
     symmetric negative semidefinite and shares its eigenbasis with the fast
-    transform solvers.  The y direction works on transposed views."""
-    g, d = f.grid, f.data
-    out, lap_y = np.empty(d.shape), np.empty(d.shape)
-    for a, o, h in ((d, out, g.hx), (d.T, lap_y.T, g.hy)):
-        grad = a[1:] - a[:-1]
-        grad /= h
-        _wall_diff(grad, h, o, odd=False)
+    transform solvers.  Each direction differences its face gradient, whose
+    last lane holds the far wall's zero, against the near wall's zero."""
+    g, d = f.grid, f.data.reshape(-1)
+    out, lap_y = np.empty(f.data.shape), np.empty(f.data.shape)
+    for s, o, h in ((g.ny, out, g.hx), (1, lap_y, g.hy)):
+        _wall_diff(_face_diff(d, s, h, np.empty(f.data.shape)), s, h, o, 0.0)
     out += lap_y
     return CellField(g, out)
 
@@ -238,21 +282,27 @@ def lap_velocity(w: MacVector) -> MacVector:
     walls are zero: those entries are boundary data, not unknowns.
     """
     g = w.grid
-    out = MacVector(g, np.empty_like(w.u), np.empty_like(w.v))
-    # a's rows run normal to the walls it stores, its columns along the walls it ghosts; v on transposed views
-    for a, o, h2n, h2t in ((w.u, out.u, g.hx * g.hx, g.hy * g.hy), (w.v.T, out.v.T, g.hy * g.hy, g.hx * g.hx)):
-        o[0, :] = o[-1, :] = 0.0
-        two = 2.0 * a[1:-1, :]
-        normal = np.subtract(a[2:, :], two, out=o[1:-1, :])
-        normal += a[:-2, :]
-        normal /= h2n
-        tang = np.empty_like(two)
-        np.subtract(a[1:-1, 2:], two[:, 1:-1], out=tang[:, 1:-1])
-        tang[:, 1:-1] += a[1:-1, :-2]
-        tang[:, 0] = a[1:-1, 1] - two[:, 0] - a[1:-1, 0]
-        tang[:, -1] = -a[1:-1, -1] - two[:, -1] + a[1:-1, -2]
+    out = MacVector.empty(g)
+    # a component's normal stride sn crosses the walls it stores, its tangential stride st the walls it ghosts
+    for a, o, sn, st, h2n, h2t in ((w.u, out.u, g.ny, 1, g.hx * g.hx, g.hy * g.hy),
+                                   (w.v, out.v, 1, g.ny + 1, g.hy * g.hy, g.hx * g.hx)):
+        flat = a.reshape(-1)
+        two = (2.0 * flat).reshape(a.shape)
+        normal = np.subtract(flat[2 * sn:], two.reshape(-1)[sn:-sn], out=o.reshape(-1)[sn:-sn])
+        normal += flat[:-2 * sn]
+        _walls(o, sn)[...] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
+        o /= h2n
+        tang = np.empty(a.shape)
+        inner = np.subtract(flat[2 * st:], two.reshape(-1)[st:-st], out=tang.reshape(-1)[st:-st])
+        inner += flat[:-2 * st]
+        first, last = _lanes(tang, st, _FIRST), _lanes(tang, st, _LAST)  # odd ghosts; at st = 1 the row-end pairs
+        np.subtract(_lanes(a, st, _SECOND), _lanes(two, st, _FIRST), out=first)
+        first -= _lanes(a, st, _FIRST)
+        np.subtract(-_lanes(a, st, _LAST), _lanes(two, st, _LAST), out=last)
+        last += _lanes(a, st, _BEFORE_LAST)
+        _walls(tang, sn)[...] = 0.0
         tang /= h2t
-        normal += tang
+        o += tang
     return out
 
 
@@ -264,22 +314,30 @@ def advect_scalar(w: MacVector, f: CellField) -> CellField:
     (exact mass conservation by telescoping).
     """
     _require_same_grid(w, f)
-    d = f.data
-    flux = MacVector(f.grid, np.empty(w.u.shape), np.empty(w.v.shape))
-    for a, o, wa in ((d, flux.u, w.u), (d.T, flux.v.T, w.v.T)):
-        o[1:-1] = 0.5 * (a[1:] + a[:-1])
-        o[0], o[-1] = a[0], a[-1]
+    g, d = f.grid, f.data.reshape(-1)
+    flux = MacVector.empty(g)
+    fy = np.empty(f.data.shape)
+    for s, inner in ((g.ny, flux.u[1:]), (1, fy)):  # each cell's face past it, in the cells' shape
+        flat = inner.reshape(-1)[:-s]
+        np.add(d[s:], d[:-s], out=flat)
+        _lanes(inner, s, _LAST)[...] = 0.0  # the far wall, set below; at s = 1 also the row-end pairs in flat
+        flat *= 0.5
+    flux.v[:, 1:] = fy
+    for s, o, wa in ((g.ny, flux.u, w.u), (1, flux.v, w.v)):
+        _walls(o, s)[...] = _walls(f.data, s)
         o *= wa
     return div_face_to_cell(flux)
 
 
 def _avg4(b):
-    """b averaged over the four points around each interior cross-component face."""
-    out = b[:-1, :-1] + b[1:, :-1]
-    out += b[:-1, 1:]
-    out += b[1:, 1:]
-    out *= 0.25
-    return out
+    """The sums b[i, j] + b[i+1, j] + b[i, j+1] + b[i+1, j+1], in that order,
+    over b's flat view: shape (rows - 1, cols), whose last column, where j + 1
+    is the next row's start, is junk."""
+    n, flat = b.shape[1], b.reshape(-1)
+    out = flat[:-n] + flat[n:]
+    out[:-1] += flat[1:-n]
+    out[:-1] += flat[n + 1:]
+    return out.reshape(b.shape[0] - 1, n)
 
 
 def advect_velocity(w: MacVector) -> MacVector:
@@ -290,22 +348,29 @@ def advect_velocity(w: MacVector) -> MacVector:
     as separate wall slices.  Boundary (normal) faces return zero.
     """
     g = w.grid
-    out = MacVector(g, np.empty_like(w.u), np.empty_like(w.v))
-    # the v component is the u component's stencil on transposed views; each 4-point average is summed
-    # before transposing, as floating-point addition is not associative
-    for a, cross, o, hn, ht in ((w.u, _avg4(w.v), out.u, g.hx, g.hy), (w.v.T, _avg4(w.u).T, out.v.T, g.hy, g.hx)):
-        o[0, :] = o[-1, :] = 0.0
-        ai = a[1:-1, :]
-        dtan = np.empty_like(cross)  # tangential central difference
-        np.subtract(ai[:, 2:], ai[:, :-2], out=dtan[:, 1:-1])
-        dtan[:, 0] = ai[:, 1] + ai[:, 0]
-        dtan[:, -1] = -ai[:, -1] - ai[:, -2]
+    out = MacVector.empty(g)
+    # the other component averaged to each interior face: v in u's rows 1..nx-1, u in v's rows with zero walls
+    cross_u = np.multiply(_avg4(w.v)[:, :-1], 0.25)
+    cross_v = np.empty(w.v.shape)
+    cross_v[:, 1:-1] = _avg4(w.u)[:, :-1]
+    _walls(cross_v, 1)[...] = 0.0
+    cross_v *= 0.25
+    # a component's normal stride sn crosses the walls it stores, its tangential stride st the walls it ghosts
+    for a, o, cross, sn, st, hn, ht in ((w.u, out.u, cross_u.reshape(-1), g.ny, 1, g.hx, g.hy),
+                                        (w.v, out.v, cross_v.reshape(-1)[1:-1], 1, g.ny + 1, g.hy, g.hx)):
+        flat = a.reshape(-1)
+        dtan = np.empty(a.shape)  # tangential central difference
+        np.subtract(flat[2 * st:], flat[:-2 * st], out=dtan.reshape(-1)[st:-st])
+        np.add(_lanes(a, st, _SECOND), _lanes(a, st, _FIRST), out=_lanes(dtan, st, _FIRST))
+        np.subtract(-_lanes(a, st, _LAST), _lanes(a, st, _BEFORE_LAST), out=_lanes(dtan, st, _LAST))
         dtan /= 2.0 * ht
-        cross *= dtan
-        own = np.subtract(a[2:, :], a[:-2, :], out=o[1:-1, :])
+        cross *= dtan.reshape(-1)[sn:-sn]
+        own = np.subtract(flat[2 * sn:], flat[:-2 * sn], out=o.reshape(-1)[sn:-sn])
+        _walls(o, sn)[...] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
         own /= 2.0 * hn
-        own *= ai
+        own *= flat[sn:-sn]
         own += cross
+        _walls(o, sn)[...] = 0.0  # at sn = 1 the products ran over the walls
     return out
 
 
@@ -313,10 +378,18 @@ def chemical_force(mu: CellField, phi: CellField) -> MacVector:
     """Face-centered mu * grad(phi): 2-point average of mu times the face
     difference of phi.  Zero on boundary faces."""
     _require_same_grid(mu, phi)
-    g = mu.grid
-    out = MacVector.zeros(g)
-    for m, p, o, h in ((mu.data, phi.data, out.u, g.hx), (mu.data.T, phi.data.T, out.v.T, g.hy)):
-        o[1:-1] = 0.5 * (m[1:] + m[:-1]) * (p[1:] - p[:-1]) / h
+    g, m, p = mu.grid, mu.data.reshape(-1), phi.data.reshape(-1)
+    out = MacVector.empty(g)
+    fy = np.empty((g.nx, g.ny))
+    for s, inner, h in ((g.ny, out.u[1:], g.hx), (1, fy, g.hy)):  # each cell's face past it, in the cells' shape
+        flat = inner.reshape(-1)[:-s]
+        np.add(m[s:], m[:-s], out=flat)
+        _lanes(inner, s, _LAST)[...] = 0.0  # the far wall; at s = 1 also the row-end pairs in flat
+        flat *= 0.5
+        flat *= p[s:] - p[:-s]
+        flat /= h
+    out.v[:, 1:] = fy
+    _walls(out.u, g.ny)[...] = _walls(out.v, 1)[...] = 0.0
     return out
 
 
@@ -338,9 +411,12 @@ def dot_face(a: MacVector, b: MacVector) -> float:
 
 def grad_sq_cell(f: CellField) -> float:
     """|grad f|^2, the dot_face of grad_cell_to_face(f) with itself, from the
-    interior face differences: wall faces carry no gradient."""
-    g, d = f.grid, f.data
-    dx, dy = d[1:, :] - d[:-1, :], d[:, 1:] - d[:, :-1]
+    interior face differences: wall faces carry no gradient.  Each np.vdot
+    sums a C-order array of the differences, as dot_face's would."""
+    g, d = f.grid, f.data.reshape(-1)
+    dx, dy = d[g.ny:] - d[:-g.ny], np.empty(f.data.shape)
+    np.subtract(d[1:], d[:-1], out=dy.reshape(-1)[:-1])
+    dy = dy[:, :-1].ravel()  # a copy without the row-end lane
     return g.cell_area * (float(np.vdot(dx, dx)) / g.hx**2 + float(np.vdot(dy, dy)) / g.hy**2)
 
 
@@ -358,9 +434,19 @@ def curl_at_nodes(w: MacVector) -> np.ndarray:
     Wall closures use the same odd-reflection ghosts as the viscous operator,
     so the curl of a discrete gradient vanishes identically at interior nodes.
     """
-    g = w.grid
-    out = _wall_diff(w.v, g.hx, np.empty((g.nx + 1, g.ny + 1)), odd=True)
-    out -= _wall_diff(w.u.T, g.hy, np.empty((g.nx + 1, g.ny + 1)).T, odd=True).T
+    g, v = w.grid, w.v
+    out, s = np.empty((g.nx + 1, g.ny + 1)), g.ny + 1
+    # dv/dx: v's rows are node rows, so its differences are one shift by the row length
+    flat, v_flat = out.reshape(-1), v.reshape(-1)
+    np.subtract(v_flat[s:], v_flat[:-s], out=flat[s:-s])
+    np.subtract(v[0], -v[0], out=out[0])
+    np.subtract(-v[-1], v[-1], out=out[-1])
+    flat /= g.hx
+    # du/dy: u laid out in node rows that end with its far odd ghost, differenced against the near one
+    ghosted = np.empty(out.shape)
+    ghosted[:, :-1] = w.u
+    ghosted[:, -1] = -w.u[:, -1]
+    out -= _wall_diff(ghosted, 1, g.hy, np.empty(out.shape), -w.u[:, :1])
     return out
 
 

@@ -207,6 +207,14 @@ def ref_advect_velocity(w):
     return MacVector(g, out_u, out_v)
 
 
+def ref_grad_sq_cell(f):
+    """grad_sq_cell as its contiguous face differences, each summed by np.vdot
+    and divided by h**2."""
+    g, d = f.grid, f.data
+    dx, dy = d[1:, :] - d[:-1, :], d[:, 1:] - d[:, :-1]
+    return g.cell_area * (float(np.vdot(dx, dx)) / g.hx**2 + float(np.vdot(dy, dy)) / g.hy**2)
+
+
 def ref_curl_at_nodes(w):
     g = w.grid
     uy = _pad_odd_y(w.u)

@@ -248,14 +248,21 @@ def test_project_annihilates_pure_gradients():
 
 
 def test_project_divergence_residual():
+    """The projection of a no-penetration w is divergence-free and reports a
+    rounding-level mean_defect; with an outflow of 0.5 through one wall face,
+    the report's mean_defect is that face's flux, 0.5 * hy."""
     g = GridSpec(16, 16)
     for _ in range(3):
         w = random_rhs_face(g)
         w.u[0, :] = w.u[-1, :] = 0.0
         w.v[:, 0] = w.v[:, -1] = 0.0
-        u, _, _ = project(w, 0.05)
+        u, _, report = project(w, 0.05)
         assert norm_l2_cell(div_face_to_cell(u)) <= 1e-10 * norm_l2_face(w) / min(g.hx, g.hy)
         assert normal_boundary_max(u) == 0.0
+        assert abs(report.mean_defect) <= 1e-13
+        w.u[-1, 3] = 0.5
+        _, _, report = project(w, 0.05)
+        assert abs(report.mean_defect - 0.5 * g.hy) <= 1e-13
 
 
 def test_solver_roundtrip_residuals_reported():

@@ -3,6 +3,7 @@
 import io
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from oracle_tools import (
     ref_curl_at_nodes,
     ref_div,
     ref_grad,
+    ref_grad_sq_cell,
     ref_lap_cell,
     ref_lap_velocity,
     ref_minus_scaled_grad,
@@ -369,34 +371,72 @@ def test_reductions_equal_their_materialised_forms(nx, ny, lx, ly, seed):
     assert dot_cell(a, b) == dot_cell(b, a) and dot_face(w, z) == dot_face(z, w)
 
 
+def laid_out(a, layout):
+    """a's values in an array of the given memory layout: "C" order, "F"
+    (Fortran) order, or a "slice" of columns of a wider array."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "slice":
+        wide = np.zeros((a.shape[0], a.shape[1] + 3))
+        wide[:, 1:-2] = a
+        return wide[:, 1:-2]
+    return a
+
+
+def call_recording_warnings(fn):
+    """fn()'s result, and whether the call raised a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, any(issubclass(c.category, RuntimeWarning) for c in caught)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(4, 20), ny=st.integers(4, 20), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
-       k=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1))
-@example(nx=8, ny=8, lx=1.0, ly=0.5, k=0.01, seed=0)
-@example(nx=4, ny=9, lx=1.0, ly=2.0, k=0.5, seed=1)  # columns of 8 values: 64-byte strides
-def test_kernels_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, seed):
+       k=st.floats(1e-4, 10.0), scale=st.sampled_from([1.0, 1e150, 1e300]),
+       layout=st.sampled_from(["C", "F", "slice"]), seed=st.integers(0, 2**32 - 1))
+@example(nx=8, ny=8, lx=1.0, ly=0.5, k=0.01, scale=1.0, layout="C", seed=0)
+@example(nx=4, ny=9, lx=1.0, ly=2.0, k=0.5, scale=1.0, layout="C", seed=1)  # columns of 8 values: 64-byte strides
+# the smallest grids, where each row-end lane of the flat stencils sits next to both walls
+@example(nx=4, ny=4, lx=1.0, ly=2.0, k=0.5, scale=1.0, layout="slice", seed=2)
+@example(nx=4, ny=5, lx=1.0, ly=0.5, k=0.5, scale=1e300, layout="F", seed=3)
+@example(nx=5, ny=4, lx=2.0, ly=1.0, k=0.5, scale=1e150, layout="C", seed=4)
+def test_kernels_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, scale, layout, seed):
     """Each pad-free, in-place stencil returns the bytes of the composition it
     replaced (tests/oracle_tools.py), signed zeros included, on any grid and
     any field: wall entries are not zeroed, and a fifth of the entries are
-    +0.0 and a fifth -0.0."""
+    +0.0 and a fifth -0.0.  The fields' arrays may be in any memory layout,
+    and at magnitudes up to 1e300, where products overflow, each kernel warns
+    (RuntimeWarning) only if its reference does: no junk lane of a flat
+    stencil reaches a result or raises a floating-point warning."""
     g = GridSpec(nx, ny, x1=lx, y1=ly)
     assume(g.hx != g.hy)
     rng = np.random.default_rng(seed)
-    f, p = (CellField(g, with_signed_zeros(rng, (nx, ny))) for _ in range(2))
-    w = MacVector(g, with_signed_zeros(rng, (nx + 1, ny)), with_signed_zeros(rng, (nx, ny + 1)))
+
+    def draw(shape):
+        return laid_out(scale * with_signed_zeros(rng, shape), layout)
+
+    f, p = (CellField(g, draw((nx, ny))) for _ in range(2))
+    w = MacVector(g, draw((nx + 1, ny)), draw((nx, ny + 1)))
     pairs = {
-        "grad_cell_to_face": (grad_cell_to_face(f), ref_grad(f)),
-        "div_face_to_cell": (div_face_to_cell(w), ref_div(w)),
-        "lap_cell": (lap_cell(f), ref_lap_cell(f)),
-        "lap_velocity": (lap_velocity(w), ref_lap_velocity(w)),
-        "advect_velocity": (advect_velocity(w), ref_advect_velocity(w)),
-        "advect_scalar": (advect_scalar(w, f), ref_advect_scalar(w, f)),
-        "chemical_force": (chemical_force(f, p), ref_chemical_force(f, p)),
-        "curl_at_nodes": (curl_at_nodes(w), ref_curl_at_nodes(w)),
-        "minus_scaled_grad": (minus_scaled_grad(w, k, p), ref_minus_scaled_grad(w, k, p)),
+        "grad_cell_to_face": (lambda: grad_cell_to_face(f), lambda: ref_grad(f)),
+        "div_face_to_cell": (lambda: div_face_to_cell(w), lambda: ref_div(w)),
+        "lap_cell": (lambda: lap_cell(f), lambda: ref_lap_cell(f)),
+        "lap_velocity": (lambda: lap_velocity(w), lambda: ref_lap_velocity(w)),
+        "advect_velocity": (lambda: advect_velocity(w), lambda: ref_advect_velocity(w)),
+        "advect_scalar": (lambda: advect_scalar(w, f), lambda: ref_advect_scalar(w, f)),
+        "chemical_force": (lambda: chemical_force(f, p), lambda: ref_chemical_force(f, p)),
+        "curl_at_nodes": (lambda: curl_at_nodes(w), lambda: ref_curl_at_nodes(w)),
+        "minus_scaled_grad": (lambda: minus_scaled_grad(w, k, p), lambda: ref_minus_scaled_grad(w, k, p)),
+        "grad_sq_cell": (lambda: grad_sq_cell(f), lambda: ref_grad_sq_cell(f)),
     }
-    for name, (got, want) in pairs.items():
-        assert field_bytes(got) == field_bytes(want), name
+    for name, (kernel, reference) in pairs.items():
+        (got, got_warned), (want, want_warned) = map(call_recording_warnings, (kernel, reference))
+        if name == "grad_sq_cell":
+            assert got == want, name
+        else:
+            assert field_bytes(got) == field_bytes(want), name
+        assert want_warned or not got_warned, name
 
 
 @settings(max_examples=30, deadline=None)
