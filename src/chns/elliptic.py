@@ -234,25 +234,25 @@ def _interior(w: MacVector):
 
 def face_transform(*ws: MacVector):
     """Orthonormal coefficients of the interior entries of face vectors, as a
-    (u, v) pair; on-wall entries are boundary data and are dropped.  Of one
-    vector each component is its coefficient array; of several, the stack of
-    theirs along the first axis, in the order of ws, at one dst call per
-    component and axis."""
+    (u, v) pair; on-wall entries are boundary data and are dropped.  Each
+    component is the stack of the vectors' coefficient arrays along the first
+    axis, in the order of ws (a stack of one for one vector), at one dst call
+    per component and axis."""
     out = []
     for parts, (tx, ty) in zip(zip(*map(_interior, ws)), _FACE_TYPES):
         a = dst(np.stack(parts), type=tx, axis=-2, overwrite_x=True)  # in place on the stack
-        a = dst(a, type=ty, axis=-1, overwrite_x=True)
-        out.append(a if len(ws) > 1 else a[0])
+        out.append(dst(a, type=ty, axis=-1, overwrite_x=True))
     return out
 
 
 def face_inverse(grid: GridSpec, coeffs) -> MacVector:
-    """The face vector with these interior coefficients and zero wall entries."""
+    """The face vector with these interior coefficients and zero wall entries, inverted over the
+    last two axes of each component: one coefficient array, or face_transform's stack of one."""
     out = MacVector.empty(grid)
     out.u[::grid.nx] = out.v[:, ::grid.ny] = 0.0  # both walls of each component, one view each
     for dest, a, (tx, ty) in zip(_interior(out), coeffs, _FACE_TYPES):
-        a = idst(a, type=ty, axis=1)
-        dest[...] = idst(a, type=tx, axis=0, overwrite_x=True)
+        a = idst(a, type=ty, axis=-1)
+        dest[...] = idst(a, type=tx, axis=-2, overwrite_x=True)
     return out
 
 
@@ -271,11 +271,12 @@ def apply_ch_operator(spec: ChOperatorSpec, phi: CellField) -> CellField:
 
 
 def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector, lap_w: MacVector | None = None) -> MacVector:
+    """w - visc_dt*lap(w), reusing lap_w = lap_velocity(w) if given.  Its on-wall entries are
+    w's boundary data bit for bit, signed zeros included: lap_velocity writes +0.0 there, and
+    w - visc_dt*(+0.0) is w for any finite visc_dt."""
     out = spec.visc_dt * (lap_velocity(w) if lap_w is None else lap_w)
-    np.subtract(w.u, out.u, out=out.u)  # w - visc_dt lap w
+    np.subtract(w.u, out.u, out=out.u)
     np.subtract(w.v, out.v, out=out.v)
-    out.u[[0, -1], :] = w.u[[0, -1], :]  # on-wall entries are boundary data, not equations
-    out.v[:, [0, -1]] = w.v[:, [0, -1]]
     return out
 
 
@@ -325,13 +326,15 @@ def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w:
     """Check w as a solve of the velocity operator against rhs, whose on-wall
     entries are boundary data, not equations, and are ignored, reusing
     lap_w = lap_velocity(w) if given; returns the SolveReport, or raises
-    SolverConvergenceError above TOL_HELMHOLTZ."""
+    SolverConvergenceError above TOL_HELMHOLTZ.  A w - b is formed over whole
+    rows, and its wall rows are then w's, those of A w."""
     g = w.grid
-    defect = apply_helmholtz_operator(spec, w, lap_w)  # A w - b, its wall rows those of A w
-    interior = _interior(rhs)
-    for d, r in zip(_interior(defect), interior):
+    defect = apply_helmholtz_operator(spec, w, lap_w)
+    for d, r in zip(defect.arrays, rhs.arrays):
         d -= r
-    ru, rv = (r.ravel() for r in interior)  # C-order arrays, v's a copy: np.vdot would copy each operand
+    defect.u[::g.nx] = w.u[::g.nx]  # both walls of each component, one view each
+    defect.v[:, ::g.ny] = w.v[:, ::g.ny]
+    ru, rv = (r.ravel() for r in _interior(rhs))  # C-order arrays, v's a copy: np.vdot would copy each operand
     rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
     op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
     return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), TOL_HELMHOLTZ)

@@ -140,12 +140,6 @@ class CellField(_Field):
     arrays = property(lambda self: (self.data,))
 
     @classmethod
-    def full(cls, grid, value):
-        out = cls.zeros(grid)
-        out.data.fill(float(value))
-        return out
-
-    @classmethod
     def from_function(cls, grid, fn):
         out = cls.zeros(grid)
         out.data[...] = fn(grid.cell_x()[:, None], grid.cell_y()[None, :])

@@ -25,9 +25,11 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.fft import dctn, dst
+from scipy.integrate import solve_ivp
 
 from chns.diagnostics import EnergyAudit, ErrorRecord, _iterate, grad_energy_velocity, mass
 from chns.elliptic import (
+    TOL_HELMHOLTZ,
     ChOperatorSpec,
     HelmholtzSpec,
     _checked,
@@ -60,8 +62,9 @@ from chns.grid import (
     lap_cell,
     lap_velocity,
     norm_l2_cell,
+    norm_l2_face,
 )
-from chns.model import (SchemeState, SchemeState2, chemical_potential, energy_e1, potential_f_prime,
+from chns.model import (SchemeState, SchemeState2, chemical_potential, energy_e1, initial_state, potential_f_prime,
                         sqrt_aux_energy)
 from chns.second_order import extrapolants
 
@@ -124,6 +127,13 @@ def mat_face_to_face(grid, op):
         e[k] = 1.0
         mat[:, k] = pack_face(op(unpack_face(grid, e)))
     return mat
+
+
+def full_cell(grid, value):
+    """The cell field of one value."""
+    out = CellField.zeros(grid)
+    out.data.fill(float(value))
+    return out
 
 
 def dense_neumann_solve(grid, rhs):
@@ -261,6 +271,20 @@ def ref_apply_helmholtz_operator(spec, w):
     return out
 
 
+def ref_helmholtz_residual(spec, w, rhs):
+    """helmholtz_residual as it subtracted rhs over the interior views of
+    A w, with the same norms and the same _checked arguments."""
+    g = w.grid
+    defect = ref_apply_helmholtz_operator(spec, w)
+    interior = rhs.u[1:-1, :], rhs.v[:, 1:-1]
+    defect.u[1:-1, :] -= interior[0]
+    defect.v[:, 1:-1] -= interior[1]
+    ru, rv = (r.ravel() for r in interior)
+    rhs_norm = np.sqrt(g.cell_area * float(np.vdot(ru, ru) + np.vdot(rv, rv)))
+    op_norm = 1.0 + spec.visc_dt * (_lap_norm_bound(g) + 2.0 / min(g.hx, g.hy) ** 2)
+    return _checked(norm_l2_face(defect), op_norm, norm_l2_face(w), float(rhs_norm), TOL_HELMHOLTZ)
+
+
 def ref_face_transform(w):
     """The per-vector face transform the stacked one replaced: an out-of-place
     DST pass over the interior view of each component, then an in-place one."""
@@ -332,7 +356,7 @@ def solve_velocity_helmholtz(spec, rhs):
     the step's residual check; the on-wall entries of rhs are ignored and those
     of w are zero.  Returns (w, SolveReport)."""
     g = rhs.grid
-    out = face_inverse(g, [c * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
+    out = face_inverse(g, [c[0] * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
     return out, helmholtz_residual(spec, out, rhs)
 
 
@@ -647,6 +671,50 @@ def monolithic_second_order(state2, params, dt):
     rhs[ix_q] = (4.0 * state2.q - state2.q_prev) / two_dt
 
     return _solve_monolithic(grid, mat, rhs, sq, t_new, params.horizon)
+
+
+# ---------------------------------------------------------------------------
+# the semi-discrete limit the schemes converge to
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def semi_discrete_solution(grid, params, t_final):
+    """(phi, u, p) at t_final of the method-of-lines system that both schemes
+    discretize in time, from initial_state:
+
+        phi' = M lap(mu) - div(u phi),   mu = -lap(phi) + gamma_eff phi + F'(phi),
+        u'   = P f,   f = nu lap(u) - (u . grad) u + mu grad(phi),
+
+    with the grid's own operators and the dense discrete Leray projector
+    P = I - G L^+ D, G and D the gradient and divergence matrices and L = D G
+    the cell Laplacian.  In the exact solution r = sqrt(E1 + delta) and
+    q = exp(-t/T), so both recombination factors are 1 and drop out.  DOP853
+    at rtol 1e-13 integrates it; the pressure is the zero-mean L^+ D f at t_final."""
+    nc = cell_count(grid)
+    grad = mat_cell_to_face(grid, grad_cell_to_face)
+    div = mat_face_to_cell(grid, div_face_to_cell)
+    lap_pinv = np.linalg.pinv(div @ grad)
+    leray = np.eye(face_count(grid)) - grad @ lap_pinv @ div
+
+    def forcing(y):
+        phi, u = CellField(grid, y[:nc].reshape(grid.nx, grid.ny)), unpack_face(grid, y[nc:])
+        mu = chemical_potential(phi, params.gamma_eff, potential_f_prime(phi, params))
+        dphi = params.mobility * lap_cell(mu) - advect_scalar(u, phi)
+        f = params.viscosity * lap_velocity(u) - advect_velocity(u) + chemical_force(mu, phi)
+        return dphi.data.ravel(), pack_face(f)
+
+    def rhs(_, y):
+        dphi, f = forcing(y)
+        return np.concatenate([dphi, leray @ f])
+
+    state0 = initial_state(grid, params)
+    sol = solve_ivp(rhs, (0.0, t_final), np.concatenate([state0.phi.data.ravel(), pack_face(state0.u)]),
+                    method="DOP853", rtol=1e-13, atol=1e-14)
+    y = sol.y[:, -1]
+    p = lap_pinv @ (div @ forcing(y)[1])
+    return (CellField(grid, y[:nc].reshape(grid.nx, grid.ny).copy()), unpack_face(grid, y[nc:]),
+            CellField(grid, p.reshape(grid.nx, grid.ny)))
 
 
 # ---------------------------------------------------------------------------

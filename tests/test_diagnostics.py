@@ -33,10 +33,11 @@ from chns.diagnostics import (
 from chns.elliptic import cell_transform
 from chns.errors import SingularSystemError, StateError
 from chns.first_order import StepRecord, step_first_order
-from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell
+from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell, norm_l2_cell, norm_l2_face
 from chns.model import PhysParams, SchemeState, SchemeState2, energy_e1, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
-from oracle_tools import cauchy_pair, reference_audit_row, reference_etilde, reference_total_energy
+from oracle_tools import (cauchy_pair, reference_audit_row, reference_etilde, reference_total_energy,
+                          semi_discrete_solution)
 
 
 def test_observed_rate_values():
@@ -499,3 +500,28 @@ def test_first_order_rates_stay_near_one_across_pairs():
                 assert 0.75 <= value <= 1.3, (name, row["dt"], value)
             else:
                 assert 0.75 <= value <= 1.25, (name, row["dt"], value)
+
+
+@pytest.mark.parametrize("scheme, lo, hi", [("msav1", 0.9, 1.1), ("msav2", 1.8, 2.2)])
+def test_runs_converge_to_the_semi_discrete_limit(scheme, lo, hi):
+    """The errors of a run against the semi-discrete solution, not against its
+    own dt/2 companion: on 8x8 to t = 0.05 at default parameters, over
+    dt = t/4 ... t/128, the finest-pair rates of phi, u and p lie in the
+    scheme's window.  The same ladder at 1.1x the mobility, a consistent scheme
+    for another model with the same Cauchy rates, falls outside it in each."""
+    g, params, t_final = GridSpec(8, 8), PhysParams(), 0.05
+    ref = semi_discrete_solution(g, params, t_final)
+
+    def rates(run_params):
+        errors = []
+        for n in (4, 8, 16, 32, 64, 128):
+            for _, state in _iterate(scheme, initial_state(g, run_params), run_params, t_final / n, n):
+                pass
+            errors.append((norm_l2_cell(state.phi - ref[0]), norm_l2_face(state.u - ref[1]),
+                           norm_l2_cell(state.p - ref[2])))
+        return [[observed_rate(a, b) for a, b in zip(coarse, fine)] for coarse, fine in zip(errors, errors[1:])]
+
+    ladder = rates(params)
+    assert all(lo <= rate <= hi for rate in ladder[-1]), f"rates of phi, u, p down the ladder: {ladder}"
+    ladder = rates(replace(params, mobility=1.1 * params.mobility))
+    assert not any(lo <= rate <= hi for rate in ladder[-1]), f"1.1x mobility: {ladder}"

@@ -25,6 +25,7 @@ from chns.grid import (
     MacVector,
     div_face_to_cell,
     grad_cell_to_face,
+    lap_velocity,
     norm_l2_cell,
     norm_l2_face,
 )
@@ -35,6 +36,7 @@ from oracle_tools import (
     cg_velocity_helmholtz,
     dense_neumann_solve,
     field_bytes,
+    full_cell,
     mat_face_to_face,
     mat_from_cell_op,
     normal_boundary_max,
@@ -44,6 +46,7 @@ from oracle_tools import (
     ref_cell_transform,
     ref_chemical_potential,
     ref_face_transform,
+    ref_helmholtz_residual,
     ref_minus_scaled_grad,
     run_fresh_python,
     solve_ch_system,
@@ -105,7 +108,7 @@ def test_poisson_transform_and_cg_agree():
 def test_poisson_compatibility_violation():
     g = GridSpec(8, 8)
     with pytest.raises(CompatibilityError):
-        solve_neumann_poisson(CellField.full(g, 1.0))
+        solve_neumann_poisson(full_cell(g, 1.0))
 
 
 def test_poisson_small_mean_projected_and_reported():
@@ -279,7 +282,7 @@ def test_solver_roundtrip_residuals_reported():
 def test_residual_checks_reject_a_nan_field():
     """A NaN residual compares false against any bound; the checks must still fail it."""
     g = GridSpec(8, 6)
-    nan, zero = CellField.full(g, np.nan), CellField.zeros(g)
+    nan, zero = full_cell(g, np.nan), CellField.zeros(g)
     for phi, mu in ((nan, zero), (zero, nan)):
         with pytest.raises(SolverConvergenceError):
             ch_mu_residual(ChOperatorSpec(mobility_dt=1e-3, gamma_eff=1.0), phi, mu, zero)
@@ -294,8 +297,9 @@ def test_residual_checks_reject_a_nan_field():
        k=st.floats(1e-4, 10.0), gamma_eff=st.floats(0.5, 60.0), seed=st.integers(0, 2**32 - 1))
 @example(nx=8, ny=8, lx=1.0, ly=0.5, k=0.01, gamma_eff=56.6, seed=0)
 def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx, ny, lx, ly, k, gamma_eff, seed):
-    """The in-place forward operators, chemical potential and projection return
-    the bytes of the container arithmetic they replaced, signed zeros included."""
+    """The in-place forward operators, chemical potential, velocity check and
+    projection return the bytes of the container arithmetic they replaced,
+    signed zeros included."""
     g = GridSpec(nx, ny, x1=lx, y1=ly)
     assume(g.hx != g.hy)
     rng = np.random.default_rng(seed)
@@ -307,6 +311,16 @@ def test_projection_and_operators_equal_their_reference_compositions_bytewise(nx
     f = CellField(g, with_signed_zeros(rng, (nx, ny)))
     assert (field_bytes(chemical_potential(phi, gamma_eff, f))
             == field_bytes(ref_chemical_potential(phi, gamma_eff, f)))
+    w.u[[0, -1], :] = np.copysign(0.0, rng.standard_normal((2, ny)))  # signed-zero walls, as the step's u~ has
+    w.v[:, [0, -1]] = np.copysign(0.0, rng.standard_normal((nx, 2)))
+    rhs = ref_apply_helmholtz_operator(hz, w)  # A w, its interior perturbed, its walls fresh boundary data
+    for r in (rhs.u[1:-1, :], rhs.v[:, 1:-1]):
+        r *= 1.0 + 1e-14 * rng.standard_normal(r.shape)
+    rhs.u[[0, -1], :] = rng.standard_normal((2, ny))
+    rhs.v[:, [0, -1]] = rng.standard_normal((nx, 2))
+    ref = ref_helmholtz_residual(hz, w, rhs).residual
+    assert (helmholtz_residual(hz, w, rhs).residual == helmholtz_residual(hz, w, rhs, lap_w=lap_velocity(w)).residual
+            == ref)
     w.u[[0, -1], :] = 0.0  # no penetration, as the projection requires
     w.v[:, [0, -1]] = 0.0
     u, psi, _ = project(w, k)
@@ -319,7 +333,9 @@ def test_stacked_transforms_equal_per_field_calls_bytewise(nx, ny, m, seed):
     """face_transform of m face vectors and cell_transform of a stack of m
     cell fields give, slice by slice, the bytes of one call per vector or
     field and of the per-field scipy calls they replaced, signed zeros
-    included, on non-square grids, and leave their arguments unchanged."""
+    included, on non-square grids, and leave their arguments unchanged.  Of
+    one vector, face_transform gives stacks of one, which face_inverse
+    inverts as it does their single slices."""
     assume(nx != ny)
     g = GridSpec(nx, ny)
     rng = np.random.default_rng(seed)
@@ -329,8 +345,11 @@ def test_stacked_transforms_equal_per_field_calls_bytewise(nx, ny, m, seed):
     stacked, stacked_cells = face_transform(*ws), cell_transform(cells)
     assert ([field_bytes(w) for w in ws], field_bytes(cells)) == before
     for i, w in enumerate(ws):
-        for got, one, ref in zip(stacked, face_transform(w), ref_face_transform(w)):
-            assert field_bytes(got[i] if m > 1 else got) == field_bytes(one) == field_bytes(ref)
+        ones = face_transform(w)
+        for got, one, ref in zip(stacked, ones, ref_face_transform(w)):
+            assert one.shape[0] == 1
+            assert field_bytes(got[i]) == field_bytes(one[0]) == field_bytes(ref)
+        assert field_bytes(face_inverse(g, ones)) == field_bytes(face_inverse(g, [one[0] for one in ones]))
         assert (field_bytes(stacked_cells[i]) == field_bytes(cell_transform(cells[i]))
                 == field_bytes(ref_cell_transform(cells[i])))
 
@@ -364,10 +383,10 @@ for shape in ((7, 6), (12, 10)):
         ref = sf.dst(sf.dst(ref, type=tx, axis=-2, norm="ortho", overwrite_x=True),
                      type=ty, axis=-1, norm="ortho", overwrite_x=True)
         same(mine, ref)
-        once = el.idst(field, type=ty, axis=1)
+        once = el.idst(field, type=ty, axis=-1)
         same(once, sf.idst(field, type=ty, axis=1, norm="ortho"))
         twice = once.copy()
-        assert el.idst(twice, type=tx, axis=0, overwrite_x=True) is twice
+        assert el.idst(twice, type=tx, axis=-2, overwrite_x=True) is twice
         same(twice, sf.idst(once, type=tx, axis=0, norm="ortho", overwrite_x=True))
 """
 

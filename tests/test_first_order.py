@@ -58,6 +58,7 @@ from chns.second_order import bootstrap, extrapolants, step_second_order
 from oracle_tools import (
     _bdf1_substeps,
     field_bytes,
+    full_cell,
     loop_dot_cell,
     loop_dot_face,
     monolithic_first_order,
@@ -76,7 +77,7 @@ def reference_params(**overrides):
 
 
 def rest_state(grid, params, phi_value):
-    phi = CellField.full(grid, phi_value)
+    phi = full_cell(grid, phi_value)
     return state_from_fields(params, phi, MacVector.zeros(grid))
 
 
@@ -107,9 +108,9 @@ def test_potential_values():
     p = reference_params()
     assert norm_l2_cell(potential_f_prime(CellField.zeros(g), p)) == 0.0
     root = np.sqrt(1.0 + p.beta)
-    out = potential_f_prime(CellField.full(g, root), p)
+    out = potential_f_prime(full_cell(g, root), p)
     assert np.max(np.abs(out.data)) <= 1e-12
-    out1 = potential_f_prime(CellField.full(g, 1.0), p)
+    out1 = potential_f_prime(full_cell(g, 1.0), p)
     assert np.allclose(out1.data, (1.0 - 1.0 - p.beta) / p.epsilon**2, atol=1e-12)
     assert abs(out1.data[0, 0] + 55.555555555555557) <= 1e-9
 
@@ -127,7 +128,7 @@ def test_energy_e1_closed_forms():
     g = GridSpec(16, 16)
     p = reference_params()
     root = np.sqrt(1.0 + p.beta)
-    assert energy_e1(CellField.full(g, root), p) <= 1e-25  # root^2 - 6 is one ulp off zero
+    assert energy_e1(full_cell(g, root), p) <= 1e-25  # root^2 - 6 is one ulp off zero
     # phi = 0 on the unit square: (1+beta)^2 / (4 eps^2) = 100
     assert abs(energy_e1(CellField.zeros(g), p) - 100.0) <= 1e-10
     # cosine initial data: midpoint quadrature is exact for this trig polynomial

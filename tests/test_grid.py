@@ -40,6 +40,7 @@ from chns.grid import (
 
 from oracle_tools import (
     field_bytes,
+    full_cell,
     ref_advect_scalar,
     ref_advect_velocity,
     ref_chemical_force,
@@ -88,7 +89,7 @@ def vortex_pair(grid):
 
 def test_grad_of_constant_is_zero():
     g = GridSpec(12, 9)
-    w = grad_cell_to_face(CellField.full(g, 3.7))
+    w = grad_cell_to_face(full_cell(g, 3.7))
     assert np.all(w.u == 0.0) and np.all(w.v == 0.0)
 
 
@@ -132,7 +133,7 @@ def test_div_grad_converges_to_laplacian():
 
 def test_lap_cell_constant_and_eigenfield():
     g = GridSpec(16, 16)
-    assert norm_l2_cell(lap_cell(CellField.full(g, 2.0))) <= 1e-13
+    assert norm_l2_cell(lap_cell(full_cell(g, 2.0))) <= 1e-13
     for k in (1, 3, 7):
         f = CellField.from_function(g, lambda x, y, k=k: np.cos(k * np.pi * x))
         lam = -(2.0 / g.hx**2) * (1.0 - np.cos(k * np.pi * g.hx))
@@ -204,7 +205,7 @@ def test_advect_scalar_constant_field_divfree():
     from chns.elliptic import project
 
     w, _, _ = project(w, 1.0)
-    out = advect_scalar(w, CellField.full(g, 4.2))
+    out = advect_scalar(w, full_cell(g, 4.2))
     assert np.max(np.abs(out.data)) <= 1e-12
 
 
@@ -262,7 +263,7 @@ def test_advect_velocity_manufactured_order2():
 
 def test_chemical_force_constant_phi():
     g = GridSpec(8, 8)
-    out = chemical_force(random_cell(g), CellField.full(g, 1.5))
+    out = chemical_force(random_cell(g), full_cell(g, 1.5))
     assert norm_l2_face(out) == 0.0
 
 
@@ -270,7 +271,7 @@ def test_chemical_force_constant_mu_factors():
     g = GridSpec(10, 10)
     phi = random_cell(g)
     c = 2.5
-    out = chemical_force(CellField.full(g, c), phi)
+    out = chemical_force(full_cell(g, c), phi)
     ref = c * grad_cell_to_face(phi)
     assert np.allclose(out.u, ref.u, atol=1e-13) and np.allclose(out.v, ref.v, atol=1e-13)
 
@@ -333,7 +334,7 @@ def test_operators_are_linear():
 def test_norms_trivial_values():
     g = GridSpec(16, 16)
     assert norm_l2_cell(CellField.zeros(g)) == 0.0
-    assert abs(norm_l2_cell(CellField.full(g, 1.0)) - 1.0) <= 1e-14
+    assert abs(norm_l2_cell(full_cell(g, 1.0)) - 1.0) <= 1e-14
 
 
 def test_grid_mismatch_raises():

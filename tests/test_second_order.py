@@ -20,6 +20,7 @@ from chns.grid import (
 from chns.model import PhysParams, SchemeState2, state_from_fields
 from chns.second_order import BOOTSTRAP_SUBSTEPS, bootstrap, step_second_order
 from oracle_tools import (
+    full_cell,
     monolithic_second_order,
     solve_ch_system,
     solve_velocity_helmholtz,
@@ -62,7 +63,7 @@ def test_fixed_point_and_bdf2_q_recurrence():
         q_expected = (4.0 * qs[-1] - qs[-2]) / (3.0 + 2.0 * dt / p.horizon)
         assert abs(st2.q - q_expected) <= 1e-12
         qs.append(st2.q)
-        assert norm_l2_cell(st2.phi - CellField.full(g, root)) <= 1e-10
+        assert norm_l2_cell(st2.phi - full_cell(g, root)) <= 1e-10
         assert norm_l2_face(st2.u) <= 1e-10
         assert abs(st2.r - 1.0) <= 1e-10
 
