@@ -221,10 +221,12 @@ def _iterate(scheme, state, params, dt, n_steps, on_step=None):
     record.  on_step, if given, is called as on_step(prev, new, record, dt)
     right after each step, msav2's bootstrap substeps included (see
     second_order.bootstrap).  A ChnsError from a step leaves with the level
-    index and dt recorded on it as step and dt."""
+    index and dt recorded on it as step and dt; n_steps < 1 raises ValueError."""
     step = {"msav1": step_first_order, "msav2": step_second_order}.get(scheme)
     if step is None:
         raise ValueError(f"unknown scheme {scheme!r} (expected 'msav1' or 'msav2')")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     k = 1
     try:
         if scheme == "msav2":
@@ -277,8 +279,6 @@ def iterate_with_audits(scheme, state0, params, dt, n_steps, tol_poisson=TOL_POI
 def simulate_run(scheme: str, state0: SchemeState, params: PhysParams, dt: float, n_steps: int):
     """Run one simulation with the per-step energy audit (see iterate_with_audits)
     and return (audits, final_state)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     audits, run = [], iterate_with_audits(scheme, state0, params, dt, n_steps)
     del state0  # as in iterate_with_audits, the run alone holds the initial state
     for _, state, step_audits in run:
@@ -347,6 +347,8 @@ def cauchy_ladder(scheme: str, state0: SchemeState, params: PhysParams, dt: floa
     The rungs + 1 runs advance depth-first, so each is integrated once and
     holds only its current state: one step of run j is followed by two steps
     of run j+1, after which rung j compares the two states."""
+    if n_steps < 1 or rungs < 1:  # with no steps no run would advance, and every record would read zero
+        raise ValueError(f"n_steps and rungs must be >= 1, got {n_steps} and {rungs}")
     runs = [_iterate(scheme, state0, params, dt / 2**j, n_steps * 2**j) for j in range(rungs + 1)]
     records = [ErrorRecord(dt / 2**j) for j in range(rungs)]
     for _ in range(n_steps):

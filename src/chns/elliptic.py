@@ -54,9 +54,7 @@ from .grid import (
     CellField,
     GridSpec,
     MacVector,
-    div_face_to_cell,
     lap_cell,
-    lap_velocity,
     minus_scaled_grad,
     norm_l2_cell,
     norm_l2_face,
@@ -270,11 +268,11 @@ def apply_ch_operator(spec: ChOperatorSpec, phi: CellField) -> CellField:
     return out
 
 
-def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector, lap_w: MacVector | None = None) -> MacVector:
-    """w - visc_dt*lap(w), reusing lap_w = lap_velocity(w) if given.  Its on-wall entries are
-    w's boundary data bit for bit, signed zeros included: lap_velocity writes +0.0 there, and
+def apply_helmholtz_operator(spec: HelmholtzSpec, w: MacVector, lap_w: MacVector) -> MacVector:
+    """w - visc_dt*lap(w), where lap_w is lap_velocity(w).  Its on-wall entries are w's
+    boundary data bit for bit, signed zeros included: lap_velocity writes +0.0 there, and
     w - visc_dt*(+0.0) is w for any finite visc_dt."""
-    out = spec.visc_dt * (lap_velocity(w) if lap_w is None else lap_w)
+    out = spec.visc_dt * lap_w
     np.subtract(w.u, out.u, out=out.u)
     np.subtract(w.v, out.v, out=out.v)
     return out
@@ -322,10 +320,10 @@ def ch_mu_residual(spec: ChOperatorSpec, phi: CellField, mu: CellField, rhs: Cel
     return _checked(norm_l2_cell(defect), _ch_op_norm(spec, phi.grid), norm_l2_cell(phi), 0.0, TOL_HELMHOLTZ)
 
 
-def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w: MacVector | None = None):
+def helmholtz_residual(spec: HelmholtzSpec, w: MacVector, rhs: MacVector, lap_w: MacVector):
     """Check w as a solve of the velocity operator against rhs, whose on-wall
-    entries are boundary data, not equations, and are ignored, reusing
-    lap_w = lap_velocity(w) if given; returns the SolveReport, or raises
+    entries are boundary data, not equations, and are ignored, where lap_w
+    is lap_velocity(w); returns the SolveReport, or raises
     SolverConvergenceError above TOL_HELMHOLTZ.  A w - b is formed over whole
     rows, and its wall rows are then w's, those of A w."""
     g = w.grid
@@ -375,9 +373,9 @@ def solve_neumann_poisson(rhs: CellField):
     return psi, report
 
 
-def project(w: MacVector, dt_coef: float, div_w: CellField | None = None):
-    """Remove the gradient part of w, reusing div_w = div_face_to_cell(w) if
-    given: returns (u, psi, report), report the Poisson solve's SolveReport
+def project(w: MacVector, dt_coef: float, div_w: CellField):
+    """Remove the gradient part of w, where div_w is div_face_to_cell(w):
+    returns (u, psi, report), report the Poisson solve's SolveReport
     with mean_defect the boundary flux of w, the integral of div(w) that the
     projection removes before the solve (rounding for no-penetration w), and
 
@@ -389,13 +387,12 @@ def project(w: MacVector, dt_coef: float, div_w: CellField | None = None):
     time-step coefficient multiplying the pressure gradient: dt for the
     backward-Euler stepper, 2*dt/3 for the BDF2 stepper.
     """
-    d = div_face_to_cell(w) if div_w is None else div_w
-    g = d.grid
+    g = div_w.grid
     # the mean of div(w) is the boundary flux: exactly zero for no-penetration
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed
-    mean = float(d.data.mean())
-    rhs = d.data - mean
+    mean = float(div_w.data.mean())
+    rhs = div_w.data - mean
     rhs /= dt_coef
     psi, report = solve_neumann_poisson(CellField(g, rhs))
     report.mean_defect = mean * g.cell_area * g.nx * g.ny  # the flux removed, not the rounding the solve saw

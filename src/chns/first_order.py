@@ -220,22 +220,20 @@ def zero_mean(p: CellField) -> CellField:
     return p
 
 
-def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: PhysParams, k: float, t_new: float):
-    """The step both orders share: the substep families at effective step k
-    from the lagged level lag (phi, p, r, q), the DCT coefficients lag_hat
-    of lag.phi and the momentum right-hand side rhs_u = u* - k grad p*,
-    which the step consumes (a caller that builds lag_hat and rhs_u in the
-    call hands over their only references, so each goes after its last
-    use), explicit terms at the extrapolated level bar (phi, mu, u), the 2x2
-    recombination, one inverse transform and one residual check per
-    operator, and one projection.
+def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, terms: ExplicitTerms, params: PhysParams, k: float,
+                   t_new: float):
+    """The step both orders share: the substep families at effective step k from
+    the lagged level lag (phi, p, r, q), the DCT coefficients lag_hat of lag.phi,
+    the momentum right-hand side rhs_u = u* - k grad p* and the explicit terms at
+    the extrapolated level, the 2x2 recombination, one inverse transform and one
+    residual check per operator, and one projection.  The step consumes lag_hat,
+    rhs_u and terms: a caller that builds them in the call hands over their only
+    references, so each goes after its last use.
 
     Returns the new level, its StepRecord and div u~.  The level's pressure
     is lag.p + psi, before the caller's own correction and zero-mean
     normalization.
     """
-    terms = explicit_terms(bar, params)
-    del bar  # only the explicit terms read the extrapolated level
     g = lag.phi.grid
     ch_spec = ChOperatorSpec(mobility_dt=params.mobility * k, gamma_eff=params.gamma_eff)
     h_spec = HelmholtzSpec(visc_dt=params.viscosity * k)
@@ -263,7 +261,7 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
         a -= np.multiply(v, xi2 * k, out=v)
     del terms.chem, terms.conv
     lap_ut = lap_velocity(ut_new)  # shared by the residual check and the audit's <-lap u~, u~>
-    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, lap_w=lap_ut)
+    h_report = helmholtz_residual(h_spec, ut_new, rhs_u, lap_ut)
     del rhs_u
     grad_ut_sq = -dot_face(lap_ut, ut_new)
     del lap_ut
@@ -279,7 +277,7 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
     r_new, q_new = xi1 * terms.sq, xi2 * exp(-t_new / params.horizon)
     del rhs_mu, terms
     div_ut = div_face_to_cell(ut_new)  # shared by the projection, the audit's |div u~|^2 and the caller
-    u_new, psi, p_report = project(ut_new, k, div_w=div_ut)
+    u_new, psi, p_report = project(ut_new, k, div_ut)
     psi.data += lag.p.data  # the level's pressure lag.p + psi
     new = SchemeState(t=t_new, phi=phi, mu=mu, u=u_new, p=psi, r=r_new, q=q_new, phi_hat=phi_hat)
     record = StepRecord(u_tilde=ut_new, reports=(ch_report, h_report, p_report), grad_ut_sq=grad_ut_sq,
@@ -289,8 +287,8 @@ def decoupled_step(lag, lag_hat: np.ndarray, rhs_u: MacVector, bar, params: Phys
 
 def step_first_order(state: SchemeState, params: PhysParams, dt: float) -> tuple[SchemeState, StepRecord]:
     """Advance one backward-Euler level, returned with the step's record: the shared step
-    with k = dt, the state itself as lagged and extrapolated level, and p^{n+1} = p^n + psi."""
-    new, record, _ = decoupled_step(state, state.phi_hat, minus_scaled_grad(state.u, dt, state.p), state, params,
-                                    dt, state.t + dt)
+    with k = dt, the state itself as lagged level and explicit terms' level, and p^{n+1} = p^n + psi."""
+    new, record, _ = decoupled_step(state, state.phi_hat, minus_scaled_grad(state.u, dt, state.p),
+                                    explicit_terms(state, params), params, dt, state.t + dt)
     zero_mean(new.p)
     return new, record

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .first_order import StepRecord, decoupled_step, step_first_order, zero_mean
+from .first_order import StepRecord, decoupled_step, explicit_terms, step_first_order, zero_mean
 from .grid import div_face_to_cell, minus_scaled_grad
 from .model import PhysParams, SchemeState, SchemeState2
 
@@ -88,15 +88,15 @@ def extrapolants(state: SchemeState2) -> SimpleNamespace:
 def step_second_order(state: SchemeState2, params: PhysParams, dt: float) -> tuple[SchemeState2, StepRecord]:
     """Advance one BDF2 level: the shared step with k = 2dt/3 from the lagged
     level, the BDF2 history (4x^n - x^{n-1})/3 of phi, u, r and q with the
-    pressure p^n, and the extrapolated level, then the rotational pressure
-    correction and the g bookkeeping; returns the level and the step's record."""
+    pressure p^n, and the explicit terms at the extrapolated level, then the rotational
+    pressure correction and the g bookkeeping; returns the level and the step's record."""
     k = 2.0 * dt / 3.0
     lag = SimpleNamespace(phi=combine(4.0, state.phi, state.phi_prev, 1.0 / 3.0), p=state.p,
                           r=(4.0 * state.r - state.r_prev) / 3.0, q=(4.0 * state.q - state.q_prev) / 3.0)
-    # the lagged coefficients and the momentum right-hand side are built in the call, which holds their only references
+    # the call builds lag_hat, rhs_u and the terms, and holds their only references; the extrapolants go with the terms
     new, record, div_ut = decoupled_step(lag, (4.0 * state.phi_hat - state.phi_hat_prev) * (1.0 / 3.0),
                                  minus_scaled_grad(combine(4.0, state.u, state.u_prev, 1.0 / 3.0), k, state.p),
-                                 extrapolants(state), params, k, state.t + dt)
+                                 explicit_terms(extrapolants(state), params), params, k, state.t + dt)
     del lag
     div_ut.data *= params.viscosity  # nu div u~, in place on the step's own array
     new.p.data -= div_ut.data

@@ -357,7 +357,7 @@ def solve_velocity_helmholtz(spec, rhs):
     of w are zero.  Returns (w, SolveReport)."""
     g = rhs.grid
     out = face_inverse(g, [c[0] * s for c, s in zip(face_transform(rhs), helmholtz_inv_symbol(g, spec))])
-    return out, helmholtz_residual(spec, out, rhs)
+    return out, helmholtz_residual(spec, out, rhs, lap_velocity(out))
 
 
 def _within(report, tol):
@@ -459,18 +459,18 @@ def cg_velocity_helmholtz(spec, rhs, tol=1e-11):
     def apply_u(x):
         w = MacVector.zeros(g)
         w.u[1:-1, :] = x
-        return apply_helmholtz_operator(spec, w).u[1:-1, :]
+        return apply_helmholtz_operator(spec, w, lap_velocity(w)).u[1:-1, :]
 
     def apply_v(x):
         w = MacVector.zeros(g)
         w.v[:, 1:-1] = x
-        return apply_helmholtz_operator(spec, w).v[:, 1:-1]
+        return apply_helmholtz_operator(spec, w, lap_velocity(w)).v[:, 1:-1]
 
     cap = 20 * max(g.nx, g.ny) ** 2
     out = MacVector.zeros(g)
     out.u[1:-1, :], iu, _ = _pcg(apply_u, rhs.u[1:-1, :], 1.0 / diag_u, tol=0.01 * tol, maxiter=cap)
     out.v[:, 1:-1], iv, _ = _pcg(apply_v, rhs.v[:, 1:-1], 1.0 / diag_v, tol=0.01 * tol, maxiter=cap)
-    return out, _within(helmholtz_residual(spec, out, rhs), tol), iu + iv
+    return out, _within(helmholtz_residual(spec, out, rhs, lap_velocity(out)), tol), iu + iv
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +728,10 @@ def _project_each_family(p_n, uts, xi1, xi2, dt_coef, nu):
     with (1, xi1, xi2)."""
     projected = []
     for i, ut in enumerate(uts):
-        u_i, psi_i, _ = project(ut, dt_coef)
+        div_ut = div_face_to_cell(ut)
+        u_i, psi_i, _ = project(ut, dt_coef, div_ut)
         p_i = p_n + psi_i if i == 0 else psi_i
-        projected.append((u_i, p_i - nu * div_face_to_cell(ut)))
+        projected.append((u_i, p_i - nu * div_ut))
     (u0, p0), (u1, p1), (u2, p2) = projected
     u = u0 + xi1 * u1 + xi2 * u2
     p = p0 + xi1 * p1 + xi2 * p2

@@ -215,7 +215,7 @@ def test_criterion_6_elliptic_oracles():
     interior = w.copy()
     interior.u[0, :] = interior.u[-1, :] = 0.0
     interior.v[:, 0] = interior.v[:, -1] = 0.0
-    hmat = mat_face_to_face(g, lambda x: apply_helmholtz_operator(hspec, x))
+    hmat = mat_face_to_face(g, lambda x: apply_helmholtz_operator(hspec, x, lap_velocity(x)))
     href = unpack_face(g, np.linalg.solve(hmat, pack_face(interior)))
     hgot, _ = solve_velocity_helmholtz(hspec, w)
     worst_dense = max(worst_dense, norm_l2_face(hgot - href))

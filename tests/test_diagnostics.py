@@ -36,8 +36,8 @@ from chns.first_order import StepRecord, step_first_order
 from chns.grid import CellField, GridSpec, MacVector, div_face_to_cell, dot_cell, norm_l2_cell, norm_l2_face
 from chns.model import PhysParams, SchemeState, SchemeState2, energy_e1, initial_state, state_from_fields
 from chns.second_order import bootstrap, step_second_order
-from oracle_tools import (cauchy_pair, reference_audit_row, reference_etilde, reference_total_energy,
-                          semi_discrete_solution)
+from oracle_tools import (cauchy_pair, monolithic_first_order, monolithic_second_order, reference_audit_row,
+                          reference_etilde, reference_total_energy, semi_discrete_solution)
 
 
 def test_observed_rate_values():
@@ -126,6 +126,27 @@ def test_ladder_integrates_each_run_once(monkeypatch):
     records = cauchy_ladder("msav1", initial_state(g, p), p, 0.0125, 8, 4)
     assert [rec.dt for rec in records] == [0.0125, 0.00625, 0.003125, 0.0015625]
     assert len(calls) == 248
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+def test_a_run_of_no_steps_or_no_rungs_is_rejected(scheme):
+    """No steps and no rungs are errors, raised before any step: neither an
+    msav2 level 1 from the bootstrap nor a ladder of all-zero records, which
+    would read as perfect convergence."""
+    p = PhysParams()
+    s0 = initial_state(GridSpec(8, 8), p)
+    steps = []
+    with pytest.raises(ValueError, match="n_steps"):
+        next(_iterate(scheme, s0, p, 0.01, 0, on_step=lambda *step: steps.append(step)))
+    assert steps == []
+    with pytest.raises(ValueError, match="n_steps"):
+        next(iterate_with_audits(scheme, s0, p, 0.01, 0))
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_run(scheme, s0, p, 0.01, 0)
+    with pytest.raises(ValueError, match="n_steps"):
+        cauchy_ladder(scheme, s0, p, 0.01, 0, 2)
+    with pytest.raises(ValueError, match="rungs"):
+        cauchy_ladder(scheme, s0, p, 0.01, 2, 0)
 
 
 @pytest.mark.parametrize("scheme", ["msav1", "msav2"])
@@ -355,36 +376,76 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
-@settings(max_examples=40, deadline=None)
-@given(nx=st.integers(4, 12), ny=st.integers(4, 12), dt=_decades(-5, 1), epsilon=_decades(-2, 0),
-       mobility=_decades(-5, -1), viscosity=_decades(-4, 0), gamma=_decades(-2, 2), beta=_decades(-2, 2),
-       delta=_decades(-4, 0), horizon=_decades(-2, 1), phi_scale=_decades(-2, 1), psi_scale=_decades(-3, 1),
-       seed=st.integers(0, 2**32 - 1))
-def test_every_audit_row_passes_on_random_draws(scheme, nx, ny, dt, epsilon, mobility, viscosity, gamma, beta,
-                                                delta, horizon, phi_scale, psi_scale, seed):
-    """The discrete energy law holds on every row of a 3-level run from a
-    random phi and a discretely divergence-free u (the discrete curl of a node
-    stream function that vanishes on the walls), on any grid and any
-    parameters.  The only failures allowed are those with a documented exit
-    code: a StateError past t/T = log(DBL_MAX), where exp(t/T) overflows, or
-    at the E1 floor, and a SingularSystemError."""
+# the parameter decades, field scales and seed of a random run (see _random_run)
+_RANDOM_RUN = dict(dt=_decades(-5, 1), epsilon=_decades(-2, 0), mobility=_decades(-5, -1),
+                   viscosity=_decades(-4, 0), gamma=_decades(-2, 2), beta=_decades(-2, 2), delta=_decades(-4, 0),
+                   horizon=_decades(-2, 1), phi_scale=_decades(-2, 1), psi_scale=_decades(-3, 1),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+def _random_run(nx, ny, dt, phi_scale, psi_scale, seed, **params):
+    """(params, state0, dt) of a draw of _RANDOM_RUN on an nx x ny grid: a random
+    phi and a discretely divergence-free u, the discrete curl of a node stream
+    function that vanishes on the walls."""
     g = GridSpec(nx, ny)
-    p = PhysParams(epsilon=epsilon, mobility=mobility, viscosity=viscosity, gamma=gamma, beta=beta, delta=delta,
-                   horizon=horizon)
+    p = PhysParams(**params)
     rng = np.random.default_rng(seed)
     phi = CellField(g, phi_scale * rng.uniform(-1.0, 1.0, (nx, ny)))
     psi = np.zeros((nx + 1, ny + 1))
     psi[1:-1, 1:-1] = psi_scale * rng.standard_normal((nx - 1, ny - 1))
     u = MacVector(g, (psi[:, 1:] - psi[:, :-1]) / g.hy, (psi[:-1, :] - psi[1:, :]) / g.hx)
+    return p, state_from_fields(p, phi, u), dt
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), **_RANDOM_RUN)
+def test_every_audit_row_passes_on_random_draws(scheme, nx, ny, **draw):
+    """The discrete energy law holds on every row of a 3-level run from a
+    random draw, on any grid and any parameters.  The only failures allowed
+    are those with a documented exit code: a StateError past t/T =
+    log(DBL_MAX), where exp(t/T) overflows, or at the E1 floor, and a
+    SingularSystemError."""
+    p, state0, dt = _random_run(nx, ny, **draw)
     try:
-        audits, _ = simulate_run(scheme, state_from_fields(p, phi, u), p, dt, 3)
+        audits, _ = simulate_run(scheme, state0, p, dt, 3)
     except SingularSystemError:
         return
     except StateError as exc:
         assert "too small" in str(exc) or exc.step * dt / p.horizon > math.log(sys.float_info.max) * (1 - 1e-12)
         return
     assert all(a.passed for a in audits), [(a.t, a.decay_defect, a.slack) for a in audits if not a.passed]
+
+
+@pytest.mark.parametrize("scheme", ["msav1", "msav2"])
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 6), ny=st.integers(4, 6), **_RANDOM_RUN)
+def test_one_step_equals_the_monolithic_solve_on_random_draws(scheme, nx, ny, **draw):
+    """One decoupled step, msav2's after the bootstrap, equals the dense solve
+    of all its unknowns at once to the relative 1e-9 of the fixed-state
+    comparisons (test_step_matches_monolithic_dense_solve), on any grid and
+    any parameters.  The only exits are the documented SingularSystemError
+    and StateError."""
+    p, state, dt = _random_run(nx, ny, **draw)
+    try:
+        if scheme == "msav2":
+            state = bootstrap(state, p, dt)
+            got, rec = step_second_order(state, p, dt)
+        else:
+            got, rec = step_first_order(state, p, dt)
+    except (SingularSystemError, StateError):
+        return
+    ref = (monolithic_second_order if scheme == "msav2" else monolithic_first_order)(state, p, dt)
+    for name, a, norm in (("phi", got.phi, norm_l2_cell), ("mu", got.mu, norm_l2_cell),
+                          ("u_tilde", rec.u_tilde, norm_l2_face), ("u", got.u, norm_l2_face),
+                          ("p", got.p, norm_l2_cell)):
+        assert norm(a - ref[name]) <= 1e-9 * max(1.0, norm(ref[name])), name
+    scalars = [("r", got.r), ("q", got.q)]
+    if scheme == "msav1":
+        scalars += [("xi1", got.r / np.sqrt(energy_e1(state.phi, p) + p.delta)),
+                    ("xi2", got.q * np.exp(got.t / p.horizon))]
+    for name, x in scalars:
+        assert abs(x - ref[name]) <= 1e-9 * max(1.0, abs(ref[name])), name
 
 
 def test_audit_step_law_follows_the_state():

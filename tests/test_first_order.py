@@ -211,9 +211,9 @@ def test_project_divergence_free_input_unchanged():
         lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y),
         lambda x, y: -np.sin(np.pi * y) ** 2 * np.sin(2 * np.pi * x),
     )
-    solenoidal, _, _ = project(vel, 1.0)
+    solenoidal, _, _ = project(vel, 1.0, div_face_to_cell(vel))
     for dt_coef in (0.01, 2.0 * 0.01 / 3.0):  # backward Euler and BDF2 coefficients
-        u, psi, _ = project(solenoidal, dt_coef)
+        u, psi, _ = project(solenoidal, dt_coef, div_face_to_cell(solenoidal))
         assert norm_l2_face(u - solenoidal) <= 1e-9
         assert norm_l2_cell(psi) <= 1e-9
         assert norm_l2_cell(div_face_to_cell(u)) <= 1e-10
@@ -234,8 +234,8 @@ def test_project_linearity():
     a, b, c = noslip(), noslip(), noslip()
     x1, x2 = 0.93, -1.7
     for dt_coef in (0.02, 2.0 * 0.02 / 3.0):
-        (ua, pa, _), (ub, pb, _), (uc, pc, _) = (project(w, dt_coef) for w in (a, b, c))
-        u, p, _ = project(a + x1 * b + x2 * c, dt_coef)
+        (ua, pa, _), (ub, pb, _), (uc, pc, _), (u, p, _) = (project(w, dt_coef, div_face_to_cell(w))
+                                                            for w in (a, b, c, a + x1 * b + x2 * c))
         scale_u = norm_l2_face(a) + norm_l2_face(b) + norm_l2_face(c)
         scale_p = norm_l2_cell(pa) + norm_l2_cell(pb) + norm_l2_cell(pc) + 1.0
         assert norm_l2_face(u - (ua + x1 * ub + x2 * uc)) <= 1e-10 * scale_u

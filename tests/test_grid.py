@@ -204,7 +204,7 @@ def test_advect_scalar_constant_field_divfree():
     # make w discretely divergence-free by removing its gradient part
     from chns.elliptic import project
 
-    w, _, _ = project(w, 1.0)
+    w, _, _ = project(w, 1.0, div_face_to_cell(w))
     out = advect_scalar(w, full_cell(g, 4.2))
     assert np.max(np.abs(out.data)) <= 1e-12
 
