@@ -238,7 +238,10 @@ def face_transform(*ws: MacVector):
     per component and axis."""
     out = []
     for parts, (tx, ty) in zip(zip(*map(_interior, ws)), _FACE_TYPES):
-        a = dst(np.stack(parts), type=tx, axis=-2, overwrite_x=True)  # in place on the stack
+        a = np.empty((len(parts), *parts[0].shape))  # the stack, filled slice by slice
+        for i, part in enumerate(parts):
+            a[i] = part
+        a = dst(a, type=tx, axis=-2, overwrite_x=True)  # in place on the stack
         out.append(dst(a, type=ty, axis=-1, overwrite_x=True))
     return out
 
@@ -352,11 +355,11 @@ def solve_neumann_poisson(rhs: CellField):
     CompatibilityError, a smaller one is projected out and reported in the
     SolveReport.mean_defect field.
     """
-    if not np.all(np.isfinite(rhs.data)):
+    if not np.isfinite(rhs.data).all():
         raise InputDataError("non-finite values in Poisson right-hand side")
     g = rhs.grid
     rhs_norm = norm_l2_cell(rhs)
-    mean = float(rhs.data.mean())
+    mean = float(rhs.data.sum() / rhs.data.size)  # ndarray.mean's sum and division, without its Python wrapper
     defect = abs(mean) * np.sqrt(g.cell_area * g.nx * g.ny)  # L2 size of the constant part
     if defect > 1e-10 * max(rhs_norm, 1e-300):
         raise CompatibilityError(mean * g.cell_area * g.nx * g.ny)
@@ -365,7 +368,7 @@ def solve_neumann_poisson(rhs: CellField):
     coeffs *= _poisson_inv_symbol(g)
     psi = CellField(g, cell_inverse(coeffs, overwrite_x=True))
     del coeffs
-    psi.data -= psi.data.mean()
+    psi.data -= psi.data.sum() / psi.data.size
     defect = lap_cell(psi)
     defect.data -= b
     report = _checked(norm_l2_cell(defect), _lap_norm_bound(g), norm_l2_cell(psi),
@@ -391,7 +394,7 @@ def project(w: MacVector, dt_coef: float, div_w: CellField):
     # the mean of div(w) is the boundary flux: exactly zero for no-penetration
     # fields up to summation rounding, which is removed here so that repeated
     # projections of roundoff-scale divergences stay well posed
-    mean = float(div_w.data.mean())
+    mean = float(div_w.data.sum() / div_w.data.size)
     rhs = div_w.data - mean
     rhs /= dt_coef
     psi, report = solve_neumann_poisson(CellField(g, rhs))

@@ -158,7 +158,10 @@ def phase_families(lag_hat: np.ndarray, terms: ExplicitTerms, spec: ChOperatorSp
     taken once its factors exist, so only the two family arrays outlive the call."""
     g = terms.f_prime.grid
     inv, lam, ge = ch_inv_symbol(g, spec), cell_laplacian_symbol(g), spec.gamma_eff
-    f_hat, adv_hat = cell_transform(np.stack((terms.f_prime.data, terms.adv.data)))
+    stack = np.empty((2, *lag_hat.shape))
+    stack[0], stack[1] = terms.f_prime.data, terms.adv.data
+    f_hat, adv_hat = cell_transform(stack)
+    del stack  # freed before the families are formed, as the step sets a run's peak memory
     lam_adv = lam * adv_hat
     phi1 = (spec.mobility_dt * lam) * f_hat
     phi1 -= k * adv_hat
@@ -168,7 +171,8 @@ def phase_families(lag_hat: np.ndarray, terms: ExplicitTerms, spec: ChOperatorSp
     phi0 = inv * lag_hat
     mu0_adv = ge * float(np.vdot(phi0, adv_hat)) - float(np.vdot(phi0, lam_adv))
     f_dphi0 = float(np.vdot(f_hat, np.subtract(phi0, lag_hat, out=lam_adv)))  # lam adv is read no more
-    return phi0, phi1, tuple(g.cell_area * x for x in (f_dphi0, f_phi1, mu0_adv, mu1_adv))
+    area = g.cell_area
+    return phi0, phi1, (area * f_dphi0, area * f_phi1, area * mu0_adv, area * mu1_adv)
 
 
 def velocity_families(rhs0: MacVector, terms: ExplicitTerms, spec: HelmholtzSpec, k: float):
@@ -187,7 +191,8 @@ def velocity_families(rhs0: MacVector, terms: ExplicitTerms, spec: HelmholtzSpec
         s = np.multiply(sym, v_hat, out=s)
         vw += float(np.vdot(w_hat, s))
         vv += float(np.vdot(v_hat, s))
-    wc, cc, cv, vw, vv = (g.cell_area * x for x in (wc, cc, cv, vw, vv))
+    area = g.cell_area
+    wc, cc, cv, vw, vv = area * wc, area * cc, area * cv, area * vw, area * vv
     return hats, ((wc, k * cc, -k * cv), (vw, k * cv, -k * vv))
 
 
@@ -216,7 +221,7 @@ class StepRecord:
 
 
 def zero_mean(p: CellField) -> CellField:
-    p.data -= p.data.mean()  # in place: every caller owns p
+    p.data -= p.data.sum() / p.data.size  # ndarray.mean's sum and division; in place: every caller owns p
     return p
 
 

@@ -35,7 +35,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,15 +59,16 @@ class GridSpec:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("domain extents must be strictly increasing")
 
-    @property
+    # computed at the first read, as a step reads them about a hundred times; eq and hash see the fields alone
+    @cached_property
     def hx(self) -> float:
         return (self.x1 - self.x0) / self.nx
 
-    @property
+    @cached_property
     def hy(self) -> float:
         return (self.y1 - self.y0) / self.ny
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return self.hx * self.hy
 
@@ -85,31 +86,37 @@ class GridSpec:
 
 
 def _require_same_grid(a, b):
-    if a.grid != b.grid:
+    if a.grid is not b.grid and a.grid != b.grid:
         raise DimensionMismatchError(f"fields live on different grids: {a.grid} vs {b.grid}")
+
+
+_FLOAT = np.dtype(float)
 
 
 class _Field:
     """The value algebra the field containers share: copy, +, - and scalar *
     act on each array of a subclass's arrays tuple.  The subclass's _KIND maps
-    each array's field name to its snapshot kind, whose _KIND_SHAPES entry
-    the array's shape is checked against."""
+    each array's field name to its snapshot kind, whose _kind_shape the
+    array's shape is checked against."""
 
     def __post_init__(self):
         g = self.grid
         for name, kind in self._KIND.items():
-            a = np.asarray(getattr(self, name), dtype=float)
-            _check_kind(kind, a.shape, g.nx, g.ny)
-            setattr(self, name, a)
+            a = getattr(self, name)
+            # a float64 ndarray is what np.asarray(a, dtype=float) returns as it is: one of the kind's shape stays
+            if type(a) is not np.ndarray or a.dtype != _FLOAT or a.shape != _kind_shape(kind, g.nx, g.ny):
+                a = np.asarray(a, dtype=float)
+                _check_kind(kind, a.shape, g.nx, g.ny)
+                setattr(self, name, a)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, *[np.zeros(_KIND_SHAPES[kind](grid.nx, grid.ny)) for kind in cls._KIND.values()])
+        return cls(grid, *[np.zeros(_kind_shape(kind, grid.nx, grid.ny)) for kind in cls._KIND.values()])
 
     @classmethod
     def empty(cls, grid):
         """Uninitialized C-order arrays, for a kernel that writes every entry."""
-        return cls(grid, *[np.empty(_KIND_SHAPES[kind](grid.nx, grid.ny)) for kind in cls._KIND.values()])
+        return cls(grid, *[np.empty(_kind_shape(kind, grid.nx, grid.ny)) for kind in cls._KIND.values()])
 
     def copy(self):
         return type(self)(self.grid, *[a.copy() for a in self.arrays])
@@ -174,7 +181,8 @@ class MacVector(_Field):
 # straddles the row end, the last entry of row i against the first of row
 # i+1; its junk result falls on a wall lane along y, which each stencil sets
 # from its wall rule before any product or division reaches it.  Wall lanes
-# are set through 2-D views, rows for x and columns for y (_lanes).  Inputs
+# are set through lane-major views, whose rows are the lanes across s: the
+# array itself for x and its transpose for y (x if s > 1 else x.T).  Inputs
 # are read through reshape(-1), which copies an array that is not C-order;
 # outputs are written only into arrays the kernel allocates.  Cell and face
 # rows along y differ in length by one, so a stencil between them forms its
@@ -182,27 +190,13 @@ class MacVector(_Field):
 # one strided operand.
 # ---------------------------------------------------------------------------
 
-_FIRST, _SECOND, _LAST, _BEFORE_LAST = slice(0, 1), slice(1, 2), slice(-1, None), slice(-2, -1)
-
-
-def _lanes(a, s, pick):
-    """The lanes of the 2-D C-order array a across the flat stride s that the
-    slice pick selects: rows when s is a's row length (x), columns when s is 1 (y)."""
-    return a[pick] if s > 1 else a[:, pick]
-
-
-def _walls(a, s):
-    """The first and last lanes of a across s, as one view."""
-    return _lanes(a, s, slice(None, None, (a.shape[0] if s > 1 else a.shape[1]) - 1))
-
-
 def _face_diff(d, s, h, out):
     """Into out, of the cells' shape: the differences d[k + s] - d[k] of the
     flat cell data d divided by h, each cell's face past it across s, with the
     far wall's zero in the last lane, where at s = 1 the row-end pairs fall."""
     flat = out.reshape(-1)
     np.subtract(d[s:], d[:-s], out=flat[:-s])
-    _lanes(out, s, _LAST)[...] = 0.0
+    (out if s > 1 else out.T)[-1] = 0.0
     flat /= h
     return out
 
@@ -243,12 +237,14 @@ def div_face_to_cell(w: MacVector) -> CellField:
 
 def _wall_diff(a, s, h, out, near):
     """Into out, of a's shape: the differences a[k] - a[k - s] over the flat
-    views, divided by h, with the ghost lane near before a's first across s.
+    views, divided by h, with the ghost lane near (a scalar or one lane's
+    values) before a's first across s.
     a holds its far ghost in its last lane; at s = 1 the shift pairs each row's
     start with the previous row's end, and the first lane is set from near."""
     flat, a_flat = out.reshape(-1), a.reshape(-1)
     np.subtract(a_flat[s:], a_flat[:-s], out=flat[s:])
-    np.subtract(_lanes(a, s, _FIRST), near, out=_lanes(out, s, _FIRST))
+    a_lanes, out_lanes = (a, out) if s > 1 else (a.T, out.T)
+    np.subtract(a_lanes[0], near, out=out_lanes[0])
     flat /= h
     return out
 
@@ -282,19 +278,22 @@ def lap_velocity(w: MacVector) -> MacVector:
                                    (w.v, out.v, 1, g.ny + 1, g.hy * g.hy, g.hx * g.hx)):
         flat = a.reshape(-1)
         two = (2.0 * flat).reshape(a.shape)
+        a_t, two_t = (a, two) if st > 1 else (a.T, two.T)  # lane-major across st; frees u's two before v's tang
         normal = np.subtract(flat[2 * sn:], two.reshape(-1)[sn:-sn], out=o.reshape(-1)[sn:-sn])
         normal += flat[:-2 * sn]
-        _walls(o, sn)[...] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
+        o_n = o if sn > 1 else o.T  # and across sn
+        o_n[::o_n.shape[0] - 1] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
         o /= h2n
         tang = np.empty(a.shape)
+        tang_n, tang_t = (tang, tang.T) if sn > 1 else (tang.T, tang)
         inner = np.subtract(flat[2 * st:], two.reshape(-1)[st:-st], out=tang.reshape(-1)[st:-st])
         inner += flat[:-2 * st]
-        first, last = _lanes(tang, st, _FIRST), _lanes(tang, st, _LAST)  # odd ghosts; at st = 1 the row-end pairs
-        np.subtract(_lanes(a, st, _SECOND), _lanes(two, st, _FIRST), out=first)
-        first -= _lanes(a, st, _FIRST)
-        np.subtract(-_lanes(a, st, _LAST), _lanes(two, st, _LAST), out=last)
-        last += _lanes(a, st, _BEFORE_LAST)
-        _walls(tang, sn)[...] = 0.0
+        first, last = tang_t[0], tang_t[-1]  # odd ghosts; at st = 1 the row-end pairs
+        np.subtract(a_t[1], two_t[0], out=first)
+        first -= a_t[0]
+        np.subtract(-a_t[-1], two_t[-1], out=last)
+        last += a_t[-2]
+        tang_n[::tang_n.shape[0] - 1] = 0.0
         tang /= h2t
         o += tang
     return out
@@ -314,11 +313,11 @@ def advect_scalar(w: MacVector, f: CellField) -> CellField:
     for s, inner in ((g.ny, flux.u[1:]), (1, fy)):  # each cell's face past it, in the cells' shape
         flat = inner.reshape(-1)[:-s]
         np.add(d[s:], d[:-s], out=flat)
-        _lanes(inner, s, _LAST)[...] = 0.0  # the far wall, set below; at s = 1 also the row-end pairs in flat
+        (inner if s > 1 else inner.T)[-1] = 0.0  # the far wall, set below; at s = 1 also the row-end pairs in flat
         flat *= 0.5
     flux.v[:, 1:] = fy
-    for s, o, wa in ((g.ny, flux.u, w.u), (1, flux.v, w.v)):
-        _walls(o, s)[...] = _walls(f.data, s)
+    flux.u[::g.nx], flux.v[:, ::g.ny] = f.data[::g.nx - 1], f.data[:, ::g.ny - 1]  # both walls take f's wall lanes
+    for o, wa in zip(flux.arrays, w.arrays):
         o *= wa
     return div_face_to_cell(flux)
 
@@ -347,24 +346,27 @@ def advect_velocity(w: MacVector) -> MacVector:
     cross_u = np.multiply(_avg4(w.v)[:, :-1], 0.25)
     cross_v = np.empty(w.v.shape)
     cross_v[:, 1:-1] = _avg4(w.u)[:, :-1]
-    _walls(cross_v, 1)[...] = 0.0
+    cross_v[:, ::g.ny] = 0.0
     cross_v *= 0.25
     # a component's normal stride sn crosses the walls it stores, its tangential stride st the walls it ghosts
     for a, o, cross, sn, st, hn, ht in ((w.u, out.u, cross_u.reshape(-1), g.ny, 1, g.hx, g.hy),
                                         (w.v, out.v, cross_v.reshape(-1)[1:-1], 1, g.ny + 1, g.hy, g.hx)):
         flat = a.reshape(-1)
         dtan = np.empty(a.shape)  # tangential central difference
+        a_t, dtan_t = (a, dtan) if st > 1 else (a.T, dtan.T)  # lane-major across st
+        o_n = o if sn > 1 else o.T  # and across sn
+        walls = o_n[::o_n.shape[0] - 1]
         np.subtract(flat[2 * st:], flat[:-2 * st], out=dtan.reshape(-1)[st:-st])
-        np.add(_lanes(a, st, _SECOND), _lanes(a, st, _FIRST), out=_lanes(dtan, st, _FIRST))
-        np.subtract(-_lanes(a, st, _LAST), _lanes(a, st, _BEFORE_LAST), out=_lanes(dtan, st, _LAST))
+        np.add(a_t[1], a_t[0], out=dtan_t[0])
+        np.subtract(-a_t[-1], a_t[-2], out=dtan_t[-1])
         dtan /= 2.0 * ht
         cross *= dtan.reshape(-1)[sn:-sn]
         own = np.subtract(flat[2 * sn:], flat[:-2 * sn], out=o.reshape(-1)[sn:-sn])
-        _walls(o, sn)[...] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
+        walls[...] = 0.0  # the stored walls; at sn = 1 also the row-end pairs
         own /= 2.0 * hn
         own *= flat[sn:-sn]
         own += cross
-        _walls(o, sn)[...] = 0.0  # at sn = 1 the products ran over the walls
+        walls[...] = 0.0  # at sn = 1 the products ran over the walls
     return out
 
 
@@ -378,12 +380,12 @@ def chemical_force(mu: CellField, phi: CellField) -> MacVector:
     for s, inner, h in ((g.ny, out.u[1:], g.hx), (1, fy, g.hy)):  # each cell's face past it, in the cells' shape
         flat = inner.reshape(-1)[:-s]
         np.add(m[s:], m[:-s], out=flat)
-        _lanes(inner, s, _LAST)[...] = 0.0  # the far wall; at s = 1 also the row-end pairs in flat
+        (inner if s > 1 else inner.T)[-1] = 0.0  # the far wall; at s = 1 also the row-end pairs in flat
         flat *= 0.5
         flat *= p[s:] - p[:-s]
         flat /= h
     out.v[:, 1:] = fy
-    _walls(out.u, g.ny)[...] = _walls(out.v, 1)[...] = 0.0
+    out.u[::g.nx] = out.v[:, ::g.ny] = 0.0  # both walls of each component, one view each
     return out
 
 
@@ -440,7 +442,7 @@ def curl_at_nodes(w: MacVector) -> np.ndarray:
     ghosted = np.empty(out.shape)
     ghosted[:, :-1] = w.u
     ghosted[:, -1] = -w.u[:, -1]
-    out -= _wall_diff(ghosted, 1, g.hy, np.empty(out.shape), -w.u[:, :1])
+    out -= _wall_diff(ghosted, 1, g.hy, np.empty(out.shape), -w.u[:, 0])
     return out
 
 
@@ -463,17 +465,19 @@ def norm_l2_nodes(grid: GridSpec, node_values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _KINDS = ("cell", "face_u", "face_v")
-_KIND_SHAPES = {
-    "cell": lambda nx, ny: (nx, ny),
-    "face_u": lambda nx, ny: (nx + 1, ny),
-    "face_v": lambda nx, ny: (nx, ny + 1),
-}
+
+
+@lru_cache(maxsize=None)
+def _kind_shape(kind, nx, ny):
+    """The array shape of a known kind on nx-by-ny cells, formed once per
+    (kind, nx, ny): the field containers look it up for each array they hold."""
+    return {"cell": (nx, ny), "face_u": (nx + 1, ny), "face_v": (nx, ny + 1)}[kind]
 
 
 def _check_kind(kind, shape, nx, ny):
     if kind not in _KINDS:
         raise InputDataError(f"unknown field kind {kind!r}")
-    expected = _KIND_SHAPES[kind](nx, ny)
+    expected = _kind_shape(kind, nx, ny)
     if tuple(shape) != expected:
         raise DimensionMismatchError(f"{kind} data shape {shape} != {expected}")
 
@@ -764,7 +768,7 @@ def read_field_bin(path):
     if code not in range(len(_KINDS)):
         raise InputDataError(f"{path}: unknown kind code {code}")
     kind = _KINDS[code]
-    shape = _KIND_SHAPES[kind](nx, ny)
+    shape = _kind_shape(kind, nx, ny)
     body = raw[8:]
     if body.size != shape[0] * shape[1]:
         raise DimensionMismatchError(f"{path}: payload size {body.size} != {shape[0] * shape[1]}")

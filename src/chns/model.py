@@ -68,7 +68,7 @@ def energy_e1(phi: CellField, params: PhysParams) -> float:
     """Midpoint quadrature of (phi^2 - 1 - beta)^2 / (4 eps^2)."""
     c = 1.0 + params.beta
     integrand = (phi.data**2 - c) ** 2 / (4.0 * params.epsilon**2)
-    return phi.grid.cell_area * float(np.sum(integrand))
+    return phi.grid.cell_area * float(integrand.sum())
 
 
 def sqrt_aux_energy(phi: CellField, params: PhysParams) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chns.elliptic import (
     ChOperatorSpec,
@@ -126,6 +127,19 @@ def test_poisson_rejects_nan():
     bad.data[2, 3] = np.nan
     with pytest.raises(InputDataError):
         solve_neumann_poisson(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                    elements=st.floats(-1e250, 1e250)),
+       layout=st.sampled_from(["C", "F", "slice"]))
+def test_sum_over_size_is_ndarray_mean_bitwise(a, layout):
+    """solve_neumann_poisson, project and first_order.zero_mean take a mean as
+    a.sum() / a.size: the reduction and the division of ndarray.mean, without
+    its Python wrapper, so the same bits for any values, signed zeros included,
+    and any layout."""
+    a = {"C": a, "F": np.asfortranarray(a), "slice": a[::2, ::-1]}[layout]
+    assert np.float64(a.sum() / a.size).tobytes() == np.float64(a.mean()).tobytes()
 
 
 # ---------------------------------------------------------------------------

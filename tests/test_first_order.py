@@ -1,6 +1,7 @@
 """First-order stepper: substep algebra, the 2x2 recombination system, the
 monolithic dense oracle, and structural invariants."""
 
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -370,6 +371,36 @@ def test_a_step_makes_twelve_transform_calls(monkeypatch):
     state2, got = counted(bootstrap, state, p, dt)
     assert got == {name: 4 * n for name, n in per_step.items()}
     assert counted(step_second_order, state2, p, dt)[1] == per_step
+
+
+def _calls_in(fn, *args):
+    """The Python and C function calls that fn(*args) makes, fn's own included:
+    the 'call' and 'c_call' events sys.setprofile reports, a generator's each
+    resumption among them."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the c_call of sys.setprofile(None)
+
+
+def test_a_small_step_stays_within_its_call_budget():
+    """A small step's cost is mostly its Python-level calls.  After a warm-up
+    step has built the transform symbols, an 8x8 msav1 step makes 464 calls
+    and an msav2 BDF2 step 519 (numpy 2.4.6); each bound is its count plus
+    about 10%, so a change that adds per-call work to every step fails here."""
+    g, p, dt = GridSpec(8, 8), reference_params(), 1e-3
+    state = step_first_order(initial_state(g, p), p, dt)[0]
+    state2 = step_second_order(bootstrap(initial_state(g, p), p, dt), p, dt)[0]
+    assert _calls_in(step_first_order, state, p, dt) <= 510
+    assert _calls_in(step_second_order, state2, p, dt) <= 570
 
 
 def _files_state(tmp_path, p):

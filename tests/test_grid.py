@@ -346,6 +346,47 @@ def test_grid_mismatch_raises():
         dot_face(MacVector.zeros(GridSpec(8, 8)), MacVector.zeros(GridSpec(8, 8, x1=2.0)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(4, 4096), ny=st.integers(4, 4096), x0=st.floats(-1e6, 1e6), y0=st.floats(-1e6, 1e6),
+       lx=st.floats(1e-6, 1e6), ly=st.floats(1e-6, 1e6))
+def test_spacings_are_their_expressions_bitwise_and_leave_equality_alone(nx, ny, x0, y0, lx, ly):
+    """hx, hy and cell_area, computed at the first read and stored, are
+    (x1 - x0) / nx, (y1 - y0) / ny and their product bit for bit at every read,
+    and a grid that has stored them equals and hashes like a fresh one."""
+    x1, y1 = x0 + lx, y0 + ly
+    assume(x1 > x0 and y1 > y0)
+    g = GridSpec(nx, ny, x0, x1, y0, y1)
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    for _ in range(2):
+        assert [g.hx.hex(), g.hy.hex(), g.cell_area.hex()] == [hx.hex(), hy.hex(), (hx * hy).hex()]
+    fresh = GridSpec(nx, ny, x0, x1, y0, y1)
+    assert g == fresh and hash(g) == hash(fresh)
+
+
+def test_field_containers_keep_float_arrays_and_convert_and_check_the_rest():
+    """A float64 ndarray of its kind's shape is kept as the same object, in any
+    layout, as np.asarray(a, dtype=float) keeps it; int, float32, big-endian,
+    list and masked-array data become float64 ndarrays of the same values; a
+    wrong shape raises DimensionMismatchError, whatever the data type."""
+    g = GridSpec(5, 4)
+    a = np.arange(20.0).reshape(5, 4)
+    for kept in (a, np.asfortranarray(a), np.zeros((5, 8))[:, ::2]):
+        assert CellField(g, kept).data is kept
+    for data in (np.arange(20).reshape(5, 4), a.astype(np.float32), a.astype(">f8"), a.tolist(),
+                 np.ma.masked_array(a)):
+        got = CellField(g, data).data
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.dtype.isnative
+        assert np.array_equal(got, a)
+    w = MacVector(g, np.ones((6, 4), dtype=int), [[0.5] * 5] * 5)
+    assert [(x.dtype, x.shape) for x in w.arrays] == [(np.float64, (6, 4)), (np.float64, (5, 5))]
+    for cells in (np.zeros((4, 5)), np.zeros((5, 4, 1)), [[0.0] * 5] * 4, np.zeros((4, 5), dtype=int)):
+        with pytest.raises(DimensionMismatchError):
+            CellField(g, cells)
+    for u, v in (((5, 4), (5, 5)), ((6, 4), (6, 4)), ((6, 5), (5, 5))):
+        with pytest.raises(DimensionMismatchError):
+            MacVector(g, np.zeros(u), np.zeros(v))
+
+
 @settings(max_examples=30, deadline=None)
 @given(nx=st.integers(4, 12), ny=st.integers(4, 12), lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0),
        seed=st.integers(0, 2**32 - 1))

@@ -2,7 +2,10 @@
 and --compare reads those two directories as equal."""
 
 import importlib.util
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,16 @@ def test_compare_reads_two_runs_on_one_tree_as_equal(two_runs, tmp_path):
     lines = script.compare(one, two)
     assert float(dict(line.split("  ") for line in lines if ":" in line)["audit-msav1/audit_dt_0.1.csv:E_total"]) > 0
     assert "simulate-msav1/phi_final.bin  only in OLD" in lines
+
+
+def test_compare_runs_without_chns_on_the_path(two_runs, tmp_path):
+    """--compare reads files only: the script run as a command with a chns that
+    cannot be imported first on its path still exits 0 and prints compare's lines."""
+    script, _, (one, two) = two_runs
+    (tmp_path / "chns").mkdir()
+    (tmp_path / "chns" / "__init__.py").write_text("raise ImportError('chns is not importable here')\n")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, str(SCRIPT), "--compare", one, two], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == script.compare(one, two)

@@ -27,7 +27,11 @@ smallest square grid whose every field (91x91, 92x91 and 91x92) spans two.
 OUTDIR must not exist or must be empty; the exit codes are also written to
 OUTDIR/exit_codes.txt, which the manifest does not list.  The digests depend
 on the numpy/scipy build and the CPU, so none is committed; a test checks
-that two runs on one tree print the same manifest.
+that two runs on one tree print the same manifest.  They do not depend on
+the OpenBLAS thread count: np.vdot splits a sum of more than 10**4 values
+over OpenBLAS's threads, and the run set's arrays hold at most 8,372 values
+(a 91x92 face field).  --compare reads files only and runs without chns on
+the path.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ import os
 import sys
 
 import numpy as np
-
-from chns.cli import main
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
 EXIT_CODES = "exit_codes.txt"
@@ -70,6 +72,8 @@ RUNS = (
 def manifest(outdir):
     """Run RUNS into outdir/<name> and return the manifest lines: 'sha256  path'
     for every file under outdir, by path, then 'exit  name  code' for each run."""
+    from chns.cli import main  # here, not at the top: --compare reads files and needs no chns on the path
+
     codes = []
     for name, command, config, settings in RUNS:
         argv = [command] + (["--config", os.path.join(DEMOS, config)] if config else [])
